@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bnb, catalog
 from . import neurodynamic as nd
+from .outcome import OutcomeError
 from .problem import ProblemFormatError, load_problem
 
 EXIT_OPTIMAL = 0
@@ -100,13 +101,13 @@ def _make_config(args, trace: Optional[nd.TraceRecorder]) -> bnb.SolverConfig:
         flow_kwargs["t_max"] = args.t_max
     if trace is not None:
         flow_kwargs["trace"] = trace
-    kwargs = {"epsilon": args.epsilon, "flow": nd.FlowConfig(**flow_kwargs)}
+    kwargs = {"epsilon": args.epsilon}
     if args.direction is not None:
         kwargs["direction"] = _parse_direction(args.direction)
     if args.max_iters is not None:
         kwargs["max_iterations"] = args.max_iters
     try:
-        return bnb.SolverConfig(**kwargs)
+        return bnb.SolverConfig(flow=nd.FlowConfig(**flow_kwargs), **kwargs)
     except ValueError as exc:
         raise InputError(str(exc))
 
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
                 f"direction has {len(config.direction)} components, "
                 f"problem has {problem.p} objectives")
         report = bnb.solve(problem, config)
-    except InputError as exc:
+    except (InputError, OutcomeError, nd.FlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -18,6 +18,7 @@ selection.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -439,68 +440,213 @@ def clarke_subgradient(e: Expr, point: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Compilation (closures; hot path for the flow integrator)
+# Compilation (generated straight-line code; hot path for the flow integrator)
 # ---------------------------------------------------------------------------
 
-def _compile_value(e: Expr) -> Callable:
-    if isinstance(e, Const):
-        c = e.value
-        return lambda x: c
-    if isinstance(e, Var):
-        i = e.index
-        return lambda x: x[i]
-    if isinstance(e, Neg):
-        f = _compile_value(e.child)
-        return lambda x: -f(x)
-    if isinstance(e, BinOp):
-        fl = _compile_value(e.left)
-        fr = _compile_value(e.right)
-        if e.op == "+":
-            return lambda x: fl(x) + fr(x)
-        if e.op == "-":
-            return lambda x: fl(x) - fr(x)
-        if e.op == "*":
-            return lambda x: fl(x) * fr(x)
+def _raise_zero(node: Expr):
+    raise EvaluationError(f"division by zero at node {to_source(node)}")
 
-        def div(x, fl=fl, fr=fr, node=e):
-            b = fr(x)
-            if b == 0.0:
-                raise EvaluationError(f"division by zero at node {to_source(node)}")
-            return fl(x) / b
 
-        return div
-    if isinstance(e, Pow):
-        fb = _compile_value(e.base)
-        k = e.exponent
-        if k == 2:
-            return lambda x: fb(x) ** 2
-        return lambda x, fb=fb, k=k, node=e: _ipow(fb(x), k, node)
+def _raise_nonfinite(node: Expr):
+    raise EvaluationError(f"non-finite value at node {to_source(node)}")
+
+
+def _has_max(e: Expr) -> bool:
     if isinstance(e, Max):
-        fs = [_compile_value(c) for c in e.children]
-        return lambda x: max(f(x) for f in fs)
-    raise TypeError(f"not an expression node: {e!r}")
+        return True
+    if isinstance(e, Neg):
+        return _has_max(e.child)
+    if isinstance(e, BinOp):
+        return _has_max(e.left) or _has_max(e.right)
+    if isinstance(e, Pow):
+        return _has_max(e.base)
+    return False
+
+
+class _Emitter:
+    """Python source for one expression: a statement per node, in the order
+    the reference evaluation visits them, so the generated function does the
+    same floating-point operations.  Two modes:
+
+    * value: the arithmetic of ``CompiledExpr.value`` (``b ** 2`` for
+      squares, no finiteness checks);
+    * gradient: the arithmetic of ``value_and_gradient`` (unrolled powers,
+      checked divisions and powers), with the gradient carried per component
+      and components that are structurally zero left out.  The results agree
+      up to the sign of zero, except where an intermediate overflows: a
+      left-out component stays 0 where the interpreter gets 0 * inf = nan.
+      Max nodes are not supported in this mode.
+    """
+
+    ONE = "1.0"
+
+    def __init__(self, gradient: bool):
+        self.gradient = gradient
+        self.lines = []
+        self.consts = []
+        self.nodes = []
+        self.var_names = {}
+        self.count = 0
+
+    def temp(self, rhs: str) -> str:
+        name = f"t{self.count}"
+        self.count += 1
+        self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def name(self, rhs: str) -> str:
+        """A name or literal as it is, anything else through a temporary."""
+        return rhs if rhs == self.ONE or rhs.isidentifier() else self.temp(rhs)
+
+    def product(self, a: str, b: str) -> str:
+        # 1.0 * s == s exactly
+        return b if a == self.ONE else a if b == self.ONE else f"{a} * {b}"
+
+    def node_ref(self, node: Expr) -> str:
+        self.nodes.append(node)
+        return f"N[{len(self.nodes) - 1}]"
+
+    def power(self, base: str, k: int, node: Expr) -> str:
+        if 1 <= k <= MAX_UNROLLED_POW:
+            # _ipow multiplies out from 1.0, and 1.0 * b == b
+            return " * ".join([base] * k)
+        if k == 0:
+            return "1.0"
+        return f"_ipow({base}, {k}, {self.node_ref(node)})"
+
+    def emit(self, e: Expr):
+        """Returns (value name, {component: name}); the gradient map is
+        empty in value mode."""
+        if isinstance(e, Const):
+            self.consts.append(e.value)
+            return f"k{len(self.consts) - 1}", {}
+        if isinstance(e, Var):
+            if e.index not in self.var_names:
+                self.var_names[e.index] = f"x{e.index}"
+            return self.var_names[e.index], ({e.index: self.ONE} if self.gradient else {})
+        if isinstance(e, Neg):
+            v, g = self.emit(e.child)
+            return self.temp(f"-{v}"), {j: self.temp(f"-{c}") for j, c in g.items()}
+        if isinstance(e, BinOp):
+            return self.emit_binop(e)
+        if isinstance(e, Pow):
+            return self.emit_pow(e)
+        if isinstance(e, Max):
+            if self.gradient:
+                raise TypeError("max nodes are not compiled in gradient mode")
+            vals = [self.emit(c)[0] for c in e.children]
+            return self.temp(f"max({', '.join(vals)})"), {}
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def emit_binop(self, e: BinOp):
+        if e.op == "/" and not self.gradient:
+            # the value path evaluates the denominator first
+            b, _ = self.emit(e.right)
+            self.lines.append(f"if {b} == 0.0: _raise_zero({self.node_ref(e)})")
+            a, _ = self.emit(e.left)
+            return self.temp(f"{a} / {b}"), {}
+        a, ga = self.emit(e.left)
+        b, gb = self.emit(e.right)
+        if e.op == "/":
+            self.lines.append(f"if {b} == 0.0: _raise_zero({self.node_ref(e)})")
+        v = self.temp(f"{a} {e.op} {b}")
+        g = {}
+        if self.gradient:
+            for j in sorted(ga.keys() | gb.keys()):
+                g[j] = self.name(self.derivative(e.op, v, a, b, ga.get(j), gb.get(j)))
+            if e.op == "/":
+                self.lines.append(
+                    f"if not _isfinite({v}): _raise_nonfinite({self.node_ref(e)})")
+        return v, g
+
+    def derivative(self, op, v, a, b, da, db) -> str:
+        """One component of the forward-mode rule; a missing ``da`` or
+        ``db`` is an exact zero."""
+        if op == "+":
+            return f"{da} + {db}" if da and db else (da or db)
+        if op == "-":
+            return f"{da} - {db}" if da and db else (da or f"-{db}")
+        if op == "*":
+            terms = [self.product(da, b)] if da else []
+            terms += [self.product(db, a)] if db else []
+            return " + ".join(terms)
+        if da and db:
+            return f"({da} - {self.product(db, v)}) / {b}"
+        return f"{da} / {b}" if da else f"-({self.product(db, v)}) / {b}"
+
+    def emit_pow(self, e: Pow):
+        b, gb = self.emit(e.base)
+        k = e.exponent
+        if not self.gradient:
+            if k == 2:
+                return self.temp(f"{b} ** 2"), {}
+            return self.temp(f"_ipow({b}, {k}, {self.node_ref(e)})"), {}
+        v = self.temp(self.power(b, k, e))
+        if k == 0:
+            return v, {}
+        dv = self.temp(f"{k} * ({self.power(b, k - 1, e)})") if k != 1 else self.ONE
+        g = {j: self.name(self.product(dv, d)) for j, d in gb.items()}
+        self.lines.append(f"if not _isfinite({v}): _raise_nonfinite({self.node_ref(e)})")
+        return v, g
+
+
+def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
+    """Compile ``e`` to a function of a sequence of floats: its value, or
+    (value, gradient array) in gradient mode."""
+    em = _Emitter(gradient)
+    v, g = em.emit(e)
+    head = [f"{name} = x[{i}]" for i, name in sorted(em.var_names.items())]
+    if gradient:
+        comps = ", ".join(g.get(j, "0.0") for j in range(n_vars))
+        tail = f"return {v}, _array([{comps}])"
+    else:
+        tail = f"return {v}"
+    body = "\n    ".join(head + em.lines + [tail])
+    src = f"def generated(x):\n    {body}\n"
+    namespace = {f"k{i}": c for i, c in enumerate(em.consts)}
+    namespace.update(N=tuple(em.nodes), _ipow=_ipow, _isfinite=math.isfinite,
+                     _array=np.array, _raise_zero=_raise_zero,
+                     _raise_nonfinite=_raise_nonfinite)
+    exec(compile(src, f"<expression {to_source(e)[:60]}>", "exec"), namespace)
+    return namespace["generated"]
 
 
 class CompiledExpr:
-    """An expression bound to a variable count, with cached closures for
+    """An expression bound to a variable count, with generated functions for
     value and (value, gradient) evaluation."""
 
     def __init__(self, ast: Expr, n_vars: int, active_tol: float = DEFAULT_ACTIVE_TOL):
         self.ast = ast
         self.n_vars = n_vars
         self.active_tol = active_tol
-        self._value = _compile_value(ast)
+        # generated on first use, so that loading a problem stays cheap
+        self._value = None
+        self._value_grad = None
+        self._smooth = not _has_max(ast)
         aff = affine_parts(ast, n_vars)
         self.affine = aff  # (coeffs, const) or None
 
     def value(self, x) -> float:
-        return float(self._value(x))
+        if self._value is None:
+            self._value = _generate(self.ast, self.n_vars, gradient=False)
+        x = np.asarray(x, dtype=float)
+        try:
+            return float(self._value(x.tolist()))
+        except (OverflowError, ZeroDivisionError):
+            # float powers raise on overflow and underflow to zero where
+            # numpy scalars give inf
+            return float(self._value(x))
 
     def value_grad(self, x):
         if self.affine is not None:
             a, b = self.affine
             return float(a @ x + b), a.copy()
-        return value_and_gradient(self.ast, np.asarray(x, dtype=float), self.active_tol)
+        x = np.asarray(x, dtype=float)
+        if not self._smooth:
+            return value_and_gradient(self.ast, x, self.active_tol)
+        if self._value_grad is None:
+            self._value_grad = _generate(self.ast, self.n_vars, gradient=True)
+        return self._value_grad(x.tolist())
 
     def grad(self, x) -> np.ndarray:
         return self.value_grad(x)[1]

@@ -3,9 +3,10 @@
 Integrates  dx/dt in -c(x) dr(x) - dS(x)  with explicit Euler and per-step
 backtracking (halve dt while the step increases S outside the feasible set or
 increases r inside it).  The right-hand side is a selection from the Clarke
-sets: near-active constraint weights and objective-generator weights are
-chosen by a minimum-norm rule so the discrete flow slides along boundaries
-and nonsmooth valleys instead of chattering.
+sets: objective-generator and near-active constraint weights are chosen by
+an exact minimum-norm rule (a closed form or a finite active-set QP) so the
+discrete flow slides along boundaries and nonsmooth valleys instead of
+chattering.
 
 Constraint oracles are objects with ``value(x)`` and ``value_grad(x)``;
 an optional ``affine`` attribute ``(coeffs, const)`` enables a vectorized
@@ -159,6 +160,7 @@ class _Stack:
         self.A = np.array(aff_rows) if aff_rows else np.zeros((0, n))
         self.b = np.array(aff_consts)
         self.row_norms = np.linalg.norm(self.A, axis=1) if len(aff_rows) else np.zeros(0)
+        self._aff_norm_estimates = np.maximum(self.row_norms, 1e-12)
         self._nl_norm_cache = [1.0] * len(self.nonlinear)
 
     @property
@@ -185,6 +187,10 @@ class _Stack:
             return max(self.row_norms[i], 1e-12)
         return self._nl_norm_cache[i - na]
 
+    def norm_estimates(self) -> np.ndarray:
+        """``row_norm_estimate`` of every row."""
+        return np.concatenate([self._aff_norm_estimates, self._nl_norm_cache])
+
     def total_penalty(self, vals: np.ndarray) -> float:
         pos = vals[vals > 0.0]
         return float(pos.sum()) if pos.size else 0.0
@@ -194,25 +200,16 @@ class _Stack:
 # Minimum-norm selection
 # ---------------------------------------------------------------------------
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
 LAM_CAP = 1e8
 
 
 def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
                     act_gens: list) -> np.ndarray:
-    """argmin over mu in simplex, lam in [0, cap]^k of
-    || c*sum mu_j G_j + g_plus + sum lam_i A_i ||, returns the velocity
-    (negated combination).  The active-row weights form a cone rather than
-    a box: a curved constraint with a tiny gradient needs a large multiplier
-    to certify stationarity against the objective."""
+    """Velocity of least norm, -(g_plus + c*sum mu_j G_j + sum lam_i A_i),
+    over mu in the unit simplex and lam in [0, LAM_CAP]^k: closed forms for
+    one generator and at most one row, else ``_active_set_weights``.  The
+    row weights form a cone rather than a box: a curved constraint with a
+    tiny gradient needs a large multiplier to certify stationarity."""
     nobj = len(obj_gens)
     k = len(act_gens)
     if nobj <= 1 and k == 0:
@@ -224,99 +221,81 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
         den = float(a @ a)
         lam = min(LAM_CAP, max(0.0, -float(g @ a) / den)) if den > 0.0 else 0.0
         return -(g + lam * a)
-    G = np.array([c_gain * g for g in obj_gens]) if nobj else np.zeros((0, len(g_plus)))
-    A = np.array(act_gens) if k else np.zeros((0, len(g_plus)))
-    M = np.vstack([G, A]) if (nobj or k) else np.zeros((0, len(g_plus)))
-    # tiny accelerated projected-gradient QP: z = [mu, lam]
-    mu = np.full(nobj, 1.0 / nobj) if nobj else np.zeros(0)
-    lam = np.zeros(k)
-    MMt = M @ M.T
-    Mb = M @ g_plus
-    lip = float(np.trace(MMt)) + 1e-12
-    step = 1.0 / lip
+    M = np.array([c_gain * g for g in obj_gens] + list(act_gens))
+    return -(g_plus + M.T @ _active_set_weights(M, g_plus, nobj))
 
-    def proj(z):
-        head = _project_simplex(z[:nobj]) if nobj else z[:nobj]
-        return np.concatenate([head, np.clip(z[nobj:], 0.0, LAM_CAP)])
 
-    def qval(z):
-        return 0.5 * float(z @ (MMt @ z)) + float(Mb @ z)
-
-    z = np.concatenate([mu, lam])
-    y = z.copy()
-    theta = 1.0
-    q_prev = qval(z)
-    for _ in range(1000):
-        z_new = proj(y - step * (MMt @ y + Mb))
-        q_new = qval(z_new)
-        if q_new > q_prev:
-            # adaptive restart: drop the momentum when the value rises
-            y = z_new.copy()
-            theta = 1.0
-        else:
-            theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            y = z_new + (theta - 1.0) / theta_new * (z_new - z)
-            theta = theta_new
-        moved = float(np.linalg.norm(z_new - z))
-        z = z_new
-        q_prev = q_new
-        if moved < 1e-14:
-            break
-    z = _polish_active_set(M, g_plus, nobj, proj, z)
-    mu, lam = z[:nobj], z[nobj:]
-    combo = g_plus.copy()
+def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
+                        nobj: int) -> np.ndarray:
+    """argmin ||g_plus + M^T z|| over z = (mu, lam): mu, the weights of the
+    first ``nobj`` rows, in the unit simplex, and 0 <= lam <= LAM_CAP.
+    Lawson-Hanson NNLS with the simplex equality kept exactly: start at the
+    best simplex vertex, free the coordinate whose reduced gradient is most
+    negative, re-solve the least squares on the free set, and step back to
+    the boundary (fixing the coordinate that reaches it) while a free weight
+    leaves its bounds.  Finite; a weight that reaches LAM_CAP stays there."""
+    d = len(M)
+    z = np.zeros(d)
+    free = np.zeros(d, dtype=bool)
+    capped = np.zeros(d, dtype=bool)
+    # entries the least squares undid at the current z: round-off, the
+    # column lies in the span of the free ones
+    refused = np.zeros(d, dtype=bool)
     if nobj:
-        combo += G.T @ mu
-    if k:
-        combo += A.T @ lam
-    return -combo
-
-
-def _polish_active_set(M: np.ndarray, g_plus: np.ndarray, nobj: int, proj,
-                       z: np.ndarray) -> np.ndarray:
-    """Exact least-squares refit on the coordinates the projected-gradient
-    iterate left strictly interior; degenerate active sets leave the
-    accelerated iterations with a residual well above the certificate
-    tolerance."""
-    def resid(z):
-        return float(np.linalg.norm(g_plus + M.T @ z))
-
-    best = z
-    best_r = resid(z)
-    for _ in range(3):
-        interior = np.empty(len(best), dtype=bool)
-        interior[:nobj] = best[:nobj] > 1e-12
-        interior[nobj:] = (best[nobj:] > 1e-12) & (best[nobj:] < 0.999 * LAM_CAP)
-        if not np.any(interior):
+        j = int(np.argmin(np.linalg.norm(g_plus + M[:nobj], axis=1)))
+        z[j], free[j] = 1.0, True
+    scale = max(float(np.linalg.norm(g_plus)),
+                float(np.linalg.norm(M, axis=1).max()))
+    tol = 1e-12 * scale * scale
+    for _ in range(3 * d):
+        grad = M @ (g_plus + M.T @ z)
+        if nobj:
+            # reduced gradient: less the simplex multiplier
+            grad[:nobj] -= grad[:nobj][free[:nobj]].mean()
+        grad[free | capped | refused] = np.inf
+        t = int(np.argmin(grad))
+        if grad[t] >= -tol:
             break
-        fixed = best.copy()
-        fixed[interior] = 0.0
-        r0 = g_plus + M.T @ fixed
-        Mf = M[interior]
-        head = interior[:nobj]
-        if np.any(head):
-            # keep the simplex weights summing to one via a KKT system
-            a = np.zeros(int(interior.sum()))
-            a[: int(head.sum())] = 1.0
-            s = 1.0 - float(np.sum(fixed[:nobj]))
-            H = 2.0 * (Mf @ Mf.T)
-            kkt = np.zeros((len(a) + 1, len(a) + 1))
-            kkt[: len(a), : len(a)] = H
-            kkt[: len(a), -1] = a
-            kkt[-1, : len(a)] = a
-            rhs = np.concatenate([-2.0 * (Mf @ r0), [s]])
-            w = np.linalg.lstsq(kkt, rhs, rcond=None)[0][: len(a)]
-        else:
-            w = np.linalg.lstsq(Mf.T, -r0, rcond=None)[0]
-        cand = fixed.copy()
-        cand[interior] = w
-        cand = proj(cand)
-        r = resid(cand)
-        if r < best_r - 1e-15:
-            best, best_r = cand, r
-        else:
-            break
-    return best
+        free[t] = True
+        w = _free_least_squares(M, g_plus, nobj, free, capped)
+        if w[t] <= 0.0:
+            free[t], refused[t] = False, True
+            continue
+        refused[:] = False
+        while True:
+            low, high = free & (w <= 0.0), free & (w >= LAM_CAP)
+            if not (low | high).any():
+                break
+            ratio = np.full(d, np.inf)
+            ratio[low] = z[low] / (z[low] - w[low])
+            ratio[high] = (LAM_CAP - z[high]) / (w[high] - z[high])
+            i = int(np.argmin(ratio))
+            z = z + ratio[i] * (w - z)
+            capped[i] = high[i]
+            out = free & (z <= 0.0)
+            out[i] = True
+            free[out], z[out] = False, 0.0
+            z[capped] = LAM_CAP
+            w = _free_least_squares(M, g_plus, nobj, free, capped)
+        z = w
+    return z
+
+
+def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
+                        free: np.ndarray, capped: np.ndarray) -> np.ndarray:
+    """Least squares over the free weights, the rest held at 0 or LAM_CAP;
+    the free simplex weights sum to one through the KKT system."""
+    w = np.where(capped, LAM_CAP, 0.0)
+    r0 = g_plus + M.T @ w
+    Mf = M[free]
+    a = (np.arange(len(M)) < nobj)[free].astype(float)
+    if a.any():
+        kkt = np.block([[2.0 * (Mf @ Mf.T), a[:, None]], [a, 0.0]])
+        rhs = np.append(-2.0 * (Mf @ r0), 1.0)
+        w[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+    elif len(Mf):
+        w[free] = np.linalg.lstsq(Mf.T, -r0, rcond=None)[0]
+    return w
 
 
 def _objective_generators(objective, x, band: float):
@@ -331,8 +310,7 @@ def _objective_generators(objective, x, band: float):
 # Flows
 # ---------------------------------------------------------------------------
 
-def _selected_velocity(stack: _Stack, objective, x, band_scale: float,
-                       config: FlowConfig):
+def _selected_velocity(stack: _Stack, objective, x, band_scale: float):
     """Returns (velocity, S_exact, r_value). ``objective`` may be None for a
     pure penalty flow."""
     vals = stack.values(x)
@@ -341,13 +319,15 @@ def _selected_velocity(stack: _Stack, objective, x, band_scale: float,
     act_gens = []
     any_plus = False
     prod_gain = 1.0
-    for i in range(stack.size):
-        band = max(ZERO_BAND, band_scale * stack.row_norm_estimate(i))
+    bands = np.maximum(ZERO_BAND, band_scale * stack.norm_estimates())
+    # rows below their band contribute nothing
+    for i in np.flatnonzero(vals >= -bands):
+        band = bands[i]
         v = vals[i]
         if v > band:
             g_plus += stack.row_grad(i, x)
             any_plus = True
-        elif v >= -band:
+        else:
             g = stack.row_grad(i, x)
             band = max(ZERO_BAND, band_scale * stack.row_norm_estimate(i))
             act_gens.append(g)
@@ -397,7 +377,7 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
             status = FlowStatus.MAX_TIME
             break
         vel, s_exact, r_val, outside = _selected_velocity(
-            stack, objective, x, CERT_BAND * band_factor, config)
+            stack, objective, x, CERT_BAND * band_factor)
         vnorm = float(np.linalg.norm(vel))
         if trace:
             trace.record(flow_id, t, x, r_val, s_exact, vnorm)
@@ -438,10 +418,7 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
                 r_n = objective.value(xn) if objective is not None else 0.0
                 ok = r_n <= r_val - margin + 1e-15 * max(1.0, abs(r_val))
                 if ok:
-                    for i in range(stack.size):
-                        if vals_n[i] > CERT_BAND * stack.row_norm_estimate(i):
-                            ok = False
-                            break
+                    ok = not np.any(vals_n > CERT_BAND * stack.norm_estimates())
             if ok:
                 accepted = True
                 break
@@ -482,7 +459,7 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
     vnorm = math.inf
     for factor in (1.0, 10.0, 100.0):
         vel, s_final, r_final, _ = _selected_velocity(
-            stack, objective, x, CERT_BAND * factor, config)
+            stack, objective, x, CERT_BAND * factor)
         vnorm = min(vnorm, float(np.linalg.norm(vel)))
         if vnorm <= config.stationarity_tol:
             break
@@ -507,21 +484,29 @@ def _polish_feasibility(stack: _Stack, x: np.ndarray, config: FlowConfig) -> np.
         # defeated when a nearly-tight row's gradient opposes the violated
         # one, so solve the linearized system jointly instead
         rows = [i for i in range(stack.size) if vals[i] > 0.0]
-        G = np.array([stack.row_grad(i, x) for i in rows])
-        r = np.array([vals[i] for i in rows])
-        if float(np.sum(G * G)) <= 1e-24:
+        while True:
+            G = np.array([stack.row_grad(i, x) for i in rows])
+            if float(np.sum(G * G)) <= 1e-24:
+                return x
+            full = np.linalg.lstsq(G, vals[rows], rcond=None)[0]
+            delta = full
+            for _ in range(8):
+                xn = x - delta
+                if stack.total_penalty(stack.values(xn)) < s:
+                    break
+                delta = 0.5 * delta
+            else:
+                # the step pushed through rows at their bound: hold those at
+                # the bound as well and solve again
+                pushed = stack.values(x - full)
+                grown = [i for i in range(stack.size)
+                         if pushed[i] > 0.0 and i not in rows]
+                if not grown:
+                    return x
+                rows += grown
+                continue
             break
-        delta = np.linalg.lstsq(G, r, rcond=None)[0]
-        moved = False
-        for _ in range(8):
-            xn = x - delta
-            if stack.total_penalty(stack.values(xn)) < s:
-                x = xn
-                moved = True
-                break
-            delta *= 0.5
-        if not moved:
-            break
+        x = xn
     return x
 
 

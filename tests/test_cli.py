@@ -17,6 +17,16 @@ bound x2 0 1
 """
 
 
+EMPTY_X_TEXT = """\
+vars x 1
+upper x1
+lower x1
+lower -x1
+constraint_x x1 + 1
+constraint_x -x1 + 1
+"""
+
+
 @pytest.fixture(scope="module")
 def ex1_report():
     return bnb.solve(catalog.load_example(1), bnb.SolverConfig(epsilon=1e-5))
@@ -62,6 +72,19 @@ class TestInputErrors:
         code, _, err = run(capsys, ["--example", "1", "--direction", "1,1,1"])
         assert code == 1
         assert "2 objectives" in err
+
+    @pytest.mark.parametrize("flag", [["--dt", "-1"], ["--t-max", "0"]])
+    def test_nonpositive_flow_setting(self, capsys, flag):
+        code, _, err = run(capsys, ["--example", "1"] + flag)
+        assert code == 1
+        assert err == "error: dt and t_max must be positive\n"
+
+    def test_empty_feasible_set(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text(EMPTY_X_TEXT)
+        code, _, err = run(capsys, ["--file", str(path)])
+        assert code == 1
+        assert err == "error: X is empty: no feasible point found\n"
 
 
 class TestExitCodes:

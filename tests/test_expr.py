@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from svbilevel import expr as ex
 from svbilevel.expr import (
@@ -21,6 +21,56 @@ FIXTURE_EXPRESSIONS = [
     "min(x1, x2 - 1)",
     "-(x1 - x2) * (x1 + x2) / 2",
 ]
+
+
+COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-3, 3)
+
+EXPRESSIONS = st.recursive(
+    st.builds(lambda i: Var(i, f"x{i + 1}"), st.integers(0, 2))
+    | st.builds(Const, st.sampled_from([0.0, 1.0, -2.5, 0.3, 1e-3])),
+    lambda kids: st.builds(Neg, kids)
+    | st.builds(BinOp, st.sampled_from("+-*/"), kids, kids)
+    | st.builds(Pow, kids, st.sampled_from([-2, -1, 0, 1, 2, 3, 9]))
+    | st.builds(lambda a, b: Max((a, b)), kids, kids),
+    max_leaves=12)
+
+
+def _reference_value(e, x):
+    """The value path's arithmetic on numpy scalars: squares through ``**``,
+    the denominator evaluated and checked before the numerator, no
+    finiteness checks."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x[e.index]
+    if isinstance(e, Neg):
+        return -_reference_value(e.child, x)
+    if isinstance(e, Max):
+        return max(_reference_value(c, x) for c in e.children)
+    if isinstance(e, Pow):
+        b = _reference_value(e.base, x)
+        return b ** 2 if e.exponent == 2 else ex._ipow(b, e.exponent, e)
+    if e.op == "/":
+        b = _reference_value(e.right, x)
+        if b == 0.0:
+            raise ex.EvaluationError(f"division by zero at node {to_source(e)}")
+        return _reference_value(e.left, x) / b
+    a, b = _reference_value(e.left, x), _reference_value(e.right, x)
+    return a + b if e.op == "+" else a - b if e.op == "-" else a * b
+
+
+def _outcome(fn, x):
+    """Bit pattern, up to the sign of zero, of a value or (value, gradient),
+    or the error raised."""
+    def bits(v):
+        return (float(v) + 0.0).hex()
+    try:
+        out = fn(x)
+    except (ex.EvaluationError, ArithmeticError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(out, tuple):
+        return bits(out[0]), [bits(g) for g in out[1]]
+    return bits(out)
 
 
 class TestParse:
@@ -163,6 +213,22 @@ class TestCompiled:
             vi, gi = value_and_gradient(ast, x)
             assert v == pytest.approx(vi, rel=1e-12)
             np.testing.assert_allclose(g, gi, atol=1e-10)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_code_repeats_the_interpreters(self, data):
+        ast = data.draw(EXPRESSIONS)
+        x = np.array(data.draw(st.lists(COORDS, min_size=3, max_size=3)))
+        try:
+            comp = CompiledExpr(ast, 3)
+        except (ex.EvaluationError, ArithmeticError):
+            assume(False)
+        with np.errstate(all="ignore"):
+            assert _outcome(comp.value, x) == _outcome(
+                lambda u: _reference_value(ast, u), x)
+        if comp.affine is None:
+            assert _outcome(comp.value_grad, x) == _outcome(
+                lambda u: value_and_gradient(ast, u), x)
 
     def test_affine_detection(self):
         assert CompiledExpr(parse_expression("2*x1 - 3*x2 + 1", V2), 2).affine is not None

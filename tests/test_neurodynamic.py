@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svbilevel.expr import CompiledExpr, parse_expression
 from svbilevel.neurodynamic import (
-    FlowConfig, FlowStatus, TraceRecorder, find_feasible, penalty,
-    penalty_subgradient, psi, solve_flow, step_gain,
+    LAM_CAP, FlowConfig, FlowStatus, TraceRecorder, _active_set_weights,
+    _min_norm_combo, find_feasible, penalty, penalty_subgradient, psi,
+    solve_flow, step_gain,
 )
 
 V2 = ["x1", "x2"]
@@ -78,6 +82,119 @@ class TestStepGain:
 
     def test_boundary_single_active(self):
         assert step_gain(np.array([0.5, 0.5]), [oracle("x1 + x2 - 1")], 0.5) == 0.5
+
+
+def brute_force_min_norm(M, g_plus, nobj):
+    """Least ||g_plus + M^T z|| over mu in the simplex (first nobj rows) and
+    lam >= 0.  Some optimum has a support with independent columns, where
+    it is the unique least-squares solution with the simplex equality; so
+    enumerate every support, solve there, and keep the feasible best."""
+    d = len(M)
+    best = np.inf if nobj else float(np.linalg.norm(g_plus))
+    for size in range(1, d + 1):
+        for support in itertools.combinations(range(d), size):
+            idx = np.array(support)
+            mu, lam = idx[idx < nobj], idx[idx >= nobj]
+            if nobj and not len(mu):
+                continue
+            z = np.zeros(d)
+            r0 = g_plus.copy()
+            rest = mu[1:]
+            cols = M[lam]
+            if len(mu):
+                # eliminate the equality through the first simplex weight
+                r0 = r0 + M[mu[0]]
+                cols = np.vstack([M[rest] - M[mu[0]], cols])
+            if len(cols):
+                coef = np.linalg.lstsq(cols.T, -r0, rcond=None)[0]
+                z[rest] = coef[:len(rest)]
+                z[lam] = coef[len(rest):]
+            if len(mu):
+                z[mu[0]] = 1.0 - z[rest].sum()
+            if np.all(z >= -1e-12):
+                best = min(best, float(np.linalg.norm(g_plus + M.T @ z)))
+    return best
+
+
+@st.composite
+def selection_qps(draw):
+    """Objective generators, gain, violated-gradient sum and active rows,
+    with small integer entries so duplicated and parallel rows (and exact
+    ties) occur often."""
+    n = draw(st.sampled_from([2, 3, 5]))
+    nobj = draw(st.integers(0, 3))
+    k = draw(st.integers(0, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=float))
+    rows = []
+    for _ in range(nobj + k):
+        kind = draw(st.sampled_from(["new", "copy", "parallel"])) if rows else "new"
+        if kind == "new":
+            rows.append(draw(vec))
+        else:
+            base = rows[draw(st.integers(0, len(rows) - 1))]
+            factor = 1.0 if kind == "copy" else draw(
+                st.sampled_from([-2.0, -0.5, 0.5, 3.0]))
+            rows.append(factor * base)
+    c_gain = draw(st.sampled_from([1.0, 0.5, 1e-3]))
+    return rows[:nobj], c_gain, draw(vec), rows[nobj:]
+
+
+def stacked(obj_gens, c_gain, g_plus, act_gens):
+    M = np.array([c_gain * g for g in obj_gens] + act_gens).reshape(-1, len(g_plus))
+    scale = max([float(np.linalg.norm(g_plus))]
+                + [float(np.linalg.norm(row)) for row in M])
+    return M, scale
+
+
+class TestMinNormSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(selection_qps())
+    def test_velocity_norm_matches_brute_force(self, qp):
+        obj_gens, c_gain, g_plus, act_gens = qp
+        M, scale = stacked(*qp)
+        vel = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
+        expect = brute_force_min_norm(M, g_plus, len(obj_gens))
+        assert abs(float(np.linalg.norm(vel)) - expect) <= 1e-10 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(selection_qps())
+    def test_weights_satisfy_kkt_sign_conditions(self, qp):
+        obj_gens, c_gain, g_plus, act_gens = qp
+        M, scale = stacked(*qp)
+        nobj = len(obj_gens)
+        if len(M) == 0:
+            return
+        z = _active_set_weights(M, g_plus, nobj)
+        mu, lam = z[:nobj], z[nobj:]
+        tol = 1e-9 * scale * scale
+        assert np.all(mu >= 0.0) and np.all(lam >= 0.0)
+        assert np.all(lam <= LAM_CAP)
+        if nobj:
+            assert abs(mu.sum() - 1.0) <= 1e-12
+        grad = M @ (g_plus + M.T @ z)
+        if nobj:
+            # every simplex weight in use sits at the least gradient
+            nu = grad[:nobj].min()
+            assert np.all(grad[:nobj][mu > 0.0] <= nu + tol)
+        # no row weight can fall (where positive) or rise (anywhere) and
+        # lower the norm
+        assert np.all(grad[nobj:] >= -tol)
+        assert np.all(np.abs(grad[nobj:][lam > 0.0]) <= tol)
+
+    def test_duplicated_generators_reach_zero_velocity(self):
+        # max(x1, x2)-type kink against a row: 0 = 0.5*(1,0) + 0.5*(0,1)
+        # + 0.5*(-1,-1), with the first generator duplicated
+        vel = _min_norm_combo([np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                               np.array([0.0, 1.0])], 1.0, np.zeros(2),
+                              [np.array([-1.0, -1.0])])
+        assert np.linalg.norm(vel) <= 1e-14
+
+    def test_row_weight_stops_at_cap(self):
+        # cancelling g_plus needs lam = 1e9 on the tiny row; it stops at the cap
+        M = np.array([[-1e-9, 0.0], [0.0, 1.0]])
+        z = _active_set_weights(M, np.array([1.0, 0.0]), 0)
+        np.testing.assert_array_equal(z, [LAM_CAP, 0.0])
 
 
 class TestSolveFlow:
