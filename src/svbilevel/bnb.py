@@ -23,7 +23,7 @@ import numpy as np
 from . import neurodynamic as nd
 from .copolyblock import VertexSet, cut, prune, select_min_phi
 from .outcome import OutcomeBox, PhiCache, compute_box, solve_ray
-from .problem import AffineRow, BilevelProblem
+from .problem import AffineRow, BilevelProblem, stacked_mp_constraints
 
 
 class SolverStatus(Enum):
@@ -147,6 +147,14 @@ def _evaluate_pending(state: SolverState, problem: BilevelProblem,
     prune(state.V)
 
 
+def _in_stack(problem: BilevelProblem, sol, config: SolverConfig) -> bool:
+    """Whether an MP solution lies in its own region {u in G | f(x) <= z},
+    row by row within the flow's feasibility tolerance."""
+    u = np.concatenate([sol.x, sol.y])
+    return all(c.value(u) <= config.flow.feasibility_tol
+               for c in stacked_mp_constraints(problem, sol.z))
+
+
 def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
     """Box, singleton vertex set {M}, the p lower-face upper-bound probes
     and the initial bounds."""
@@ -168,7 +176,7 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
         if box.m_argmin is not None:
             u0 = np.concatenate([box.m_argmin[i], np.ones(problem.m)])
         sol = cache.get(z, u0)
-        if sol.feasible and sol.phi < alpha:
+        if sol.feasible and sol.phi < alpha and _in_stack(problem, sol, config):
             alpha = sol.phi
             incumbent = Incumbent(x=sol.x, y=sol.y, h=sol.phi)
 

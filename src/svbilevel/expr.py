@@ -652,16 +652,19 @@ class CompiledExpr:
         return self.value_grad(x)[1]
 
     def value_generators(self, x, active_tol: float = None):
-        """(value, [generator gradients]) with the active band widened to
-        ``active_tol``; a single generator for smooth expressions."""
+        """(value, [generator gradients]).  For a root max node, branch j is
+        active when ``top - f_j <= active_tol * max(1, |grad f_j|)``: the
+        band is a distance in x, as for the constraint rows, so a steep
+        branch joins the balance as close to its kink as a flat one.  A
+        single generator for any other expression."""
         tol = self.active_tol if active_tol is None else active_tol
         if isinstance(self.ast, Max):
             x = np.asarray(x, dtype=float)
             pairs = [value_and_gradient(c, x, tol) for c in self.ast.children]
-            vals = [p[0] for p in pairs]
-            grads = [p[1] for p in pairs]
-            _, gens, _ = active_average(vals, grads, tol)
-            return max(vals), list(gens)
+            top = max(v for v, _ in pairs)
+            gens = [g for v, g in pairs
+                    if top - v <= tol * max(1.0, float(np.linalg.norm(g)))]
+            return top, gens
         v, g = self.value_grad(x)
         return v, [g]
 

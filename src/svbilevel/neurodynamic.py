@@ -6,7 +6,10 @@ increases r inside it).  The right-hand side is a selection from the Clarke
 sets: objective-generator and near-active constraint weights are chosen by
 an exact minimum-norm rule (a closed form or a finite active-set QP) so the
 discrete flow slides along boundaries and nonsmooth valleys instead of
-chattering.
+chattering.  A sliding trial point whose S exceeds ZERO_BAND is pulled back
+by a Gauss-Newton polish that lands at S <= ZERO_BAND, the same level, so
+the pull after a tangent step is second order in the step and Armijo
+accepts full steps along curved rows.
 
 Constraint oracles are objects with ``value(x)`` and ``value_grad(x)``;
 an optional ``affine`` attribute ``(coeffs, const)`` enables a vectorized
@@ -410,7 +413,7 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
                 # descent on a point that will be pulled back afterwards
                 # admits a limit cycle where the pullback undoes the decrease
                 if s_n > ZERO_BAND:
-                    xn = _polish_feasibility(stack, xn, config)
+                    xn = _polish_feasibility(stack, xn)
                     vals_n = stack.values(xn)
                     s_n = stack.total_penalty(vals_n)
                 # monotone r and no escape beyond the boundary band, else the
@@ -454,7 +457,7 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
     else:
         status = FlowStatus.MAX_TIME
 
-    x = _polish_feasibility(stack, x, config)
+    x = _polish_feasibility(stack, x)
     # certify at the base band, escalating as above for degenerate vertices
     vnorm = math.inf
     for factor in (1.0, 10.0, 100.0):
@@ -472,13 +475,15 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
     return FlowResult(x, float(r_final), s_final, status, steps, vnorm)
 
 
-def _polish_feasibility(stack: _Stack, x: np.ndarray, config: FlowConfig) -> np.ndarray:
-    """Pure penalty descent with small steps to push a near-feasible terminal
-    point inside the tolerance band."""
+def _polish_feasibility(stack: _Stack, x: np.ndarray) -> np.ndarray:
+    """Gauss-Newton descent on S until S <= ZERO_BAND, the level at which the
+    trial loop of ``solve_flow`` calls it.  A looser target leaves a sliding
+    flow parked at that target, where any tangent step that raises S by one
+    ulp triggers a full normal pull whose cost in r Armijo then rejects."""
     for _ in range(200):
         vals = stack.values(x)
         s = stack.total_penalty(vals)
-        if s <= 0.5 * config.feasibility_tol:
+        if s <= ZERO_BAND:
             break
         # Gauss-Newton on the violated rows: a summed-gradient step is
         # defeated when a nearly-tight row's gradient opposes the violated

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from svbilevel import bnb, catalog
 from svbilevel.bnb import SolverConfig, SolverStatus
+from svbilevel.outcome import MpSolution
 from svbilevel.problem import load_problem
 
 INFEASIBLE_TEXT = """\
@@ -87,6 +90,22 @@ class TestInitialize:
         state = bnb.initialize(load_problem(INFEASIBLE_TEXT), SolverConfig())
         assert state.terminated
         assert state.status is SolverStatus.INFEASIBLE
+
+    def test_probe_outside_its_region_sets_no_incumbent(self, monkeypatch):
+        # a probe flagged feasible at x = 0, which violates x1 + x2 >= 1.5
+        class OutsideCache:
+            def __init__(self, problem, config):
+                self.problem = problem
+
+            def get(self, z, u0=None):
+                return MpSolution(z=np.asarray(z, dtype=float), phi=-1.0,
+                                  x=np.zeros(self.problem.n),
+                                  y=np.zeros(self.problem.m), feasible=True)
+
+        monkeypatch.setattr(bnb, "PhiCache", OutsideCache)
+        state = bnb.initialize(catalog.load_example(1), SolverConfig())
+        assert state.alpha == math.inf
+        assert state.incumbent is None
 
 
 class TestSolveExamples:

@@ -230,6 +230,18 @@ class TestCompiled:
             assert _outcome(comp.value_grad, x) == _outcome(
                 lambda u: value_and_gradient(ast, u), x)
 
+    def test_branch_band_scales_with_the_branch_gradient(self):
+        # band 1e-4 is a distance in x: at x = (0, 0.05) the steep branch
+        # 1000*x1 lies 5e-5 from its kink with x2, the flat branch x1 0.05
+        x = np.array([0.0, 0.05])
+        steep = CompiledExpr(parse_expression("max(1000*x1, x2)", V2), 2)
+        flat = CompiledExpr(parse_expression("max(x1, x2)", V2), 2)
+        v, gens = steep.value_generators(x, 1e-4)
+        assert v == 0.05 and len(gens) == 2
+        v, gens = flat.value_generators(x, 1e-4)
+        assert v == 0.05 and len(gens) == 1
+        np.testing.assert_array_equal(gens[0], [0.0, 1.0])
+
     def test_affine_detection(self):
         assert CompiledExpr(parse_expression("2*x1 - 3*x2 + 1", V2), 2).affine is not None
         assert CompiledExpr(parse_expression("x1*x2", V2), 2).affine is None

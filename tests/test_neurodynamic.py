@@ -278,6 +278,18 @@ class TestSolveFlow:
         for a, b in zip(rs, rs[1:]):
             assert b <= a + 1e-9
 
+    def test_slides_along_a_curved_row_without_crawling(self):
+        # min |x - e1|^2 over the ball of radius 0.25 from a boundary point:
+        # the flow slides along the sphere to (0.25, 0, 0) and must take
+        # full steps there, not steps of one ulp of the row value
+        v3 = ["x1", "x2", "x3"]
+        obj = oracle("(x1 - 1)^2 + x2^2 + x3^2", v3)
+        ball = oracle("x1^2 + x2^2 + x3^2 - 0.0625", v3)
+        res = solve_flow(obj, [ball], np.full(3, 0.14391), FlowConfig())
+        assert res.status is FlowStatus.CONVERGED
+        assert res.steps < 1000
+        assert res.penalty_residual <= 1e-9
+
 
 class TestFindFeasible:
     def test_already_feasible_unchanged(self):
