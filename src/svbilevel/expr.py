@@ -622,6 +622,7 @@ class CompiledExpr:
         # generated on first use, so that loading a problem stays cheap
         self._value = None
         self._value_grad = None
+        self._branches = None
         self._smooth = not _has_max(ast)
         aff = affine_parts(ast, n_vars)
         self.affine = aff  # (coeffs, const) or None
@@ -655,12 +656,21 @@ class CompiledExpr:
         """(value, [generator gradients]).  For a root max node, branch j is
         active when ``top - f_j <= active_tol * max(1, |grad f_j|)``: the
         band is a distance in x, as for the constraint rows, so a steep
-        branch joins the balance as close to its kink as a flat one.  A
-        single generator for any other expression."""
+        branch joins the balance as close to its kink as a flat one.  Each
+        smooth branch is evaluated by its own generated (value, gradient)
+        function, made on first use; a branch that contains a max is
+        walked by ``value_and_gradient`` at ``active_tol``.  A single
+        generator for any other expression."""
         tol = self.active_tol if active_tol is None else active_tol
         if isinstance(self.ast, Max):
+            if self._branches is None:
+                self._branches = [
+                    None if _has_max(c) else _generate(c, self.n_vars, gradient=True)
+                    for c in self.ast.children]
             x = np.asarray(x, dtype=float)
-            pairs = [value_and_gradient(c, x, tol) for c in self.ast.children]
+            xs = x.tolist()
+            pairs = [value_and_gradient(c, x, tol) if fn is None else fn(xs)
+                     for c, fn in zip(self.ast.children, self._branches)]
             top = max(v for v, _ in pairs)
             gens = [g for v, g in pairs
                     if top - v <= tol * max(1.0, float(np.linalg.norm(g)))]

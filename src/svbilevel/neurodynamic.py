@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class FlowConfig:
     t_max: float = 200.0
     stationarity_tol: float = 1e-6
     feasibility_tol: float = 1e-7
-    psi_zero_selection: float = 0.5
     max_steps: int = 200_000
     divergence_radius: float = 1e7
     trace: Optional["TraceRecorder"] = None
@@ -61,8 +60,6 @@ class FlowConfig:
             raise ValueError("dt and t_max must be positive")
         if self.stationarity_tol <= 0 or self.feasibility_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 <= self.psi_zero_selection <= 1.0:
-            raise ValueError("psi_zero_selection must lie in [0, 1]")
 
 
 @dataclass
@@ -209,10 +206,14 @@ LAM_CAP = 1e8
 def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
                     act_gens: list) -> np.ndarray:
     """Velocity of least norm, -(g_plus + c*sum mu_j G_j + sum lam_i A_i),
-    over mu in the unit simplex and lam in [0, LAM_CAP]^k: closed forms for
-    one generator and at most one row, else ``_active_set_weights``.  The
-    row weights form a cone rather than a box: a curved constraint with a
-    tiny gradient needs a large multiplier to certify stationarity."""
+    over mu in the unit simplex and lam in [0, LAM_CAP]^k.  Closed forms
+    for one generator and at most one row, and for two generators and no
+    row: with a = g_plus + c*G_1 and b = g_plus + c*G_2 the least-norm
+    point of the segment [b, a] is b + mu*(a - b), mu = clip(-b.(a - b) /
+    |a - b|^2, 0, 1), the flow's velocity at a two-branch kink of a max
+    objective.  Anything else goes to ``_active_set_weights``.  The row
+    weights form a cone rather than a box: a curved constraint with a tiny
+    gradient needs a large multiplier to certify stationarity."""
     nobj = len(obj_gens)
     k = len(act_gens)
     if nobj <= 1 and k == 0:
@@ -224,6 +225,13 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
         den = float(a @ a)
         lam = min(LAM_CAP, max(0.0, -float(g @ a) / den)) if den > 0.0 else 0.0
         return -(g + lam * a)
+    if nobj == 2 and k == 0:
+        a = g_plus + c_gain * obj_gens[0]
+        b = g_plus + c_gain * obj_gens[1]
+        d = a - b
+        den = float(d @ d)
+        mu = min(1.0, max(0.0, -float(b @ d) / den)) if den > 0.0 else 0.0
+        return -(b + mu * d)
     M = np.array([c_gain * g for g in obj_gens] + list(act_gens))
     return -(g_plus + M.T @ _active_set_weights(M, g_plus, nobj))
 
@@ -293,8 +301,13 @@ def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     Mf = M[free]
     a = (np.arange(len(M)) < nobj)[free].astype(float)
     if a.any():
-        kkt = np.block([[2.0 * (Mf @ Mf.T), a[:, None]], [a, 0.0]])
-        rhs = np.append(-2.0 * (Mf @ r0), 1.0)
+        f = len(Mf)
+        kkt = np.zeros((f + 1, f + 1))
+        kkt[:f, :f] = 2.0 * (Mf @ Mf.T)
+        kkt[:f, f] = kkt[f, :f] = a
+        rhs = np.empty(f + 1)
+        rhs[:f] = -2.0 * (Mf @ r0)
+        rhs[f] = 1.0
         w[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
     elif len(Mf):
         w[free] = np.linalg.lstsq(Mf.T, -r0, rcond=None)[0]
@@ -553,17 +566,3 @@ def find_feasible(constraints: Sequence, x_init, config: FlowConfig) -> Optional
             raise FlowError("feasibility flow diverged")
     return x if stack.total_penalty(stack.values(x)) <= config.feasibility_tol else None
 
-
-class FunctionOracle:
-    """Adapter turning plain callables into a constraint/objective oracle."""
-
-    def __init__(self, value: Callable, grad: Callable, affine=None):
-        self._value = value
-        self._grad = grad
-        self.affine = affine
-
-    def value(self, x) -> float:
-        return float(self._value(x))
-
-    def value_grad(self, x):
-        return float(self._value(x)), np.asarray(self._grad(x), dtype=float)

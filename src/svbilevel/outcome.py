@@ -190,6 +190,7 @@ class PhiCache:
         self.problem = problem
         self.config = config if config is not None else nd.FlowConfig()
         self._table = {}
+        self.hits = 0
         self.misses = 0
 
     @staticmethod
@@ -203,6 +204,8 @@ class PhiCache:
             hit = solve_mp(self.problem, z, self.config, u0=u0)
             self._table[key] = hit
             self.misses += 1
+        else:
+            self.hits += 1
         return hit
 
     def __len__(self):

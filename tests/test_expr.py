@@ -59,18 +59,39 @@ def _reference_value(e, x):
     return a + b if e.op == "+" else a - b if e.op == "-" else a * b
 
 
+def _bits(v):
+    return (float(v) + 0.0).hex()
+
+
 def _outcome(fn, x):
     """Bit pattern, up to the sign of zero, of a value or (value, gradient),
     or the error raised."""
-    def bits(v):
-        return (float(v) + 0.0).hex()
     try:
         out = fn(x)
     except (ex.EvaluationError, ArithmeticError) as err:
         return type(err).__name__, str(err)
     if isinstance(out, tuple):
-        return bits(out[0]), [bits(g) for g in out[1]]
-    return bits(out)
+        return _bits(out[0]), [_bits(g) for g in out[1]]
+    return _bits(out)
+
+
+def _reference_generators(ast, x, tol):
+    """``value_generators`` of a root max by the tree walk: each branch
+    through ``value_and_gradient``, then the gradient-scaled band."""
+    pairs = [value_and_gradient(c, x, tol) for c in ast.children]
+    top = max(v for v, _ in pairs)
+    return top, [g for v, g in pairs
+                 if top - v <= tol * max(1.0, float(np.linalg.norm(g)))]
+
+
+def _generators_outcome(fn, x):
+    """Bit patterns, up to the sign of zero, of (value, [generator, ...]),
+    or the error raised."""
+    try:
+        top, gens = fn(x)
+    except (ex.EvaluationError, ArithmeticError) as err:
+        return type(err).__name__, str(err)
+    return _bits(top), [[_bits(c) for c in g] for g in gens]
 
 
 class TestParse:
@@ -229,6 +250,24 @@ class TestCompiled:
         if comp.affine is None:
             assert _outcome(comp.value_grad, x) == _outcome(
                 lambda u: value_and_gradient(ast, u), x)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_branches_repeat_the_tree_walk(self, data):
+        # branches drawn from the tree strategy above: smooth ones run
+        # through generated code, ones with a nested max through the walk
+        ast = Max(tuple(data.draw(st.lists(EXPRESSIONS, min_size=2, max_size=4))))
+        x = np.array(data.draw(st.lists(COORDS, min_size=3, max_size=3)))
+        tols = data.draw(st.lists(st.sampled_from([1e-9, 1e-4, 0.5, 2.0]),
+                                  min_size=2, max_size=2))
+        comp = CompiledExpr(ast, 3)
+        # one object at two bands: each call follows its own band
+        for tol in tols:
+            with np.errstate(all="ignore"):
+                assert _generators_outcome(
+                    lambda u: comp.value_generators(u, tol), x) == \
+                    _generators_outcome(
+                        lambda u: _reference_generators(ast, u, tol), x)
 
     def test_branch_band_scales_with_the_branch_gradient(self):
         # band 1e-4 is a distance in x: at x = (0, 0.05) the steep branch

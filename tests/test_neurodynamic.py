@@ -197,6 +197,56 @@ class TestMinNormSelection:
         np.testing.assert_array_equal(z, [LAM_CAP, 0.0])
 
 
+class TestTwoGeneratorSelection:
+    """The closed form for two objective generators and no row against the
+    active-set solve of the same stacked QP."""
+
+    @staticmethod
+    def assert_matches_active_set(G1, G2, c_gain, g_plus):
+        G1, G2, g_plus = (np.asarray(v, dtype=float) for v in (G1, G2, g_plus))
+        M, scale = stacked([G1, G2], c_gain, g_plus, [])
+        vel = _min_norm_combo([G1, G2], c_gain, g_plus, [])
+        ref = -(g_plus + M.T @ _active_set_weights(M, g_plus, 2))
+        assert np.linalg.norm(vel - ref) <= 1e-12 * scale
+        return vel
+
+    def test_identical_generators(self):
+        vel = self.assert_matches_active_set([1.0, 2.0], [1.0, 2.0], 0.7,
+                                             [0.5, -1.0])
+        np.testing.assert_array_equal(vel, -(np.array([0.5, -1.0])
+                                             + 0.7 * np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize("G2", [[-2.0, 0.0], [3.0, 0.0], [-0.5, 0.0]])
+    def test_parallel_generators(self, G2):
+        self.assert_matches_active_set([1.0, 0.0], G2, 0.3, [0.0, 0.25])
+
+    @pytest.mark.parametrize("c_gain", [1.0, 0.5, 1e-3, 1e-8])
+    def test_gain_scales_the_generators(self, c_gain):
+        self.assert_matches_active_set([1.0, -2.0], [-3.0, 0.5], c_gain,
+                                       [0.2, 0.1])
+
+    def test_interior_kink(self):
+        vel = self.assert_matches_active_set([1.0, 0.0], [0.0, 1.0], 1.0,
+                                             [0.0, 0.0])
+        np.testing.assert_allclose(vel, [-0.5, -0.5], atol=1e-15)
+
+    def test_optimum_at_either_end(self):
+        # b = (0.1, 0) is the nearer end: mu = 0; swapped, mu = 1
+        short, long = [0.1, 0.0], [2.0, 1.0]
+        for pair in ((long, short), (short, long)):
+            vel = self.assert_matches_active_set(*pair, 1.0, [0.0, 0.0])
+            np.testing.assert_allclose(vel, [-0.1, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("c_gain", [1.0, 1e-3, 1e-6])
+    def test_small_gain_keeps_the_exact_kink(self, c_gain):
+        # mu = 2/3 cancels (0, 1) against (0, -2) at every gain; the
+        # active-set KKT system loses accuracy as c_gain^2 shrinks, the
+        # closed form does not
+        vel = _min_norm_combo([np.array([0.0, 1.0]), np.array([0.0, -2.0])],
+                              c_gain, np.zeros(2), [])
+        assert np.linalg.norm(vel) <= 1e-15 * c_gain
+
+
 class TestSolveFlow:
     def test_qp_known_optimum(self):
         obj = oracle("x1^2 + x2^2")

@@ -165,6 +165,13 @@ class TestPhiCache:
         assert a is b
         assert cache.misses == 1
 
+    def test_counts_hits_and_misses(self, ex1, ex1_box):
+        cache = PhiCache(ex1)
+        cache.get(ex1_box.M)
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.get(ex1_box.M.copy())
+        assert (cache.hits, cache.misses) == (1, 1)
+
     def test_distinct_keys(self, ex1, ex1_box):
         cache = PhiCache(ex1)
         cache.get(ex1_box.M)
