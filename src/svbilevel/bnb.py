@@ -159,7 +159,7 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
     """Box, singleton vertex set {M}, the p lower-face upper-bound probes
     and the initial bounds."""
     box = compute_box(problem, config.flow)
-    cache = PhiCache(problem, config.flow)
+    cache = PhiCache(problem, config.flow, box)
     V = VertexSet(box)
     V.add(box.M)
 

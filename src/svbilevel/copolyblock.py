@@ -89,23 +89,18 @@ def cut(vset: VertexSet, vertex: Vertex, w) -> VertexSet:
 
 def prune(vset: VertexSet) -> VertexSet:
     """Drop vertices dominated from below by another vertex (v' <= v,
-    v' != v) and vertices whose MP turned out infeasible."""
-    keep = []
+    v' != v) and vertices whose MP turned out infeasible.  One dominance
+    test over all pairs: diff[i, k] = z_k - z_i."""
     verts = vset.vertices
-    for v in verts:
-        if v.mp is not None and not v.mp.feasible:
-            continue
-        dominated = False
-        for u in verts:
-            if u is v:
-                continue
-            diff = u.z - v.z
-            if np.all(diff <= COORD_TOL) and np.any(diff < -COORD_TOL):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(v)
-    vset.vertices = keep
+    if not verts:
+        return vset
+    Z = np.array([v.z for v in verts])
+    diff = Z[None, :, :] - Z[:, None, :]
+    # a vertex never dominates itself: its diff row is all zeros
+    dominated = ((diff <= COORD_TOL).all(axis=2)
+                 & (diff < -COORD_TOL).any(axis=2)).any(axis=1)
+    vset.vertices = [v for v, dom in zip(verts, dominated)
+                     if not dom and (v.mp is None or v.mp.feasible)]
     return vset
 
 

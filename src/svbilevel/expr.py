@@ -25,6 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .neurodynamic import _norm
+
 DEFAULT_ACTIVE_TOL = 1e-9
 MAX_UNROLLED_POW = 8
 
@@ -611,6 +613,16 @@ def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
     return namespace["generated"]
 
 
+def band_generators(pairs, active_tol: float):
+    """(top, [gradient, ...]) of (value, gradient) branch pairs: branch j
+    joins when ``top - f_j <= active_tol * max(1, |grad f_j|)``.  The band
+    is a distance in x, as for the constraint rows, so a steep branch joins
+    the balance as close to its kink as a flat one."""
+    top = max(v for v, _ in pairs)
+    return top, [g for v, g in pairs
+                 if top - v <= active_tol * max(1.0, _norm(g))]
+
+
 class CompiledExpr:
     """An expression bound to a variable count, with generated functions for
     value and (value, gradient) evaluation."""
@@ -622,10 +634,33 @@ class CompiledExpr:
         # generated on first use, so that loading a problem stays cheap
         self._value = None
         self._value_grad = None
-        self._branches = None
+        self._branch_values = None
+        self._branch_grads = None
         self._smooth = not _has_max(ast)
         aff = affine_parts(ast, n_vars)
         self.affine = aff  # (coeffs, const) or None
+
+    @property
+    def branches(self) -> tuple:
+        """The children of a root max, else the whole expression."""
+        return self.ast.children if isinstance(self.ast, Max) else (self.ast,)
+
+    def branch_values(self) -> list:
+        """The generated value function of each branch, made on first use."""
+        if self._branch_values is None:
+            self._branch_values = [_generate(b, self.n_vars, gradient=False)
+                                   for b in self.branches]
+        return self._branch_values
+
+    def branch_gradients(self) -> list:
+        """The generated (value, gradient) function of each branch, made on
+        first use; None for a branch that contains a max, which callers walk
+        with ``value_and_gradient``."""
+        if self._branch_grads is None:
+            self._branch_grads = [
+                None if _has_max(b) else _generate(b, self.n_vars, gradient=True)
+                for b in self.branches]
+        return self._branch_grads
 
     def value(self, x) -> float:
         if self._value is None:
@@ -653,28 +688,19 @@ class CompiledExpr:
         return self.value_grad(x)[1]
 
     def value_generators(self, x, active_tol: float = None):
-        """(value, [generator gradients]).  For a root max node, branch j is
-        active when ``top - f_j <= active_tol * max(1, |grad f_j|)``: the
-        band is a distance in x, as for the constraint rows, so a steep
-        branch joins the balance as close to its kink as a flat one.  Each
-        smooth branch is evaluated by its own generated (value, gradient)
-        function, made on first use; a branch that contains a max is
-        walked by ``value_and_gradient`` at ``active_tol``.  A single
-        generator for any other expression."""
+        """(value, [generator gradients]).  For a root max node, the branches
+        within ``band_generators``'s band of the top, each smooth branch
+        evaluated by its generated (value, gradient) function and a branch
+        that contains a max walked by ``value_and_gradient`` at
+        ``active_tol``.  A single generator for any other expression."""
         tol = self.active_tol if active_tol is None else active_tol
         if isinstance(self.ast, Max):
-            if self._branches is None:
-                self._branches = [
-                    None if _has_max(c) else _generate(c, self.n_vars, gradient=True)
-                    for c in self.ast.children]
             x = np.asarray(x, dtype=float)
             xs = x.tolist()
-            pairs = [value_and_gradient(c, x, tol) if fn is None else fn(xs)
-                     for c, fn in zip(self.ast.children, self._branches)]
-            top = max(v for v, _ in pairs)
-            gens = [g for v, g in pairs
-                    if top - v <= tol * max(1.0, float(np.linalg.norm(g)))]
-            return top, gens
+            return band_generators(
+                [value_and_gradient(b, x, tol) if fn is None else fn(xs)
+                 for b, fn in zip(self.ast.children, self.branch_gradients())],
+                tol)
         v, g = self.value_grad(x)
         return v, [g]
 

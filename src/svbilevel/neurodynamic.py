@@ -144,6 +144,12 @@ def step_gain(x, constraints: Sequence, selection: float = 0.5) -> float:
 # Constraint stack with affine fast path
 # ---------------------------------------------------------------------------
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector: ``np.linalg.norm``'s own
+    arithmetic for this case, sqrt(v . v), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 class _Stack:
     def __init__(self, constraints: Sequence, n: int):
         self.n = n
@@ -159,37 +165,31 @@ class _Stack:
                 self.nonlinear.append(c)
         self.A = np.array(aff_rows) if aff_rows else np.zeros((0, n))
         self.b = np.array(aff_consts)
-        self.row_norms = np.linalg.norm(self.A, axis=1) if len(aff_rows) else np.zeros(0)
-        self._aff_norm_estimates = np.maximum(self.row_norms, 1e-12)
-        self._nl_norm_cache = [1.0] * len(self.nonlinear)
+        self.na = len(aff_rows)
+        row_norms = np.linalg.norm(self.A, axis=1) if aff_rows else np.zeros(0)
+        # per-row gradient norm: fixed for affine rows, the last one seen
+        # (1.0 before any) for nonlinear rows; ``row_grad`` updates it
+        self.norm_estimates = np.concatenate(
+            [np.maximum(row_norms, 1e-12), np.ones(len(self.nonlinear))])
 
     @property
     def size(self) -> int:
-        return self.A.shape[0] + len(self.nonlinear)
+        return len(self.norm_estimates)
 
     def values(self, x) -> np.ndarray:
+        if not self.nonlinear:
+            return self.A @ x + self.b
         nl = [c.value(x) for c in self.nonlinear]
-        if self.A.shape[0]:
+        if self.na:
             return np.concatenate([self.A @ x + self.b, np.array(nl)])
         return np.array(nl)
 
     def row_grad(self, i: int, x) -> np.ndarray:
-        na = self.A.shape[0]
-        if i < na:
+        if i < self.na:
             return self.A[i]
-        g = self.nonlinear[i - na].value_grad(x)[1]
-        self._nl_norm_cache[i - na] = max(float(np.linalg.norm(g)), 1e-12)
+        g = self.nonlinear[i - self.na].value_grad(x)[1]
+        self.norm_estimates[i] = max(_norm(g), 1e-12)
         return g
-
-    def row_norm_estimate(self, i: int) -> float:
-        na = self.A.shape[0]
-        if i < na:
-            return max(self.row_norms[i], 1e-12)
-        return self._nl_norm_cache[i - na]
-
-    def norm_estimates(self) -> np.ndarray:
-        """``row_norm_estimate`` of every row."""
-        return np.concatenate([self._aff_norm_estimates, self._nl_norm_cache])
 
     def total_penalty(self, vals: np.ndarray) -> float:
         pos = vals[vals > 0.0]
@@ -255,7 +255,7 @@ def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
     if nobj:
         j = int(np.argmin(np.linalg.norm(g_plus + M[:nobj], axis=1)))
         z[j], free[j] = 1.0, True
-    scale = max(float(np.linalg.norm(g_plus)),
+    scale = max(_norm(g_plus),
                 float(np.linalg.norm(M, axis=1).max()))
     tol = 1e-12 * scale * scale
     for _ in range(3 * d):
@@ -326,16 +326,16 @@ def _objective_generators(objective, x, band: float):
 # Flows
 # ---------------------------------------------------------------------------
 
-def _selected_velocity(stack: _Stack, objective, x, band_scale: float):
-    """Returns (velocity, S_exact, r_value). ``objective`` may be None for a
-    pure penalty flow."""
-    vals = stack.values(x)
+def _selected_velocity(stack: _Stack, objective, x, vals: np.ndarray,
+                       band_scale: float):
+    """Returns (velocity, S_exact, r_value, outside) at x, whose row values
+    are ``vals``.  ``objective`` may be None for a pure penalty flow."""
     s_exact = stack.total_penalty(vals)
     g_plus = np.zeros(stack.n)
     act_gens = []
     any_plus = False
     prod_gain = 1.0
-    bands = np.maximum(ZERO_BAND, band_scale * stack.norm_estimates())
+    bands = np.maximum(ZERO_BAND, band_scale * stack.norm_estimates)
     # rows below their band contribute nothing
     for i in np.flatnonzero(vals >= -bands):
         band = bands[i]
@@ -345,7 +345,7 @@ def _selected_velocity(stack: _Stack, objective, x, band_scale: float):
             any_plus = True
         else:
             g = stack.row_grad(i, x)
-            band = max(ZERO_BAND, band_scale * stack.row_norm_estimate(i))
+            band = max(ZERO_BAND, band_scale * stack.norm_estimates[i])
             act_gens.append(g)
             # smoothed Psi on the band: 0.5 at the boundary itself
             prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
@@ -368,14 +368,17 @@ def _selected_velocity(stack: _Stack, objective, x, band_scale: float):
 def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
                require_feasible_start: bool = False) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
-    the time/step budget runs out."""
+    the time/step budget runs out.  Each point is evaluated once: the row
+    values of the current x come from the start check, then from the
+    accepted trial."""
     x = np.asarray(x0, dtype=float).copy()
     n = len(x)
     stack = _Stack(constraints, n)
     trace = config.trace
     flow_id = trace.next_flow() if trace else 0
 
-    s0 = stack.total_penalty(stack.values(x))
+    vals = stack.values(x)
+    s0 = stack.total_penalty(vals)
     if require_feasible_start and s0 > config.feasibility_tol:
         return FlowResult(x, math.nan, s0, FlowStatus.INFEASIBLE_START)
 
@@ -393,8 +396,8 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
             status = FlowStatus.MAX_TIME
             break
         vel, s_exact, r_val, outside = _selected_velocity(
-            stack, objective, x, CERT_BAND * band_factor)
-        vnorm = float(np.linalg.norm(vel))
+            stack, objective, x, vals, CERT_BAND * band_factor)
+        vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_exact, vnorm)
         if vnorm <= config.stationarity_tol:
@@ -411,7 +414,7 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
         infeasible_phase = outside
         for _ in range(31):
             xn = x + trial * direction
-            if np.array_equal(xn, x):
+            if (xn == x).all():
                 # motion below float resolution: numeric stationarity
                 break
             vals_n = stack.values(xn)
@@ -426,15 +429,13 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
                 # descent on a point that will be pulled back afterwards
                 # admits a limit cycle where the pullback undoes the decrease
                 if s_n > ZERO_BAND:
-                    xn = _polish_feasibility(stack, xn)
-                    vals_n = stack.values(xn)
-                    s_n = stack.total_penalty(vals_n)
+                    xn, vals_n = _polish_feasibility(stack, xn, vals_n)
                 # monotone r and no escape beyond the boundary band, else the
                 # flow limit-cycles across the boundary (r can decrease there)
                 r_n = objective.value(xn) if objective is not None else 0.0
                 ok = r_n <= r_val - margin + 1e-15 * max(1.0, abs(r_val))
                 if ok:
-                    ok = not np.any(vals_n > CERT_BAND * stack.norm_estimates())
+                    ok = not (vals_n > CERT_BAND * stack.norm_estimates).any()
             if ok:
                 accepted = True
                 break
@@ -448,14 +449,14 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
             break
         # displacement equals trial (unit direction); a run of vanishing
         # accepted steps means numeric stagnation the margins cannot see
-        if trial < 1e-12 * max(1.0, float(np.linalg.norm(x))):
+        if trial < 1e-12 * max(1.0, _norm(x)):
             stalls += 1
             if stalls >= 100:
                 break
         else:
             stalls = 0
         band_factor = 1.0
-        x = xn
+        x, vals = xn, vals_n
         t += trial
         speed = vnorm
         # adaptive step: grow on clean acceptance, follow the backtracked
@@ -464,19 +465,19 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
             dt = min(dt * 2.0, dt_max)
         else:
             dt = trial * 4.0
-        if np.linalg.norm(x) > config.divergence_radius:
-            return FlowResult(x, math.nan, stack.total_penalty(stack.values(x)),
+        if _norm(x) > config.divergence_radius:
+            return FlowResult(x, math.nan, stack.total_penalty(vals),
                               FlowStatus.DIVERGED, steps, vnorm)
     else:
         status = FlowStatus.MAX_TIME
 
-    x = _polish_feasibility(stack, x)
+    x, vals = _polish_feasibility(stack, x, vals)
     # certify at the base band, escalating as above for degenerate vertices
     vnorm = math.inf
     for factor in (1.0, 10.0, 100.0):
         vel, s_final, r_final, _ = _selected_velocity(
-            stack, objective, x, CERT_BAND * factor)
-        vnorm = min(vnorm, float(np.linalg.norm(vel)))
+            stack, objective, x, vals, CERT_BAND * factor)
+        vnorm = min(vnorm, _norm(vel))
         if vnorm <= config.stationarity_tol:
             break
     if vnorm <= config.stationarity_tol and s_final <= config.feasibility_tol:
@@ -488,13 +489,14 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
     return FlowResult(x, float(r_final), s_final, status, steps, vnorm)
 
 
-def _polish_feasibility(stack: _Stack, x: np.ndarray) -> np.ndarray:
+def _polish_feasibility(stack: _Stack, x: np.ndarray, vals: np.ndarray):
     """Gauss-Newton descent on S until S <= ZERO_BAND, the level at which the
     trial loop of ``solve_flow`` calls it.  A looser target leaves a sliding
     flow parked at that target, where any tangent step that raises S by one
-    ulp triggers a full normal pull whose cost in r Armijo then rejects."""
+    ulp triggers a full normal pull whose cost in r Armijo then rejects.
+    Takes the row values ``vals`` of x and returns (point, its row values);
+    each point it tries is evaluated once."""
     for _ in range(200):
-        vals = stack.values(x)
         s = stack.total_penalty(vals)
         if s <= ZERO_BAND:
             break
@@ -505,27 +507,30 @@ def _polish_feasibility(stack: _Stack, x: np.ndarray) -> np.ndarray:
         while True:
             G = np.array([stack.row_grad(i, x) for i in rows])
             if float(np.sum(G * G)) <= 1e-24:
-                return x
+                return x, vals
             full = np.linalg.lstsq(G, vals[rows], rcond=None)[0]
             delta = full
+            pushed = None
             for _ in range(8):
                 xn = x - delta
-                if stack.total_penalty(stack.values(xn)) < s:
+                vals_n = stack.values(xn)
+                if stack.total_penalty(vals_n) < s:
                     break
+                if pushed is None:
+                    pushed = vals_n  # the values at x - full
                 delta = 0.5 * delta
             else:
                 # the step pushed through rows at their bound: hold those at
                 # the bound as well and solve again
-                pushed = stack.values(x - full)
                 grown = [i for i in range(stack.size)
                          if pushed[i] > 0.0 and i not in rows]
                 if not grown:
-                    return x
+                    return x, vals
                 rows += grown
                 continue
             break
-        x = xn
-    return x
+        x, vals = xn, vals_n
+    return x, vals
 
 
 def find_feasible(constraints: Sequence, x_init, config: FlowConfig) -> Optional[np.ndarray]:
@@ -534,8 +539,8 @@ def find_feasible(constraints: Sequence, x_init, config: FlowConfig) -> Optional
     x = np.asarray(x_init, dtype=float).copy()
     stack = _Stack(constraints, len(x))
     dt = config.dt
+    vals = stack.values(x)
     for _ in range(config.max_steps):
-        vals = stack.values(x)
         s = stack.total_penalty(vals)
         if s <= config.feasibility_tol:
             return x
@@ -546,7 +551,7 @@ def find_feasible(constraints: Sequence, x_init, config: FlowConfig) -> Optional
                 gi = stack.row_grad(i, x)
                 g += gi
                 norm_sq += float(gi @ gi)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if gnorm <= config.stationarity_tol:
             return None
         # Newton-like secant step toward S = 0, fall back to Euler + backtracking
@@ -554,15 +559,15 @@ def find_feasible(constraints: Sequence, x_init, config: FlowConfig) -> Optional
         accepted = False
         for _ in range(31):
             xn = x - trial * g
-            s_n = stack.total_penalty(stack.values(xn))
+            vals_n = stack.values(xn)
+            s_n = stack.total_penalty(vals_n)
             if s_n < s * (1.0 + 1e-12) + 1e-15 and s_n != s:
                 accepted = True
                 break
             trial *= 0.5
         if not accepted:
             return None
-        x = xn
-        if np.linalg.norm(x) > config.divergence_radius:
+        x, vals = xn, vals_n
+        if _norm(x) > config.divergence_radius:
             raise FlowError("feasibility flow diverged")
-    return x if stack.total_penalty(stack.values(x)) <= config.feasibility_tol else None
-
+    return x if stack.total_penalty(vals) <= config.feasibility_tol else None

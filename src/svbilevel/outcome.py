@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import neurodynamic as nd
-from .expr import BinOp, CompiledExpr, Const, Max
+from .expr import DEFAULT_ACTIVE_TOL, EvaluationError, band_generators, \
+    to_source, value_and_gradient
 from .problem import AffineRow, BilevelProblem, find_interior_start, \
     stacked_mp_constraints
 
@@ -35,6 +36,8 @@ class OutcomeBox:
     simplex_vertices: list
     U: float
     m_argmin: Optional[list] = None
+    # the feasible point of X the box flows started from
+    x_feasible: Optional[np.ndarray] = None
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         z = np.asarray(z, dtype=float)
@@ -114,27 +117,70 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
         for v in vertices:
             M[i] = max(M[i], f.value(v))
     return OutcomeBox(m=m, M=M, simplex_vertices=vertices, U=U,
-                      m_argmin=m_argmin)
+                      m_argmin=m_argmin, x_feasible=x0)
 
 
-def ray_objective(problem: BilevelProblem, v, d_hat) -> CompiledExpr:
-    """Compiled  max_j (f_j(x) - v_j) / d_j  with nested max branches of the
-    f_j flattened into the top-level generator set."""
-    children = []
-    for j, f in enumerate(problem.lower):
-        branches = f.ast.children if isinstance(f.ast, Max) else (f.ast,)
-        for b in branches:
-            shifted = BinOp("-", b, Const(float(v[j])))
-            children.append(BinOp("/", shifted, Const(float(d_hat[j]))))
-    ast = Max(tuple(children)) if len(children) > 1 else children[0]
-    return CompiledExpr(ast, problem.n)
+def _feasible_x(problem: BilevelProblem, box: Optional[OutcomeBox],
+                config: nd.FlowConfig) -> Optional[np.ndarray]:
+    """A feasible point of X: the one ``compute_box`` found, else a new
+    penalty-descent search."""
+    if box is not None and box.x_feasible is not None:
+        return box.x_feasible
+    return find_interior_start(problem, config)
+
+
+class RayObjective:
+    """max_j (f_j(x) - v_j) / d_j with the max branches of each f_j
+    flattened into one generator set.  Each branch runs through its lower
+    objective's generated functions, made once per problem, with v_j and
+    d_j applied as floats outside them, so a ray call generates no code.
+    The arithmetic is that of the expression ``Max`` of
+    ``(branch - Const(v_j)) / Const(d_j)`` compiled as a ``CompiledExpr``:
+    the value reruns on numpy scalars where a float power raises, and a
+    branch that contains a max is walked by ``value_and_gradient``."""
+
+    active_tol = DEFAULT_ACTIVE_TOL
+
+    def __init__(self, problem: BilevelProblem, v, d_hat):
+        self.terms = [
+            (branch, value, grad, float(v[j]), float(d_hat[j]))
+            for j, f in enumerate(problem.lower)
+            for branch, value, grad in zip(f.branches, f.branch_values(),
+                                           f.branch_gradients())]
+
+    def _value(self, x):
+        return max((value(x) - vj) / dj for _, value, _, vj, dj in self.terms)
+
+    def value(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        try:
+            return float(self._value(x.tolist()))
+        except (OverflowError, ZeroDivisionError):
+            return float(self._value(x))
+
+    def value_generators(self, x, active_tol: float = None):
+        """(value, [generator gradients]) by ``band_generators``'s band."""
+        tol = self.active_tol if active_tol is None else active_tol
+        x = np.asarray(x, dtype=float)
+        xs = x.tolist()
+        pairs = []
+        for branch, _, grad, vj, dj in self.terms:
+            bv, bg = (value_and_gradient(branch, x, tol) if grad is None
+                      else grad(xs))
+            r = (bv - vj) / dj
+            if not math.isfinite(r):
+                raise EvaluationError(
+                    f"non-finite ray value at branch {to_source(branch)}")
+            pairs.append((r, bg / dj))
+        return band_generators(pairs, tol)
 
 
 def solve_ray(problem: BilevelProblem, box: Optional[OutcomeBox], v, d_hat,
               config: Optional[nd.FlowConfig] = None,
               x0: Optional[np.ndarray] = None) -> RaySolution:
     """Project v along direction d_hat onto the weakly nondominated frontier
-    by the scalarized pseudoconvex flow."""
+    by the scalarized pseudoconvex flow on ``RayObjective``.  Without
+    ``x0`` the flow starts at the box's feasible point of X."""
     if config is None:
         config = nd.FlowConfig()
     v = np.asarray(v, dtype=float)
@@ -143,10 +189,10 @@ def solve_ray(problem: BilevelProblem, box: Optional[OutcomeBox], v, d_hat,
         raise ValueError("ray direction must be strictly positive")
     region = problem.x_region()
     if x0 is None:
-        x0 = find_interior_start(problem, config)
+        x0 = _feasible_x(problem, box, config)
         if x0 is None:
             raise OutcomeError("X is empty: no feasible point found")
-    obj = ray_objective(problem, v, d_hat)
+    obj = RayObjective(problem, v, d_hat)
     res = _require_converged(nd.solve_flow(obj, region, x0, config), "ray problem")
     x = res.x_final
     # recompute t from the terminal point so the ray identity is exact
@@ -155,9 +201,11 @@ def solve_ray(problem: BilevelProblem, box: Optional[OutcomeBox], v, d_hat,
 
 
 def solve_mp(problem: BilevelProblem, z, config: Optional[nd.FlowConfig] = None,
-             u0: Optional[np.ndarray] = None) -> MpSolution:
+             u0: Optional[np.ndarray] = None,
+             box: Optional[OutcomeBox] = None) -> MpSolution:
     """phi(z) = min {h(x, y) | (x, y) in G, f(x) <= z}.  Infeasible z is
-    detected by a stalled feasibility phase."""
+    detected by a stalled feasibility phase.  Without ``u0`` the search
+    starts at the box's feasible point of X."""
     if config is None:
         config = nd.FlowConfig()
     z = np.asarray(z, dtype=float)
@@ -165,7 +213,7 @@ def solve_mp(problem: BilevelProblem, z, config: Optional[nd.FlowConfig] = None,
     total = problem.n + problem.m
     if u0 is None:
         u0 = np.zeros(total)
-        x0 = find_interior_start(problem, config)
+        x0 = _feasible_x(problem, box, config)
         if x0 is not None:
             u0[: problem.n] = x0
         if problem.m:
@@ -186,9 +234,11 @@ class PhiCache:
     the driver re-queries vertices across iterations."""
 
     def __init__(self, problem: BilevelProblem,
-                 config: Optional[nd.FlowConfig] = None):
+                 config: Optional[nd.FlowConfig] = None,
+                 box: Optional[OutcomeBox] = None):
         self.problem = problem
         self.config = config if config is not None else nd.FlowConfig()
+        self.box = box
         self._table = {}
         self.hits = 0
         self.misses = 0
@@ -201,7 +251,7 @@ class PhiCache:
         key = self._key(z)
         hit = self._table.get(key)
         if hit is None:
-            hit = solve_mp(self.problem, z, self.config, u0=u0)
+            hit = solve_mp(self.problem, z, self.config, u0=u0, box=self.box)
             self._table[key] = hit
             self.misses += 1
         else:

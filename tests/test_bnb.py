@@ -94,7 +94,7 @@ class TestInitialize:
     def test_probe_outside_its_region_sets_no_incumbent(self, monkeypatch):
         # a probe flagged feasible at x = 0, which violates x1 + x2 >= 1.5
         class OutsideCache:
-            def __init__(self, problem, config):
+            def __init__(self, problem, config, box=None):
                 self.problem = problem
 
             def get(self, z, u0=None):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svbilevel.copolyblock import VertexSet, cut, prune, select_min_phi
+from svbilevel.copolyblock import (
+    COORD_TOL, Vertex, VertexSet, cut, prune, select_min_phi,
+)
 from svbilevel.outcome import MpSolution, OutcomeBox
 
 
@@ -130,6 +133,56 @@ class TestPrune:
         once = zs(vs)
         prune(vs)
         assert zs(vs) == once
+
+
+def _pairwise_prune(verts):
+    """Survivors of ``prune`` by the pairwise loop it replaced."""
+    keep = []
+    for v in verts:
+        if v.mp is not None and not v.mp.feasible:
+            continue
+        dominated = False
+        for u in verts:
+            if u is v:
+                continue
+            diff = u.z - v.z
+            if np.all(diff <= COORD_TOL) and np.any(diff < -COORD_TOL):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(v)
+    return keep
+
+
+# coordinates 0.5e-9, exactly 1e-9 and 2e-9 apart, plus far ones; 1e-9 - 0
+# and 0 - 1e-9 are exact, so the tolerance itself is hit
+PRUNE_COORDS = st.sampled_from(
+    [0.0, 5e-10, 1e-9, 2e-9, -1e-9, 0.3, 1.0, 1.0 + 1e-9, 1.0 - 1e-9])
+
+
+class TestPruneMatchesPairwise:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_survivors_in_the_same_order(self, data):
+        p = data.draw(st.sampled_from([2, 3, 4]))
+        points = data.draw(st.lists(
+            st.lists(PRUNE_COORDS, min_size=p, max_size=p), max_size=12))
+        # duplicates on purpose: ``add`` would suppress them
+        if points:
+            points += data.draw(st.lists(st.sampled_from(points), max_size=3))
+        verts = []
+        for i, z in enumerate(points):
+            v = Vertex(z=np.array(z), id=i)
+            feasible = data.draw(st.sampled_from([None, True, False]))
+            if feasible is not None:
+                v.mp = MpSolution(z=v.z, phi=0.0, x=None, y=None,
+                                  feasible=feasible)
+            verts.append(v)
+        expected = _pairwise_prune(verts)
+        vs = VertexSet(make_box(np.zeros(p), np.ones(p)))
+        vs.vertices = list(verts)
+        prune(vs)
+        assert [v.id for v in vs.vertices] == [v.id for v in expected]
 
 
 class TestSelectMinPhi:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svbilevel import catalog
 from svbilevel.expr import CompiledExpr, parse_expression
 from svbilevel.neurodynamic import (
     LAM_CAP, FlowConfig, FlowStatus, TraceRecorder, _active_set_weights,
-    _min_norm_combo, find_feasible, penalty, penalty_subgradient, psi,
+    _min_norm_combo, _norm, find_feasible, penalty, penalty_subgradient, psi,
     solve_flow, step_gain,
 )
+from svbilevel.outcome import compute_box
+from svbilevel.problem import find_interior_start, stacked_mp_constraints
 
 V2 = ["x1", "x2"]
 
@@ -339,6 +342,67 @@ class TestSolveFlow:
         assert res.status is FlowStatus.CONVERGED
         assert res.steps < 1000
         assert res.penalty_residual <= 1e-9
+
+
+class _CountingRow:
+    """A constraint row that records each point its value is taken at."""
+
+    def __init__(self, base, seen: list):
+        self.base = base
+        self.seen = seen
+
+    def value(self, x):
+        self.seen.append((id(self), np.asarray(x, dtype=float).tobytes()))
+        return self.base.value(x)
+
+    def value_grad(self, x):
+        return self.base.value_grad(x)
+
+
+class TestEvaluateOnce:
+    """Within one ``solve_flow`` or ``find_feasible`` call no row's value is
+    taken twice at the same point."""
+
+    @staticmethod
+    def _repeats(seen):
+        return len(seen) - len(set(seen))
+
+    def _check(self, objective, rows, u_start):
+        seen = []
+        counted = [_CountingRow(r, seen) for r in rows]
+        cfg = FlowConfig()
+        u = find_feasible(counted, u_start, cfg)
+        assert u is not None and seen
+        assert self._repeats(seen) == 0
+        seen.clear()
+        res = solve_flow(objective, counted, u, cfg)
+        assert res.steps > 1 and seen
+        assert self._repeats(seen) == 0
+
+    def test_curved_row(self):
+        v3 = ["x1", "x2", "x3"]
+        obj = oracle("(x1 - 1)^2 + x2^2 + x3^2", v3)
+        ball = oracle("x1^2 + x2^2 + x3^2 - 0.0625", v3)
+        self._check(obj, [ball], np.full(3, 0.5))
+
+    def test_example4_mp_stack(self):
+        problem = catalog.load_example(4)
+        box = compute_box(problem)
+        rows = stacked_mp_constraints(problem, box.M)
+        u0 = np.concatenate([find_interior_start(problem), np.ones(problem.m)])
+        self._check(problem.upper, rows, u0)
+
+
+class TestNorm:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-310,
+                                     1e-200, -1e-200, 1e200, -1e200,
+                                     np.inf, -np.inf, 1.0, -3.0])
+                    | st.floats(allow_nan=False), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_norm_bit_for_bit(self, coords):
+        v = np.array(coords, dtype=float)
+        with np.errstate(all="ignore"):
+            assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
 
 
 class TestFindFeasible:

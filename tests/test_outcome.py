@@ -1,14 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from svbilevel import catalog
+from svbilevel import catalog, outcome
+from svbilevel import expr as ex
+from svbilevel.expr import BinOp, CompiledExpr, Const, Max
 from svbilevel.neurodynamic import FlowConfig
 from svbilevel.outcome import (
-    PhiCache, compute_box, ray_objective, solve_mp, solve_ray,
+    PhiCache, RayObjective, compute_box, solve_mp, solve_ray,
 )
-from svbilevel.problem import load_problem
+from svbilevel.problem import find_interior_start, load_problem
+
+from test_expr import COORDS, EXPRESSIONS, _bits
 
 SIMPLEX = """\
 vars x 2
@@ -113,9 +119,87 @@ class TestSolveRay:
 
     def test_flattened_objective_generators(self, ex1):
         # the second lower objective is itself a max of two affine pieces,
-        # so the ray objective exposes three generators in total
-        obj = ray_objective(ex1, v=np.zeros(2), d_hat=np.ones(2))
-        assert len(obj.ast.children) == 3
+        # so the ray objective has three branches in total
+        obj = RayObjective(ex1, v=np.zeros(2), d_hat=np.ones(2))
+        assert len(obj.terms) == 3
+
+
+def _reference_ray(lower, n, v, d_hat):
+    """The ray objective as an expression, compiled: the max over every
+    branch of every f_j of (branch - v_j) / d_j."""
+    children = []
+    for j, f in enumerate(lower):
+        branches = f.ast.children if isinstance(f.ast, Max) else (f.ast,)
+        for b in branches:
+            shifted = BinOp("-", b, Const(float(v[j])))
+            children.append(BinOp("/", shifted, Const(float(d_hat[j]))))
+    return CompiledExpr(Max(tuple(children)), n)
+
+
+def _ray_outcome(fn, x):
+    """Bit patterns, up to the sign of zero, of a value or of (value,
+    [generator, ...]), or the type of the error raised."""
+    try:
+        out = fn(x)
+    except (ex.EvaluationError, ArithmeticError) as err:
+        return type(err).__name__
+    if isinstance(out, tuple):
+        return _bits(out[0]), [[_bits(c) for c in g] for g in out[1]]
+    return _bits(out)
+
+
+RAY_EXAMPLES = {i: catalog.load_example(i) for i in (1, 2, 3, 6)}
+SHIFTS = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-5, 5)
+SCALES = st.sampled_from([1.0, 8.5e-4, 1e-6]) | st.floats(1e-4, 10)
+BANDS = st.sampled_from([1e-9, 1e-4, 1e-2, 0.5])
+
+
+class TestRayObjective:
+    def _check(self, data, lower, n):
+        v = data.draw(st.lists(SHIFTS, min_size=len(lower), max_size=len(lower)))
+        d = data.draw(st.lists(SCALES, min_size=len(lower), max_size=len(lower)))
+        x = np.array(data.draw(st.lists(COORDS, min_size=n, max_size=n)))
+        obj = RayObjective(SimpleNamespace(lower=lower), v, d)
+        ref = _reference_ray(lower, n, v, d)
+        with np.errstate(all="ignore"):
+            assert _ray_outcome(obj.value, x) == _ray_outcome(ref.value, x)
+            # one object at two bands: each call follows its own band
+            for tol in data.draw(st.lists(BANDS, min_size=2, max_size=2)):
+                assert _ray_outcome(lambda u: obj.value_generators(u, tol), x) \
+                    == _ray_outcome(lambda u: ref.value_generators(u, tol), x)
+
+    def test_value_reruns_on_numpy_scalars_where_a_power_overflows(self):
+        # (1e100^2)^2 overflows a float square, which raises; on numpy
+        # scalars the first branch is -inf and the second one sets the value
+        v2 = ["x1", "x2"]
+        lower = [CompiledExpr(ex.parse_expression("-((x1^2)^2)", v2), 2),
+                 CompiledExpr(ex.parse_expression("x2", v2), 2)]
+        v, d = [0.5, 0.25], [1.0, 0.5]
+        x = np.array([1e100, 0.5])
+        obj = RayObjective(SimpleNamespace(lower=lower), v, d)
+        with np.errstate(all="ignore"):
+            assert obj.value(x) == _reference_ray(lower, 2, v, d).value(x) == 0.5
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_repeats_the_compiled_expression_on_the_examples(self, data):
+        problem = RAY_EXAMPLES[data.draw(st.sampled_from(sorted(RAY_EXAMPLES)))]
+        self._check(data, problem.lower, problem.n)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_repeats_the_compiled_expression_on_random_trees(self, data):
+        # lower objectives from the expression strategy, as they are or
+        # under a root max; branches with a nested max take the tree walk
+        asts = []
+        for _ in range(data.draw(st.integers(2, 3))):
+            kids = data.draw(st.lists(EXPRESSIONS, min_size=1, max_size=3))
+            asts.append(Max(tuple(kids)) if len(kids) > 1 else kids[0])
+        try:
+            lower = [CompiledExpr(a, 3) for a in asts]
+        except (ex.EvaluationError, ArithmeticError):
+            assume(False)
+        self._check(data, lower, 3)
 
 
 class TestSolveMp:
@@ -155,6 +239,26 @@ class TestSolveMp:
             assert f.value(sol.x) <= ex1_box.M[j] + 1e-6
         for c in ex1.x_region():
             assert c.value(sol.x) <= 1e-6
+
+
+class TestInteriorStart:
+    def test_box_point_replaces_the_interior_search(self, ex1, monkeypatch):
+        config = FlowConfig()
+        box = compute_box(ex1, config)
+        fresh = find_interior_start(ex1, config)
+        assert box.x_feasible.tobytes() == fresh.tobytes()
+        plain_mp = solve_mp(ex1, box.M, config)
+        plain_ray = solve_ray(ex1, None, box.M, [1.0, 1.0], config)
+
+        def refuse(*args):
+            raise AssertionError("interior start searched again")
+        monkeypatch.setattr(outcome, "find_interior_start", refuse)
+        mp = solve_mp(ex1, box.M, config, box=box)
+        ray = solve_ray(ex1, box, box.M, [1.0, 1.0], config)
+        assert mp.x.tobytes() == plain_mp.x.tobytes()
+        assert mp.y.tobytes() == plain_mp.y.tobytes()
+        assert ray.x.tobytes() == plain_ray.x.tobytes()
+        PhiCache(ex1, config, box).get(box.M)
 
 
 class TestPhiCache:
