@@ -23,7 +23,7 @@ import numpy as np
 from . import neurodynamic as nd
 from .copolyblock import VertexSet, cut, prune, select_min_phi
 from .outcome import OutcomeBox, PhiCache, compute_box, solve_ray
-from .problem import AffineRow, BilevelProblem, stacked_mp_constraints
+from .problem import BilevelProblem, stacked_mp_constraints
 
 
 class SolverStatus(Enum):
@@ -97,26 +97,6 @@ class SolverReport:
     box: OutcomeBox
 
 
-class _FixedHeadRow:
-    """Constraint over y obtained by freezing the x-part of a row over
-    u = (x, y)."""
-
-    def __init__(self, base, x: np.ndarray):
-        self.base = base
-        self.x = np.asarray(x, dtype=float)
-        self.label = getattr(base, "label", "")
-
-    def _lift(self, y):
-        return np.concatenate([self.x, np.asarray(y, dtype=float)])
-
-    def value(self, y) -> float:
-        return self.base.value(self._lift(y))
-
-    def value_grad(self, y):
-        v, g = self.base.value_grad(self._lift(y))
-        return v, g[len(self.x):]
-
-
 def _ray_direction(config: SolverConfig, box: OutcomeBox, v: np.ndarray
                    ) -> np.ndarray:
     if config.direction is not None:
@@ -151,8 +131,8 @@ def _in_stack(problem: BilevelProblem, sol, config: SolverConfig) -> bool:
     """Whether an MP solution lies in its own region {u in G | f(x) <= z},
     row by row within the flow's feasibility tolerance."""
     u = np.concatenate([sol.x, sol.y])
-    return all(c.value(u) <= config.flow.feasibility_tol
-               for c in stacked_mp_constraints(problem, sol.z))
+    rows = stacked_mp_constraints(problem, sol.z)
+    return bool((rows.values(u) <= config.flow.feasibility_tol).all())
 
 
 def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
@@ -192,35 +172,15 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
 
 def find_feasible_y(problem: BilevelProblem, x, config: SolverConfig
                     ) -> Optional[np.ndarray]:
-    """Lift x to (x, y) in G at fixed x; with no lower-level-free variables
-    this reduces to a membership check."""
+    """Lift x to (x, y) in G at fixed x: a feasibility flow over y on the
+    rows of G that involve y; with no lower-level-free variables this
+    reduces to a membership check."""
     x = np.asarray(x, dtype=float)
-    region = problem.x_region()
-    if any(c.value(x) > 1e-6 for c in region):
+    if (problem.x_region().values(x) > 1e-6).any():
         return None
+    rows = problem.lift_rows(x)
     if problem.m == 0:
-        u = x
-        if any(g.value(u) > 1e-6 for g in problem.coupling):
-            return None
-        return np.zeros(0)
-    rows = [_FixedHeadRow(g, x) for g in problem.coupling]
-    for j in range(problem.m):
-        e = np.zeros(problem.m)
-        e[j] = -1.0
-        rows.append(AffineRow(e, 0.0, label=f"y{j + 1} >= 0"))
-    for b in problem.bounds:
-        if b.name not in problem.y_names:
-            continue
-        j = problem.y_names.index(b.name)
-        e = np.zeros(problem.m)
-        if math.isfinite(b.lo):
-            e2 = e.copy()
-            e2[j] = -1.0
-            rows.append(AffineRow(e2, b.lo, label=f"{b.name} >= {b.lo}"))
-        if math.isfinite(b.hi):
-            e2 = e.copy()
-            e2[j] = 1.0
-            rows.append(AffineRow(e2, -b.hi, label=f"{b.name} <= {b.hi}"))
+        return None if (rows.values(np.zeros(0)) > 1e-6).any() else np.zeros(0)
     return nd.find_feasible(rows, np.ones(problem.m), config.flow)
 
 

@@ -1,11 +1,12 @@
 """Co-proper vertex sets for inner copolyblock approximation.
 
-A copolyblock L(V) is the union of the boxes [v, M] over a finite vertex
-set V inside an outcome box [m, M].  The solver shrinks the approximation
-by a cutting-cone update: a vertex v is replaced by the p points obtained
-by sliding one coordinate of v down to the frontier point w found on the
-ray through v.  Vertices dominated from below by another vertex carry no
-information and are pruned.
+A copolyblock is the union of the boxes [m, v] over a finite vertex set V
+inside an outcome box [m, M]; it covers every weakly nondominated outcome,
+so the least phi over V bounds the optimum from below.  The solver shrinks
+the approximation by a cutting-cone update: a vertex v is replaced by the p
+points obtained by sliding one coordinate of v down to the frontier point w
+found on the ray through v.  A vertex below another vertex adds nothing to
+the union and is pruned.
 """
 
 from __future__ import annotations
@@ -88,17 +89,18 @@ def cut(vset: VertexSet, vertex: Vertex, w) -> VertexSet:
 
 
 def prune(vset: VertexSet) -> VertexSet:
-    """Drop vertices dominated from below by another vertex (v' <= v,
-    v' != v) and vertices whose MP turned out infeasible.  One dominance
-    test over all pairs: diff[i, k] = z_k - z_i."""
+    """Drop vertices that lie below another vertex (v <= v', v != v') and
+    vertices whose MP turned out infeasible.  The box [m, v] of a dropped
+    vertex lies inside [m, v'], so the cover is kept.  One dominance test
+    over all pairs: diff[i, k] = z_k - z_i."""
     verts = vset.vertices
     if not verts:
         return vset
     Z = np.array([v.z for v in verts])
     diff = Z[None, :, :] - Z[:, None, :]
     # a vertex never dominates itself: its diff row is all zeros
-    dominated = ((diff <= COORD_TOL).all(axis=2)
-                 & (diff < -COORD_TOL).any(axis=2)).any(axis=1)
+    dominated = ((diff >= -COORD_TOL).all(axis=2)
+                 & (diff > COORD_TOL).any(axis=2)).any(axis=1)
     vset.vertices = [v for v, dom in zip(verts, dominated)
                      if not dom and (v.mp is None or v.mp.feasible)]
     return vset

@@ -86,16 +86,6 @@ class Max:
 Expr = Const | Var | Neg | BinOp | Pow | Max
 
 
-@dataclass(frozen=True)
-class SubgradientBundle:
-    """Clarke subdifferential sample: active branches, their gradients, and
-    the deterministic selection (uniform average of the generators)."""
-
-    active_indices: tuple
-    generators: tuple  # of ndarray
-    selection: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
@@ -359,17 +349,6 @@ def _ipow(base: float, k: int, node: Expr) -> float:
     return float(base**k)
 
 
-def active_average(values: Sequence[float], grads: Sequence[np.ndarray],
-                   active_tol: float = DEFAULT_ACTIVE_TOL):
-    """Clarke max rule helper: active set, its gradients, and their uniform
-    average (a convex-hull element, the deterministic selection)."""
-    top = max(values)
-    active = [i for i, v in enumerate(values) if v >= top - active_tol]
-    gens = [grads[i] for i in active]
-    sel = sum(gens[1:], start=gens[0].copy()) / len(gens)
-    return active, gens, sel
-
-
 def value_and_gradient(e: Expr, point: np.ndarray,
                        active_tol: float = DEFAULT_ACTIVE_TOL):
     """Forward-mode evaluation: returns (value, gradient). Max nodes use the
@@ -411,34 +390,14 @@ def value_and_gradient(e: Expr, point: np.ndarray,
             return _check_finite(v, node), dv * bg
         if isinstance(node, Max):
             pairs = [rec(c) for c in node.children]
-            vals = [p[0] for p in pairs]
-            grads = [p[1] for p in pairs]
-            _, _, sel = active_average(vals, grads, active_tol)
-            return max(vals), sel
+            top = max(v for v, _ in pairs)
+            # Clarke max rule: the uniform average of the active gradients
+            gens = [g for v, g in pairs if v >= top - active_tol]
+            return top, sum(gens[1:], start=gens[0].copy()) / len(gens)
         raise TypeError(f"not an expression node: {node!r}")
 
     v, g = rec(e)
     return v, g
-
-
-def clarke_subgradient(e: Expr, point: np.ndarray,
-                       active_tol: float = DEFAULT_ACTIVE_TOL) -> SubgradientBundle:
-    """Subgradient bundle at ``point``. For a root max node the generators are
-    the gradients of the active branches; otherwise the single forward-mode
-    gradient."""
-    point = np.asarray(point, dtype=float)
-    if isinstance(e, Max):
-        pairs = [value_and_gradient(c, point, active_tol) for c in e.children]
-        vals = [p[0] for p in pairs]
-        grads = [p[1] for p in pairs]
-        active, gens, sel = active_average(vals, grads, active_tol)
-        if not all(np.all(np.isfinite(g)) for g in gens):
-            raise EvaluationError("non-finite gradient in max branch")
-        return SubgradientBundle(tuple(active), tuple(gens), sel)
-    v, g = value_and_gradient(e, point, active_tol)
-    if not np.all(np.isfinite(g)):
-        raise EvaluationError("non-finite gradient")
-    return SubgradientBundle((0,), (g,), g)
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +642,6 @@ class CompiledExpr:
         if self._value_grad is None:
             self._value_grad = _generate(self.ast, self.n_vars, gradient=True)
         return self._value_grad(x.tolist())
-
-    def grad(self, x) -> np.ndarray:
-        return self.value_grad(x)[1]
 
     def value_generators(self, x, active_tol: float = None):
         """(value, [generator gradients]).  For a root max node, the branches

@@ -11,9 +11,11 @@ by a Gauss-Newton polish that lands at S <= ZERO_BAND, the same level, so
 the pull after a tangent step is second order in the step and Armijo
 accepts full steps along curved rows.
 
-Constraint oracles are objects with ``value(x)`` and ``value_grad(x)``;
-an optional ``affine`` attribute ``(coeffs, const)`` enables a vectorized
-fast path.  Objectives additionally may expose ``value_generators(x)``
+Constraints are a ``RowSet``: an affine block evaluated as one product,
+then nonlinear rows, each an oracle with ``value(u)`` and ``value_grad(u)``
+that reads the first k columns of u and may be shifted by a constant.  The
+flows also accept a plain sequence of oracles and convert it once.
+Objectives are oracles that may also expose ``value_generators(x)``
 returning ``(value, [gradient, ...])`` for max-type nonsmooth objectives.
 """
 
@@ -92,56 +94,7 @@ class TraceRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Spec-level primitive operations
-# ---------------------------------------------------------------------------
-
-def psi(xi: float, selection: float = 0.5) -> float:
-    """Selection from d(max{0, xi}): 1 above zero, 0 below, ``selection`` on
-    the zero band."""
-    if xi > ZERO_BAND:
-        return 1.0
-    if xi < -ZERO_BAND:
-        return 0.0
-    return selection
-
-
-def penalty(x, constraints: Sequence) -> float:
-    """S(x) = sum_i max{0, s_i(x)}."""
-    total = 0.0
-    for c in constraints:
-        v = c.value(x)
-        if v > 0.0:
-            total += v
-    return total
-
-
-def penalty_subgradient(x, constraints: Sequence, selection: float = 0.5) -> np.ndarray:
-    """Selected element of dS(x): full gradients of violated rows plus
-    ``selection``-weighted gradients of zero-band rows."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(len(x))
-    for c in constraints:
-        v = c.value(x)
-        if v > ZERO_BAND:
-            out += c.value_grad(x)[1]
-        elif v >= -ZERO_BAND and selection != 0.0:
-            out += selection * c.value_grad(x)[1]
-    return out
-
-
-def step_gain(x, constraints: Sequence, selection: float = 0.5) -> float:
-    """c(x) = prod_i (1 - Psi(s_i(x))): 1 inside, 0 outside, fractional on
-    the boundary band."""
-    gain = 1.0
-    for c in constraints:
-        gain *= 1.0 - psi(c.value(x), selection)
-        if gain == 0.0:
-            return 0.0
-    return gain
-
-
-# ---------------------------------------------------------------------------
-# Constraint stack with affine fast path
+# Constraint rows
 # ---------------------------------------------------------------------------
 
 def _norm(v: np.ndarray) -> float:
@@ -150,48 +103,97 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-class _Stack:
-    def __init__(self, constraints: Sequence, n: int):
-        self.n = n
-        aff_rows = []
-        aff_consts = []
-        self.nonlinear = []
-        for c in constraints:
-            aff = getattr(c, "affine", None)
-            if aff is not None:
-                aff_rows.append(np.asarray(aff[0], dtype=float))
-                aff_consts.append(float(aff[1]))
-            else:
-                self.nonlinear.append(c)
-        self.A = np.array(aff_rows) if aff_rows else np.zeros((0, n))
-        self.b = np.array(aff_consts)
-        self.na = len(aff_rows)
-        row_norms = np.linalg.norm(self.A, axis=1) if aff_rows else np.zeros(0)
-        # per-row gradient norm: fixed for affine rows, the last one seen
-        # (1.0 before any) for nonlinear rows; ``row_grad`` updates it
-        self.norm_estimates = np.concatenate(
-            [np.maximum(row_norms, 1e-12), np.ones(len(self.nonlinear))])
+class RowSet:
+    """Constraint rows r_i(u) <= 0, evaluated together: an affine block
+    A u + b, then the nonlinear rows.  A nonlinear row (oracle, k, shift)
+    is ``oracle.value(w[:k]) - shift`` with w = (head, u), u behind a fixed
+    head (empty unless ``fix_head`` set one): the oracle reads the first k
+    columns of w, all of them when k is None.  ``labels`` name the rows in
+    the order ``values`` returns them.
+    A RowSet holds no flow state, so one set serves any number of flows."""
 
-    @property
-    def size(self) -> int:
-        return len(self.norm_estimates)
+    def __init__(self, A: np.ndarray, b: np.ndarray, nonlinear=(), labels=(),
+                 head: Optional[np.ndarray] = None):
+        self.A = A
+        self.b = b
+        self.nonlinear = tuple(nonlinear)
+        self.labels = tuple(labels)
+        self.n = A.shape[1]
+        self.na = len(b)
+        self.size = self.na + len(self.nonlinear)
+        self.head = np.zeros(0) if head is None else head
 
-    def values(self, x) -> np.ndarray:
+    @classmethod
+    def of(cls, rows: Sequence, width: int) -> "RowSet":
+        """Split ``rows`` into the affine block and the nonlinear rows, each
+        in the given order.  A row is an oracle over all ``width`` columns,
+        or a tuple (oracle, k, label, shift): the row oracle(u[:k]) - shift
+        <= 0 over the first k columns, and its label.  Oracles have
+        ``value(u)`` and ``value_grad(u)``; one whose ``affine`` attribute
+        is not None, a pair (coeffs, const), joins the affine block with
+        the constant const - shift.  A RowSet is returned as it is."""
+        if isinstance(rows, RowSet):
+            return rows
+        rows = [r if isinstance(r, tuple)
+                else (r, width, getattr(r, "label", ""), 0.0) for r in rows]
+        aff = [r for r in rows if getattr(r[0], "affine", None) is not None]
+        nonlinear = [r for r in rows if getattr(r[0], "affine", None) is None]
+        A = np.zeros((len(aff), width))
+        for i, (c, k, _, _) in enumerate(aff):
+            A[i, :k] = c.affine[0]
+        b = np.array([float(c.affine[1]) - shift for c, _, _, shift in aff])
+        return cls(A, b,
+                   [(c, None if k == width else k, shift)
+                    for c, k, _, shift in nonlinear],
+                   [r[2] for r in aff + nonlinear])
+
+    def fix_head(self, x) -> "RowSet":
+        """The rows as functions of the columns after x, with the leading
+        len(x) columns held at x."""
+        h = len(x)
+        return RowSet(self.A[:, h:], self.b + self.A[:, :h] @ x,
+                      self.nonlinear, self.labels,
+                      np.concatenate([self.head, x]))
+
+    def norm_estimates(self) -> np.ndarray:
+        """A flow's starting per-row gradient norms: fixed for affine rows,
+        1.0 for a nonlinear row until ``row_grad`` records its gradient."""
+        affine = np.maximum(np.linalg.norm(self.A, axis=1), 1e-12)
+        return np.concatenate([affine, np.ones(len(self.nonlinear))])
+
+    def _columns(self, u):
+        return np.concatenate([self.head, u]) if len(self.head) else u
+
+    def values(self, u) -> np.ndarray:
         if not self.nonlinear:
-            return self.A @ x + self.b
-        nl = [c.value(x) for c in self.nonlinear]
+            return self.A @ u + self.b
+        w = self._columns(u)
+        nl = np.array([c.value(w if k is None else w[:k]) - shift
+                       for c, k, shift in self.nonlinear])
         if self.na:
-            return np.concatenate([self.A @ x + self.b, np.array(nl)])
-        return np.array(nl)
+            return np.concatenate([self.A @ u + self.b, nl])
+        return nl
 
-    def row_grad(self, i: int, x) -> np.ndarray:
+    def row_grad(self, i: int, u, norms: Optional[np.ndarray] = None
+                 ) -> np.ndarray:
+        """Gradient of row i at u.  A nonlinear row's norm is recorded in
+        ``norms``, the calling flow's estimates."""
         if i < self.na:
             return self.A[i]
-        g = self.nonlinear[i - self.na].value_grad(x)[1]
-        self.norm_estimates[i] = max(_norm(g), 1e-12)
+        c, k, _ = self.nonlinear[i - self.na]
+        w = self._columns(u)
+        g = c.value_grad(w if k is None else w[:k])[1]
+        if k is not None:
+            g = np.concatenate([g, np.zeros(len(w) - k)])
+        if len(self.head):
+            g = g[len(self.head):]
+        if norms is not None:
+            norms[i] = max(_norm(g), 1e-12)
         return g
 
-    def total_penalty(self, vals: np.ndarray) -> float:
+    @staticmethod
+    def total_penalty(vals: np.ndarray) -> float:
+        """S = sum_i max{0, r_i} of row values ``vals``."""
         pos = vals[vals > 0.0]
         return float(pos.sum()) if pos.size else 0.0
 
@@ -326,26 +328,27 @@ def _objective_generators(objective, x, band: float):
 # Flows
 # ---------------------------------------------------------------------------
 
-def _selected_velocity(stack: _Stack, objective, x, vals: np.ndarray,
-                       band_scale: float):
+def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
+                       vals: np.ndarray, band_scale: float):
     """Returns (velocity, S_exact, r_value, outside) at x, whose row values
-    are ``vals``.  ``objective`` may be None for a pure penalty flow."""
+    are ``vals``, with the flow's gradient-norm estimates ``norms``.
+    ``objective`` may be None for a pure penalty flow."""
     s_exact = stack.total_penalty(vals)
     g_plus = np.zeros(stack.n)
     act_gens = []
     any_plus = False
     prod_gain = 1.0
-    bands = np.maximum(ZERO_BAND, band_scale * stack.norm_estimates)
+    bands = np.maximum(ZERO_BAND, band_scale * norms)
     # rows below their band contribute nothing
     for i in np.flatnonzero(vals >= -bands):
         band = bands[i]
         v = vals[i]
         if v > band:
-            g_plus += stack.row_grad(i, x)
+            g_plus += stack.row_grad(i, x, norms)
             any_plus = True
         else:
-            g = stack.row_grad(i, x)
-            band = max(ZERO_BAND, band_scale * stack.norm_estimates[i])
+            g = stack.row_grad(i, x, norms)
+            band = max(ZERO_BAND, band_scale * norms[i])
             act_gens.append(g)
             # smoothed Psi on the band: 0.5 at the boundary itself
             prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
@@ -365,15 +368,16 @@ def _selected_velocity(stack: _Stack, objective, x, vals: np.ndarray,
     return vel, s_exact, r_val, any_plus
 
 
-def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
+def solve_flow(objective, constraints, x0, config: FlowConfig,
                require_feasible_start: bool = False) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
     the time/step budget runs out.  Each point is evaluated once: the row
     values of the current x come from the start check, then from the
-    accepted trial."""
+    accepted trial.  ``constraints`` is a RowSet or a sequence of oracles
+    (see ``RowSet.of``)."""
     x = np.asarray(x0, dtype=float).copy()
-    n = len(x)
-    stack = _Stack(constraints, n)
+    stack = RowSet.of(constraints, len(x))
+    norms = stack.norm_estimates()
     trace = config.trace
     flow_id = trace.next_flow() if trace else 0
 
@@ -396,7 +400,7 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
             status = FlowStatus.MAX_TIME
             break
         vel, s_exact, r_val, outside = _selected_velocity(
-            stack, objective, x, vals, CERT_BAND * band_factor)
+            stack, norms, objective, x, vals, CERT_BAND * band_factor)
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_exact, vnorm)
@@ -429,13 +433,14 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
                 # descent on a point that will be pulled back afterwards
                 # admits a limit cycle where the pullback undoes the decrease
                 if s_n > ZERO_BAND:
-                    xn, vals_n = _polish_feasibility(stack, xn, vals_n)
+                    xn, vals_n = _polish_feasibility(stack, norms, xn,
+                                                     vals_n)
                 # monotone r and no escape beyond the boundary band, else the
                 # flow limit-cycles across the boundary (r can decrease there)
                 r_n = objective.value(xn) if objective is not None else 0.0
                 ok = r_n <= r_val - margin + 1e-15 * max(1.0, abs(r_val))
                 if ok:
-                    ok = not (vals_n > CERT_BAND * stack.norm_estimates).any()
+                    ok = not (vals_n > CERT_BAND * norms).any()
             if ok:
                 accepted = True
                 break
@@ -471,12 +476,12 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
     else:
         status = FlowStatus.MAX_TIME
 
-    x, vals = _polish_feasibility(stack, x, vals)
+    x, vals = _polish_feasibility(stack, norms, x, vals)
     # certify at the base band, escalating as above for degenerate vertices
     vnorm = math.inf
     for factor in (1.0, 10.0, 100.0):
         vel, s_final, r_final, _ = _selected_velocity(
-            stack, objective, x, vals, CERT_BAND * factor)
+            stack, norms, objective, x, vals, CERT_BAND * factor)
         vnorm = min(vnorm, _norm(vel))
         if vnorm <= config.stationarity_tol:
             break
@@ -489,7 +494,8 @@ def solve_flow(objective, constraints: Sequence, x0, config: FlowConfig,
     return FlowResult(x, float(r_final), s_final, status, steps, vnorm)
 
 
-def _polish_feasibility(stack: _Stack, x: np.ndarray, vals: np.ndarray):
+def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
+                        vals: np.ndarray):
     """Gauss-Newton descent on S until S <= ZERO_BAND, the level at which the
     trial loop of ``solve_flow`` calls it.  A looser target leaves a sliding
     flow parked at that target, where any tangent step that raises S by one
@@ -505,7 +511,7 @@ def _polish_feasibility(stack: _Stack, x: np.ndarray, vals: np.ndarray):
         # one, so solve the linearized system jointly instead
         rows = [i for i in range(stack.size) if vals[i] > 0.0]
         while True:
-            G = np.array([stack.row_grad(i, x) for i in rows])
+            G = np.array([stack.row_grad(i, x, norms) for i in rows])
             if float(np.sum(G * G)) <= 1e-24:
                 return x, vals
             full = np.linalg.lstsq(G, vals[rows], rcond=None)[0]
@@ -533,11 +539,12 @@ def _polish_feasibility(stack: _Stack, x: np.ndarray, vals: np.ndarray):
     return x, vals
 
 
-def find_feasible(constraints: Sequence, x_init, config: FlowConfig) -> Optional[np.ndarray]:
-    """Penalty-descent flow; returns a feasible point, or None when the
-    descent stalls at positive penalty (infeasible system)."""
+def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarray]:
+    """Penalty-descent flow over a RowSet or a sequence of oracles; returns
+    a feasible point, or None when the descent stalls at positive penalty
+    (infeasible system)."""
     x = np.asarray(x_init, dtype=float).copy()
-    stack = _Stack(constraints, len(x))
+    stack = RowSet.of(constraints, len(x))
     dt = config.dt
     vals = stack.values(x)
     for _ in range(config.max_steps):

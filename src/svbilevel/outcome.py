@@ -39,10 +39,6 @@ class OutcomeBox:
     # the feasible point of X the box flows started from
     x_feasible: Optional[np.ndarray] = None
 
-    def contains(self, z, tol: float = 1e-9) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool(np.all(z >= self.m - tol) and np.all(z <= self.M + tol))
-
 
 @dataclass
 class RaySolution:

@@ -1,9 +1,15 @@
-"""Bilevel problem representation, file format and constraint stacking.
+"""Bilevel problem representation, file format and constraint rows.
 
 A problem instance holds the upper objective h(x, y), the vector of lower
 objectives f(x), lower-level constraints s(x) <= 0 defining X, coupling
 constraints g(x, y) <= 0 and optional variable bounds.  The joint feasible
 region is G = {(x, y) | x in X, y >= 0, g(x, y) <= 0}.
+
+Every subproblem constrains one of three regions, and each is a
+``neurodynamic.RowSet`` built from one list of rows: X over x
+(``x_region``), {u in G | f(x) <= z} over u = (x, y) with the f-rows
+shifted by z (``stacked_mp_constraints``), and the rows of G that involve
+y, over y at a fixed x (``lift_rows``).
 
 Problem file format (line oriented):
 
@@ -24,11 +30,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
-from .expr import CompiledExpr, ExprError, parse_expression, to_source
+from . import neurodynamic as nd
+from .expr import CompiledExpr, ExprError, parse_expression
 
 
 class ProblemFormatError(Exception):
@@ -74,53 +82,6 @@ class AffineRow:
         return self.value(u), self.coeffs.copy()
 
 
-class LiftedExpr:
-    """An x-only compiled expression viewed as a function of u = (x, y)."""
-
-    def __init__(self, inner: CompiledExpr, n: int, total: int, label: str = ""):
-        self.inner = inner
-        self.n = n
-        self.total = total
-        self.label = label
-        if inner.affine is not None:
-            a, b = inner.affine
-            coeffs = np.zeros(total)
-            coeffs[:n] = a
-            self.affine = (coeffs, b)
-        else:
-            self.affine = None
-
-    def value(self, u) -> float:
-        return self.inner.value(u[: self.n])
-
-    def value_grad(self, u):
-        v, g = self.inner.value_grad(u[: self.n])
-        out = np.zeros(self.total)
-        out[: self.n] = g
-        return v, out
-
-
-class ShiftedRow:
-    """Oracle for  base(u) - shift <= 0  (used for the f_i(x) <= z_i rows)."""
-
-    def __init__(self, base, shift: float, label: str = ""):
-        self.base = base
-        self.shift = float(shift)
-        self.label = label
-        aff = getattr(base, "affine", None)
-        if aff is not None:
-            self.affine = (aff[0], aff[1] - self.shift)
-        else:
-            self.affine = None
-
-    def value(self, u) -> float:
-        return self.base.value(u) - self.shift
-
-    def value_grad(self, u):
-        v, g = self.base.value_grad(u)
-        return v - self.shift, g
-
-
 @dataclass(frozen=True)
 class BilevelProblem:
     """Immutable (BP) instance with compiled oracles."""
@@ -155,100 +116,60 @@ class BilevelProblem:
     def y_names(self):
         return [f"y{j + 1}" for j in range(self.m)]
 
-    def bound_rows_x(self):
-        """Affine s-rows over x derived from bounds on x-variables."""
-        rows = []
+    @cached_property
+    def _rows(self) -> tuple:
+        """The rows of G as ``RowSet.of`` tuples (oracle, k, label, shift)
+        over u = (x, y), in three groups: the rows of X (declared s-rows,
+        then x-bound rows), the rows on y alone (y >= 0, then y-bound rows)
+        and the g-rows.  Built on first use."""
+        n, total = self.n, self.n + self.m
+        names = self.x_names + self.y_names
+
+        def unit(i, sign, width):
+            e = np.zeros(width)
+            e[i] = sign
+            return e
+
+        x_rows = [(s, n, f"s_{k + 1}", 0.0)
+                  for k, s in enumerate(self.lower_constraints)]
+        y_rows = [(AffineRow(unit(n + j, -1.0, total), 0.0), total,
+                   f"y{j + 1} >= 0", 0.0) for j in range(self.m)]
         for b in self.bounds:
-            if not b.name.startswith("x"):
-                continue
-            i = int(b.name[1:]) - 1
-            e = np.zeros(self.n)
+            i = names.index(b.name)
+            rows, width = (x_rows, n) if i < n else (y_rows, total)
             if np.isfinite(b.lo):
-                e_lo = e.copy()
-                e_lo[i] = -1.0
-                rows.append(AffineRow(e_lo, b.lo, f"{b.name} >= {b.lo}"))
+                rows.append((AffineRow(unit(i, -1.0, width), b.lo), width,
+                             f"{b.name} >= {b.lo}", 0.0))
             if np.isfinite(b.hi):
-                e_hi = e.copy()
-                e_hi[i] = 1.0
-                rows.append(AffineRow(e_hi, -b.hi, f"{b.name} <= {b.hi}"))
-        return rows
+                rows.append((AffineRow(unit(i, 1.0, width), -b.hi), width,
+                             f"{b.name} <= {b.hi}", 0.0))
+        g_rows = [(g, total, f"g_{j + 1}", 0.0)
+                  for j, g in enumerate(self.coupling)]
+        return x_rows, y_rows, g_rows
 
-    def bound_rows_y(self):
-        """Affine rows over u from explicit bounds on y-variables (beyond the
-        implicit y >= 0)."""
-        total = self.n + self.m
-        rows = []
-        for b in self.bounds:
-            if not b.name.startswith("y"):
-                continue
-            j = self.n + int(b.name[1:]) - 1
-            if np.isfinite(b.lo):
-                e = np.zeros(total)
-                e[j] = -1.0
-                rows.append(AffineRow(e, b.lo, f"{b.name} >= {b.lo}"))
-            if np.isfinite(b.hi):
-                e = np.zeros(total)
-                e[j] = 1.0
-                rows.append(AffineRow(e, -b.hi, f"{b.name} <= {b.hi}"))
-        return rows
+    def x_region(self) -> nd.RowSet:
+        """X as rows over x: the declared s-rows, then the x-bound rows."""
+        return nd.RowSet.of(self._rows[0], self.n)
 
-    def x_region(self):
-        """Oracle list over x defining X: declared s-rows then x-bound rows."""
-        return list(self.lower_constraints) + self.bound_rows_x()
+    def lift_rows(self, x) -> nd.RowSet:
+        """The rows of G that involve y (y >= 0, y-bounds, g), as rows over
+        y with x held fixed."""
+        _, y_rows, g_rows = self._rows
+        return nd.RowSet.of(y_rows + g_rows, self.n + self.m).fix_head(x)
 
 
-class FeasibleRegionG:
-    """The joint region G over u = (x, y)."""
-
-    def __init__(self, problem: BilevelProblem):
-        self.problem = problem
-        n, m = problem.n, problem.m
-        total = n + m
-        rows = [LiftedExpr(s, n, total, f"s_{k + 1}")
-                for k, s in enumerate(problem.lower_constraints)]
-        rows += [LiftedExpr(r, n, total, r.label) if m else r
-                 for r in problem.bound_rows_x()]
-        for j in range(m):
-            e = np.zeros(total)
-            e[n + j] = -1.0
-            rows.append(AffineRow(e, 0.0, f"y{j + 1} >= 0"))
-        rows += problem.bound_rows_y()
-        rows += [problem.coupling[j] for j in range(problem.ell)]
-        self.rows = rows
-
-    def values(self, u) -> np.ndarray:
-        return np.array([r.value(u) for r in self.rows])
-
-    def membership(self, u, tol: float = 1e-9) -> bool:
-        vals = self.values(u)
-        return bool(np.max(vals) <= tol) if len(vals) else True
-
-
-def stacked_mp_constraints(problem: BilevelProblem, z) -> list:
-    """Ordered oracle list over u = (x, y) for the region
-    {u in G | f(x) <= z}: s-rows (declared then bound-derived), -y rows,
-    f_i(x) - z_i rows, then g-rows."""
+def stacked_mp_constraints(problem: BilevelProblem, z) -> nd.RowSet:
+    """The rows of {u in G | f(x) <= z} over u = (x, y): affine rows, then
+    nonlinear rows, each in the order s-rows (declared then bound-derived),
+    -y rows, y-bound rows, f_i(x) - z_i rows, g-rows."""
     z = np.asarray(z, dtype=float)
     if len(z) != problem.p:
         raise ValueError(f"z has length {len(z)}, expected p = {problem.p}")
-    n, m = problem.n, problem.m
-    total = n + m
-
-    def lift(c, label):
-        return LiftedExpr(c, n, total, label) if m else c
-
-    rows = [lift(s, f"s_{k + 1}")
-            for k, s in enumerate(problem.lower_constraints)]
-    rows += [lift(r, r.label) for r in problem.bound_rows_x()]
-    for j in range(m):
-        e = np.zeros(total)
-        e[n + j] = -1.0
-        rows.append(AffineRow(e, 0.0, f"y{j + 1} >= 0"))
-    rows += problem.bound_rows_y()
-    for i, f in enumerate(problem.lower):
-        rows.append(ShiftedRow(lift(f, f"f_{i + 1}"), z[i], f"f_{i + 1} - z_{i + 1}"))
-    rows += list(problem.coupling)
-    return rows
+    x_rows, y_rows, g_rows = problem._rows
+    f_rows = [(f, problem.n, f"f_{i + 1} - z_{i + 1}", float(z[i]))
+              for i, f in enumerate(problem.lower)]
+    return nd.RowSet.of(x_rows + y_rows + f_rows + g_rows,
+                        problem.n + problem.m)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +298,10 @@ def validate(problem: BilevelProblem, probe_boundedness: bool = True,
              probe_radius: float = 1e6) -> list:
     """Structural diagnostics: hard errors for shape violations, warnings for
     unverifiable convexity assumptions, a numeric probe for boundedness of X."""
-    from . import neurodynamic as nd
-
     out = []
     if problem.p < 2:
         out.append(Diagnostic("error", "lower level must be vectorial (p >= 2)"))
-    if problem.q == 0 and not problem.bound_rows_x():
+    if problem.x_region().size == 0:
         out.append(Diagnostic("error", "X has no constraints; it cannot be bounded"))
     if problem.m == 0:
         out.append(Diagnostic("info", "no y variables declared"))
@@ -421,8 +340,6 @@ def validate(problem: BilevelProblem, probe_boundedness: bool = True,
 def find_interior_start(problem: BilevelProblem, config=None) -> Optional[np.ndarray]:
     """A feasible point of X, from the origin (or bound midpoints) via
     penalty descent."""
-    from . import neurodynamic as nd
-
     if config is None:
         config = nd.FlowConfig()
     x0 = np.zeros(problem.n)

@@ -189,7 +189,7 @@ class TestProperties:
         for a in axes[0]:
             for c in axes[1]:
                 x = np.array([a, c])
-                if any(r.value(x) > 1e-9 for r in region):
+                if (region.values(x) > 1e-9).any():
                     continue
                 z = np.array([f.value(x) for f in problem.lower])
                 assert not np.all(z <= w - 0.02), (x, z, w)

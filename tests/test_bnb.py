@@ -189,8 +189,7 @@ class TestIncumbentFeasibility:
         problem = catalog.load_example(number)
         x, y = report.incumbent.x, report.incumbent.y
         u = np.concatenate([x, y])
-        for c in problem.x_region():
-            assert c.value(x) <= 1e-6
+        assert np.all(problem.x_region().values(x) <= 1e-6)
         for g in problem.coupling:
             assert g.value(u) <= 1e-6
         assert np.all(y >= -1e-9)

@@ -99,7 +99,8 @@ class TestPrune:
         vs.add([1.0, 1.0])
         vs.add([0.5, 0.5])
         prune(vs)
-        assert zs(vs) == [(0.5, 0.5)]
+        # [m, (0.5, 0.5)] lies inside [m, (1, 1)]
+        assert zs(vs) == [(1.0, 1.0)]
 
     def test_incomparable_unchanged(self):
         vs = VertexSet(make_box([0, 0], [2, 2]))
@@ -108,13 +109,13 @@ class TestPrune:
         prune(vs)
         assert len(vs) == 2
 
-    def test_common_lower_bound_wins(self):
+    def test_common_lower_bound_dropped(self):
         vs = VertexSet(make_box([0, 0], [3, 3]))
         vs.add([1.0, 2.0])
         vs.add([2.0, 1.0])
         vs.add([1.0, 1.0])
         prune(vs)
-        assert zs(vs) == [(1.0, 1.0)]
+        assert zs(vs) == [(1.0, 2.0), (2.0, 1.0)]
 
     def test_infeasible_mp_removed(self):
         vs = VertexSet(make_box([0, 0], [2, 2]))
@@ -146,7 +147,7 @@ def _pairwise_prune(verts):
             if u is v:
                 continue
             diff = u.z - v.z
-            if np.all(diff <= COORD_TOL) and np.any(diff < -COORD_TOL):
+            if np.all(diff >= -COORD_TOL) and np.any(diff > COORD_TOL):
                 dominated = True
                 break
         if not dominated:
@@ -183,6 +184,73 @@ class TestPruneMatchesPairwise:
         vs.vertices = list(verts)
         prune(vs)
         assert [v.id for v in vs.vertices] == [v.id for v in expected]
+
+
+SLOPES = st.sampled_from([0.0, -0.25, -0.5, -1.0, -2.0, -4.0])
+STEEP = st.sampled_from([-0.25, -0.5, -1.0, -2.0, -4.0])
+LENGTHS = st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def frontiers(draw):
+    """Knots of a nonincreasing piecewise-linear frontier z2 = F(z1) on
+    [0, L] with a flat piece between two strictly decreasing ones.  Points
+    of the flat piece are weakly but not properly nondominated."""
+    slopes = (draw(st.lists(SLOPES, max_size=2))
+              + [draw(STEEP), 0.0, draw(STEEP)]
+              + draw(st.lists(SLOPES, max_size=2)))
+    lengths = draw(st.lists(LENGTHS, min_size=len(slopes),
+                            max_size=len(slopes)))
+    knots = np.concatenate([[0.0], np.cumsum(lengths)])
+    drops = -np.array(slopes) * np.array(lengths)
+    values = np.concatenate([[0.0], -np.cumsum(drops)]) + drops.sum()
+    return knots, values
+
+
+def ray_exit(knots, values, v, d):
+    """Last point of the segment v - s*d, s >= 0, that lies on or above the
+    frontier: the frontier point an exact ray flow from v finds."""
+    def above(s):
+        z = v - s * d
+        return z[0] >= knots[0] and z[1] >= np.interp(z[0], knots, values)
+
+    lo, hi = 0.0, (v[0] - knots[0]) / d[0] + 1.0
+    # 64 halvings reach the resolution of a float
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return v - lo * d
+
+
+class TestCoverInvariant:
+    """After every cut and prune each weakly nondominated point z* > m lies
+    below some vertex, so min phi over the vertices stays a lower bound."""
+
+    @given(frontiers(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_frontier_stays_covered(self, frontier, data):
+        knots, values = frontier
+        m = np.array([knots[0], values[-1]])
+        M = np.array([knots[-1], values[0]])
+        vs = VertexSet(make_box(m, M))
+        vs.add(M)
+        z1 = np.concatenate([np.linspace(m[0], M[0], 301), knots])
+        points = np.column_stack([z1, np.interp(z1, knots, values)])
+        points = points[(points > m + 1e-6).all(axis=1)]
+        for _ in range(12):
+            if not len(vs):
+                break
+            vertex = vs.vertices[data.draw(
+                st.integers(0, len(vs) - 1), label="vertex")]
+            # the driver's adaptive direction: from the vertex toward m
+            d = np.maximum(vertex.z - m, 1e-6 * (M - m))
+            w = np.clip(ray_exit(knots, values, vertex.z, d), m, vertex.z)
+            cut(vs, vertex, w)
+            prune(vs)
+            Z = np.array([v.z for v in vs]).reshape(-1, 2)
+            covered = (points[:, None, :] <= Z[None, :, :] + 1e-9).all(
+                axis=2).any(axis=1)
+            assert covered.all(), points[~covered][0]
 
 
 class TestSelectMinPhi:

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from svbilevel import expr as ex
 from svbilevel.expr import (
     BinOp, Const, Max, Neg, ParseError, Pow, Var,
-    clarke_subgradient, evaluate, parse_expression, to_source,
+    evaluate, parse_expression, to_source,
     value_and_gradient, CompiledExpr,
 )
 
@@ -163,24 +163,33 @@ class TestEvaluate:
 
 class TestGradient:
     def test_smooth_single_generator(self):
-        ast = parse_expression("x1 + x2^2", V2)
-        bundle = clarke_subgradient(ast, np.array([1.0, 0.5]))
-        assert len(bundle.generators) == 1
-        np.testing.assert_allclose(bundle.selection, [1.0, 1.0])
+        comp = CompiledExpr(parse_expression("x1 + x2^2", V2), 2)
+        x = np.array([1.0, 0.5])
+        _, gens = comp.value_generators(x)
+        assert len(gens) == 1
+        np.testing.assert_allclose(gens[0], [1.0, 1.0])
+        np.testing.assert_allclose(value_and_gradient(comp.ast, x)[1],
+                                   [1.0, 1.0])
 
     def test_unique_active_affine_branch(self):
-        ast = parse_expression(
-            "max(-0.5*x1 - 0.25*x2 - 0.2, -2*x1 + 4.6*x2 - 5.8)", V2)
+        comp = CompiledExpr(parse_expression(
+            "max(-0.5*x1 - 0.25*x2 - 0.2, -2*x1 + 4.6*x2 - 5.8)", V2), 2)
         # at (1, 0.5): branch values -0.825 vs -5.5, branch 1 uniquely active
-        bundle = clarke_subgradient(ast, np.array([1.0, 0.5]))
-        assert bundle.active_indices == (0,)
-        np.testing.assert_allclose(bundle.selection, [-0.5, -0.25])
+        x = np.array([1.0, 0.5])
+        value, gens = comp.value_generators(x)
+        assert value == pytest.approx(-0.825)
+        assert len(gens) == 1
+        np.testing.assert_allclose(gens[0], [-0.5, -0.25])
+        np.testing.assert_allclose(value_and_gradient(comp.ast, x)[1],
+                                   [-0.5, -0.25])
 
     def test_tie_gives_midpoint_selection(self):
-        ast = parse_expression("max(x1, x2)", V2)
-        bundle = clarke_subgradient(ast, np.array([1.0, 1.0]))
-        assert len(bundle.generators) == 2
-        np.testing.assert_allclose(bundle.selection, [0.5, 0.5])
+        comp = CompiledExpr(parse_expression("max(x1, x2)", V2), 2)
+        x = np.array([1.0, 1.0])
+        _, gens = comp.value_generators(x)
+        assert len(gens) == 2
+        np.testing.assert_allclose(value_and_gradient(comp.ast, x)[1],
+                                   [0.5, 0.5])
 
     @pytest.mark.parametrize("src", [s for s in FIXTURE_EXPRESSIONS if "max" not in s and "min" not in s])
     def test_matches_finite_differences(self, src):
@@ -212,13 +221,16 @@ class TestGradient:
         assert checked >= 50
 
     def test_selection_is_convex_combination(self):
-        ast = parse_expression("max(x1, x2, x1 + x2 - 1)", V2)
+        # the gradient at a max is the uniform average of the generators
+        comp = CompiledExpr(
+            parse_expression("max(x1, x2, x1 + x2 - 1)", V2), 2)
         for x in [np.array([1.0, 1.0]), np.array([0.3, 0.3]), np.array([2.0, 0.1])]:
-            bundle = clarke_subgradient(ast, x)
-            k = len(bundle.generators)
+            _, gens = comp.value_generators(x)
+            k = len(gens)
             lam = np.full(k, 1.0 / k)
-            combo = sum(l * g for l, g in zip(lam, bundle.generators))
-            np.testing.assert_allclose(bundle.selection, combo, atol=1e-12)
+            combo = sum(l * g for l, g in zip(lam, gens))
+            np.testing.assert_allclose(value_and_gradient(comp.ast, x)[1],
+                                       combo, atol=1e-12)
 
 
 class TestCompiled:

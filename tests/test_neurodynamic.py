@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from svbilevel import catalog
 from svbilevel.expr import CompiledExpr, parse_expression
 from svbilevel.neurodynamic import (
-    LAM_CAP, FlowConfig, FlowStatus, TraceRecorder, _active_set_weights,
-    _min_norm_combo, _norm, find_feasible, penalty, penalty_subgradient, psi,
-    solve_flow, step_gain,
+    LAM_CAP, FlowConfig, FlowStatus, RowSet, TraceRecorder,
+    _active_set_weights, _min_norm_combo, _norm, find_feasible, solve_flow,
 )
 from svbilevel.outcome import compute_box
 from svbilevel.problem import find_interior_start, stacked_mp_constraints
@@ -37,16 +36,10 @@ def example1_region():
     return [oracle(r) for r in rows]
 
 
-class TestPsi:
-    def test_positive(self):
-        assert psi(2.0, 0.5) == 1.0
-
-    def test_negative(self):
-        assert psi(-1.0, 0.5) == 0.0
-
-    def test_zero_band_uses_selection(self):
-        assert psi(0.0, 0.5) == 0.5
-        assert psi(0.0, 0.2) == 0.2
+def penalty(x, constraints):
+    """S(x) = sum_i max{0, s_i(x)}, from the row values of x."""
+    rows = RowSet.of(constraints, len(x))
+    return rows.total_penalty(rows.values(x))
 
 
 class TestPenalty:
@@ -60,31 +53,6 @@ class TestPenalty:
 
     def test_empty_list(self):
         assert penalty(np.array([3.0]), []) == 0.0
-
-
-class TestPenaltySubgradient:
-    def test_interior_zero_vector(self):
-        g = penalty_subgradient(np.array([1.0, 1.0]), example1_region())
-        np.testing.assert_array_equal(g, np.zeros(2))
-
-    def test_single_violated_affine_row(self):
-        g = penalty_subgradient(np.array([2.0, 2.0]), [oracle("x1 + x2 - 1")])
-        np.testing.assert_allclose(g, [1.0, 1.0])
-
-    def test_boundary_row_scaled_by_selection(self):
-        g = penalty_subgradient(np.array([0.5, 0.5]), [oracle("x1 + x2 - 1")], 0.5)
-        np.testing.assert_allclose(g, [0.5, 0.5])
-
-
-class TestStepGain:
-    def test_interior(self):
-        assert step_gain(np.array([1.0, 1.0]), example1_region()) == 1.0
-
-    def test_exterior(self):
-        assert step_gain(np.array([10.0, 10.0]), example1_region()) == 0.0
-
-    def test_boundary_single_active(self):
-        assert step_gain(np.array([0.5, 0.5]), [oracle("x1 + x2 - 1")], 0.5) == 0.5
 
 
 def brute_force_min_norm(M, g_plus, nobj):
@@ -343,6 +311,19 @@ class TestSolveFlow:
         assert res.steps < 1000
         assert res.penalty_residual <= 1e-9
 
+    def test_shared_rows_carry_no_state_between_flows(self):
+        # the row's gradient norm is 2e-6 at the start, far below the
+        # estimate of 1.0 a flow starts with, so a flow that inherited the
+        # last flow's estimate would take another first step; a second
+        # flow on the same RowSet repeats the first bit for bit
+        obj = oracle("(x1 - 3)^2 + (x2 - 1)^2")
+        rows = RowSet.of([oracle("1e-6*(x1^2 - 4)")], 2)
+        runs = [solve_flow(obj, rows, np.array([1.0, 0.0]), FlowConfig())
+                for _ in range(2)]
+        assert runs[0].converged
+        assert runs[1].steps == runs[0].steps
+        assert runs[1].x_final.tobytes() == runs[0].x_final.tobytes()
+
 
 class _CountingRow:
     """A constraint row that records each point its value is taken at."""
@@ -367,15 +348,13 @@ class TestEvaluateOnce:
     def _repeats(seen):
         return len(seen) - len(set(seen))
 
-    def _check(self, objective, rows, u_start):
-        seen = []
-        counted = [_CountingRow(r, seen) for r in rows]
+    def _check(self, objective, rows, u_start, seen):
         cfg = FlowConfig()
-        u = find_feasible(counted, u_start, cfg)
+        u = find_feasible(rows, u_start, cfg)
         assert u is not None and seen
         assert self._repeats(seen) == 0
         seen.clear()
-        res = solve_flow(objective, counted, u, cfg)
+        res = solve_flow(objective, rows, u, cfg)
         assert res.steps > 1 and seen
         assert self._repeats(seen) == 0
 
@@ -383,14 +362,26 @@ class TestEvaluateOnce:
         v3 = ["x1", "x2", "x3"]
         obj = oracle("(x1 - 1)^2 + x2^2 + x3^2", v3)
         ball = oracle("x1^2 + x2^2 + x3^2 - 0.0625", v3)
-        self._check(obj, [ball], np.full(3, 0.5))
+        seen = []
+        self._check(obj, [_CountingRow(ball, seen)], np.full(3, 0.5), seen)
 
-    def test_example4_mp_stack(self):
+    def test_example4_mp_stack(self, monkeypatch):
         problem = catalog.load_example(4)
         box = compute_box(problem)
         rows = stacked_mp_constraints(problem, box.M)
         u0 = np.concatenate([find_interior_start(problem), np.ones(problem.m)])
-        self._check(problem.upper, rows, u0)
+        # the nonlinear rows of a RowSet call their oracles' ``value``:
+        # record those calls, the objective's aside
+        seen = []
+        value = CompiledExpr.value
+
+        def counted(expr, x):
+            if expr is not problem.upper:
+                seen.append((id(expr), np.asarray(x, dtype=float).tobytes()))
+            return value(expr, x)
+
+        monkeypatch.setattr(CompiledExpr, "value", counted)
+        self._check(problem.upper, rows, u0, seen)
 
 
 class TestNorm:

@@ -73,7 +73,7 @@ class TestComputeBox:
         count = 0
         while count < 1000:
             x = rng.uniform(0.0, 2.6, 2)
-            if max(c.value(x) for c in region) > 0:
+            if max(region.values(x)) > 0:
                 continue
             z = np.array([f.value(x) for f in ex1.lower])
             assert np.all(z >= ex1_box.m - 0.02)
@@ -103,7 +103,7 @@ class TestSolveRay:
         for a in axes:
             for b in axes:
                 x = np.array([a, b])
-                if max(c.value(x) for c in region) > 0:
+                if max(region.values(x)) > 0:
                     continue
                 z = np.array([f.value(x) for f in ex1.lower])
                 assert not np.all(z < sol.w - r)
@@ -237,8 +237,7 @@ class TestSolveMp:
         sol = solve_mp(ex1, ex1_box.M)
         for j, f in enumerate(ex1.lower):
             assert f.value(sol.x) <= ex1_box.M[j] + 1e-6
-        for c in ex1.x_region():
-            assert c.value(sol.x) <= 1e-6
+        assert np.all(ex1.x_region().values(sol.x) <= 1e-6)
 
 
 class TestInteriorStart:

@@ -3,8 +3,7 @@ import pytest
 
 from svbilevel import catalog
 from svbilevel.problem import (
-    FeasibleRegionG, ProblemFormatError, load_problem, stacked_mp_constraints,
-    validate,
+    ProblemFormatError, load_problem, stacked_mp_constraints, validate,
 )
 
 MINI = """\
@@ -86,30 +85,95 @@ class TestValidate:
         assert any("unbounded" in d.message for d in diags if d.level == "warning")
 
 
+def direct_rows(problem, x, y, z):
+    """(label, value, affine) of every row of {u in G | f(x) <= z} at
+    u = (x, y), evaluated term by term in the order s, x-bounds, -y,
+    y-bounds, f - z, g."""
+    u = np.concatenate([x, y])
+    point = dict(zip(problem.x_names + problem.y_names, u))
+    bound_rows = {"x": [], "y": []}
+    for b in problem.bounds:
+        rows = bound_rows[b.name[0]]
+        if np.isfinite(b.lo):
+            rows.append((f"{b.name} >= {b.lo}", b.lo - point[b.name], True))
+        if np.isfinite(b.hi):
+            rows.append((f"{b.name} <= {b.hi}", point[b.name] - b.hi, True))
+    out = [(f"s_{k + 1}", s.value(x), s.affine is not None)
+           for k, s in enumerate(problem.lower_constraints)]
+    out += bound_rows["x"]
+    out += [(f"y{j + 1} >= 0", -y[j], True) for j in range(problem.m)]
+    out += bound_rows["y"]
+    out += [(f"f_{i + 1} - z_{i + 1}", f.value(x) - z[i], f.affine is not None)
+            for i, f in enumerate(problem.lower)]
+    out += [(f"g_{j + 1}", g.value(u), g.affine is not None)
+            for j, g in enumerate(problem.coupling)]
+    return out
+
+
+def affine_first(rows):
+    return [r for r in rows if r[2]] + [r for r in rows if not r[2]]
+
+
+class TestRowSet:
+    @pytest.mark.parametrize("number", [1, 4, 6])
+    def test_mp_rows_and_lift_match_direct_evaluation(self, number):
+        prob = catalog.load_example(number)
+        rng = np.random.default_rng(number)
+        for _ in range(20):
+            x = rng.uniform(-1.0, 2.0, prob.n)
+            y = rng.uniform(0.0, 2.0, prob.m)
+            z = rng.uniform(-1.0, 3.0, prob.p)
+            expected = affine_first(direct_rows(prob, x, y, z))
+            rows = stacked_mp_constraints(prob, z)
+            assert list(rows.labels) == [r[0] for r in expected]
+            np.testing.assert_allclose(rows.values(np.concatenate([x, y])),
+                                       [r[1] for r in expected],
+                                       rtol=1e-12, atol=1e-12)
+            # the lift: the rows that involve y, over y at the fixed x
+            lifted = [r for r in expected
+                      if r[0].startswith(("y", "g_"))]
+            lift = prob.lift_rows(x)
+            assert list(lift.labels) == [r[0] for r in lifted]
+            np.testing.assert_allclose(lift.values(y), [r[1] for r in lifted],
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_x_region_is_the_head_of_the_mp_rows(self):
+        prob = catalog.load_example(6)
+        x = np.array([0.1, 0.2, 0.3])
+        region = prob.x_region()
+        rows = stacked_mp_constraints(prob, np.zeros(prob.p))
+        assert list(region.labels) == list(rows.labels[:region.size])
+        np.testing.assert_array_equal(
+            region.values(x),
+            rows.values(np.concatenate([x, [0.4, 0.5]]))[:region.size])
+
+
 class TestStack:
     def test_example1_stack_order(self):
         prob = catalog.load_example(1)
         z = np.array([3.29, 1.20])
         rows = stacked_mp_constraints(prob, z)
         # 6 declared s-rows, 2 bound rows, 0 y-rows, 2 f-z rows, 0 g-rows
-        assert len(rows) == 10
+        assert rows.size == 10
         x = np.array([1.0, 1.0])
         f1 = prob.lower[0].value(x)
-        assert rows[8].value(x) == pytest.approx(f1 - 3.29)
+        # affine rows first: 5 s-rows and 2 bound rows, then s_6, f_1, f_2
+        assert rows.values(x)[8] == pytest.approx(f1 - 3.29)
 
     def test_example6_stack_order(self):
         prob = catalog.load_example(6)
         z = np.array([1.14, 1.17, 1.27, 1.14])
         rows = stacked_mp_constraints(prob, z)
         # 4 s-rows, 3 bound rows, 2 -y rows, 4 f-z rows, 2 g-rows
-        assert len(rows) == 15
+        assert rows.size == 15
         u = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        vals = rows.values(u)
         # -y rows come after the x-block
-        assert rows[7].value(u) == pytest.approx(-0.4)
-        assert rows[8].value(u) == pytest.approx(-0.5)
-        # last two rows are the coupling constraints
+        assert vals[7] == pytest.approx(-0.4)
+        assert vals[8] == pytest.approx(-0.5)
+        # the affine coupling rows close the affine block
         g1 = prob.coupling[0].value(u)
-        assert rows[-2].value(u) == pytest.approx(g1)
+        assert vals[9] == pytest.approx(g1)
 
     def test_wrong_z_length(self):
         prob = catalog.load_example(1)
@@ -120,14 +184,23 @@ class TestStack:
         prob = catalog.load_example(1)
         x = np.array([1.0, 1.0])
         z = np.array([f.value(x) + 0.5 for f in prob.lower])
-        rows = stacked_mp_constraints(prob, z)
-        assert rows[8].value(x) < 0 and rows[9].value(x) < 0
+        vals = stacked_mp_constraints(prob, z).values(x)
+        assert vals[8] < 0 and vals[9] < 0
 
 
 class TestRegionG:
+    """G = {(x, y) | x in X, y >= 0, g(x, y) <= 0} through its rows: the rows
+    of X at x, then the rows that involve y at the fixed x."""
+
+    @staticmethod
+    def member(prob, u, tol=1e-9):
+        x, y = u[:prob.n], u[prob.n:]
+        vals = np.concatenate([prob.x_region().values(x),
+                               prob.lift_rows(x).values(y)])
+        return bool(np.max(vals) <= tol)
+
     def test_membership_matches_rows_on_grid(self):
         prob = catalog.load_example(4)
-        region = FeasibleRegionG(prob)
         axes = np.linspace(-1.2, 1.2, 20)
         for a in axes:
             for b in axes:
@@ -138,20 +211,19 @@ class TestRegionG:
                     abs(b) - 1,
                     a * a + b * b - 0.81,
                 )
-                assert region.membership(u) == (direct <= 1e-9)
+                assert self.member(prob, u) == (direct <= 1e-9)
 
     def test_membership_example6(self):
         prob = catalog.load_example(6)
-        region = FeasibleRegionG(prob)
         u_good = np.array([0.13, 0.16, 1.56, 0.143, 0.0])
         u_bad = np.array([0.13, 0.16, 1.56, 0.0, 0.0])  # violates g1
-        assert region.membership(u_good, tol=1e-2)
-        assert not region.membership(u_bad)
+        assert self.member(prob, u_good, tol=1e-2)
+        assert not self.member(prob, u_bad)
 
     def test_row_labels_map_back(self):
         prob = catalog.load_example(6)
-        rows = stacked_mp_constraints(prob, np.zeros(4))
-        labels = [getattr(r, "label", "") for r in rows]
+        labels = stacked_mp_constraints(prob, np.zeros(4)).labels
         assert labels[4].startswith("x1")
         assert labels[7] == "y1 >= 0"
-        assert labels[9].startswith("f_1")
+        assert labels[9] == "g_1"
+        assert labels[11].startswith("f_1")
