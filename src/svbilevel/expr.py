@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .neurodynamic import _norm
+from .neurodynamic import band_members
 
 DEFAULT_ACTIVE_TOL = 1e-9
 MAX_UNROLLED_POW = 8
@@ -573,13 +573,11 @@ def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
 
 
 def band_generators(pairs, active_tol: float):
-    """(top, [gradient, ...]) of (value, gradient) branch pairs: branch j
-    joins when ``top - f_j <= active_tol * max(1, |grad f_j|)``.  The band
-    is a distance in x, as for the constraint rows, so a steep branch joins
-    the balance as close to its kink as a flat one."""
-    top = max(v for v, _ in pairs)
-    return top, [g for v, g in pairs
-                 if top - v <= active_tol * max(1.0, _norm(g))]
+    """(top, [gradient, ...]) of (value, gradient) branch pairs: the
+    gradients of the branches within ``neurodynamic.band_members``'s
+    band of the top."""
+    top, members = band_members(pairs, active_tol)
+    return top, [pairs[j][1] for j in members]
 
 
 class CompiledExpr:
@@ -643,22 +641,28 @@ class CompiledExpr:
             self._value_grad = _generate(self.ast, self.n_vars, gradient=True)
         return self._value_grad(x.tolist())
 
-    def value_generators(self, x, active_tol: float = None):
-        """(value, [generator gradients]).  For a root max node, the branches
-        within ``band_generators``'s band of the top, each smooth branch
-        evaluated by its generated (value, gradient) function and a branch
-        that contains a max walked by ``value_and_gradient`` at
-        ``active_tol``.  A single generator for any other expression."""
+    def branch_pairs(self, x, active_tol: float = None) -> list:
+        """(value, gradient) of each branch (see ``branches``): a smooth
+        branch by its generated (value, gradient) function, a branch that
+        contains a max walked by ``value_and_gradient`` at ``active_tol``.
+        One pair, ``value_grad``'s, for any expression but a root max."""
+        if not isinstance(self.ast, Max):
+            return [self.value_grad(x)]
         tol = self.active_tol if active_tol is None else active_tol
-        if isinstance(self.ast, Max):
-            x = np.asarray(x, dtype=float)
-            xs = x.tolist()
-            return band_generators(
-                [value_and_gradient(b, x, tol) if fn is None else fn(xs)
-                 for b, fn in zip(self.ast.children, self.branch_gradients())],
-                tol)
-        v, g = self.value_grad(x)
-        return v, [g]
+        x = np.asarray(x, dtype=float)
+        xs = x.tolist()
+        return [value_and_gradient(b, x, tol) if fn is None else fn(xs)
+                for b, fn in zip(self.ast.children, self.branch_gradients())]
+
+    def value_generators(self, x, active_tol: float = None):
+        """(value, [generator gradients]): ``band_generators`` over
+        ``branch_pairs`` for a root max node, a single generator for any
+        other expression."""
+        if not isinstance(self.ast, Max):
+            v, g = self.value_grad(x)
+            return v, [g]
+        tol = self.active_tol if active_tol is None else active_tol
+        return band_generators(self.branch_pairs(x, tol), tol)
 
 
 def _is_constant(e: Expr) -> bool:

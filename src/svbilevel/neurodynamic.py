@@ -11,12 +11,27 @@ by a Gauss-Newton polish that lands at S <= ZERO_BAND, the same level, so
 the pull after a tangent step is second order in the step and Armijo
 accepts full steps along curved rows.
 
+The kink of a max objective gets the same treatment.  When two or more
+branches within the objective band carry weight in the selection, the
+minimizer lies on the set where they are equal.  A step along the tangent
+of that set leaves it by a second-order amount that raises the max; near
+the minimizer this outweighs the first-order decrease, so Armijo cuts the
+steps down and the flow crawls, and where the branches are steep rounding
+noise alone defeats the test.  So each sliding trial point first takes
+the minimum-norm Gauss-Newton step onto {r_a = r_b = ...} of those
+branches, evaluated once at the trial point (one difference row for two
+branches, k - 1 rows by least squares for k), then the row polish, then
+the descent test.  A branch the selection gives no weight is leaving the
+kink, and is not pulled back to it.
+
 Constraints are a ``RowSet``: an affine block evaluated as one product,
 then nonlinear rows, each an oracle with ``value(u)`` and ``value_grad(u)``
 that reads the first k columns of u and may be shifted by a constant.  The
 flows also accept a plain sequence of oracles and convert it once.
-Objectives are oracles that may also expose ``value_generators(x)``
-returning ``(value, [gradient, ...])`` for max-type nonsmooth objectives.
+Objectives are oracles with ``value(x)`` and ``value_grad(x)``; a max-type
+nonsmooth objective also exposes ``branch_pairs(x, band)``, the
+``(value, gradient)`` of each branch, and the flow picks the branches
+within the band itself (``band_members``).
 """
 
 from __future__ import annotations
@@ -206,9 +221,10 @@ LAM_CAP = 1e8
 
 
 def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
-                    act_gens: list) -> np.ndarray:
-    """Velocity of least norm, -(g_plus + c*sum mu_j G_j + sum lam_i A_i),
-    over mu in the unit simplex and lam in [0, LAM_CAP]^k.  Closed forms
+                    act_gens: list):
+    """(velocity, mu): the velocity of least norm, -(g_plus + c*sum mu_j G_j
+    + sum lam_i A_i), over mu in the unit simplex and lam in [0, LAM_CAP]^k,
+    and the generator weights mu that give it.  Closed forms
     for one generator and at most one row, and for two generators and no
     row: with a = g_plus + c*G_1 and b = g_plus + c*G_2 the least-norm
     point of the segment [b, a] is b + mu*(a - b), mu = clip(-b.(a - b) /
@@ -220,22 +236,23 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
     k = len(act_gens)
     if nobj <= 1 and k == 0:
         g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
-        return -g
+        return -g, (1.0,) * nobj
     if nobj <= 1 and k == 1:
         g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
         a = act_gens[0]
         den = float(a @ a)
         lam = min(LAM_CAP, max(0.0, -float(g @ a) / den)) if den > 0.0 else 0.0
-        return -(g + lam * a)
+        return -(g + lam * a), (1.0,) * nobj
     if nobj == 2 and k == 0:
         a = g_plus + c_gain * obj_gens[0]
         b = g_plus + c_gain * obj_gens[1]
         d = a - b
         den = float(d @ d)
         mu = min(1.0, max(0.0, -float(b @ d) / den)) if den > 0.0 else 0.0
-        return -(b + mu * d)
+        return -(b + mu * d), (mu, 1.0 - mu)
     M = np.array([c_gain * g for g in obj_gens] + list(act_gens))
-    return -(g_plus + M.T @ _active_set_weights(M, g_plus, nobj))
+    z = _active_set_weights(M, g_plus, nobj)
+    return -(g_plus + M.T @ z), z[:nobj]
 
 
 def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
@@ -316,12 +333,46 @@ def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     return w
 
 
+def band_members(pairs, band: float):
+    """(top, [j, ...]) of (value, gradient) branch pairs: branch j is in the
+    band when ``top - f_j <= band * max(1, |grad f_j|)``.  The band is a
+    distance in x, as for the constraint rows, so a steep branch joins the
+    balance as close to its kink as a flat one."""
+    top = max(v for v, _ in pairs)
+    return top, [j for j, (v, g) in enumerate(pairs)
+                 if top - v <= band * max(1.0, _norm(g))]
+
+
 def _objective_generators(objective, x, band: float):
-    gen_fn = getattr(objective, "value_generators", None)
-    if gen_fn is not None:
-        return gen_fn(x, band)
-    v, g = objective.value_grad(x)
-    return v, [g]
+    """(value, [generator, ...], [branch, ...]) at x.  An objective with
+    ``branch_pairs`` contributes the gradients of its branches within
+    ``band_members``'s band, listed by their indices."""
+    pairs_fn = getattr(objective, "branch_pairs", None)
+    pairs = pairs_fn(x, band) if pairs_fn is not None \
+        else [objective.value_grad(x)]
+    if len(pairs) == 1:
+        v, g = pairs[0]
+        return v, [g], [0]
+    top, members = band_members(pairs, band)
+    return top, [pairs[j][1] for j in members], members
+
+
+def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
+    """Minimum-norm Gauss-Newton step from x onto {r_a = r_b = ...} for
+    the branches ``kink`` of ``objective``, evaluated once at x: the one
+    difference row of a two-branch kink in closed form, the k - 1 rows of
+    a k-way kink by least squares.  Two branches with identical gradients
+    have no kink to land on, and x is returned as it is."""
+    pairs = objective.branch_pairs(x)
+    ra, ga = pairs[kink[0]]
+    if len(kink) == 2:
+        rb, gb = pairs[kink[1]]
+        d = ga - gb
+        den = float(d @ d)
+        return x - ((ra - rb) / den) * d if den > 0.0 else x
+    D = np.array([pairs[j][1] - ga for j in kink[1:]])
+    e = np.array([pairs[j][0] - ra for j in kink[1:]])
+    return x - np.linalg.lstsq(D, e, rcond=None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +381,12 @@ def _objective_generators(objective, x, band: float):
 
 def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
                        vals: np.ndarray, band_scale: float):
-    """Returns (velocity, S_exact, r_value, outside) at x, whose row values
-    are ``vals``, with the flow's gradient-norm estimates ``norms``.
-    ``objective`` may be None for a pure penalty flow."""
+    """Returns (velocity, S_exact, r_value, outside, kink) at x, whose row
+    values are ``vals``, with the flow's gradient-norm estimates ``norms``.
+    kink lists the objective branches that carry weight in the selection
+    when two or more do, else it is None (always outside the feasible
+    set, where the objective takes no part).  ``objective`` may be None
+    for a pure penalty flow."""
     s_exact = stack.total_penalty(vals)
     g_plus = np.zeros(stack.n)
     act_gens = []
@@ -352,20 +406,28 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
             act_gens.append(g)
             # smoothed Psi on the band: 0.5 at the boundary itself
             prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
+    kink = None
     if objective is None:
-        vel = _min_norm_combo([], 0.0, g_plus, act_gens if any_plus else [])
+        vel = _min_norm_combo([], 0.0, g_plus,
+                              act_gens if any_plus else [])[0]
         if not any_plus and not act_gens:
             vel = np.zeros(stack.n)
         r_val = math.nan
     else:
         c_gain = 0.0 if any_plus else prod_gain
         obj_band = max(getattr(objective, "active_tol", ZERO_BAND), band_scale)
-        r_val, obj_gens = _objective_generators(objective, x, obj_band)
+        r_val, obj_gens, members = _objective_generators(objective, x,
+                                                         obj_band)
         if c_gain == 0.0:
-            vel = _min_norm_combo([], 0.0, g_plus, act_gens)
+            vel = _min_norm_combo([], 0.0, g_plus, act_gens)[0]
         else:
-            vel = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
-    return vel, s_exact, r_val, any_plus
+            vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
+            if len(members) >= 2:
+                # a branch the selection gives no weight is leaving the kink
+                kink = [j for j, w in zip(members, mu) if w > 0.0]
+                if len(kink) < 2:
+                    kink = None
+    return vel, s_exact, r_val, any_plus, kink
 
 
 def solve_flow(objective, constraints, x0, config: FlowConfig,
@@ -399,7 +461,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
         if t >= config.t_max:
             status = FlowStatus.MAX_TIME
             break
-        vel, s_exact, r_val, outside = _selected_velocity(
+        vel, s_exact, r_val, outside, kink = _selected_velocity(
             stack, norms, objective, x, vals, CERT_BAND * band_factor)
         vnorm = _norm(vel)
         if trace:
@@ -421,6 +483,10 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
             if (xn == x).all():
                 # motion below float resolution: numeric stationarity
                 break
+            if kink is not None:
+                # land on the kink the selection balanced, before the row
+                # polish and the descent test (see the module docstring)
+                xn = _kink_step(objective, kink, xn)
             vals_n = stack.values(xn)
             s_n = stack.total_penalty(vals_n)
             # Armijo margin: plain non-increase admits exact two-point cycles
@@ -480,7 +546,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
     # certify at the base band, escalating as above for degenerate vertices
     vnorm = math.inf
     for factor in (1.0, 10.0, 100.0):
-        vel, s_final, r_final, _ = _selected_velocity(
+        vel, s_final, r_final, _, _ = _selected_velocity(
             stack, norms, objective, x, vals, CERT_BAND * factor)
         vnorm = min(vnorm, _norm(vel))
         if vnorm <= config.stationarity_tol:

@@ -127,13 +127,19 @@ def _feasible_x(problem: BilevelProblem, box: Optional[OutcomeBox],
 
 class RayObjective:
     """max_j (f_j(x) - v_j) / d_j with the max branches of each f_j
-    flattened into one generator set.  Each branch runs through its lower
+    flattened into one branch list.  Each branch runs through its lower
     objective's generated functions, made once per problem, with v_j and
     d_j applied as floats outside them, so a ray call generates no code.
     The arithmetic is that of the expression ``Max`` of
     ``(branch - Const(v_j)) / Const(d_j)`` compiled as a ``CompiledExpr``:
     the value reruns on numpy scalars where a float power raises, and a
-    branch that contains a max is walked by ``value_and_gradient``."""
+    branch that contains a max is walked by ``value_and_gradient``.
+
+    The minimizer lies on the kink where the leading branches are equal.
+    ``branch_pairs`` gives the flow each branch's (value, gradient); the
+    flow picks the branches within its band, and after each sliding trial
+    step it lands on their kink by a Gauss-Newton step (see
+    ``neurodynamic``)."""
 
     active_tol = DEFAULT_ACTIVE_TOL
 
@@ -154,8 +160,10 @@ class RayObjective:
         except (OverflowError, ZeroDivisionError):
             return float(self._value(x))
 
-    def value_generators(self, x, active_tol: float = None):
-        """(value, [generator gradients]) by ``band_generators``'s band."""
+    def branch_pairs(self, x, active_tol: float = None) -> list:
+        """((f_j(x) - v_j) / d_j, gradient) of each branch, in the order of
+        ``terms``; a branch that contains a max is walked at
+        ``active_tol``."""
         tol = self.active_tol if active_tol is None else active_tol
         x = np.asarray(x, dtype=float)
         xs = x.tolist()
@@ -168,7 +176,13 @@ class RayObjective:
                 raise EvaluationError(
                     f"non-finite ray value at branch {to_source(branch)}")
             pairs.append((r, bg / dj))
-        return band_generators(pairs, tol)
+        return pairs
+
+    def value_generators(self, x, active_tol: float = None):
+        """(value, [generator gradients]): ``band_generators`` over
+        ``branch_pairs``."""
+        tol = self.active_tol if active_tol is None else active_tol
+        return band_generators(self.branch_pairs(x, tol), tol)
 
 
 def solve_ray(problem: BilevelProblem, box: Optional[OutcomeBox], v, d_hat,

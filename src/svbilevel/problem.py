@@ -147,15 +147,25 @@ class BilevelProblem:
                   for j, g in enumerate(self.coupling)]
         return x_rows, y_rows, g_rows
 
-    def x_region(self) -> nd.RowSet:
-        """X as rows over x: the declared s-rows, then the x-bound rows."""
+    @cached_property
+    def _x_set(self) -> nd.RowSet:
         return nd.RowSet.of(self._rows[0], self.n)
+
+    @cached_property
+    def _y_set(self) -> nd.RowSet:
+        _, y_rows, g_rows = self._rows
+        return nd.RowSet.of(y_rows + g_rows, self.n + self.m)
+
+    def x_region(self) -> nd.RowSet:
+        """X as rows over x: the declared s-rows, then the x-bound rows.
+        Built once per problem; a RowSet holds no flow state."""
+        return self._x_set
 
     def lift_rows(self, x) -> nd.RowSet:
         """The rows of G that involve y (y >= 0, y-bounds, g), as rows over
-        y with x held fixed."""
-        _, y_rows, g_rows = self._rows
-        return nd.RowSet.of(y_rows + g_rows, self.n + self.m).fix_head(x)
+        y with x held fixed: the rows over u = (x, y), built once per
+        problem, with their head fixed at x."""
+        return self._y_set.fix_head(x)
 
 
 def stacked_mp_constraints(problem: BilevelProblem, z) -> nd.RowSet:

@@ -84,6 +84,16 @@ def _reference_generators(ast, x, tol):
                  if top - v <= tol * max(1.0, float(np.linalg.norm(g)))]
 
 
+def _pairs_outcome(fn, x):
+    """Bit patterns, up to the sign of zero, of [(value, gradient), ...],
+    or the error raised."""
+    try:
+        pairs = fn(x)
+    except (ex.EvaluationError, ArithmeticError) as err:
+        return type(err).__name__, str(err)
+    return [(_bits(v), [_bits(c) for c in g]) for v, g in pairs]
+
+
 def _generators_outcome(fn, x):
     """Bit patterns, up to the sign of zero, of (value, [generator, ...]),
     or the error raised."""
@@ -278,6 +288,18 @@ class TestCompiled:
             with np.errstate(all="ignore"):
                 assert _generators_outcome(
                     lambda u: comp.value_generators(u, tol), x) == \
+                    _generators_outcome(
+                        lambda u: _reference_generators(ast, u, tol), x)
+                # the branch pairs the flow reads are the tree walk's, and
+                # the band over them is the same band
+                assert _pairs_outcome(
+                    lambda u: comp.branch_pairs(u, tol), x) == \
+                    _pairs_outcome(
+                        lambda u: [value_and_gradient(c, u, tol)
+                                   for c in ast.children], x)
+                assert _generators_outcome(
+                    lambda u: ex.band_generators(comp.branch_pairs(u, tol),
+                                                 tol), x) == \
                     _generators_outcome(
                         lambda u: _reference_generators(ast, u, tol), x)
 

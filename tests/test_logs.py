@@ -12,35 +12,35 @@ from svbilevel import bnb, catalog
 
 # example: (epsilon, incumbent h, [(v, alpha, beta), ...])
 GOLDEN = {
-    1: (1e-5, 1.7925344744655387, [
+    1: (1e-5, 1.792524278433615, [
         ((6.699096271150834, 4.891392193321525),
          1.8919018119232207, 1.2500000000000464),
         ((6.699096271150834, -0.9019743172654078),
          1.8919018119232207, 1.3414486345309031),
         ((-2.7987733910455272, 4.891392193321525),
-         1.7925344744655387, 1.5825631590134328),
-        ((-2.7987733910455272, -0.6386419893491837),
-         1.7925344744655387, 1.5825631590134328),
-        ((-2.968190461682793, -0.6386419893491837),
-         1.7925344744655387, 1.6513234835947546),
-        ((-3.053437702693512, -0.6386419893491837),
-         1.7925344744655387, 1.6907491695856958),
-        ((-3.103368786813375, -0.6386419893491837),
-         1.7925344744655387, 1.7155453429023455),
-        ((-3.2423412913418534, 4.891392193321525),
-         1.7925344744655387, 1.7925145323805265),
+         1.792524278433615, 1.5825631590134328),
+        ((-2.7987733910455272, -0.6386876701277187),
+         1.792524278433615, 1.5825631590134328),
+        ((-2.9681550298651858, -0.6386876701277187),
+         1.792524278433615, 1.6513078041242228),
+        ((-3.0533613420306933, -0.6386876701277187),
+         1.792524278433615, 1.690712225502373),
+        ((-3.103267130838845, -0.6386876701277187),
+         1.792524278433615, 1.7154933891116444),
+        ((-3.242344955428973, 4.891392193321525),
+         1.792524278433615, 1.7925167292103048),
     ]),
     2: (1e-2, 0.3232387158786341, [
         ((0.5925925925925926, 0.5),
          0.3232387158786341, 0.26315789473684065),
-        ((0.5925925925925926, -4.118544411337464),
-         0.3232387158786341, 0.27478170051586565),
-        ((0.5925925925925926, -4.290357638733004),
-         0.3232387158786341, 0.3000598275014818),
-        ((0.5925925925925926, -4.324957177620273),
-         0.3232387158786341, 0.3097850600098553),
-        ((0.28201207085243135, -4.118544411337464),
-         0.3232387158786341, 0.3135276636678531),
+        ((0.5925925925925926, -4.118649860388239),
+         0.3232387158786341, 0.27479326218046146),
+        ((0.5925925925925926, -4.2903752176089895),
+         0.3232387158786341, 0.30006376359008347),
+        ((0.5925925925925926, -4.324961997185997),
+         0.3232387158786341, 0.30978688366600365),
+        ((0.28202510090102095, -4.118649860388239),
+         0.3232387158786341, 0.3135319393764078),
     ]),
     3: (1e-2, 1.1, [
     ]),

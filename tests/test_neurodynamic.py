@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svbilevel import catalog
+from svbilevel import neurodynamic as nd
 from svbilevel.expr import CompiledExpr, parse_expression
 from svbilevel.neurodynamic import (
     LAM_CAP, FlowConfig, FlowStatus, RowSet, TraceRecorder,
@@ -124,9 +125,13 @@ class TestMinNormSelection:
     def test_velocity_norm_matches_brute_force(self, qp):
         obj_gens, c_gain, g_plus, act_gens = qp
         M, scale = stacked(*qp)
-        vel = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
+        vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
         expect = brute_force_min_norm(M, g_plus, len(obj_gens))
         assert abs(float(np.linalg.norm(vel)) - expect) <= 1e-10 * scale
+        # the generator weights of the selection lie in the unit simplex
+        assert len(mu) == len(obj_gens) and all(w >= 0.0 for w in mu)
+        if len(mu):
+            assert abs(sum(mu) - 1.0) <= 1e-12
 
     @settings(max_examples=300, deadline=None)
     @given(selection_qps())
@@ -156,9 +161,9 @@ class TestMinNormSelection:
     def test_duplicated_generators_reach_zero_velocity(self):
         # max(x1, x2)-type kink against a row: 0 = 0.5*(1,0) + 0.5*(0,1)
         # + 0.5*(-1,-1), with the first generator duplicated
-        vel = _min_norm_combo([np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                               np.array([0.0, 1.0])], 1.0, np.zeros(2),
-                              [np.array([-1.0, -1.0])])
+        vel, _ = _min_norm_combo([np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                                  np.array([0.0, 1.0])], 1.0, np.zeros(2),
+                                 [np.array([-1.0, -1.0])])
         assert np.linalg.norm(vel) <= 1e-14
 
     def test_row_weight_stops_at_cap(self):
@@ -176,14 +181,18 @@ class TestTwoGeneratorSelection:
     def assert_matches_active_set(G1, G2, c_gain, g_plus):
         G1, G2, g_plus = (np.asarray(v, dtype=float) for v in (G1, G2, g_plus))
         M, scale = stacked([G1, G2], c_gain, g_plus, [])
-        vel = _min_norm_combo([G1, G2], c_gain, g_plus, [])
+        vel, mu = _min_norm_combo([G1, G2], c_gain, g_plus, [])
         ref = -(g_plus + M.T @ _active_set_weights(M, g_plus, 2))
         assert np.linalg.norm(vel - ref) <= 1e-12 * scale
-        return vel
+        # vel is the combination the weights give
+        np.testing.assert_allclose(
+            vel, -(g_plus + c_gain * (mu[0] * G1 + mu[1] * G2)),
+            atol=1e-15 * scale)
+        return vel, mu
 
     def test_identical_generators(self):
-        vel = self.assert_matches_active_set([1.0, 2.0], [1.0, 2.0], 0.7,
-                                             [0.5, -1.0])
+        vel, _ = self.assert_matches_active_set([1.0, 2.0], [1.0, 2.0], 0.7,
+                                                [0.5, -1.0])
         np.testing.assert_array_equal(vel, -(np.array([0.5, -1.0])
                                              + 0.7 * np.array([1.0, 2.0])))
 
@@ -197,25 +206,31 @@ class TestTwoGeneratorSelection:
                                        [0.2, 0.1])
 
     def test_interior_kink(self):
-        vel = self.assert_matches_active_set([1.0, 0.0], [0.0, 1.0], 1.0,
-                                             [0.0, 0.0])
+        vel, mu = self.assert_matches_active_set([1.0, 0.0], [0.0, 1.0], 1.0,
+                                                 [0.0, 0.0])
         np.testing.assert_allclose(vel, [-0.5, -0.5], atol=1e-15)
+        assert mu == (0.5, 0.5)
 
     def test_optimum_at_either_end(self):
         # b = (0.1, 0) is the nearer end: mu = 0; swapped, mu = 1
         short, long = [0.1, 0.0], [2.0, 1.0]
-        for pair in ((long, short), (short, long)):
-            vel = self.assert_matches_active_set(*pair, 1.0, [0.0, 0.0])
+        for pair, weights in (((long, short), (0.0, 1.0)),
+                              ((short, long), (1.0, 0.0))):
+            vel, mu = self.assert_matches_active_set(*pair, 1.0, [0.0, 0.0])
             np.testing.assert_allclose(vel, [-0.1, 0.0], atol=1e-15)
+            # the long generator carries no weight: no kink to land on
+            assert mu == weights
 
     @pytest.mark.parametrize("c_gain", [1.0, 1e-3, 1e-6])
     def test_small_gain_keeps_the_exact_kink(self, c_gain):
         # mu = 2/3 cancels (0, 1) against (0, -2) at every gain; the
         # active-set KKT system loses accuracy as c_gain^2 shrinks, the
         # closed form does not
-        vel = _min_norm_combo([np.array([0.0, 1.0]), np.array([0.0, -2.0])],
-                              c_gain, np.zeros(2), [])
+        vel, mu = _min_norm_combo([np.array([0.0, 1.0]),
+                                   np.array([0.0, -2.0])],
+                                  c_gain, np.zeros(2), [])
         assert np.linalg.norm(vel) <= 1e-15 * c_gain
+        np.testing.assert_allclose(mu, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
 
 
 class TestSolveFlow:
@@ -310,6 +325,64 @@ class TestSolveFlow:
         assert res.status is FlowStatus.CONVERGED
         assert res.steps < 1000
         assert res.penalty_residual <= 1e-9
+
+    def test_lands_on_a_curved_kink_without_crawling(self):
+        # the branches are equal on a circle, and the optimum 4/9 lies on it
+        # at (1/3, 0); a flow sliding along the circle must land on it after
+        # each tangent step, not crawl at the rounding noise of the branches
+        obj = oracle("max((x1 - 1)^2 + x2^2, 0.25*((x1 + 1)^2 + x2^2))")
+        res = solve_flow(obj, [], np.array([1.0, 2.0]), FlowConfig())
+        assert res.converged
+        assert res.steps < 60
+        assert abs(res.objective_value - 4.0 / 9.0) <= 1e-9
+
+    def test_lands_on_a_three_branch_kink(self, monkeypatch):
+        # squared distances to the corners of an equilateral triangle in the
+        # plane x3 = 0: the three branches are equal on the x3 axis, where
+        # the flow slides down to the optimum 1 at the origin
+        v3 = ["x1", "x2", "x3"]
+        s3 = 0.8660254037844386
+        obj = oracle(f"max((x1 - 1)^2 + x2^2 + x3^2, "
+                     f"(x1 + 0.5)^2 + (x2 - {s3})^2 + x3^2, "
+                     f"(x1 + 0.5)^2 + (x2 + {s3})^2 + x3^2)", v3)
+        sizes = []
+        kink_step = nd._kink_step
+
+        def recorded(objective, kink, x):
+            sizes.append(len(kink))
+            return kink_step(objective, kink, x)
+
+        monkeypatch.setattr(nd, "_kink_step", recorded)
+        res = solve_flow(obj, [], np.array([0.1, 0.05, 1.5]), FlowConfig())
+        assert res.converged
+        assert 3 in sizes
+        assert abs(res.objective_value - 1.0) <= 1e-9
+
+    def test_leaves_a_kink_the_selection_does_not_balance(self):
+        # the branches are equal on the line x1 = -0.125, but the optimum 0
+        # lies at the origin, inside the second branch; at the kink the
+        # least-norm selection puts all weight on that branch, so the flow
+        # must leave the kink instead of being pulled back onto it
+        obj = oracle("max((x1 - 2)^2 + x2^2 - 4.5, x1^2 + x2^2)")
+        for x0 in ([-0.125 - 1e-5, 0.0], [-0.125, 0.3]):
+            res = solve_flow(obj, [], np.array(x0), FlowConfig())
+            assert res.converged
+            assert res.objective_value <= 1e-9
+
+    def test_identical_branch_gradients_have_no_kink(self):
+        # the branches differ by a constant: no point has them equal, so
+        # the kink step leaves x alone and the flow is the one-branch flow
+        one = oracle("(x1 - 1)^2 + (x2 - 0.5)^2")
+        two = oracle("max((x1 - 1)^2 + (x2 - 0.5)^2, "
+                     "(x1 - 1)^2 + (x2 - 0.5)^2 - 1e-6)")
+        x = np.array([0.3, 0.2])
+        assert nd._kink_step(two, [0, 1], x) is x
+        x0 = np.array([-1.0, 2.0])
+        ref = solve_flow(one, [], x0, FlowConfig())
+        res = solve_flow(two, [], x0, FlowConfig())
+        assert res.converged and res.steps == ref.steps
+        assert res.x_final.tobytes() == ref.x_final.tobytes()
+        assert res.objective_value == ref.objective_value
 
     def test_shared_rows_carry_no_state_between_flows(self):
         # the row's gradient norm is 2e-6 at the start, far below the

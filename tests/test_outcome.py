@@ -122,6 +122,7 @@ class TestSolveRay:
         # so the ray objective has three branches in total
         obj = RayObjective(ex1, v=np.zeros(2), d_hat=np.ones(2))
         assert len(obj.terms) == 3
+        assert len(obj.branch_pairs(np.array([1.0, 1.0]))) == 3
 
 
 def _reference_ray(lower, n, v, d_hat):
@@ -137,12 +138,15 @@ def _reference_ray(lower, n, v, d_hat):
 
 
 def _ray_outcome(fn, x):
-    """Bit patterns, up to the sign of zero, of a value or of (value,
-    [generator, ...]), or the type of the error raised."""
+    """Bit patterns, up to the sign of zero, of a value, of (value,
+    [generator, ...]) or of [(value, gradient), ...], or the type of the
+    error raised."""
     try:
         out = fn(x)
     except (ex.EvaluationError, ArithmeticError) as err:
         return type(err).__name__
+    if isinstance(out, list):
+        return [(_bits(v), [_bits(c) for c in g]) for v, g in out]
     if isinstance(out, tuple):
         return _bits(out[0]), [[_bits(c) for c in g] for g in out[1]]
     return _bits(out)
@@ -166,6 +170,13 @@ class TestRayObjective:
             # one object at two bands: each call follows its own band
             for tol in data.draw(st.lists(BANDS, min_size=2, max_size=2)):
                 assert _ray_outcome(lambda u: obj.value_generators(u, tol), x) \
+                    == _ray_outcome(lambda u: ref.value_generators(u, tol), x)
+                # the flow reads the branch pairs: each is the reference's,
+                # and the band over them is the same band
+                assert _ray_outcome(lambda u: obj.branch_pairs(u, tol), x) \
+                    == _ray_outcome(lambda u: ref.branch_pairs(u, tol), x)
+                assert _ray_outcome(lambda u: ex.band_generators(
+                    obj.branch_pairs(u, tol), tol), x) \
                     == _ray_outcome(lambda u: ref.value_generators(u, tol), x)
 
     def test_value_reruns_on_numpy_scalars_where_a_power_overflows(self):
