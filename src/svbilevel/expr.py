@@ -387,7 +387,9 @@ def value_and_gradient(e: Expr, point: np.ndarray,
             if bv == 0.0 and k < 0:
                 raise EvaluationError(f"division by zero at node {to_source(node)}")
             dv = k * _ipow(bv, k - 1, node)
-            return _check_finite(v, node), dv * bg
+            _check_finite(v, node)
+            # x^-2 is finite at x = 4e-105, its derivative is not
+            return v, _check_finite(dv, node) * bg
         if isinstance(node, Max):
             pairs = [rec(c) for c in node.children]
             top = max(v for v, _ in pairs)
@@ -547,7 +549,10 @@ class _Emitter:
             return v, {}
         dv = self.temp(f"{k} * ({self.power(b, k - 1, e)})") if k != 1 else self.ONE
         g = {j: self.name(self.product(dv, d)) for j, d in gb.items()}
-        self.lines.append(f"if not _isfinite({v}): _raise_nonfinite({self.node_ref(e)})")
+        ref = self.node_ref(e)
+        self.lines.append(f"if not _isfinite({v}): _raise_nonfinite({ref})")
+        if k != 1:
+            self.lines.append(f"if not _isfinite({dv}): _raise_nonfinite({ref})")
         return v, g
 
 

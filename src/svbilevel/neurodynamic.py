@@ -225,13 +225,16 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
     """(velocity, mu): the velocity of least norm, -(g_plus + c*sum mu_j G_j
     + sum lam_i A_i), over mu in the unit simplex and lam in [0, LAM_CAP]^k,
     and the generator weights mu that give it.  Closed forms
-    for one generator and at most one row, and for two generators and no
+    for one generator and at most one row; for two generators and no
     row: with a = g_plus + c*G_1 and b = g_plus + c*G_2 the least-norm
     point of the segment [b, a] is b + mu*(a - b), mu = clip(-b.(a - b) /
     |a - b|^2, 0, 1), the flow's velocity at a two-branch kink of a max
-    objective.  Anything else goes to ``_active_set_weights``.  The row
-    weights form a cone rather than a box: a curved constraint with a tiny
-    gradient needs a large multiplier to certify stationarity."""
+    objective; and for at most one generator and two rows, a flow sliding
+    into a corner of two constraints (``_two_row_velocity``).  Anything
+    else, and a two-row selection that needs a weight above LAM_CAP, goes
+    to ``_active_set_weights``.  The row weights form a cone rather than
+    a box: a curved constraint with a tiny gradient needs a large
+    multiplier to certify stationarity."""
     nobj = len(obj_gens)
     k = len(act_gens)
     if nobj <= 1 and k == 0:
@@ -250,9 +253,48 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
         den = float(d @ d)
         mu = min(1.0, max(0.0, -float(b @ d) / den)) if den > 0.0 else 0.0
         return -(b + mu * d), (mu, 1.0 - mu)
+    if nobj <= 1 and k == 2:
+        vel = _two_row_velocity(
+            g_plus + (c_gain * obj_gens[0] if nobj else 0.0), *act_gens)
+        if vel is not None:
+            return vel, (1.0,) * nobj
     M = np.array([c_gain * g for g in obj_gens] + list(act_gens))
     z = _active_set_weights(M, g_plus, nobj)
     return -(g_plus + M.T @ z), z[:nobj]
+
+
+def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
+    """-(g + lam_1 a_1 + lam_2 a_2) of least norm over lam >= 0, or None
+    when that needs a weight above LAM_CAP.  When the rows are not parallel
+    (sin^2 of their angle, det P / (p_11 p_22) for their Gram matrix P,
+    above 1e-16) and the stationary point has lam >= 0, that point;
+    it is solved by Gram-Schmidt, a_2 less its part along a_1, whose error
+    grows as 1/sin of the angle where the normal equations' grows as
+    1/sin^2.  Else the better face, lam = (max(0, -q_1/p_11), 0) or
+    (0, max(0, -q_2/p_22)) with q = (a_1.g, a_2.g), which covers lam = 0
+    and is exact for parallel and antiparallel rows."""
+    p11 = float(a1 @ a1)
+    p22 = float(a2 @ a2)
+    q1 = float(a1 @ g)
+    q2 = float(a2 @ g)
+    if p11 > 0.0 and p22 > 0.0:
+        p12 = float(a1 @ a2)
+        w = a2 - (p12 / p11) * a1
+        ww = float(w @ w)
+        if ww > 1e-16 * p22:
+            lam2 = -float(w @ g) / ww
+            lam1 = -(q1 + lam2 * p12) / p11
+            if lam1 >= 0.0 and lam2 >= 0.0:
+                if lam1 > LAM_CAP or lam2 > LAM_CAP:
+                    return None
+                return -(g + lam1 * a1 + lam2 * a2)
+    # a face lowers |v|^2 by q_i^2 / p_ii when q_i < 0
+    gain1 = q1 * q1 / p11 if q1 < 0.0 else 0.0
+    gain2 = q2 * q2 / p22 if q2 < 0.0 else 0.0
+    if gain1 == 0.0 and gain2 == 0.0:
+        return -g
+    lam, a = (-q1 / p11, a1) if gain1 >= gain2 else (-q2 / p22, a2)
+    return None if lam > LAM_CAP else -(g + lam * a)
 
 
 def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
@@ -453,6 +495,9 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
     t = 0.0
     speed = 1.0
     band_factor = 1.0
+    # (velocity, kink, phase, norms at its start, at its end) of the trial
+    # loop that failed last, before the band was widened
+    failed = None
     stalls = 0
     status = FlowStatus.MAX_TIME
     steps = 0
@@ -466,7 +511,10 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_exact, vnorm)
-        if vnorm <= config.stationarity_tol:
+        # a small velocity at an infeasible point is the band's gain and
+        # the row cone cancelling, not stationarity
+        if vnorm == 0.0 or (vnorm <= config.stationarity_tol
+                            and s_exact <= config.feasibility_tol):
             break
         # explicit Euler on the unit-speed reparameterization: the gain
         # product shrinks the velocity near active constraints without
@@ -478,7 +526,18 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
         # penalty descent governs only when some row exceeds its activity
         # band; within the band the flow slides and r-descent governs
         infeasible_phase = outside
-        for _ in range(31):
+        if (failed is not None and kink == failed[1]
+                and outside == failed[2] and np.array_equal(vel, failed[0])
+                and np.array_equal(norms, failed[3])):
+            # the widened band selects what the failed loop had: its trial
+            # points would all fail again, leaving the norms it left
+            start_norms = failed[3]
+            norms[:] = failed[4]
+            trials = ()
+        else:
+            start_norms = norms.copy()
+            trials = range(31)
+        for _ in trials:
             xn = x + trial * direction
             if (xn == x).all():
                 # motion below float resolution: numeric stationarity
@@ -516,6 +575,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
             # defeats every step; widen the band so it joins the balance
             if band_factor < 100.0:
                 band_factor *= 10.0
+                failed = (vel, kink, outside, start_norms, norms.copy())
                 continue
             break
         # displacement equals trial (unit direction); a run of vanishing
@@ -527,6 +587,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
         else:
             stalls = 0
         band_factor = 1.0
+        failed = None
         x, vals = xn, vals_n
         t += trial
         speed = vnorm

@@ -125,6 +125,17 @@ def test_example6_value_gap_and_y(report6):
     assert err <= 1e-2
 
 
+def test_example6_matches_its_closed_forms(report6):
+    # h at x = (0, 0, 12/7), y = (1/7, 0)
+    h = 70.0 / 7497.0
+    assert abs(report6.incumbent.h - h) <= 1e-9 * (1.0 + h)
+    # phi(M), the least h over G: x2 = y2 = 0, y1 = 1/7, x3 = 12/7 and x1
+    # minimizing (x1^2 + a) / (x1 + b), at x1 = sqrt(b^2 + a) - b
+    a, b = 10.0 / 49.0, 153.0 / 7.0
+    phi_m = 2.0 * a / (np.sqrt(b * b + a) + b)
+    assert phi_m - 1e-12 <= report6.beta <= phi_m + 1e-7
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the published boxes are not reproducible from the stated "

@@ -60,7 +60,7 @@ GOLDEN = {
     ]),
     6: (1e-2, 0.009337068160597576, [
         ((1.5, 1.0, 1.0, 1.25),
-         0.009337068160597576, 0.009337068160597576),
+         0.009337068160597576, 0.009336076252063147),
     ]),
 }
 

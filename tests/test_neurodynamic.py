@@ -233,6 +233,80 @@ class TestTwoGeneratorSelection:
         np.testing.assert_allclose(mu, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
 
 
+class TestOneGeneratorTwoRowSelection:
+    """The closed form for at most one objective generator and two rows
+    against the active-set solve of the same stacked QP."""
+
+    @staticmethod
+    def assert_matches_active_set(obj_gens, c_gain, g_plus, a1, a2):
+        obj_gens = [np.asarray(g, dtype=float) for g in obj_gens]
+        g_plus, a1, a2 = (np.asarray(v, dtype=float) for v in (g_plus, a1, a2))
+        M, scale = stacked(obj_gens, c_gain, g_plus, [a1, a2])
+        vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, [a1, a2])
+        ref = -(g_plus + M.T @ _active_set_weights(M, g_plus, len(obj_gens)))
+        assert np.linalg.norm(vel - ref) <= 1e-12 * scale
+        assert list(mu) == [1.0] * len(obj_gens)
+        return vel
+
+    def test_optimum_uses_both_rows(self):
+        # lam = (1, 1) cancels the first two components
+        vel = self.assert_matches_active_set([[1.0, 1.0, 1.0]], 1.0,
+                                             [0.0, 0.0, 0.0],
+                                             [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0])
+        np.testing.assert_array_equal(vel, [0.0, 0.0, -1.0])
+
+    @pytest.mark.parametrize("rows", [
+        ([-1.0, 0.0], [0.3, 1.0]), ([0.3, 1.0], [-1.0, 0.0])])
+    def test_optimum_uses_one_row(self, rows):
+        vel = self.assert_matches_active_set([[1.0, 0.5]], 1.0, [0.0, 0.0],
+                                             *rows)
+        np.testing.assert_array_equal(vel, [0.0, -0.5])
+
+    def test_optimum_uses_no_row(self):
+        vel = self.assert_matches_active_set([[1.0, 1.0]], 0.5, [0.5, 0.0],
+                                             [1.0, 0.0], [0.0, 1.0])
+        np.testing.assert_array_equal(vel, [-1.0, -0.5])
+
+    @pytest.mark.parametrize("factor", [2.0, 0.5, 3.0, -1.0, -3.0, -0.5])
+    def test_parallel_and_antiparallel_rows(self, factor):
+        a1 = np.array([1.0, -2.0, 0.5])
+        vel = self.assert_matches_active_set([[-0.4, 1.0, 2.0]], 0.7,
+                                             [0.1, 0.2, -0.3], a1, factor * a1)
+        if factor < 0.0:
+            # the two rows span the line of a1: the velocity is orthogonal
+            assert abs(float(vel @ a1)) <= 1e-15 * np.linalg.norm(vel)
+
+    @pytest.mark.parametrize("g_plus", [[1.0, 1.0, 0.5], [-1.0, 0.2, 0.5],
+                                        [0.3, -2.0, 1.0]])
+    def test_no_objective_generator(self, g_plus):
+        self.assert_matches_active_set([], 0.0, g_plus, [-1.0, 0.5, 0.0],
+                                       [0.2, -1.0, 0.3])
+
+    @pytest.mark.parametrize("g_plus,rows", [
+        # one row needs lam = 1e9 on its own, ...
+        ([1.0, 0.0, 0.0], ([-1e-9, 0.0, 0.0], [0.0, 1.0, 0.0])),
+        # ... or with the other at lam = 1
+        ([1.0, 1.0, 0.0], ([-1e-9, 0.0, 0.0], [0.0, -1.0, 0.0]))])
+    def test_row_weight_at_the_cap(self, g_plus, rows):
+        vel = self.assert_matches_active_set([], 0.0, g_plus, *rows)
+        np.testing.assert_allclose(vel, [-(1.0 - LAM_CAP * 1e-9), 0.0, 0.0],
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("c_gain", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("g_plus", [[0.0, 0.0, 0.0], [1e-3, -2e-3, 0.0]])
+    def test_gain_scales_the_generator(self, c_gain, g_plus):
+        self.assert_matches_active_set([[1.0, 2.0, 3.0]], c_gain, g_plus,
+                                       [-1.0, 0.0, 0.1], [0.2, -1.0, 0.0])
+
+    @pytest.mark.parametrize("c_gain", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_exact_velocity(self, c_gain):
+        # lam_1 = c cancels the first component; the second row would raise
+        # the norm
+        vel, _ = _min_norm_combo([np.array([1.0, 0.5])], c_gain, np.zeros(2),
+                                 [np.array([-1.0, 0.0]), np.array([0.3, 1.0])])
+        assert np.linalg.norm(vel - [0.0, -c_gain / 2.0]) <= 1e-15 * c_gain
+
+
 class TestSolveFlow:
     def test_qp_known_optimum(self):
         obj = oracle("x1^2 + x2^2")
@@ -383,6 +457,34 @@ class TestSolveFlow:
         assert res.converged and res.steps == ref.steps
         assert res.x_final.tobytes() == ref.x_final.tobytes()
         assert res.objective_value == ref.objective_value
+
+    def test_stops_on_a_small_velocity_only_when_feasible(self):
+        # from just outside x2 <= 1 the band's gain is about 5e-8: the
+        # velocity is small, but the point is infeasible, so the flow goes
+        # on to the minimizer at the corner
+        res = solve_flow(oracle("x1"), [oracle("x2 - 1"), oracle("-x1 - 1")],
+                         np.array([0.0, 1.0 + 0.9999999e-4]), FlowConfig())
+        assert res.converged and res.steps == 8
+        np.testing.assert_allclose(res.x_final, [-1.0, 1.0], atol=1e-12)
+
+    def test_widened_band_repeats_no_failed_trial_loop(self):
+        # value() reads 1 above value_grad(): every trial fails, and with no
+        # rows the widened bands select the same velocity, so only the
+        # first trial loop evaluates its 31 points
+        class Overstated:
+            calls = 0
+
+            def value_grad(self, x):
+                return float(x @ x), 2.0 * x
+
+            def value(self, x):
+                self.calls += 1
+                return float(x @ x) + 1.0
+
+        obj = Overstated()
+        res = solve_flow(obj, [], np.array([1.0, 2.0]), FlowConfig())
+        assert res.status is FlowStatus.MAX_TIME and res.steps == 3
+        assert obj.calls == 31
 
     def test_shared_rows_carry_no_state_between_flows(self):
         # the row's gradient norm is 2e-6 at the start, far below the
