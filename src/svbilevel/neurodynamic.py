@@ -9,7 +9,9 @@ discrete flow slides along boundaries and nonsmooth valleys instead of
 chattering.  A sliding trial point whose S exceeds ZERO_BAND is pulled back
 by a Gauss-Newton polish that lands at S <= ZERO_BAND, the same level, so
 the pull after a tangent step is second order in the step and Armijo
-accepts full steps along curved rows.
+accepts full steps along curved rows.  A single violated row, the usual
+case, is pulled back in closed form; the S of each point is computed once,
+from its row values, and carried with them.
 
 The kink of a max objective gets the same treatment.  When two or more
 branches within the objective band carry weight in the selection, the
@@ -423,13 +425,12 @@ def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
 
 def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
                        vals: np.ndarray, band_scale: float):
-    """Returns (velocity, S_exact, r_value, outside, kink) at x, whose row
-    values are ``vals``, with the flow's gradient-norm estimates ``norms``.
+    """Returns (velocity, r_value, outside, kink) at x, whose row values
+    are ``vals``, with the flow's gradient-norm estimates ``norms``.
     kink lists the objective branches that carry weight in the selection
     when two or more do, else it is None (always outside the feasible
     set, where the objective takes no part).  ``objective`` may be None
     for a pure penalty flow."""
-    s_exact = stack.total_penalty(vals)
     g_plus = np.zeros(stack.n)
     act_gens = []
     any_plus = False
@@ -469,16 +470,16 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
                 kink = [j for j, w in zip(members, mu) if w > 0.0]
                 if len(kink) < 2:
                     kink = None
-    return vel, s_exact, r_val, any_plus, kink
+    return vel, r_val, any_plus, kink
 
 
 def solve_flow(objective, constraints, x0, config: FlowConfig,
                require_feasible_start: bool = False) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
     the time/step budget runs out.  Each point is evaluated once: the row
-    values of the current x come from the start check, then from the
-    accepted trial.  ``constraints`` is a RowSet or a sequence of oracles
-    (see ``RowSet.of``)."""
+    values of the current x and their S come from the start check, then
+    from the accepted trial or the polish.  ``constraints`` is a RowSet or
+    a sequence of oracles (see ``RowSet.of``)."""
     x = np.asarray(x0, dtype=float).copy()
     stack = RowSet.of(constraints, len(x))
     norms = stack.norm_estimates()
@@ -486,35 +487,32 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
     flow_id = trace.next_flow() if trace else 0
 
     vals = stack.values(x)
-    s0 = stack.total_penalty(vals)
-    if require_feasible_start and s0 > config.feasibility_tol:
-        return FlowResult(x, math.nan, s0, FlowStatus.INFEASIBLE_START)
+    s_cur = stack.total_penalty(vals)
+    if require_feasible_start and s_cur > config.feasibility_tol:
+        return FlowResult(x, math.nan, s_cur, FlowStatus.INFEASIBLE_START)
 
     dt = config.dt
     dt_max = config.dt * 1e4
     t = 0.0
-    speed = 1.0
     band_factor = 1.0
     # (velocity, kink, phase, norms at its start, at its end) of the trial
     # loop that failed last, before the band was widened
     failed = None
     stalls = 0
-    status = FlowStatus.MAX_TIME
     steps = 0
     vnorm = math.inf
     for steps in range(1, config.max_steps + 1):
         if t >= config.t_max:
-            status = FlowStatus.MAX_TIME
             break
-        vel, s_exact, r_val, outside, kink = _selected_velocity(
+        vel, r_val, outside, kink = _selected_velocity(
             stack, norms, objective, x, vals, CERT_BAND * band_factor)
         vnorm = _norm(vel)
         if trace:
-            trace.record(flow_id, t, x, r_val, s_exact, vnorm)
+            trace.record(flow_id, t, x, r_val, s_cur, vnorm)
         # a small velocity at an infeasible point is the band's gain and
         # the row cone cancelling, not stationarity
         if vnorm == 0.0 or (vnorm <= config.stationarity_tol
-                            and s_exact <= config.feasibility_tol):
+                            and s_cur <= config.feasibility_tol):
             break
         # explicit Euler on the unit-speed reparameterization: the gain
         # product shrinks the velocity near active constraints without
@@ -552,14 +550,14 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
             # across kinks where the objective is symmetric
             margin = 1e-4 * trial * vnorm
             if infeasible_phase:
-                ok = s_n <= s_exact - margin + 1e-15
+                ok = s_n <= s_cur - margin + 1e-15
             else:
                 # project the candidate back onto the boundary first: judging
                 # descent on a point that will be pulled back afterwards
                 # admits a limit cycle where the pullback undoes the decrease
                 if s_n > ZERO_BAND:
-                    xn, vals_n = _polish_feasibility(stack, norms, xn,
-                                                     vals_n)
+                    xn, vals_n, s_n = _polish_feasibility(stack, norms, xn,
+                                                          vals_n, s_n)
                 # monotone r and no escape beyond the boundary band, else the
                 # flow limit-cycles across the boundary (r can decrease there)
                 r_n = objective.value(xn) if objective is not None else 0.0
@@ -588,9 +586,8 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
             stalls = 0
         band_factor = 1.0
         failed = None
-        x, vals = xn, vals_n
+        x, vals, s_cur = xn, vals_n, s_n
         t += trial
-        speed = vnorm
         # adaptive step: grow on clean acceptance, follow the backtracked
         # scale otherwise
         if trial == dt:
@@ -598,39 +595,40 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
         else:
             dt = trial * 4.0
         if _norm(x) > config.divergence_radius:
-            return FlowResult(x, math.nan, stack.total_penalty(vals),
-                              FlowStatus.DIVERGED, steps, vnorm)
-    else:
-        status = FlowStatus.MAX_TIME
+            return FlowResult(x, math.nan, s_cur, FlowStatus.DIVERGED,
+                              steps, vnorm)
 
-    x, vals = _polish_feasibility(stack, norms, x, vals)
+    x, vals, s_cur = _polish_feasibility(stack, norms, x, vals, s_cur)
     # certify at the base band, escalating as above for degenerate vertices
     vnorm = math.inf
     for factor in (1.0, 10.0, 100.0):
-        vel, s_final, r_final, _, _ = _selected_velocity(
+        vel, r_final, _, _ = _selected_velocity(
             stack, norms, objective, x, vals, CERT_BAND * factor)
         vnorm = min(vnorm, _norm(vel))
         if vnorm <= config.stationarity_tol:
             break
-    if vnorm <= config.stationarity_tol and s_final <= config.feasibility_tol:
+    if vnorm <= config.stationarity_tol and s_cur <= config.feasibility_tol:
         status = FlowStatus.CONVERGED
     else:
         status = FlowStatus.MAX_TIME
     if objective is None:
-        r_final = s_final
-    return FlowResult(x, float(r_final), s_final, status, steps, vnorm)
+        r_final = s_cur
+    return FlowResult(x, float(r_final), s_cur, status, steps, vnorm)
 
 
 def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
-                        vals: np.ndarray):
+                        vals: np.ndarray, s: float):
     """Gauss-Newton descent on S until S <= ZERO_BAND, the level at which the
     trial loop of ``solve_flow`` calls it.  A looser target leaves a sliding
     flow parked at that target, where any tangent step that raises S by one
     ulp triggers a full normal pull whose cost in r Armijo then rejects.
-    Takes the row values ``vals`` of x and returns (point, its row values);
-    each point it tries is evaluated once."""
+    One violated row with gradient g takes the minimum-norm step
+    r_i g / (g.g) in closed form, the step least squares gives; more rows,
+    or one row the step pushed others through, are solved by least squares.
+    Takes the row values ``vals`` of x and their S, ``s``, and returns
+    (point, its row values, their S); each point it tries is evaluated
+    once, and its S computed once."""
     for _ in range(200):
-        s = stack.total_penalty(vals)
         if s <= ZERO_BAND:
             break
         # Gauss-Newton on the violated rows: a summed-gradient step is
@@ -638,16 +636,25 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
         # one, so solve the linearized system jointly instead
         rows = [i for i in range(stack.size) if vals[i] > 0.0]
         while True:
-            G = np.array([stack.row_grad(i, x, norms) for i in rows])
-            if float(np.sum(G * G)) <= 1e-24:
-                return x, vals
-            full = np.linalg.lstsq(G, vals[rows], rcond=None)[0]
+            if len(rows) == 1:
+                i = rows[0]
+                g = stack.row_grad(i, x, norms)
+                gg = float(g @ g)
+                if gg <= 1e-24:
+                    return x, vals, s
+                full = (vals[i] * g) / gg
+            else:
+                G = np.array([stack.row_grad(i, x, norms) for i in rows])
+                if float(np.sum(G * G)) <= 1e-24:
+                    return x, vals, s
+                full = np.linalg.lstsq(G, vals[rows], rcond=None)[0]
             delta = full
             pushed = None
             for _ in range(8):
                 xn = x - delta
                 vals_n = stack.values(xn)
-                if stack.total_penalty(vals_n) < s:
+                s_n = stack.total_penalty(vals_n)
+                if s_n < s:
                     break
                 if pushed is None:
                     pushed = vals_n  # the values at x - full
@@ -658,12 +665,12 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
                 grown = [i for i in range(stack.size)
                          if pushed[i] > 0.0 and i not in rows]
                 if not grown:
-                    return x, vals
+                    return x, vals, s
                 rows += grown
                 continue
             break
-        x, vals = xn, vals_n
-    return x, vals
+        x, vals, s = xn, vals_n, s_n
+    return x, vals, s
 
 
 def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarray]:
@@ -674,8 +681,8 @@ def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarra
     stack = RowSet.of(constraints, len(x))
     dt = config.dt
     vals = stack.values(x)
+    s = stack.total_penalty(vals)
     for _ in range(config.max_steps):
-        s = stack.total_penalty(vals)
         if s <= config.feasibility_tol:
             return x
         g = np.zeros(stack.n)
@@ -701,7 +708,7 @@ def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarra
             trial *= 0.5
         if not accepted:
             return None
-        x, vals = xn, vals_n
+        x, vals, s = xn, vals_n, s_n
         if _norm(x) > config.divergence_radius:
             raise FlowError("feasibility flow diverged")
-    return x if stack.total_penalty(vals) <= config.feasibility_tol else None
+    return x if s <= config.feasibility_tol else None

@@ -500,6 +500,117 @@ class TestSolveFlow:
         assert runs[1].x_final.tobytes() == runs[0].x_final.tobytes()
 
 
+def _no_lstsq(*args, **kwargs):
+    raise AssertionError("np.linalg.lstsq called")
+
+
+class TestRowPolish:
+    """``_polish_feasibility`` pulls one violated row back in closed form."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_row_step_is_the_least_squares_step(self, seed):
+        # the affine row g.x + v <= 0 reads v at the origin, where one
+        # step meets it to rounding, so the polish returns 0 - step exactly
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            g = rng.uniform(-10.0, 10.0, n) * 10.0 ** rng.uniform(-3, 3)
+            v = 10.0 ** rng.uniform(-3, 3)
+            rows = RowSet(g[None, :], np.array([v]))
+            vals = rows.values(np.zeros(n))
+            x, _, _ = nd._polish_feasibility(rows, rows.norm_estimates(),
+                                             np.zeros(n), vals, v)
+            ref = np.linalg.lstsq(g[None, :], np.array([v]), rcond=None)[0]
+            assert _norm(-x - ref) <= 1e-15 * _norm(ref)
+
+    def test_flat_row_leaves_the_point_alone(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "lstsq", _no_lstsq)
+        rows = RowSet(np.array([[1e-13, 0.0]]), np.array([1.0]))
+        x0 = np.array([0.5, -2.0])
+        vals = rows.values(x0)
+        x, out, s = nd._polish_feasibility(rows, rows.norm_estimates(), x0,
+                                           vals, 1.0)
+        assert x is x0 and out is vals and s == 1.0
+
+    def test_lands_on_the_unit_disc(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "lstsq", _no_lstsq)
+        rows = RowSet.of([oracle("x1^2 + x2^2 - 1")], 2)
+        x0 = np.array([1.5, 1.0])
+        vals = rows.values(x0)
+        x, out, s = nd._polish_feasibility(rows, rows.norm_estimates(), x0,
+                                           vals, rows.total_penalty(vals))
+        assert s <= nd.ZERO_BAND
+        assert out.tobytes() == rows.values(x).tobytes()
+        assert s == rows.total_penalty(out)
+
+    def test_slides_along_a_curved_row_without_least_squares(self,
+                                                            monkeypatch):
+        # min x1 + x2 on the unit disc from (1, 0): every selection and
+        # every pull-back along the circle involves one row
+        monkeypatch.setattr(np.linalg, "lstsq", _no_lstsq)
+        res = solve_flow(oracle("x1 + x2"), [oracle("x1^2 + x2^2 - 1")],
+                         np.array([1.0, 0.0]), FlowConfig())
+        assert res.converged
+        np.testing.assert_allclose(res.x_final, [-0.5 ** 0.5] * 2,
+                                   atol=1e-6)
+
+
+class _Ball:
+    """The row |u - c|^2 - r2 <= 0."""
+
+    def __init__(self, c, r2):
+        self.c = np.asarray(c, dtype=float)
+        self.r2 = r2
+
+    def value(self, u):
+        d = u - self.c
+        return float(d @ d) - self.r2
+
+    def value_grad(self, u):
+        d = u - self.c
+        return float(d @ d) - self.r2, 2.0 * d
+
+
+_coord = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def row_sets(draw):
+    """(RowSet, point): affine and quadratic rows in 2 or 3 variables."""
+    n = draw(st.integers(2, 3))
+    vec = st.lists(_coord, min_size=n, max_size=n)
+    na = draw(st.integers(0, 3))
+    nq = draw(st.integers(0 if na else 1, 3))
+    A = np.array([draw(vec) for _ in range(na)]).reshape(na, n)
+    b = np.array([draw(_coord) for _ in range(na)])
+    balls = [(_Ball(draw(vec), draw(st.floats(0.1, 4.0))), None,
+              draw(_coord)) for _ in range(nq)]
+    return RowSet(A, b, balls), np.array(draw(vec))
+
+
+class TestCarriedPenalty:
+    """The S a flow carries is the S of the row values it carries."""
+
+    @given(row_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_polish_returns_the_s_of_its_values(self, case):
+        rows, x0 = case
+        vals = rows.values(x0)
+        x, out, s = nd._polish_feasibility(rows, rows.norm_estimates(), x0,
+                                           vals, rows.total_penalty(vals))
+        assert out.tobytes() == rows.values(x).tobytes()
+        assert s == rows.total_penalty(out)
+
+    @given(row_sets(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_flow_reports_the_s_of_its_final_point(self, case, pure):
+        rows, x0 = case
+        objective = None if pure else _Ball(np.ones(rows.n), 0.0)
+        res = solve_flow(objective, rows, x0, FlowConfig(max_steps=200))
+        assert res.penalty_residual == rows.total_penalty(
+            rows.values(res.x_final))
+
+
 class _CountingRow:
     """A constraint row that records each point its value is taken at."""
 
