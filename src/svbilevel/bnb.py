@@ -23,7 +23,12 @@ import numpy as np
 from . import neurodynamic as nd
 from .copolyblock import VertexSet, cut, prune, select_min_phi
 from .outcome import OutcomeBox, PhiCache, compute_box, solve_ray
-from .problem import BilevelProblem, stacked_mp_constraints
+from .problem import BilevelProblem, stacked_mp_constraints, validate
+
+# Outcomes within BOUNDARY_TOL of a lower face z_i = m_i are the face probes'
+# to cover; a ray point w within W_MATCH_TOL of its f(x) is an outcome.
+BOUNDARY_TOL = 1e-9
+W_MATCH_TOL = 1e-4
 
 
 class SolverStatus(Enum):
@@ -38,8 +43,6 @@ class SolverConfig:
     direction: Optional[np.ndarray] = None
     flow: nd.FlowConfig = field(default_factory=nd.FlowConfig)
     max_iterations: int = 500
-    boundary_tol: float = 1e-9
-    w_match_tol: float = 1e-4
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -114,25 +117,25 @@ def _evaluate_pending(state: SolverState, problem: BilevelProblem,
     """Fill phi for pending vertices; drop infeasible vertices and vertices
     whose minimizer sits on the lower boundary of the box (those outcomes
     are covered by the initialization subproblems)."""
-    for v in list(state.V.pending()):
+    for v in state.V.pending():
         sol = state.cache.get(v.z)
         v.mp = sol
         v.phi = sol.phi
         if not sol.feasible:
             continue
         for i, f in enumerate(problem.lower):
-            if abs(f.value(sol.x) - state.box.m[i]) <= config.boundary_tol:
+            if abs(f.value(sol.x) - state.box.m[i]) <= BOUNDARY_TOL:
                 state.V.remove(v)
                 break
     prune(state.V)
 
 
-def _in_stack(problem: BilevelProblem, sol, config: SolverConfig) -> bool:
+def _in_stack(problem: BilevelProblem, sol) -> bool:
     """Whether an MP solution lies in its own region {u in G | f(x) <= z},
-    row by row within the flow's feasibility tolerance."""
+    row by row within the flows' ``FEASIBILITY_TOL``."""
     u = np.concatenate([sol.x, sol.y])
     rows = stacked_mp_constraints(problem, sol.z)
-    return bool((rows.values(u) <= config.flow.feasibility_tol).all())
+    return bool((rows.values(u) <= nd.FEASIBILITY_TOL).all())
 
 
 def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
@@ -156,7 +159,7 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
         if box.m_argmin is not None:
             u0 = np.concatenate([box.m_argmin[i], np.ones(problem.m)])
         sol = cache.get(z, u0)
-        if sol.feasible and sol.phi < alpha and _in_stack(problem, sol, config):
+        if sol.feasible and sol.phi < alpha and _in_stack(problem, sol):
             alpha = sol.phi
             incumbent = Incumbent(x=sol.x, y=sol.y, h=sol.phi)
 
@@ -216,8 +219,8 @@ def iterate(state: SolverState, problem: BilevelProblem,
     # outcome; a stale candidate from a failed match must not be re-applied
     update = False
     y_k = None
-    if (np.max(np.abs(ray.w - z_k)) <= config.w_match_tol
-            and np.all(ray.w > state.box.m + config.boundary_tol)):
+    if (np.max(np.abs(ray.w - z_k)) <= W_MATCH_TOL
+            and np.all(ray.w > state.box.m + BOUNDARY_TOL)):
         y_k = find_feasible_y(problem, ray.x, config)
         update = y_k is not None
     if update:
@@ -242,8 +245,14 @@ def iterate(state: SolverState, problem: BilevelProblem,
 
 def solve(problem: BilevelProblem,
           config: Optional[SolverConfig] = None) -> SolverReport:
+    """Run the branch-and-bound loop.  Raises ValueError, naming each
+    error, on a problem that ``validate`` rejects."""
     if config is None:
         config = SolverConfig()
+    errors = [d.message for d in validate(problem, probe_boundedness=False)
+              if d.level == "error"]
+    if errors:
+        raise ValueError("; ".join(errors))
     t0 = time.perf_counter()
     state = initialize(problem, config)
     while not state.terminated and state.k < config.max_iterations:

@@ -87,10 +87,9 @@ def _load(args) -> "bnb.BilevelProblem":
     except OSError as exc:
         raise InputError(f"cannot read {args.file}: {exc.strerror}")
     try:
-        problem = load_problem(text)
+        return load_problem(text)
     except ProblemFormatError as exc:
         raise InputError(f"{args.file}: {exc}")
-    return problem
 
 
 def _make_config(args, trace: Optional[nd.TraceRecorder]) -> bnb.SolverConfig:
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
                 f"direction has {len(config.direction)} components, "
                 f"problem has {problem.p} objectives")
         report = bnb.solve(problem, config)
-    except (InputError, OutcomeError, nd.FlowError) as exc:
+    except (InputError, OutcomeError, nd.FlowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -11,7 +11,7 @@ the union and is pruned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,10 +28,6 @@ class Vertex:
     phi: Optional[float] = None
     mp: Optional[MpSolution] = None
 
-    @property
-    def evaluated(self) -> bool:
-        return self.phi is not None
-
 
 class VertexSet:
     """Ordered collection of co-proper vertices with deterministic ids."""
@@ -43,9 +39,6 @@ class VertexSet:
 
     def __len__(self):
         return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
 
     def add(self, z) -> Optional[Vertex]:
         """Insert a vertex unless an equal one (per-coordinate 1e-9) exists;
@@ -63,7 +56,7 @@ class VertexSet:
         self.vertices.remove(vertex)
 
     def pending(self) -> list:
-        return [v for v in self.vertices if not v.evaluated]
+        return [v for v in self.vertices if v.phi is None]
 
 
 def cut(vset: VertexSet, vertex: Vertex, w) -> VertexSet:
@@ -77,9 +70,8 @@ def cut(vset: VertexSet, vertex: Vertex, w) -> VertexSet:
     if np.any(w > vertex.z + COORD_TOL):
         raise ValueError("cut point must satisfy w <= v componentwise")
     vset.remove(vertex)
-    p = len(w)
-    m = vset.box.m if vset.box is not None else np.full(p, -np.inf)
-    for i in range(p):
+    m = vset.box.m
+    for i in range(len(w)):
         z = vertex.z.copy()
         z[i] = w[i]
         if abs(z[i] - m[i]) <= COORD_TOL:

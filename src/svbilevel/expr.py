@@ -398,8 +398,7 @@ def value_and_gradient(e: Expr, point: np.ndarray,
             return top, sum(gens[1:], start=gens[0].copy()) / len(gens)
         raise TypeError(f"not an expression node: {node!r}")
 
-    v, g = rec(e)
-    return v, g
+    return rec(e)
 
 
 # ---------------------------------------------------------------------------
@@ -577,30 +576,20 @@ def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
     return namespace["generated"]
 
 
-def band_generators(pairs, active_tol: float):
-    """(top, [gradient, ...]) of (value, gradient) branch pairs: the
-    gradients of the branches within ``neurodynamic.band_members``'s
-    band of the top."""
-    top, members = band_members(pairs, active_tol)
-    return top, [pairs[j][1] for j in members]
-
-
 class CompiledExpr:
     """An expression bound to a variable count, with generated functions for
     value and (value, gradient) evaluation."""
 
-    def __init__(self, ast: Expr, n_vars: int, active_tol: float = DEFAULT_ACTIVE_TOL):
+    def __init__(self, ast: Expr, n_vars: int):
         self.ast = ast
         self.n_vars = n_vars
-        self.active_tol = active_tol
         # generated on first use, so that loading a problem stays cheap
         self._value = None
         self._value_grad = None
         self._branch_values = None
         self._branch_grads = None
         self._smooth = not _has_max(ast)
-        aff = affine_parts(ast, n_vars)
-        self.affine = aff  # (coeffs, const) or None
+        self.affine = affine_parts(ast, n_vars)  # (coeffs, const) or None
 
     @property
     def branches(self) -> tuple:
@@ -641,33 +630,34 @@ class CompiledExpr:
             return float(a @ x + b), a.copy()
         x = np.asarray(x, dtype=float)
         if not self._smooth:
-            return value_and_gradient(self.ast, x, self.active_tol)
+            return value_and_gradient(self.ast, x)
         if self._value_grad is None:
             self._value_grad = _generate(self.ast, self.n_vars, gradient=True)
         return self._value_grad(x.tolist())
 
-    def branch_pairs(self, x, active_tol: float = None) -> list:
+    def branch_pairs(self, x, active_tol: float = DEFAULT_ACTIVE_TOL) -> list:
         """(value, gradient) of each branch (see ``branches``): a smooth
         branch by its generated (value, gradient) function, a branch that
         contains a max walked by ``value_and_gradient`` at ``active_tol``.
         One pair, ``value_grad``'s, for any expression but a root max."""
         if not isinstance(self.ast, Max):
             return [self.value_grad(x)]
-        tol = self.active_tol if active_tol is None else active_tol
         x = np.asarray(x, dtype=float)
         xs = x.tolist()
-        return [value_and_gradient(b, x, tol) if fn is None else fn(xs)
+        return [value_and_gradient(b, x, active_tol) if fn is None
+                else fn(xs)
                 for b, fn in zip(self.ast.children, self.branch_gradients())]
 
-    def value_generators(self, x, active_tol: float = None):
-        """(value, [generator gradients]): ``band_generators`` over
-        ``branch_pairs`` for a root max node, a single generator for any
-        other expression."""
+    def value_generators(self, x, active_tol: float = DEFAULT_ACTIVE_TOL):
+        """(value, [generator gradients]): for a root max node the gradients
+        of the branches within ``neurodynamic.band_members``'s band of the
+        top, a single generator for any other expression."""
         if not isinstance(self.ast, Max):
             v, g = self.value_grad(x)
             return v, [g]
-        tol = self.active_tol if active_tol is None else active_tol
-        return band_generators(self.branch_pairs(x, tol), tol)
+        pairs = self.branch_pairs(x, active_tol)
+        top, members = band_members(pairs, active_tol)
+        return top, [pairs[j][1] for j in members]
 
 
 def _is_constant(e: Expr) -> bool:

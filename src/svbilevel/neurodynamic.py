@@ -52,12 +52,16 @@ ZERO_BAND = 1e-9
 # recognized; matches the 1e-3 accuracy the flow promises on terminal points.
 CERT_BAND = 1e-4
 
+# A flow is stationary where its velocity is at most STATIONARITY_TOL at a
+# point whose S is at most FEASIBILITY_TOL, the S find_feasible stops at.
+STATIONARITY_TOL = 1e-6
+FEASIBILITY_TOL = 1e-7
+
 
 class FlowStatus(enum.Enum):
     CONVERGED = "Converged"
     MAX_TIME = "MaxTime"
     DIVERGED = "Diverged"
-    INFEASIBLE_START = "InfeasibleStart"
 
 
 class FlowError(Exception):
@@ -68,8 +72,6 @@ class FlowError(Exception):
 class FlowConfig:
     dt: float = 1e-2
     t_max: float = 200.0
-    stationarity_tol: float = 1e-6
-    feasibility_tol: float = 1e-7
     max_steps: int = 200_000
     divergence_radius: float = 1e7
     trace: Optional["TraceRecorder"] = None
@@ -77,8 +79,6 @@ class FlowConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
-        if self.stationarity_tol <= 0 or self.feasibility_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -89,10 +89,6 @@ class FlowResult:
     status: FlowStatus
     steps: int = 0
     final_velocity_norm: float = math.inf
-
-    @property
-    def converged(self) -> bool:
-        return self.status is FlowStatus.CONVERGED
 
 
 class TraceRecorder:
@@ -429,8 +425,7 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
     are ``vals``, with the flow's gradient-norm estimates ``norms``.
     kink lists the objective branches that carry weight in the selection
     when two or more do, else it is None (always outside the feasible
-    set, where the objective takes no part).  ``objective`` may be None
-    for a pure penalty flow."""
+    set, where the objective takes no part)."""
     g_plus = np.zeros(stack.n)
     act_gens = []
     any_plus = False
@@ -450,31 +445,21 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
             # smoothed Psi on the band: 0.5 at the boundary itself
             prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
     kink = None
-    if objective is None:
-        vel = _min_norm_combo([], 0.0, g_plus,
-                              act_gens if any_plus else [])[0]
-        if not any_plus and not act_gens:
-            vel = np.zeros(stack.n)
-        r_val = math.nan
+    c_gain = 0.0 if any_plus else prod_gain
+    r_val, obj_gens, members = _objective_generators(objective, x, band_scale)
+    if c_gain == 0.0:
+        vel = _min_norm_combo([], 0.0, g_plus, act_gens)[0]
     else:
-        c_gain = 0.0 if any_plus else prod_gain
-        obj_band = max(getattr(objective, "active_tol", ZERO_BAND), band_scale)
-        r_val, obj_gens, members = _objective_generators(objective, x,
-                                                         obj_band)
-        if c_gain == 0.0:
-            vel = _min_norm_combo([], 0.0, g_plus, act_gens)[0]
-        else:
-            vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
-            if len(members) >= 2:
-                # a branch the selection gives no weight is leaving the kink
-                kink = [j for j, w in zip(members, mu) if w > 0.0]
-                if len(kink) < 2:
-                    kink = None
+        vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
+        if len(members) >= 2:
+            # a branch the selection gives no weight is leaving the kink
+            kink = [j for j, w in zip(members, mu) if w > 0.0]
+            if len(kink) < 2:
+                kink = None
     return vel, r_val, any_plus, kink
 
 
-def solve_flow(objective, constraints, x0, config: FlowConfig,
-               require_feasible_start: bool = False) -> FlowResult:
+def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
     the time/step budget runs out.  Each point is evaluated once: the row
     values of the current x and their S come from the start check, then
@@ -488,8 +473,6 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
 
     vals = stack.values(x)
     s_cur = stack.total_penalty(vals)
-    if require_feasible_start and s_cur > config.feasibility_tol:
-        return FlowResult(x, math.nan, s_cur, FlowStatus.INFEASIBLE_START)
 
     dt = config.dt
     dt_max = config.dt * 1e4
@@ -500,7 +483,6 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
     failed = None
     stalls = 0
     steps = 0
-    vnorm = math.inf
     for steps in range(1, config.max_steps + 1):
         if t >= config.t_max:
             break
@@ -511,8 +493,8 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
         # a small velocity at an infeasible point is the band's gain and
         # the row cone cancelling, not stationarity
-        if vnorm == 0.0 or (vnorm <= config.stationarity_tol
-                            and s_cur <= config.feasibility_tol):
+        if vnorm == 0.0 or (vnorm <= STATIONARITY_TOL
+                            and s_cur <= FEASIBILITY_TOL):
             break
         # explicit Euler on the unit-speed reparameterization: the gain
         # product shrinks the velocity near active constraints without
@@ -560,7 +542,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
                                                           vals_n, s_n)
                 # monotone r and no escape beyond the boundary band, else the
                 # flow limit-cycles across the boundary (r can decrease there)
-                r_n = objective.value(xn) if objective is not None else 0.0
+                r_n = objective.value(xn)
                 ok = r_n <= r_val - margin + 1e-15 * max(1.0, abs(r_val))
                 if ok:
                     ok = not (vals_n > CERT_BAND * norms).any()
@@ -605,14 +587,12 @@ def solve_flow(objective, constraints, x0, config: FlowConfig,
         vel, r_final, _, _ = _selected_velocity(
             stack, norms, objective, x, vals, CERT_BAND * factor)
         vnorm = min(vnorm, _norm(vel))
-        if vnorm <= config.stationarity_tol:
+        if vnorm <= STATIONARITY_TOL:
             break
-    if vnorm <= config.stationarity_tol and s_cur <= config.feasibility_tol:
+    if vnorm <= STATIONARITY_TOL and s_cur <= FEASIBILITY_TOL:
         status = FlowStatus.CONVERGED
     else:
         status = FlowStatus.MAX_TIME
-    if objective is None:
-        r_final = s_cur
     return FlowResult(x, float(r_final), s_cur, status, steps, vnorm)
 
 
@@ -683,7 +663,7 @@ def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarra
     vals = stack.values(x)
     s = stack.total_penalty(vals)
     for _ in range(config.max_steps):
-        if s <= config.feasibility_tol:
+        if s <= FEASIBILITY_TOL:
             return x
         g = np.zeros(stack.n)
         norm_sq = 0.0
@@ -693,22 +673,20 @@ def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarra
                 g += gi
                 norm_sq += float(gi @ gi)
         gnorm = _norm(g)
-        if gnorm <= config.stationarity_tol:
+        if gnorm <= STATIONARITY_TOL:
             return None
         # Newton-like secant step toward S = 0, fall back to Euler + backtracking
         trial = min(max(dt, s / max(norm_sq, 1e-300)), 1e6)
-        accepted = False
         for _ in range(31):
             xn = x - trial * g
             vals_n = stack.values(xn)
             s_n = stack.total_penalty(vals_n)
             if s_n < s * (1.0 + 1e-12) + 1e-15 and s_n != s:
-                accepted = True
                 break
             trial *= 0.5
-        if not accepted:
+        else:
             return None
         x, vals, s = xn, vals_n, s_n
         if _norm(x) > config.divergence_radius:
             raise FlowError("feasibility flow diverged")
-    return x if s <= config.feasibility_tol else None
+    return x if s <= FEASIBILITY_TOL else None

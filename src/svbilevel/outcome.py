@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import neurodynamic as nd
-from .expr import DEFAULT_ACTIVE_TOL, EvaluationError, band_generators, \
-    to_source, value_and_gradient
+from .expr import DEFAULT_ACTIVE_TOL, EvaluationError, to_source, \
+    value_and_gradient
 from .problem import AffineRow, BilevelProblem, find_interior_start, \
     stacked_mp_constraints
 
@@ -141,8 +141,6 @@ class RayObjective:
     step it lands on their kink by a Gauss-Newton step (see
     ``neurodynamic``)."""
 
-    active_tol = DEFAULT_ACTIVE_TOL
-
     def __init__(self, problem: BilevelProblem, v, d_hat):
         self.terms = [
             (branch, value, grad, float(v[j]), float(d_hat[j]))
@@ -160,29 +158,22 @@ class RayObjective:
         except (OverflowError, ZeroDivisionError):
             return float(self._value(x))
 
-    def branch_pairs(self, x, active_tol: float = None) -> list:
+    def branch_pairs(self, x, active_tol: float = DEFAULT_ACTIVE_TOL) -> list:
         """((f_j(x) - v_j) / d_j, gradient) of each branch, in the order of
         ``terms``; a branch that contains a max is walked at
         ``active_tol``."""
-        tol = self.active_tol if active_tol is None else active_tol
         x = np.asarray(x, dtype=float)
         xs = x.tolist()
         pairs = []
         for branch, _, grad, vj, dj in self.terms:
-            bv, bg = (value_and_gradient(branch, x, tol) if grad is None
-                      else grad(xs))
+            bv, bg = (value_and_gradient(branch, x, active_tol)
+                      if grad is None else grad(xs))
             r = (bv - vj) / dj
             if not math.isfinite(r):
                 raise EvaluationError(
                     f"non-finite ray value at branch {to_source(branch)}")
             pairs.append((r, bg / dj))
         return pairs
-
-    def value_generators(self, x, active_tol: float = None):
-        """(value, [generator gradients]): ``band_generators`` over
-        ``branch_pairs``."""
-        tol = self.active_tol if active_tol is None else active_tol
-        return band_generators(self.branch_pairs(x, tol), tol)
 
 
 def solve_ray(problem: BilevelProblem, box: Optional[OutcomeBox], v, d_hat,
@@ -267,6 +258,3 @@ class PhiCache:
         else:
             self.hits += 1
         return hit
-
-    def __len__(self):
-        return len(self._table)

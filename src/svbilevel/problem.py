@@ -101,10 +101,6 @@ class BilevelProblem:
         return len(self.lower)
 
     @property
-    def q(self) -> int:
-        return len(self.lower_constraints)
-
-    @property
     def ell(self) -> int:
         return len(self.coupling)
 

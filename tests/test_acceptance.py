@@ -175,7 +175,7 @@ class TestProperties:
             w = rng.uniform(m, z)
             cut(vset, parent, w)
             assert len(vset) <= p
-            for child in vset:
+            for child in vset.vertices:
                 assert np.all(child.z <= z + 1e-12)
                 assert np.sum(~np.isclose(child.z, z)) == 1
 
@@ -272,5 +272,5 @@ def test_neurodynamic_unit_quadratic():
     for _ in range(20):
         x0 = rng.uniform(-5.0, 5.0, 2)
         res = nd.solve_flow(obj, [constraint], x0, config)
-        assert res.converged
+        assert res.status is nd.FlowStatus.CONVERGED
         assert res.x_final == pytest.approx([0.5, 0.5], abs=1e-3)

@@ -30,6 +30,23 @@ constraint_xy y1 - x1 + 2
 bound x1 0 1
 """
 
+# no rows: X is unbounded
+UNBOUNDED_TEXT = """\
+vars x 2
+upper x1 + x2
+lower x1
+lower x2
+"""
+
+# p = 1: a scalar lower level
+SCALAR_TEXT = """\
+vars x 2
+upper x1^2 + x2^2
+lower x1^2 + x2^2
+bound x1 -1 2
+bound x2 -1 2
+"""
+
 
 @pytest.fixture(scope="module")
 def report1():
@@ -132,6 +149,19 @@ class TestSolveExamples:
         report = bnb.solve(catalog.load_example(1), cfg)
         assert report.status is SolverStatus.MAX_ITERATIONS
         assert report.iterations == 2
+
+
+class TestRejectsInvalid:
+    """``solve`` refuses what ``validate`` marks as an error; each of these
+    problems was reported optimal with a wrong h before."""
+
+    def test_unbounded_region(self):
+        with pytest.raises(ValueError, match="X has no constraints"):
+            bnb.solve(load_problem(UNBOUNDED_TEXT))
+
+    def test_scalar_lower_level(self):
+        with pytest.raises(ValueError, match=r"vectorial \(p >= 2\)"):
+            bnb.solve(load_problem(SCALAR_TEXT))
 
 
 class TestInvariants:

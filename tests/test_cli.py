@@ -26,6 +26,13 @@ constraint_x x1 + 1
 constraint_x -x1 + 1
 """
 
+# X has no rows and the lower level one objective: two errors
+INVALID_TEXT = """\
+vars x 2
+upper x1 + x2
+lower x1
+"""
+
 
 @pytest.fixture(scope="module")
 def ex1_report():
@@ -85,6 +92,15 @@ class TestInputErrors:
         code, _, err = run(capsys, ["--file", str(path)])
         assert code == 1
         assert err == "error: X is empty: no feasible point found\n"
+
+    def test_problem_validate_rejects(self, capsys, tmp_path):
+        path = tmp_path / "invalid.txt"
+        path.write_text(INVALID_TEXT)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == ("error: lower level must be vectorial (p >= 2); "
+                       "X has no constraints; it cannot be bounded\n")
 
 
 class TestExitCodes:

@@ -15,7 +15,7 @@ def make_box(m, M):
 
 
 def zs(vset):
-    return sorted(tuple(v.z) for v in vset)
+    return sorted(tuple(v.z) for v in vset.vertices)
 
 
 class TestVertexSet:
@@ -57,7 +57,7 @@ class TestCut:
         v = vs.add([1.0, 1.0, 1.0])
         cut(vs, v, [0.5, 0.5, 0.5])
         assert len(vs) == 3
-        for child in vs:
+        for child in vs.vertices:
             diffs = np.isclose(child.z, [1, 1, 1])
             assert diffs.sum() == 2
 
@@ -66,7 +66,7 @@ class TestCut:
         v = vs.add([1.5, 1.8])
         parent = v.z.copy()
         cut(vs, v, [0.6, 0.9])
-        for child in vs:
+        for child in vs.vertices:
             assert np.all(child.z <= parent + 1e-12)
             assert np.sum(~np.isclose(child.z, parent)) == 1
 
@@ -247,7 +247,7 @@ class TestCoverInvariant:
             w = np.clip(ray_exit(knots, values, vertex.z, d), m, vertex.z)
             cut(vs, vertex, w)
             prune(vs)
-            Z = np.array([v.z for v in vs]).reshape(-1, 2)
+            Z = np.array([v.z for v in vs.vertices]).reshape(-1, 2)
             covered = (points[:, None, :] <= Z[None, :, :] + 1e-9).all(
                 axis=2).any(axis=1)
             assert covered.all(), points[~covered][0]

@@ -8,6 +8,7 @@ from svbilevel.expr import (
     evaluate, parse_expression, to_source,
     value_and_gradient, CompiledExpr,
 )
+from svbilevel.neurodynamic import band_members
 
 V2 = ["x1", "x2"]
 
@@ -82,6 +83,13 @@ def _reference_generators(ast, x, tol):
     top = max(v for v, _ in pairs)
     return top, [g for v, g in pairs
                  if top - v <= tol * max(1.0, float(np.linalg.norm(g)))]
+
+
+def _band_generators(pairs, tol):
+    """(top, [gradient, ...]) of the branch pairs within the flow's band,
+    ``band_members``, of the top: the generators a flow takes."""
+    top, members = band_members(pairs, tol)
+    return top, [pairs[j][1] for j in members]
 
 
 def _pairs_outcome(fn, x):
@@ -299,8 +307,8 @@ class TestCompiled:
                         lambda u: [value_and_gradient(c, u, tol)
                                    for c in ast.children], x)
                 assert _generators_outcome(
-                    lambda u: ex.band_generators(comp.branch_pairs(u, tol),
-                                                 tol), x) == \
+                    lambda u: _band_generators(comp.branch_pairs(u, tol),
+                                               tol), x) == \
                     _generators_outcome(
                         lambda u: _reference_generators(ast, u, tol), x)
 

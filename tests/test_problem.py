@@ -19,11 +19,13 @@ bound x1 0 1
 class TestLoad:
     def test_example1_shape(self):
         prob = catalog.load_example(1)
-        assert (prob.n, prob.m, prob.p, prob.q, prob.ell) == (2, 0, 2, 6, 0)
+        assert (prob.n, prob.m, prob.p, len(prob.lower_constraints),
+                prob.ell) == (2, 0, 2, 6, 0)
 
     def test_example6_shape(self):
         prob = catalog.load_example(6)
-        assert (prob.n, prob.m, prob.p, prob.q, prob.ell) == (3, 2, 4, 4, 2)
+        assert (prob.n, prob.m, prob.p, len(prob.lower_constraints),
+                prob.ell) == (3, 2, 4, 4, 2)
 
     def test_empty_file(self):
         with pytest.raises(ProblemFormatError):
