@@ -201,6 +201,9 @@ def iterate(state: SolverState, problem: BilevelProblem,
             state.status = SolverStatus.OPTIMAL
         else:
             state.status = SolverStatus.INFEASIBLE
+        # no vertex was selected
+        state.log.append(IterationRow(k=state.k, v=np.full(problem.p, math.nan),
+                                      alpha=state.alpha, beta=state.beta))
         return state
 
     vertex, beta_raw = select_min_phi(state.V)

@@ -1,4 +1,4 @@
-"""Scalar expression trees: parsing, evaluation, forward-mode differentiation.
+"""Scalar expression trees: parsing and code generation.
 
 Grammar (whitespace insignificant)::
 
@@ -10,17 +10,22 @@ Grammar (whitespace insignificant)::
               | 'max' '(' expr (',' expr)+ ')'
               | 'min' '(' expr (',' expr)+ ')'
 
-min(...) is desugared to -max(-...) at parse time, so Max is the only
-nonsmooth node.  Gradients of max nodes use the Clarke rule: the convex hull
-of the active branch gradients, with the uniform average as the deterministic
-selection.
+The parser accepts max and min anywhere, and desugars min(...) to
+-max(-...), but a ``CompiledExpr`` accepts a max only at the root of an
+expression, over branches without one.  A max of quasiconvex functions is
+quasiconvex, so a root max stays within the class the solver assumes, and
+a constraint row max(a, b) <= 0 is exactly the rows a <= 0 and b <= 0.  A
+min of pseudoconvex functions is outside that class.  Every branch is
+smooth, so generated straight-line code is the one way an expression is
+evaluated; ``affine_parts`` reads the linear form of an affine one.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,6 +86,8 @@ class Pow:
 @dataclass(frozen=True)
 class Max:
     children: tuple
+    # where max (or the min it desugars) stands in the source
+    pos: int = field(default=0, compare=False)
 
 
 Expr = Const | Var | Neg | BinOp | Pow | Max
@@ -102,16 +109,15 @@ def _tokenize(src: str):
     pos = 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
+        # positions are those of the token itself, after any whitespace
         if m is None:
-            if src[pos:].strip() == "":
+            rest = src[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {src[pos:].lstrip()[0]!r}", pos)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group(0).strip(), m.start()))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+            raise ParseError(f"unexpected character {rest[0]!r}",
+                             len(src) - len(rest))
+        text = m.group(0).lstrip()
+        tokens.append((m.lastgroup, text, m.end() - len(text)))
         pos = m.end()
     tokens.append(("end", "", len(src)))
     return tokens
@@ -119,7 +125,6 @@ def _tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str, variables: Sequence[str]):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
         self.varmap = {name: k for k, name in enumerate(variables)}
@@ -206,9 +211,9 @@ class _Parser:
                 if len(args) < 2:
                     raise ParseError(f"{val} needs at least 2 arguments", pos)
                 if val == "max":
-                    return Max(tuple(args))
+                    return Max(tuple(args), pos)
                 # min(a, b, ...) == -max(-a, -b, ...)
-                return Neg(Max(tuple(_negate(a) for a in args)))
+                return Neg(Max(tuple(_negate(a) for a in args), pos))
             if val not in self.varmap:
                 raise ParseError(f"undeclared variable {val!r}", pos)
             return Var(self.varmap[val], val)
@@ -280,127 +285,6 @@ def to_source(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def free_variables(e: Expr) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Neg):
-        return free_variables(e.child)
-    if isinstance(e, BinOp):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Pow):
-        return free_variables(e.base)
-    if isinstance(e, Max):
-        out = set()
-        for c in e.children:
-            out |= free_variables(c)
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation and forward-mode differentiation
-# ---------------------------------------------------------------------------
-
-def _check_finite(v: float, node: Expr) -> float:
-    if not np.isfinite(v):
-        raise EvaluationError(f"non-finite value at node {to_source(node)}")
-    return v
-
-
-def evaluate(e: Expr, point: Sequence[float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(point[e.index])
-    if isinstance(e, Neg):
-        return -evaluate(e.child, point)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, point)
-        b = evaluate(e.right, point)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvaluationError(f"division by zero at node {to_source(e)}")
-        return _check_finite(a / b, e)
-    if isinstance(e, Pow):
-        base = evaluate(e.base, point)
-        return _check_finite(_ipow(base, e.exponent, e), e)
-    if isinstance(e, Max):
-        return max(evaluate(c, point) for c in e.children)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _ipow(base: float, k: int, node: Expr) -> float:
-    if k < 0:
-        if base == 0.0:
-            raise EvaluationError(f"division by zero at node {to_source(node)}")
-        return 1.0 / _ipow(base, -k, node)
-    if k <= MAX_UNROLLED_POW:
-        out = 1.0
-        for _ in range(k):
-            out *= base
-        return out
-    return float(base**k)
-
-
-def value_and_gradient(e: Expr, point: np.ndarray,
-                       active_tol: float = DEFAULT_ACTIVE_TOL):
-    """Forward-mode evaluation: returns (value, gradient). Max nodes use the
-    uniform average of active-branch gradients."""
-    n = len(point)
-
-    def rec(node: Expr):
-        if isinstance(node, Const):
-            return node.value, np.zeros(n)
-        if isinstance(node, Var):
-            g = np.zeros(n)
-            g[node.index] = 1.0
-            return float(point[node.index]), g
-        if isinstance(node, Neg):
-            v, g = rec(node.child)
-            return -v, -g
-        if isinstance(node, BinOp):
-            av, ag = rec(node.left)
-            bv, bg = rec(node.right)
-            if node.op == "+":
-                return av + bv, ag + bg
-            if node.op == "-":
-                return av - bv, ag - bg
-            if node.op == "*":
-                return av * bv, ag * bv + bg * av
-            if bv == 0.0:
-                raise EvaluationError(f"division by zero at node {to_source(node)}")
-            v = av / bv
-            return _check_finite(v, node), (ag - v * bg) / bv
-        if isinstance(node, Pow):
-            bv, bg = rec(node.base)
-            k = node.exponent
-            v = _ipow(bv, k, node)
-            if k == 0:
-                return 1.0, np.zeros(n)
-            if bv == 0.0 and k < 0:
-                raise EvaluationError(f"division by zero at node {to_source(node)}")
-            dv = k * _ipow(bv, k - 1, node)
-            _check_finite(v, node)
-            # x^-2 is finite at x = 4e-105, its derivative is not
-            return v, _check_finite(dv, node) * bg
-        if isinstance(node, Max):
-            pairs = [rec(c) for c in node.children]
-            top = max(v for v, _ in pairs)
-            # Clarke max rule: the uniform average of the active gradients
-            gens = [g for v, g in pairs if v >= top - active_tol]
-            return top, sum(gens[1:], start=gens[0].copy()) / len(gens)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(e)
-
-
 # ---------------------------------------------------------------------------
 # Compilation (generated straight-line code; hot path for the flow integrator)
 # ---------------------------------------------------------------------------
@@ -413,31 +297,31 @@ def _raise_nonfinite(node: Expr):
     raise EvaluationError(f"non-finite value at node {to_source(node)}")
 
 
-def _has_max(e: Expr) -> bool:
-    if isinstance(e, Max):
-        return True
-    if isinstance(e, Neg):
-        return _has_max(e.child)
-    if isinstance(e, BinOp):
-        return _has_max(e.left) or _has_max(e.right)
-    if isinstance(e, Pow):
-        return _has_max(e.base)
-    return False
+def _ipow(base: float, k: int, node: Expr) -> float:
+    if k < 0:
+        if base == 0.0:
+            _raise_zero(node)
+        return 1.0 / _ipow(base, -k, node)
+    if k <= MAX_UNROLLED_POW:
+        out = 1.0
+        for _ in range(k):
+            out *= base
+        return out
+    return float(base**k)
 
 
 class _Emitter:
-    """Python source for one expression: a statement per node, in the order
-    the reference evaluation visits them, so the generated function does the
-    same floating-point operations.  Two modes:
+    """Python source for one max-free expression: a statement per node, in
+    the order a recursive evaluation visits them.  Two modes:
 
-    * value: the arithmetic of ``CompiledExpr.value`` (``b ** 2`` for
-      squares, no finiteness checks);
-    * gradient: the arithmetic of ``value_and_gradient`` (unrolled powers,
-      checked divisions and powers), with the gradient carried per component
-      and components that are structurally zero left out.  The results agree
-      up to the sign of zero, except where an intermediate overflows: a
-      left-out component stays 0 where the interpreter gets 0 * inf = nan.
-      Max nodes are not supported in this mode.
+    * value: ``b ** 2`` for squares, ``_ipow`` for other powers, divisions
+      checked for a zero denominator, no finiteness checks;
+    * gradient: forward-mode differentiation (unrolled powers, checked
+      divisions and powers), with the gradient carried per component and
+      components that are structurally zero left out.  It repeats the
+      arithmetic of a forward-mode walk on dense gradients up to the sign
+      of zero, except where an intermediate overflows: a left-out component
+      stays 0 where the walk gets 0 * inf = nan.
     """
 
     ONE = "1.0"
@@ -493,12 +377,7 @@ class _Emitter:
             return self.emit_binop(e)
         if isinstance(e, Pow):
             return self.emit_pow(e)
-        if isinstance(e, Max):
-            if self.gradient:
-                raise TypeError("max nodes are not compiled in gradient mode")
-            vals = [self.emit(c)[0] for c in e.children]
-            return self.temp(f"max({', '.join(vals)})"), {}
-        raise TypeError(f"not an expression node: {e!r}")
+        raise TypeError(f"not a max-free expression node: {e!r}")
 
     def emit_binop(self, e: BinOp):
         if e.op == "/" and not self.gradient:
@@ -578,17 +457,13 @@ def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
 
 class CompiledExpr:
     """An expression bound to a variable count, with generated functions for
-    value and (value, gradient) evaluation."""
+    value and (value, gradient) evaluation, each made on first use so that
+    loading a problem stays cheap.  A max may stand only at the root, over
+    branches without one (see ``affine_parts``)."""
 
     def __init__(self, ast: Expr, n_vars: int):
         self.ast = ast
         self.n_vars = n_vars
-        # generated on first use, so that loading a problem stays cheap
-        self._value = None
-        self._value_grad = None
-        self._branch_values = None
-        self._branch_grads = None
-        self._smooth = not _has_max(ast)
         self.affine = affine_parts(ast, n_vars)  # (coeffs, const) or None
 
     @property
@@ -596,26 +471,35 @@ class CompiledExpr:
         """The children of a root max, else the whole expression."""
         return self.ast.children if isinstance(self.ast, Max) else (self.ast,)
 
-    def branch_values(self) -> list:
-        """The generated value function of each branch, made on first use."""
-        if self._branch_values is None:
-            self._branch_values = [_generate(b, self.n_vars, gradient=False)
-                                   for b in self.branches]
-        return self._branch_values
+    @cached_property
+    def _value(self) -> Callable:
+        if isinstance(self.ast, Max):
+            branches = self.branch_values
+            return lambda x: max(fn(x) for fn in branches)
+        return _generate(self.ast, self.n_vars, gradient=False)
 
+    @cached_property
+    def _value_grad(self) -> Callable:
+        return _generate(self.ast, self.n_vars, gradient=True)
+
+    @cached_property
+    def branch_values(self) -> list:
+        """The generated value function of each branch: for any expression
+        but a root max, the one ``value`` uses."""
+        if not isinstance(self.ast, Max):
+            return [self._value]
+        return [_generate(b, self.n_vars, gradient=False) for b in self.branches]
+
+    @cached_property
     def branch_gradients(self) -> list:
-        """The generated (value, gradient) function of each branch, made on
-        first use; None for a branch that contains a max, which callers walk
-        with ``value_and_gradient``."""
-        if self._branch_grads is None:
-            self._branch_grads = [
-                None if _has_max(b) else _generate(b, self.n_vars, gradient=True)
-                for b in self.branches]
-        return self._branch_grads
+        """The generated (value, gradient) function of each branch: for any
+        expression but a root max, the whole expression's, which is also
+        ``value_grad``'s unless the expression is affine."""
+        if not isinstance(self.ast, Max):
+            return [self._value_grad]
+        return [_generate(b, self.n_vars, gradient=True) for b in self.branches]
 
     def value(self, x) -> float:
-        if self._value is None:
-            self._value = _generate(self.ast, self.n_vars, gradient=False)
         x = np.asarray(x, dtype=float)
         try:
             return float(self._value(x.tolist()))
@@ -625,28 +509,27 @@ class CompiledExpr:
             return float(self._value(x))
 
     def value_grad(self, x):
+        """(value, gradient); at a root max the top value and the uniform
+        average of the gradients of the branches within DEFAULT_ACTIVE_TOL
+        of it, one element of the Clarke set."""
         if self.affine is not None:
             a, b = self.affine
             return float(a @ x + b), a.copy()
-        x = np.asarray(x, dtype=float)
-        if not self._smooth:
-            return value_and_gradient(self.ast, x)
-        if self._value_grad is None:
-            self._value_grad = _generate(self.ast, self.n_vars, gradient=True)
-        return self._value_grad(x.tolist())
+        if isinstance(self.ast, Max):
+            pairs = self.branch_pairs(x)
+            top = max(v for v, _ in pairs)
+            gens = [g for v, g in pairs if v >= top - DEFAULT_ACTIVE_TOL]
+            return top, sum(gens[1:], start=gens[0].copy()) / len(gens)
+        return self._value_grad(np.asarray(x, dtype=float).tolist())
 
-    def branch_pairs(self, x, active_tol: float = DEFAULT_ACTIVE_TOL) -> list:
-        """(value, gradient) of each branch (see ``branches``): a smooth
-        branch by its generated (value, gradient) function, a branch that
-        contains a max walked by ``value_and_gradient`` at ``active_tol``.
-        One pair, ``value_grad``'s, for any expression but a root max."""
+    def branch_pairs(self, x) -> list:
+        """(value, gradient) of each branch (see ``branches``) by its
+        generated function; one pair, ``value_grad``'s, for any expression
+        but a root max."""
         if not isinstance(self.ast, Max):
             return [self.value_grad(x)]
-        x = np.asarray(x, dtype=float)
-        xs = x.tolist()
-        return [value_and_gradient(b, x, active_tol) if fn is None
-                else fn(xs)
-                for b, fn in zip(self.ast.children, self.branch_gradients())]
+        xs = np.asarray(x, dtype=float).tolist()
+        return [fn(xs) for fn in self.branch_gradients]
 
     def value_generators(self, x, active_tol: float = DEFAULT_ACTIVE_TOL):
         """(value, [generator gradients]): for a root max node the gradients
@@ -655,41 +538,85 @@ class CompiledExpr:
         if not isinstance(self.ast, Max):
             v, g = self.value_grad(x)
             return v, [g]
-        pairs = self.branch_pairs(x, active_tol)
+        pairs = self.branch_pairs(x)
         top, members = band_members(pairs, active_tol)
         return top, [pairs[j][1] for j in members]
 
 
-def _is_constant(e: Expr) -> bool:
-    return not free_variables(e)
-
-
-def is_affine(e: Expr) -> bool:
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Neg):
-        return is_affine(e.child)
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            return is_affine(e.left) and is_affine(e.right)
-        if e.op == "*":
-            return (_is_constant(e.left) and is_affine(e.right)) or (
-                _is_constant(e.right) and is_affine(e.left))
-        if e.op == "/":
-            return is_affine(e.left) and _is_constant(e.right)
-        return False
-    if isinstance(e, Pow):
-        return e.exponent in (0, 1) and is_affine(e.base) or _is_constant(e)
-    if isinstance(e, Max):
-        return False
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def affine_parts(e: Expr, n_vars: int):
-    """(coefficients, constant) if the expression is affine, else None."""
-    if not is_affine(e):
+    """(coefficients, constant) if the expression is affine, else None.
+    Raises ParseError, at its position in the source, for a max anywhere
+    but at the root."""
+    kinds = [_affine_kind(c)
+             for c in (e.children if isinstance(e, Max) else (e,))]
+    if isinstance(e, Max) or kinds[0] is None:
         return None
-    zero = np.zeros(n_vars)
-    const = evaluate(e, zero)
-    _, coeffs = value_and_gradient(e, zero)
-    return coeffs, const
+    value, grad = _linear_form(e, n_vars)
+    return grad, value
+
+
+def _affine_kind(e: Expr):
+    """None if e is not affine, else whether a variable occurs in it.  A
+    node is affine when its children are, a product has a factor without
+    variables, a quotient a divisor without them, and a power the exponent
+    0 or 1 or a base without them."""
+    kind = type(e)
+    if kind is Const or kind is Var:
+        return kind is Var
+    if kind is Max:
+        raise ParseError(
+            "max or min below the root of an expression; write it as one "
+            "max of max-free branches, e.g. max(a, b) + c as "
+            "max(a + c, b + c) (a min is not pseudoconvex)", e.pos)
+    kids = ((e.child,) if kind is Neg else
+            (e.base,) if kind is Pow else (e.left, e.right))
+    found = list(map(_affine_kind, kids))
+    if None in found:
+        return None
+    # whether a variable occurs in the first and in the last child
+    first, last = found[0], found[-1]
+    if (kind is BinOp and last and (e.op == "/" or e.op == "*" and first)
+            or kind is Pow and first and e.exponent not in (0, 1)):
+        return None
+    return first or last
+
+
+def _linear_form(e: Expr, n: int):
+    """(value, gradient) at x = 0 in R^n of an affine expression: forward
+    mode on dense gradients."""
+    kind = type(e)
+    if kind is Const:
+        return e.value, np.zeros(n)
+    if kind is Var:
+        g = np.zeros(n)
+        g[e.index] = 1.0
+        return 0.0, g
+    av, ag = _linear_form(e.base if kind is Pow else
+                          e.child if kind is Neg else e.left, n)
+    if kind is Neg:
+        return -av, -ag
+    if kind is Pow:
+        k = e.exponent
+        v = _ipow(av, k, e)
+        if k == 0:
+            return 1.0, np.zeros(n)
+        if not math.isfinite(v):
+            _raise_nonfinite(e)
+        dv = k * _ipow(av, k - 1, e)
+        # x^-2 is finite at x = 4e-105, its derivative is not
+        if not math.isfinite(dv):
+            _raise_nonfinite(e)
+        return v, dv * ag
+    bv, bg = _linear_form(e.right, n)
+    if e.op == "+":
+        return av + bv, ag + bg
+    if e.op == "-":
+        return av - bv, ag - bg
+    if e.op == "*":
+        return av * bv, ag * bv + bg * av
+    if bv == 0.0:
+        _raise_zero(e)
+    v = av / bv
+    if not math.isfinite(v):
+        _raise_nonfinite(e)
+    return v, (ag - v * bg) / bv

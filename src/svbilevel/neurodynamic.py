@@ -31,7 +31,7 @@ then nonlinear rows, each an oracle with ``value(u)`` and ``value_grad(u)``
 that reads the first k columns of u and may be shifted by a constant.  The
 flows also accept a plain sequence of oracles and convert it once.
 Objectives are oracles with ``value(x)`` and ``value_grad(x)``; a max-type
-nonsmooth objective also exposes ``branch_pairs(x, band)``, the
+nonsmooth objective also exposes ``branch_pairs(x)``, the
 ``(value, gradient)`` of each branch, and the flow picks the branches
 within the band itself (``band_members``).
 """
@@ -286,9 +286,10 @@ def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
                 if lam1 > LAM_CAP or lam2 > LAM_CAP:
                     return None
                 return -(g + lam1 * a1 + lam2 * a2)
-    # a face lowers |v|^2 by q_i^2 / p_ii when q_i < 0
-    gain1 = q1 * q1 / p11 if q1 < 0.0 else 0.0
-    gain2 = q2 * q2 / p22 if q2 < 0.0 else 0.0
+    # a face lowers |v|^2 by q_i^2 / p_ii when q_i < 0; one whose p_ii
+    # underflows to 0 gives no gain
+    gain1 = q1 * q1 / p11 if q1 < 0.0 and p11 > 0.0 else 0.0
+    gain2 = q2 * q2 / p22 if q2 < 0.0 and p22 > 0.0 else 0.0
     if gain1 == 0.0 and gain2 == 0.0:
         return -g
     lam, a = (-q1 / p11, a1) if gain1 >= gain2 else (-q2 / p22, a2)
@@ -388,7 +389,7 @@ def _objective_generators(objective, x, band: float):
     ``branch_pairs`` contributes the gradients of its branches within
     ``band_members``'s band, listed by their indices."""
     pairs_fn = getattr(objective, "branch_pairs", None)
-    pairs = pairs_fn(x, band) if pairs_fn is not None \
+    pairs = pairs_fn(x) if pairs_fn is not None \
         else [objective.value_grad(x)]
     if len(pairs) == 1:
         v, g = pairs[0]

@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import neurodynamic as nd
-from .expr import DEFAULT_ACTIVE_TOL, EvaluationError, to_source, \
-    value_and_gradient
+from .expr import EvaluationError, to_source
 from .problem import AffineRow, BilevelProblem, find_interior_start, \
     stacked_mp_constraints
 
@@ -132,8 +131,7 @@ class RayObjective:
     d_j applied as floats outside them, so a ray call generates no code.
     The arithmetic is that of the expression ``Max`` of
     ``(branch - Const(v_j)) / Const(d_j)`` compiled as a ``CompiledExpr``:
-    the value reruns on numpy scalars where a float power raises, and a
-    branch that contains a max is walked by ``value_and_gradient``.
+    the value reruns on numpy scalars where a float power raises.
 
     The minimizer lies on the kink where the leading branches are equal.
     ``branch_pairs`` gives the flow each branch's (value, gradient); the
@@ -145,8 +143,8 @@ class RayObjective:
         self.terms = [
             (branch, value, grad, float(v[j]), float(d_hat[j]))
             for j, f in enumerate(problem.lower)
-            for branch, value, grad in zip(f.branches, f.branch_values(),
-                                           f.branch_gradients())]
+            for branch, value, grad in zip(f.branches, f.branch_values,
+                                           f.branch_gradients)]
 
     def _value(self, x):
         return max((value(x) - vj) / dj for _, value, _, vj, dj in self.terms)
@@ -158,16 +156,13 @@ class RayObjective:
         except (OverflowError, ZeroDivisionError):
             return float(self._value(x))
 
-    def branch_pairs(self, x, active_tol: float = DEFAULT_ACTIVE_TOL) -> list:
+    def branch_pairs(self, x) -> list:
         """((f_j(x) - v_j) / d_j, gradient) of each branch, in the order of
-        ``terms``; a branch that contains a max is walked at
-        ``active_tol``."""
-        x = np.asarray(x, dtype=float)
-        xs = x.tolist()
+        ``terms``."""
+        xs = np.asarray(x, dtype=float).tolist()
         pairs = []
         for branch, _, grad, vj, dj in self.terms:
-            bv, bg = (value_and_gradient(branch, x, active_tol)
-                      if grad is None else grad(xs))
+            bv, bg = grad(xs)
             r = (bv - vj) / dj
             if not math.isfinite(r):
                 raise EvaluationError(

@@ -36,7 +36,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import neurodynamic as nd
-from .expr import CompiledExpr, ExprError, parse_expression
+from .expr import CompiledExpr, ExprError, Max, parse_expression
 
 
 class ProblemFormatError(Exception):
@@ -115,9 +115,13 @@ class BilevelProblem:
     @cached_property
     def _rows(self) -> tuple:
         """The rows of G as ``RowSet.of`` tuples (oracle, k, label, shift)
-        over u = (x, y), in three groups: the rows of X (declared s-rows,
-        then x-bound rows), the rows on y alone (y >= 0, then y-bound rows)
-        and the g-rows.  Built on first use."""
+        over u = (x, y), in four groups: the rows of X (declared s-rows,
+        then x-bound rows), the rows on y alone (y >= 0, then y-bound rows),
+        the g-rows, and the f-rows, whose last entry is the index i of the
+        z_i that shifts them.  A row whose expression is a max is one row
+        per branch, labelled "<row> [j]" for branch j: max(a, b) <= z is
+        exactly a <= z and b <= z, and each branch is smooth.  Built on
+        first use."""
         n, total = self.n, self.n + self.m
         names = self.x_names + self.y_names
 
@@ -126,8 +130,19 @@ class BilevelProblem:
             e[i] = sign
             return e
 
-        x_rows = [(s, n, f"s_{k + 1}", 0.0)
-                  for k, s in enumerate(self.lower_constraints)]
+        def split(exprs, fmt):
+            """(k, oracle, label) of each row of expression k of ``exprs``,
+            labelled fmt.format(k + 1)."""
+            for k, c in enumerate(exprs):
+                label = fmt.format(k + 1)
+                if not isinstance(c.ast, Max):
+                    yield k, c, label
+                    continue
+                for j, b in enumerate(c.ast.children):
+                    yield k, CompiledExpr(b, c.n_vars), f"{label} [{j + 1}]"
+
+        x_rows = [(s, n, label, 0.0)
+                  for _, s, label in split(self.lower_constraints, "s_{}")]
         y_rows = [(AffineRow(unit(n + j, -1.0, total), 0.0), total,
                    f"y{j + 1} >= 0", 0.0) for j in range(self.m)]
         for b in self.bounds:
@@ -139,9 +154,11 @@ class BilevelProblem:
             if np.isfinite(b.hi):
                 rows.append((AffineRow(unit(i, 1.0, width), -b.hi), width,
                              f"{b.name} <= {b.hi}", 0.0))
-        g_rows = [(g, total, f"g_{j + 1}", 0.0)
-                  for j, g in enumerate(self.coupling)]
-        return x_rows, y_rows, g_rows
+        g_rows = [(g, total, label, 0.0)
+                  for _, g, label in split(self.coupling, "g_{}")]
+        f_rows = [(f, n, label, i)
+                  for i, f, label in split(self.lower, "f_{0} - z_{0}")]
+        return x_rows, y_rows, g_rows, f_rows
 
     @cached_property
     def _x_set(self) -> nd.RowSet:
@@ -149,7 +166,7 @@ class BilevelProblem:
 
     @cached_property
     def _y_set(self) -> nd.RowSet:
-        _, y_rows, g_rows = self._rows
+        _, y_rows, g_rows, _ = self._rows
         return nd.RowSet.of(y_rows + g_rows, self.n + self.m)
 
     def x_region(self) -> nd.RowSet:
@@ -167,13 +184,13 @@ class BilevelProblem:
 def stacked_mp_constraints(problem: BilevelProblem, z) -> nd.RowSet:
     """The rows of {u in G | f(x) <= z} over u = (x, y): affine rows, then
     nonlinear rows, each in the order s-rows (declared then bound-derived),
-    -y rows, y-bound rows, f_i(x) - z_i rows, g-rows."""
+    -y rows, y-bound rows, f_i(x) - z_i rows, g-rows; a max row is its
+    branch rows."""
     z = np.asarray(z, dtype=float)
     if len(z) != problem.p:
         raise ValueError(f"z has length {len(z)}, expected p = {problem.p}")
-    x_rows, y_rows, g_rows = problem._rows
-    f_rows = [(f, problem.n, f"f_{i + 1} - z_{i + 1}", float(z[i]))
-              for i, f in enumerate(problem.lower)]
+    x_rows, y_rows, g_rows, f_rows = problem._rows
+    f_rows = [(f, k, label, float(z[i])) for f, k, label, i in f_rows]
     return nd.RowSet.of(x_rows + y_rows + f_rows + g_rows,
                         problem.n + problem.m)
 
@@ -270,10 +287,10 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
         out = []
         for line_no, src in entries:
             try:
-                ast = parse_expression(src, variables)
+                out.append(CompiledExpr(parse_expression(src, variables),
+                                        len(variables)))
             except ExprError as exc:
                 raise ProblemFormatError(str(exc), line_no)
-            out.append(CompiledExpr(ast, len(variables)))
         return out
 
     upper = compile_exprs(raw["upper"], xy_names)[0]

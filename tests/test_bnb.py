@@ -193,6 +193,9 @@ class TestInvariants:
 
     def test_vertices_stay_in_box(self, report):
         for row in report.log:
+            if np.isnan(row.v).all():
+                # the round that empties the vertex set selects no vertex
+                continue
             assert np.all(row.v >= report.box.m - 1e-9)
             assert np.all(row.v <= report.box.M + 1e-9)
 
@@ -200,11 +203,10 @@ class TestInvariants:
         assert report.incumbent.h == pytest.approx(report.alpha, abs=1e-12)
 
     def test_log_is_consecutive(self, report):
-        # a terminal exhaustion round counts as an iteration but records no
-        # row, so the log may be one shorter than the iteration count
+        # every round records a row, the one that empties the vertex set too
         ks = [row.k for row in report.log]
         assert ks == list(range(1, len(ks) + 1))
-        assert len(ks) <= report.iterations <= len(ks) + 1
+        assert len(ks) == report.iterations
 
 
 class TestIncumbentFeasibility:

@@ -5,8 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from svbilevel import expr as ex
 from svbilevel.expr import (
     BinOp, Const, Max, Neg, ParseError, Pow, Var,
-    evaluate, parse_expression, to_source,
-    value_and_gradient, CompiledExpr,
+    parse_expression, to_source, CompiledExpr,
 )
 from svbilevel.neurodynamic import band_members
 
@@ -19,21 +18,129 @@ FIXTURE_EXPRESSIONS = [
     "0.5*(x1 - 1)^2 + 1.4*(x2 - 0.5)^2 - 1.1",
     "(2*x1 + 3*x2) / (4*x1 + 5*x2 + 10)",
     "(3*x1 + x2)^2 / (3*x1 + x2 - 1)^3",
-    "min(x1, x2 - 1)",
     "-(x1 - x2) * (x1 + x2) / 2",
 ]
+
+# parsed and printed, but a CompiledExpr rejects a min
+PARSE_ONLY_EXPRESSIONS = ["min(x1, x2 - 1)"]
 
 
 COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-3, 3)
 
-EXPRESSIONS = st.recursive(
-    st.builds(lambda i: Var(i, f"x{i + 1}"), st.integers(0, 2))
-    | st.builds(Const, st.sampled_from([0.0, 1.0, -2.5, 0.3, 1e-3])),
-    lambda kids: st.builds(Neg, kids)
-    | st.builds(BinOp, st.sampled_from("+-*/"), kids, kids)
-    | st.builds(Pow, kids, st.sampled_from([-2, -1, 0, 1, 2, 3, 9]))
-    | st.builds(lambda a, b: Max((a, b)), kids, kids),
-    max_leaves=12)
+LEAVES = (st.builds(lambda i: Var(i, f"x{i + 1}"), st.integers(0, 2))
+          | st.builds(Const, st.sampled_from([0.0, 1.0, -2.5, 0.3, 1e-3])))
+EXPONENTS = st.sampled_from([-2, -1, 0, 1, 2, 3, 9])
+
+
+def _smooth_nodes(kids):
+    return (st.builds(Neg, kids)
+            | st.builds(BinOp, st.sampled_from("+-*/"), kids, kids)
+            | st.builds(Pow, kids, EXPONENTS))
+
+
+# max-free trees, and a max of them at the root: what a CompiledExpr takes
+SMOOTH_EXPRESSIONS = st.recursive(LEAVES, _smooth_nodes, max_leaves=12)
+EXPRESSIONS = SMOOTH_EXPRESSIONS | st.builds(
+    lambda kids: Max(tuple(kids)),
+    st.lists(SMOOTH_EXPRESSIONS, min_size=2, max_size=3))
+
+
+# ---------------------------------------------------------------------------
+# The reference: the forward-mode tree walk for value and gradient, and the
+# structural affinity test
+# ---------------------------------------------------------------------------
+
+def _check_finite(v, node):
+    if not np.isfinite(v):
+        raise ex.EvaluationError(f"non-finite value at node {to_source(node)}")
+    return v
+
+
+def value_and_gradient(e, point):
+    """Forward-mode evaluation: (value, gradient).  A max node takes the
+    uniform average of the gradients of its branches within
+    ``DEFAULT_ACTIVE_TOL`` of the top."""
+    n = len(point)
+
+    def rec(node):
+        if isinstance(node, Const):
+            return node.value, np.zeros(n)
+        if isinstance(node, Var):
+            g = np.zeros(n)
+            g[node.index] = 1.0
+            return float(point[node.index]), g
+        if isinstance(node, Neg):
+            v, g = rec(node.child)
+            return -v, -g
+        if isinstance(node, BinOp):
+            av, ag = rec(node.left)
+            bv, bg = rec(node.right)
+            if node.op == "+":
+                return av + bv, ag + bg
+            if node.op == "-":
+                return av - bv, ag - bg
+            if node.op == "*":
+                return av * bv, ag * bv + bg * av
+            if bv == 0.0:
+                raise ex.EvaluationError(
+                    f"division by zero at node {to_source(node)}")
+            v = av / bv
+            return _check_finite(v, node), (ag - v * bg) / bv
+        if isinstance(node, Pow):
+            bv, bg = rec(node.base)
+            k = node.exponent
+            v = ex._ipow(bv, k, node)
+            if k == 0:
+                return 1.0, np.zeros(n)
+            dv = k * ex._ipow(bv, k - 1, node)
+            _check_finite(v, node)
+            return v, _check_finite(dv, node) * bg
+        pairs = [rec(c) for c in node.children]
+        top = max(v for v, _ in pairs)
+        gens = [g for v, g in pairs if v >= top - ex.DEFAULT_ACTIVE_TOL]
+        return top, sum(gens[1:], start=gens[0].copy()) / len(gens)
+
+    return rec(e)
+
+
+def _free_variables(e):
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Const):
+        return set()
+    kids = ((e.child,) if isinstance(e, Neg) else (e.left, e.right)
+            if isinstance(e, BinOp) else (e.base,) if isinstance(e, Pow)
+            else e.children)
+    return set().union(*(_free_variables(c) for c in kids))
+
+
+def _is_constant(e):
+    return not _free_variables(e)
+
+
+def is_affine(e):
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, Neg):
+        return is_affine(e.child)
+    if isinstance(e, BinOp):
+        if e.op in "+-":
+            return is_affine(e.left) and is_affine(e.right)
+        if e.op == "*":
+            return (_is_constant(e.left) and is_affine(e.right)) or (
+                _is_constant(e.right) and is_affine(e.left))
+        return is_affine(e.left) and _is_constant(e.right)
+    if isinstance(e, Pow):
+        return e.exponent in (0, 1) and is_affine(e.base) or _is_constant(e)
+    return False
+
+
+def reference_affine_parts(e, n_vars):
+    """(coefficients, constant) of an affine expression, else None."""
+    if not is_affine(e):
+        return None
+    const, coeffs = value_and_gradient(e, np.zeros(n_vars))
+    return coeffs, const
 
 
 def _reference_value(e, x):
@@ -79,7 +186,7 @@ def _outcome(fn, x):
 def _reference_generators(ast, x, tol):
     """``value_generators`` of a root max by the tree walk: each branch
     through ``value_and_gradient``, then the gradient-scaled band."""
-    pairs = [value_and_gradient(c, x, tol) for c in ast.children]
+    pairs = [value_and_gradient(c, x) for c in ast.children]
     top = max(v for v, _ in pairs)
     return top, [g for v, g in pairs
                  if top - v <= tol * max(1.0, float(np.linalg.norm(g)))]
@@ -122,7 +229,7 @@ class TestParse:
             "max(-0.5*x1 - 0.25*x2 - 0.2, -2*x1 + 4.6*x2 - 5.8)", V2)
         assert isinstance(ast, Max)
         assert len(ast.children) == 2
-        assert all(ex.is_affine(c) for c in ast.children)
+        assert all(ex.affine_parts(c, 2) is not None for c in ast.children)
 
     def test_trailing_operator_is_syntax_error(self):
         with pytest.raises(ParseError):
@@ -144,39 +251,53 @@ class TestParse:
         ast = parse_expression("min(x1, x2)", V2)
         assert ast == Neg(Max((Neg(Var(0, "x1")), Neg(Var(1, "x2")))))
 
+    def test_errors_name_the_position_after_whitespace(self):
+        with pytest.raises(ParseError, match=r"'\$' \(at position 7\)"):
+            parse_expression("x1 +   $", V2)
+        with pytest.raises(ParseError, match=r"'z9' \(at position 6\)"):
+            parse_expression("x1 +  z9", V2)
+
+    def test_max_records_its_position(self):
+        # equality ignores the position
+        ast = parse_expression("x1 +  max(x1, x2)", V2)
+        assert ast.right.pos == 6
+        assert ast == parse_expression("x1 + max(x1, x2)", V2)
+        assert parse_expression(" min(x1, x2)", V2).child.pos == 1
+
     def test_max_requires_two_args(self):
         with pytest.raises(ParseError):
             parse_expression("max(x1)", V2)
 
-    @pytest.mark.parametrize("src", FIXTURE_EXPRESSIONS)
+    @pytest.mark.parametrize("src", FIXTURE_EXPRESSIONS + PARSE_ONLY_EXPRESSIONS)
     def test_round_trip(self, src):
         ast = parse_expression(src, V2)
         assert parse_expression(to_source(ast), V2) == ast
 
 
+def _value(src, x, variables=V2):
+    return CompiledExpr(parse_expression(src, variables), len(variables)).value(x)
+
+
 class TestEvaluate:
     def test_arithmetic_identity(self):
-        ast = parse_expression("x1 + x2^2", V2)
-        assert evaluate(ast, [1.0, 2.0]) == 5.0
+        assert _value("x1 + x2^2", [1.0, 2.0]) == 5.0
 
     def test_paper_upper_objective_value(self):
         # h of the first computational example at its reported terminal point
-        ast = parse_expression("x1 + x2^2", V2)
-        assert evaluate(ast, [0.997561, 0.502439]) == pytest.approx(1.250006, abs=1e-6)
+        assert _value("x1 + x2^2", [0.997561, 0.502439]) == \
+            pytest.approx(1.250006, abs=1e-6)
 
     def test_max_symmetry(self):
-        ast = parse_expression("max(x1, -x1)", ["x1"])
-        assert evaluate(ast, [0.0]) == 0.0
+        assert _value("max(x1, -x1)", [0.0], ["x1"]) == 0.0
 
     def test_max_returns_extremal_child(self):
-        ast = parse_expression("max(x1, x2, x1*x2)", V2)
+        comp = CompiledExpr(parse_expression("max(x1, x2, x1*x2)", V2), 2)
         for x in np.random.default_rng(0).uniform(-2, 2, size=(50, 2)):
-            assert evaluate(ast, x) == max(x[0], x[1], x[0] * x[1])
+            assert comp.value(x) == max(x[0], x[1], x[0] * x[1])
 
     def test_division_by_zero(self):
-        ast = parse_expression("x1 / x2", V2)
         with pytest.raises(ex.EvaluationError):
-            evaluate(ast, [1.0, 0.0])
+            _value("x1 / x2", [1.0, 0.0])
 
 
 class TestGradient:
@@ -186,8 +307,7 @@ class TestGradient:
         _, gens = comp.value_generators(x)
         assert len(gens) == 1
         np.testing.assert_allclose(gens[0], [1.0, 1.0])
-        np.testing.assert_allclose(value_and_gradient(comp.ast, x)[1],
-                                   [1.0, 1.0])
+        np.testing.assert_allclose(comp.value_grad(x)[1], [1.0, 1.0])
 
     def test_unique_active_affine_branch(self):
         comp = CompiledExpr(parse_expression(
@@ -198,26 +318,24 @@ class TestGradient:
         assert value == pytest.approx(-0.825)
         assert len(gens) == 1
         np.testing.assert_allclose(gens[0], [-0.5, -0.25])
-        np.testing.assert_allclose(value_and_gradient(comp.ast, x)[1],
-                                   [-0.5, -0.25])
+        np.testing.assert_allclose(comp.value_grad(x)[1], [-0.5, -0.25])
 
     def test_tie_gives_midpoint_selection(self):
         comp = CompiledExpr(parse_expression("max(x1, x2)", V2), 2)
         x = np.array([1.0, 1.0])
         _, gens = comp.value_generators(x)
         assert len(gens) == 2
-        np.testing.assert_allclose(value_and_gradient(comp.ast, x)[1],
-                                   [0.5, 0.5])
+        np.testing.assert_allclose(comp.value_grad(x)[1], [0.5, 0.5])
 
-    @pytest.mark.parametrize("src", [s for s in FIXTURE_EXPRESSIONS if "max" not in s and "min" not in s])
+    @pytest.mark.parametrize("src", [s for s in FIXTURE_EXPRESSIONS if "max" not in s])
     def test_matches_finite_differences(self, src):
-        ast = parse_expression(src, V2)
+        comp = CompiledExpr(parse_expression(src, V2), 2)
         rng = np.random.default_rng(42)
         checked = 0
         for _ in range(100):
             x = rng.uniform(-3, 3, 2)
             try:
-                _, g = value_and_gradient(ast, x)
+                _, g = comp.value_grad(x)
             except ex.EvaluationError:
                 continue
             fd = np.zeros(2)
@@ -228,7 +346,7 @@ class TestGradient:
                 xp[i] += h
                 xm[i] -= h
                 try:
-                    fd[i] = (evaluate(ast, xp) - evaluate(ast, xm)) / (2 * h)
+                    fd[i] = (comp.value(xp) - comp.value(xm)) / (2 * h)
                 except ex.EvaluationError:
                     ok = False
             if not ok:
@@ -247,8 +365,7 @@ class TestGradient:
             k = len(gens)
             lam = np.full(k, 1.0 / k)
             combo = sum(l * g for l, g in zip(lam, gens))
-            np.testing.assert_allclose(value_and_gradient(comp.ast, x)[1],
-                                       combo, atol=1e-12)
+            np.testing.assert_allclose(comp.value_grad(x)[1], combo, atol=1e-12)
 
 
 class TestCompiled:
@@ -259,9 +376,9 @@ class TestCompiled:
         rng = np.random.default_rng(7)
         for _ in range(30):
             x = rng.uniform(0.5, 3, 2)
-            assert comp.value(x) == pytest.approx(evaluate(ast, x), rel=1e-12)
-            v, g = comp.value_grad(x)
             vi, gi = value_and_gradient(ast, x)
+            assert comp.value(x) == pytest.approx(vi, rel=1e-12)
+            v, g = comp.value_grad(x)
             assert v == pytest.approx(vi, rel=1e-12)
             np.testing.assert_allclose(g, gi, atol=1e-10)
 
@@ -278,20 +395,25 @@ class TestCompiled:
         with np.errstate(all="ignore"):
             assert _outcome(comp.value, x) == _outcome(
                 lambda u: _reference_value(ast, u), x)
-        if comp.affine is None:
-            assert _outcome(comp.value_grad, x) == _outcome(
-                lambda u: value_and_gradient(ast, u), x)
+            if comp.affine is None:
+                assert _outcome(comp.value_grad, x) == _outcome(
+                    lambda u: value_and_gradient(ast, u), x)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_generated_branches_repeat_the_tree_walk(self, data):
-        # branches drawn from the tree strategy above: smooth ones run
-        # through generated code, ones with a nested max through the walk
-        ast = Max(tuple(data.draw(st.lists(EXPRESSIONS, min_size=2, max_size=4))))
+        # max-free branches drawn from the tree strategy above, each run
+        # through its generated code
+        ast = Max(tuple(data.draw(
+            st.lists(SMOOTH_EXPRESSIONS, min_size=2, max_size=4))))
         x = np.array(data.draw(st.lists(COORDS, min_size=3, max_size=3)))
         tols = data.draw(st.lists(st.sampled_from([1e-9, 1e-4, 0.5, 2.0]),
                                   min_size=2, max_size=2))
         comp = CompiledExpr(ast, 3)
+        with np.errstate(all="ignore"):
+            # the branch pairs the flow reads are the tree walk's
+            assert _pairs_outcome(comp.branch_pairs, x) == _pairs_outcome(
+                lambda u: [value_and_gradient(c, u) for c in ast.children], x)
         # one object at two bands: each call follows its own band
         for tol in tols:
             with np.errstate(all="ignore"):
@@ -299,15 +421,9 @@ class TestCompiled:
                     lambda u: comp.value_generators(u, tol), x) == \
                     _generators_outcome(
                         lambda u: _reference_generators(ast, u, tol), x)
-                # the branch pairs the flow reads are the tree walk's, and
-                # the band over them is the same band
-                assert _pairs_outcome(
-                    lambda u: comp.branch_pairs(u, tol), x) == \
-                    _pairs_outcome(
-                        lambda u: [value_and_gradient(c, u, tol)
-                                   for c in ast.children], x)
+                # the band over the branch pairs is the same band
                 assert _generators_outcome(
-                    lambda u: _band_generators(comp.branch_pairs(u, tol),
+                    lambda u: _band_generators(comp.branch_pairs(u),
                                                tol), x) == \
                     _generators_outcome(
                         lambda u: _reference_generators(ast, u, tol), x)
@@ -324,6 +440,22 @@ class TestCompiled:
         assert v == 0.05 and len(gens) == 1
         np.testing.assert_array_equal(gens[0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("src", ["x1 + x2^2", "2*x1 - 3*x2 + 1"])
+    def test_one_generated_function_per_mode(self, src, monkeypatch):
+        # a single branch is the expression itself: its branch functions
+        # are the ones value and value_grad use
+        made = []
+        generate = ex._generate
+        monkeypatch.setattr(ex, "_generate", lambda e, n, gradient: (
+            made.append(gradient) or generate(e, n, gradient)))
+        comp = CompiledExpr(parse_expression(src, V2), 2)
+        x = np.array([0.5, 2.0])
+        comp.value(x)
+        comp.value_grad(x)
+        assert comp.branch_values[0](x.tolist()) == comp.value(x)
+        assert comp.branch_gradients[0](x.tolist())[0] == comp.value(x)
+        assert made == [False, True]
+
     def test_affine_detection(self):
         assert CompiledExpr(parse_expression("2*x1 - 3*x2 + 1", V2), 2).affine is not None
         assert CompiledExpr(parse_expression("x1*x2", V2), 2).affine is None
@@ -332,10 +464,67 @@ class TestCompiled:
         assert b == 1.0
 
 
-@given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
-       st.lists(st.floats(-5, 5), min_size=2, max_size=2))
+@given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
 @settings(max_examples=50, deadline=None)
-def test_max_evaluates_exact_max(x, coeffs):
-    ast = parse_expression("max(x1 + x2, x1*x2, -x1)", V2)
-    v = evaluate(ast, x)
+def test_max_evaluates_exact_max(x):
+    v = _value("max(x1 + x2, x1*x2, -x1)", x)
     assert v == max(x[0] + x[1], x[0] * x[1], -x[0])
+
+
+CONSTANTS = st.recursive(
+    st.builds(Const, st.sampled_from([0.0, 1.0, -2.5, 0.3, 1e-3])),
+    _smooth_nodes, max_leaves=4)
+
+# max-free trees rich in constant factors, divisors and powers, so that
+# about half of them are affine
+LINEAR = st.recursive(
+    LEAVES,
+    lambda kids: _smooth_nodes(kids)
+    | st.builds(BinOp, st.just("*"), CONSTANTS, kids)
+    | st.builds(BinOp, st.just("/"), kids, CONSTANTS)
+    | st.builds(Pow, CONSTANTS, EXPONENTS),
+    max_leaves=12)
+
+
+def _affine_outcome(fn):
+    """None, the exact bits of (constant, coefficients), or "raises"."""
+    try:
+        out = fn()
+    except (ex.EvaluationError, ArithmeticError):
+        return "raises"
+    if out is None:
+        return None
+    coeffs, const = out
+    return float(const).hex(), [float(c).hex() for c in coeffs]
+
+
+class TestAffineParts:
+    @given(LINEAR)
+    @example(BinOp("+", BinOp("*", Var(0, "x1"), Var(1, "x2")),
+                   BinOp("/", Const(1.0), Const(0.0))))
+    @example(BinOp("*", BinOp("-", Var(0, "x1"), Var(0, "x1")), Var(1, "x2")))
+    @settings(max_examples=500, deadline=None)
+    def test_linear_form_repeats_the_reference(self, ast):
+        # classification, and (coefficients, constant) bit for bit; an
+        # evaluation that fails raises only in an affine expression
+        with np.errstate(all="ignore"):
+            assert _affine_outcome(lambda: ex.affine_parts(ast, 3)) == \
+                _affine_outcome(lambda: reference_affine_parts(ast, 3))
+
+    def test_root_max_is_not_affine(self):
+        assert ex.affine_parts(parse_expression("max(x1, x2)", V2), 2) is None
+
+
+class TestRootMaxOnly:
+    @pytest.mark.parametrize("src, pos", [
+        ("min(x1, x2)", 0), ("-max(x1, x2)", 1), ("x1*max(x1, x2)", 3),
+        ("max(x1, x2)^2", 0), ("1/max(x1, x2)", 2), ("max(x1, x2) + 1", 0),
+        ("max(x1, max(x2, 1))", 8)])
+    def test_max_below_the_root_is_rejected(self, src, pos):
+        ast = parse_expression(src, V2)
+        with pytest.raises(ParseError, match=rf"root.*\(at position {pos}\)"):
+            CompiledExpr(ast, 2)
+
+    def test_root_max_of_smooth_branches_is_accepted(self):
+        comp = CompiledExpr(parse_expression("max(x1^2, x2 / (x1 + 2))", V2), 2)
+        assert comp.value([1.0, 3.0]) == 1.0

@@ -306,6 +306,15 @@ class TestOneGeneratorTwoRowSelection:
                                  [np.array([-1.0, 0.0]), np.array([0.3, 1.0])])
         assert np.linalg.norm(vel - [0.0, -c_gain / 2.0]) <= 1e-15 * c_gain
 
+    def test_row_whose_gram_underflows_gives_no_gain(self):
+        # a2 . a2 underflows to 0 while a2 . g = -3.2e-163 does not; the
+        # face of a2 once divided q_2^2 = 0 by p_22 = 0
+        g = np.array([-0.5, -0.5])
+        vel = nd._two_row_velocity(g, np.zeros(2),
+                                   np.array([0.0, 6.366297293169206e-163]))
+        assert np.isfinite(vel).all()
+        np.testing.assert_array_equal(vel, -g)
+
 
 class TestSolveFlow:
     def test_qp_known_optimum(self):

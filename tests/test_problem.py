@@ -1,10 +1,16 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svbilevel import catalog
+from svbilevel.expr import Max
 from svbilevel.problem import (
     ProblemFormatError, load_problem, stacked_mp_constraints, validate,
 )
+
+from test_expr import is_affine, value_and_gradient
 
 MINI = """\
 vars x 2
@@ -64,6 +70,16 @@ class TestLoad:
         prob = load_problem(str(f))
         assert prob.n == 2 and prob.source_name.endswith("mini.prob")
 
+    @pytest.mark.parametrize("src", [
+        "min(x1, x2)", "-max(x1, x2)", "x1*max(x1, x2)", "max(x1, x2)^2",
+        "1/max(x1, x2)", "max(x1, x2) + 1"])
+    def test_max_below_the_root_fails_at_load(self, src):
+        # MINI has 6 lines; the position is that of the max or min
+        pos = src.index("m")
+        with pytest.raises(ProblemFormatError,
+                           match=rf"^line 7: .*root.*\(at position {pos}\)$"):
+            load_problem(MINI + f"lower {src}\n")
+
     @pytest.mark.parametrize("k", sorted(catalog.EXAMPLES))
     def test_all_examples_load(self, k):
         prob = catalog.load_example(k)
@@ -87,6 +103,23 @@ class TestValidate:
         assert any("unbounded" in d.message for d in diags if d.level == "warning")
 
 
+def expression_rows(exprs, fmt, point, shifts=None):
+    """(label, value, affine) of the row expression - shift of each of
+    ``exprs``, labelled fmt.format(k + 1); a max is one row per branch,
+    labelled "<row> [j]", its branches evaluated by the reference walk."""
+    out = []
+    for k, c in enumerate(exprs):
+        label = fmt.format(k + 1)
+        shift = 0.0 if shifts is None else shifts[k]
+        if not isinstance(c.ast, Max):
+            out.append((label, c.value(point) - shift, c.affine is not None))
+            continue
+        out += [(f"{label} [{j + 1}]",
+                 value_and_gradient(b, point)[0] - shift, is_affine(b))
+                for j, b in enumerate(c.ast.children)]
+    return out
+
+
 def direct_rows(problem, x, y, z):
     """(label, value, affine) of every row of {u in G | f(x) <= z} at
     u = (x, y), evaluated term by term in the order s, x-bounds, -y,
@@ -100,15 +133,12 @@ def direct_rows(problem, x, y, z):
             rows.append((f"{b.name} >= {b.lo}", b.lo - point[b.name], True))
         if np.isfinite(b.hi):
             rows.append((f"{b.name} <= {b.hi}", point[b.name] - b.hi, True))
-    out = [(f"s_{k + 1}", s.value(x), s.affine is not None)
-           for k, s in enumerate(problem.lower_constraints)]
+    out = expression_rows(problem.lower_constraints, "s_{}", x)
     out += bound_rows["x"]
     out += [(f"y{j + 1} >= 0", -y[j], True) for j in range(problem.m)]
     out += bound_rows["y"]
-    out += [(f"f_{i + 1} - z_{i + 1}", f.value(x) - z[i], f.affine is not None)
-            for i, f in enumerate(problem.lower)]
-    out += [(f"g_{j + 1}", g.value(u), g.affine is not None)
-            for j, g in enumerate(problem.coupling)]
+    out += expression_rows(problem.lower, "f_{0} - z_{0}", x, z)
+    out += expression_rows(problem.coupling, "g_{}", u)
     return out
 
 
@@ -155,12 +185,15 @@ class TestStack:
         prob = catalog.load_example(1)
         z = np.array([3.29, 1.20])
         rows = stacked_mp_constraints(prob, z)
-        # 6 declared s-rows, 2 bound rows, 0 y-rows, 2 f-z rows, 0 g-rows
-        assert rows.size == 10
+        # 6 declared s-rows, 2 bound rows, 0 y-rows, 3 f-z rows (f_2 is a
+        # max of two affine branches, a row each), 0 g-rows
+        assert rows.size == 11
         x = np.array([1.0, 1.0])
         f1 = prob.lower[0].value(x)
-        # affine rows first: 5 s-rows and 2 bound rows, then s_6, f_1, f_2
-        assert rows.values(x)[8] == pytest.approx(f1 - 3.29)
+        # affine rows first: 5 s-rows, 2 bound rows and the branch rows of
+        # f_2, then s_6 and f_1
+        assert rows.labels[7:9] == ("f_2 - z_2 [1]", "f_2 - z_2 [2]")
+        assert rows.values(x)[10] == pytest.approx(f1 - 3.29)
 
     def test_example6_stack_order(self):
         prob = catalog.load_example(6)
@@ -186,8 +219,55 @@ class TestStack:
         prob = catalog.load_example(1)
         x = np.array([1.0, 1.0])
         z = np.array([f.value(x) + 0.5 for f in prob.lower])
-        vals = stacked_mp_constraints(prob, z).values(x)
-        assert vals[8] < 0 and vals[9] < 0
+        rows = stacked_mp_constraints(prob, z)
+        f_vals = [v for label, v in zip(rows.labels, rows.values(x))
+                  if label.startswith("f_")]
+        assert len(f_vals) == 3 and max(f_vals) < 0
+
+
+# every s-, f- and g-row kind as a max, with dyadic coefficients, so that
+# on a dyadic grid each row value is exact and the boundary is hit exactly
+SPLIT_TEXT = """\
+vars x 2
+vars y 1
+upper x1 + y1
+lower x1^2 + x2^2
+lower max(0.5*x1 - x2, x1^2 - 2*x2 + 0.25, -x1)
+constraint_x max(x1 + x2 - 2, x1^2 - 4)
+constraint_xy max(y1 - x1, 0.25*y1^2 - 1)
+bound x1 -2 2
+"""
+DYADIC = st.integers(-24, 24).map(lambda k: k / 8)
+
+
+class TestSplitRows:
+    def test_labels_name_the_branches(self):
+        labels = stacked_mp_constraints(load_problem(SPLIT_TEXT),
+                                        np.zeros(2)).labels
+        assert sorted(labels) == sorted([
+            "s_1 [1]", "s_1 [2]", "x1 >= -2.0", "x1 <= 2.0", "y1 >= 0",
+            "f_1 - z_1", "f_2 - z_2 [1]", "f_2 - z_2 [2]", "f_2 - z_2 [3]",
+            "g_1 [1]", "g_1 [2]"])
+
+    @given(st.lists(DYADIC, min_size=5, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_split_rows_are_feasible_where_the_max_row_is(self, coords):
+        prob = load_problem(SPLIT_TEXT)
+        x, y, z = np.array(coords[:2]), np.array(coords[2:3]), coords[3:]
+        u = np.concatenate([x, y])
+        rows = stacked_mp_constraints(prob, z)
+        split = defaultdict(list)
+        for label, v in zip(rows.labels, rows.values(u)):
+            split[label.split(" [")[0]].append(v)
+        unsplit = {"s_1": prob.lower_constraints[0].value(x),
+                   "f_1 - z_1": prob.lower[0].value(x) - z[0],
+                   "f_2 - z_2": prob.lower[1].value(x) - z[1],
+                   "g_1": prob.coupling[0].value(u)}
+        for label, value in unsplit.items():
+            assert (max(split[label]) <= 0.0) == (value <= 0.0), label
+        feasible = (all(v <= 0.0 for v in unsplit.values())
+                    and abs(x[0]) <= 2.0 and y[0] >= 0.0)
+        assert (rows.values(u) <= 0.0).all() == feasible
 
 
 class TestRegionG:
