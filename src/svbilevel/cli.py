@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bnb, catalog
 from . import neurodynamic as nd
+from .expr import ExprError
 from .outcome import OutcomeError
 from .problem import ProblemFormatError, load_problem
 
@@ -193,7 +194,8 @@ def main(argv=None) -> int:
                 f"direction has {len(config.direction)} components, "
                 f"problem has {problem.p} objectives")
         report = bnb.solve(problem, config)
-    except (InputError, OutcomeError, nd.FlowError, ValueError) as exc:
+    except (InputError, OutcomeError, nd.FlowError, ExprError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -16,8 +16,9 @@ expression, over branches without one.  A max of quasiconvex functions is
 quasiconvex, so a root max stays within the class the solver assumes, and
 a constraint row max(a, b) <= 0 is exactly the rows a <= 0 and b <= 0.  A
 min of pseudoconvex functions is outside that class.  Every branch is
-smooth, so generated straight-line code is the one way an expression is
-evaluated; ``affine_parts`` reads the linear form of an affine one.
+smooth, so generated straight-line code, one arithmetic for value and
+gradient, is the one way an expression is evaluated; ``affine_parts``
+reads the linear form of an affine one.
 """
 
 from __future__ import annotations
@@ -298,30 +299,31 @@ def _raise_nonfinite(node: Expr):
 
 
 def _ipow(base: float, k: int, node: Expr) -> float:
+    """base^k multiplied out from 1.0 as generated code unrolls it; +-inf
+    where the positive power of a negative one underflows to +-0."""
     if k < 0:
         if base == 0.0:
             _raise_zero(node)
-        return 1.0 / _ipow(base, -k, node)
-    if k <= MAX_UNROLLED_POW:
-        out = 1.0
-        for _ in range(k):
-            out *= base
-        return out
-    return float(base**k)
+        p = _ipow(base, -k, node)
+        return 1.0 / p if p != 0.0 else math.copysign(math.inf, p)
+    out = 1.0
+    for _ in range(k):
+        out *= base
+    return out
 
 
 class _Emitter:
     """Python source for one max-free expression: a statement per node, in
-    the order a recursive evaluation visits them.  Two modes:
-
-    * value: ``b ** 2`` for squares, ``_ipow`` for other powers, divisions
-      checked for a zero denominator, no finiteness checks;
-    * gradient: forward-mode differentiation (unrolled powers, checked
-      divisions and powers), with the gradient carried per component and
-      components that are structurally zero left out.  It repeats the
-      arithmetic of a forward-mode walk on dense gradients up to the sign
-      of zero, except where an intermediate overflows: a left-out component
-      stays 0 where the walk gets 0 * inf = nan.
+    the order a recursive evaluation visits them, with divisions checked
+    for a zero denominator and powers multiplied out as ``_ipow`` does.  In
+    gradient mode it also differentiates in forward mode, carrying the
+    gradient per component and leaving out components that are structurally
+    zero, and checks each quotient and power for a finite value.  That
+    repeats the arithmetic of a forward-mode walk on dense gradients up to
+    the sign of zero, except where an intermediate overflows: a left-out
+    component stays 0 where the walk gets 0 * inf = nan.  Value mode is the
+    same code without the gradient statements and the finiteness checks,
+    so both modes give the same value bit for bit.
     """
 
     ONE = "1.0"
@@ -380,24 +382,16 @@ class _Emitter:
         raise TypeError(f"not a max-free expression node: {e!r}")
 
     def emit_binop(self, e: BinOp):
-        if e.op == "/" and not self.gradient:
-            # the value path evaluates the denominator first
-            b, _ = self.emit(e.right)
-            self.lines.append(f"if {b} == 0.0: _raise_zero({self.node_ref(e)})")
-            a, _ = self.emit(e.left)
-            return self.temp(f"{a} / {b}"), {}
         a, ga = self.emit(e.left)
         b, gb = self.emit(e.right)
         if e.op == "/":
             self.lines.append(f"if {b} == 0.0: _raise_zero({self.node_ref(e)})")
         v = self.temp(f"{a} {e.op} {b}")
-        g = {}
-        if self.gradient:
-            for j in sorted(ga.keys() | gb.keys()):
-                g[j] = self.name(self.derivative(e.op, v, a, b, ga.get(j), gb.get(j)))
-            if e.op == "/":
-                self.lines.append(
-                    f"if not _isfinite({v}): _raise_nonfinite({self.node_ref(e)})")
+        g = {j: self.name(self.derivative(e.op, v, a, b, ga.get(j), gb.get(j)))
+             for j in sorted(ga.keys() | gb.keys())}
+        if e.op == "/" and self.gradient:
+            self.lines.append(
+                f"if not _isfinite({v}): _raise_nonfinite({self.node_ref(e)})")
         return v, g
 
     def derivative(self, op, v, a, b, da, db) -> str:
@@ -418,12 +412,8 @@ class _Emitter:
     def emit_pow(self, e: Pow):
         b, gb = self.emit(e.base)
         k = e.exponent
-        if not self.gradient:
-            if k == 2:
-                return self.temp(f"{b} ** 2"), {}
-            return self.temp(f"_ipow({b}, {k}, {self.node_ref(e)})"), {}
         v = self.temp(self.power(b, k, e))
-        if k == 0:
+        if k == 0 or not self.gradient:
             return v, {}
         dv = self.temp(f"{k} * ({self.power(b, k - 1, e)})") if k != 1 else self.ONE
         g = {j: self.name(self.product(dv, d)) for j, d in gb.items()}
@@ -456,10 +446,11 @@ def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
 
 
 class CompiledExpr:
-    """An expression bound to a variable count, with generated functions for
-    value and (value, gradient) evaluation, each made on first use so that
-    loading a problem stays cheap.  A max may stand only at the root, over
-    branches without one (see ``affine_parts``)."""
+    """An expression bound to a variable count, with generated value and
+    (value, gradient) functions for each branch, made on first use so that
+    loading a problem stays cheap, and equal in value bit for bit.  A max
+    may stand only at the root, over branches without one (see
+    ``affine_parts``)."""
 
     def __init__(self, ast: Expr, n_vars: int):
         self.ast = ast
@@ -472,55 +463,30 @@ class CompiledExpr:
         return self.ast.children if isinstance(self.ast, Max) else (self.ast,)
 
     @cached_property
-    def _value(self) -> Callable:
-        if isinstance(self.ast, Max):
-            branches = self.branch_values
-            return lambda x: max(fn(x) for fn in branches)
-        return _generate(self.ast, self.n_vars, gradient=False)
-
-    @cached_property
-    def _value_grad(self) -> Callable:
-        return _generate(self.ast, self.n_vars, gradient=True)
-
-    @cached_property
     def branch_values(self) -> list:
-        """The generated value function of each branch: for any expression
-        but a root max, the one ``value`` uses."""
-        if not isinstance(self.ast, Max):
-            return [self._value]
+        """The generated value function of each branch."""
         return [_generate(b, self.n_vars, gradient=False) for b in self.branches]
 
     @cached_property
     def branch_gradients(self) -> list:
-        """The generated (value, gradient) function of each branch: for any
-        expression but a root max, the whole expression's, which is also
-        ``value_grad``'s unless the expression is affine."""
-        if not isinstance(self.ast, Max):
-            return [self._value_grad]
+        """The generated (value, gradient) function of each branch."""
         return [_generate(b, self.n_vars, gradient=True) for b in self.branches]
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        try:
-            return float(self._value(x.tolist()))
-        except (OverflowError, ZeroDivisionError):
-            # float powers raise on overflow and underflow to zero where
-            # numpy scalars give inf
-            return float(self._value(x))
+        xs = np.asarray(x, dtype=float).tolist()
+        fns = self.branch_values
+        return fns[0](xs) if len(fns) == 1 else max(fn(xs) for fn in fns)
 
     def value_grad(self, x):
         """(value, gradient); at a root max the top value and the uniform
         average of the gradients of the branches within DEFAULT_ACTIVE_TOL
         of it, one element of the Clarke set."""
-        if self.affine is not None:
-            a, b = self.affine
-            return float(a @ x + b), a.copy()
         if isinstance(self.ast, Max):
             pairs = self.branch_pairs(x)
             top = max(v for v, _ in pairs)
             gens = [g for v, g in pairs if v >= top - DEFAULT_ACTIVE_TOL]
             return top, sum(gens[1:], start=gens[0].copy()) / len(gens)
-        return self._value_grad(np.asarray(x, dtype=float).tolist())
+        return self.branch_gradients[0](np.asarray(x, dtype=float).tolist())
 
     def branch_pairs(self, x) -> list:
         """(value, gradient) of each branch (see ``branches``) by its

@@ -130,8 +130,8 @@ class RayObjective:
     objective's generated functions, made once per problem, with v_j and
     d_j applied as floats outside them, so a ray call generates no code.
     The arithmetic is that of the expression ``Max`` of
-    ``(branch - Const(v_j)) / Const(d_j)`` compiled as a ``CompiledExpr``:
-    the value reruns on numpy scalars where a float power raises.
+    ``(branch - Const(v_j)) / Const(d_j)`` compiled as a ``CompiledExpr``,
+    so ``value`` is the top of ``branch_pairs`` bit for bit.
 
     The minimizer lies on the kink where the leading branches are equal.
     ``branch_pairs`` gives the flow each branch's (value, gradient); the
@@ -146,15 +146,9 @@ class RayObjective:
             for branch, value, grad in zip(f.branches, f.branch_values,
                                            f.branch_gradients)]
 
-    def _value(self, x):
-        return max((value(x) - vj) / dj for _, value, _, vj, dj in self.terms)
-
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        try:
-            return float(self._value(x.tolist()))
-        except (OverflowError, ZeroDivisionError):
-            return float(self._value(x))
+        xs = np.asarray(x, dtype=float).tolist()
+        return max((value(xs) - vj) / dj for _, value, _, vj, dj in self.terms)
 
     def branch_pairs(self, x) -> list:
         """((f_j(x) - v_j) / d_j, gradient) of each branch, in the order of
@@ -192,7 +186,7 @@ def solve_ray(problem: BilevelProblem, box: Optional[OutcomeBox], v, d_hat,
     res = _require_converged(nd.solve_flow(obj, region, x0, config), "ray problem")
     x = res.x_final
     # recompute t from the terminal point so the ray identity is exact
-    t = max((f.value(x) - v[j]) / d_hat[j] for j, f in enumerate(problem.lower))
+    t = obj.value(x)
     return RaySolution(v=v, t=t, x=x, w=v + t * d_hat, d_hat=d_hat)
 
 

@@ -38,6 +38,9 @@ import numpy as np
 from . import neurodynamic as nd
 from .expr import CompiledExpr, ExprError, Max, parse_expression
 
+# how far a flow in ``validate`` must escape for X to look unbounded
+PROBE_RADIUS = 1e6
+
 
 class ProblemFormatError(Exception):
     """Raised for malformed problem files; carries the offending line."""
@@ -317,8 +320,7 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(problem: BilevelProblem, probe_boundedness: bool = True,
-             probe_radius: float = 1e6) -> list:
+def validate(problem: BilevelProblem, probe_boundedness: bool = True) -> list:
     """Structural diagnostics: hard errors for shape violations, warnings for
     unverifiable convexity assumptions, a numeric probe for boundedness of X."""
     out = []
@@ -339,7 +341,7 @@ def validate(problem: BilevelProblem, probe_boundedness: bool = True,
     if probe_boundedness and problem.p >= 1:
         region = problem.x_region()
         # long horizon so escape to the radius is reachable before t_max
-        cfg = nd.FlowConfig(divergence_radius=probe_radius, t_max=1e9)
+        cfg = nd.FlowConfig(divergence_radius=PROBE_RADIUS, t_max=1e9)
         x0 = find_interior_start(problem, cfg)
         if x0 is None:
             out.append(Diagnostic("error", "could not find a point of X"))

@@ -26,6 +26,16 @@ constraint_x x1 + 1
 constraint_x -x1 + 1
 """
 
+# the box flow for f_1 starts at x1 = 0, the midpoint of its bounds
+DIVIDES_BY_ZERO_TEXT = """\
+vars x 2
+lower 1/x1
+lower x2
+upper x1 + x2
+bound x1 -1 1
+bound x2 0 1
+"""
+
 # X has no rows and the lower level one objective: two errors
 INVALID_TEXT = """\
 vars x 2
@@ -92,6 +102,14 @@ class TestInputErrors:
         code, _, err = run(capsys, ["--file", str(path)])
         assert code == 1
         assert err == "error: X is empty: no feasible point found\n"
+
+    def test_evaluation_error_during_a_solve(self, capsys, tmp_path):
+        path = tmp_path / "divides.txt"
+        path.write_text(DIVIDES_BY_ZERO_TEXT)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: division by zero at node 1.0 / x1\n"
 
     def test_problem_validate_rejects(self, capsys, tmp_path):
         path = tmp_path / "invalid.txt"

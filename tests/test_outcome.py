@@ -91,9 +91,12 @@ class TestSolveRay:
     def test_ray_identity_and_consistency(self, ex1, ex1_box):
         sol = solve_ray(ex1, ex1_box, v=ex1_box.M, d_hat=[1.0, 1.0])
         np.testing.assert_allclose(sol.w, sol.v + sol.t * sol.d_hat, atol=1e-12)
-        t_at_x = max((f.value(sol.x) - sol.v[j]) / sol.d_hat[j]
-                     for j, f in enumerate(ex1.lower))
-        assert sol.t == pytest.approx(t_at_x, abs=1e-6)
+        # t is the ray objective at x; rounding is monotone, so that is
+        # the max over the objectives of (f_j(x) - v_j) / d_j exactly
+        obj = RayObjective(ex1, sol.v, sol.d_hat)
+        assert sol.t == obj.value(sol.x)
+        assert sol.t == max((f.value(sol.x) - sol.v[j]) / sol.d_hat[j]
+                            for j, f in enumerate(ex1.lower))
 
     def test_w_weakly_nondominated_on_grid(self, ex1, ex1_box):
         sol = solve_ray(ex1, ex1_box, v=ex1_box.M, d_hat=[1.0, 1.0])
@@ -143,7 +146,7 @@ def _ray_outcome(fn, x):
     error raised."""
     try:
         out = fn(x)
-    except (ex.EvaluationError, ArithmeticError) as err:
+    except ex.EvaluationError as err:
         return type(err).__name__
     if isinstance(out, list):
         return [(_bits(v), [_bits(c) for c in g]) for v, g in out]
@@ -167,6 +170,14 @@ class TestRayObjective:
         ref = _reference_ray(lower, n, v, d)
         with np.errstate(all="ignore"):
             assert _ray_outcome(obj.value, x) == _ray_outcome(ref.value, x)
+            # one arithmetic: wherever the branch pairs are finite, the
+            # value is their top, bit for bit
+            try:
+                pairs = obj.branch_pairs(x)
+            except ex.EvaluationError:
+                pairs = None
+            if pairs:
+                assert obj.value(x).hex() == max(r for r, _ in pairs).hex()
             # the flow reads the branch pairs: each is the reference's
             assert _ray_outcome(obj.branch_pairs, x) \
                 == _ray_outcome(ref.branch_pairs, x)
@@ -176,9 +187,9 @@ class TestRayObjective:
                     obj.branch_pairs(u), tol), x) \
                     == _ray_outcome(lambda u: ref.value_generators(u, tol), x)
 
-    def test_value_reruns_on_numpy_scalars_where_a_power_overflows(self):
-        # (1e100^2)^2 overflows a float square, which raises; on numpy
-        # scalars the first branch is -inf and the second one sets the value
+    def test_value_where_a_power_overflows(self):
+        # (1e100^2)^2 overflows: the first branch is -inf and the second
+        # one sets the value
         v2 = ["x1", "x2"]
         lower = [CompiledExpr(ex.parse_expression("-((x1^2)^2)", v2), 2),
                  CompiledExpr(ex.parse_expression("x2", v2), 2)]
@@ -205,7 +216,7 @@ class TestRayObjective:
             asts.append(Max(tuple(kids)) if len(kids) > 1 else kids[0])
         try:
             lower = [CompiledExpr(a, 3) for a in asts]
-        except (ex.EvaluationError, ArithmeticError):
+        except ex.EvaluationError:
             assume(False)
         self._check(data, lower, 3)
 
