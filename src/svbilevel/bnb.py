@@ -48,9 +48,10 @@ class SolverConfig:
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.direction is not None:
-            self.direction = np.asarray(self.direction, dtype=float)
-            if np.any(self.direction <= 0.0):
-                raise ValueError("direction must be strictly positive")
+            d = self.direction = np.asarray(self.direction, dtype=float)
+            if not (np.isfinite(d).all() and (d > 0.0).all()):
+                raise ValueError("direction components must be finite and "
+                                 "strictly positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -84,7 +85,7 @@ class SolverState:
     incumbent: Optional[Incumbent]
     k: int = 0
     log: list = field(default_factory=list)
-    terminated: bool = False
+    # None while the loop runs
     status: Optional[SolverStatus] = None
 
 
@@ -120,7 +121,6 @@ def _evaluate_pending(state: SolverState, problem: BilevelProblem,
     for v in state.V.pending():
         sol = state.cache.get(v.z)
         v.mp = sol
-        v.phi = sol.phi
         if not sol.feasible:
             continue
         for i, f in enumerate(problem.lower):
@@ -143,7 +143,7 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
     and the initial bounds."""
     box = compute_box(problem, config.flow)
     cache = PhiCache(problem, config.flow, box)
-    V = VertexSet(box)
+    V = VertexSet(box.m)
     V.add(box.M)
 
     alpha = math.inf
@@ -155,9 +155,7 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
         z[i] = box.m[i] + 1e-6 * max(1.0, abs(box.m[i]))
         # warm start at the recorded argmin of f_i: the probe's feasible set
         # hugs that point, far too thin to find from a generic start
-        u0 = None
-        if box.m_argmin is not None:
-            u0 = np.concatenate([box.m_argmin[i], np.ones(problem.m)])
+        u0 = np.concatenate([box.m_argmin[i], np.ones(problem.m)])
         sol = cache.get(z, u0)
         if sol.feasible and sol.phi < alpha and _in_stack(problem, sol):
             alpha = sol.phi
@@ -168,7 +166,6 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
                         beta=top.phi if top.feasible else math.inf,
                         incumbent=incumbent)
     if not top.feasible and incumbent is None:
-        state.terminated = True
         state.status = SolverStatus.INFEASIBLE
     return state
 
@@ -176,26 +173,23 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
 def find_feasible_y(problem: BilevelProblem, x, config: SolverConfig
                     ) -> Optional[np.ndarray]:
     """Lift x to (x, y) in G at fixed x: a feasibility flow over y on the
-    rows of G that involve y; with no lower-level-free variables this
-    reduces to a membership check."""
+    rows of G that involve y, both checked within ``FEASIBILITY_TOL``.
+    With no y variables the flow returns the empty point or None."""
     x = np.asarray(x, dtype=float)
-    if (problem.x_region().values(x) > 1e-6).any():
+    if (problem.x_region().values(x) > nd.FEASIBILITY_TOL).any():
         return None
-    rows = problem.lift_rows(x)
-    if problem.m == 0:
-        return None if (rows.values(np.zeros(0)) > 1e-6).any() else np.zeros(0)
-    return nd.find_feasible(rows, np.ones(problem.m), config.flow)
+    return nd.find_feasible(problem.lift_rows(x), np.ones(problem.m),
+                            config.flow)
 
 
 def iterate(state: SolverState, problem: BilevelProblem,
             config: SolverConfig) -> SolverState:
     """One bound-update / projection / cut round."""
-    if state.terminated:
+    if state.status is not None:
         return state
     state.k += 1
     _evaluate_pending(state, problem, config)
     if len(state.V) == 0:
-        state.terminated = True
         if state.incumbent is not None:
             state.beta = state.alpha
             state.status = SolverStatus.OPTIMAL
@@ -213,8 +207,9 @@ def iterate(state: SolverState, problem: BilevelProblem,
     v = vertex.z
 
     d_hat = _ray_direction(config, state.box, v)
-    ray = solve_ray(problem, state.box, v, d_hat, config.flow,
-                    x0=vertex.mp.x if vertex.mp is not None else None)
+    # prune dropped every infeasible vertex, so the selected one has an MP
+    # minimizer to start its ray from
+    ray = solve_ray(problem, v, d_hat, vertex.mp.x, config.flow)
     z_k = np.array([f.value(ray.x) for f in problem.lower])
     w = np.clip(ray.w, state.box.m, v)
 
@@ -235,7 +230,6 @@ def iterate(state: SolverState, problem: BilevelProblem,
             state.beta = min(state.beta, state.alpha)
 
     if state.alpha - state.beta <= config.epsilon * (1.0 + abs(state.beta)):
-        state.terminated = True
         state.status = SolverStatus.OPTIMAL
     else:
         cut(state.V, vertex, w)
@@ -258,13 +252,10 @@ def solve(problem: BilevelProblem,
         raise ValueError("; ".join(errors))
     t0 = time.perf_counter()
     state = initialize(problem, config)
-    while not state.terminated and state.k < config.max_iterations:
+    while state.status is None and state.k < config.max_iterations:
         iterate(state, problem, config)
-    if not state.terminated:
+    if state.status is None:
         state.status = SolverStatus.MAX_ITERATIONS
-    if state.status is SolverStatus.OPTIMAL and state.incumbent is None:
-        # exhausted every vertex without ever lifting a feasible pair
-        state.status = SolverStatus.INFEASIBLE
     return SolverReport(status=state.status, incumbent=state.incumbent,
                         alpha=state.alpha, beta=state.beta, log=state.log,
                         iterations=state.k,

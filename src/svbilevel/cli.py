@@ -71,8 +71,6 @@ def _parse_direction(text: str) -> np.ndarray:
     except ValueError:
         raise InputError(f"bad direction {text!r}: expected comma separated "
                          "numbers")
-    if d.size == 0 or np.any(d <= 0.0):
-        raise InputError("direction components must be strictly positive")
     return d
 
 

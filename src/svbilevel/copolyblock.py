@@ -6,7 +6,8 @@ so the least phi over V bounds the optimum from below.  The solver shrinks
 the approximation by a cutting-cone update: a vertex v is replaced by the p
 points obtained by sliding one coordinate of v down to the frontier point w
 found on the ray through v.  A vertex below another vertex adds nothing to
-the union and is pruned.
+the union and is pruned.  A vertex's one record is its MP solution, set
+when phi is evaluated there: its bound, and the start of its ray.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .outcome import MpSolution, OutcomeBox
+from .outcome import MpSolution
 
 COORD_TOL = 1e-9
 
@@ -25,15 +26,15 @@ COORD_TOL = 1e-9
 class Vertex:
     z: np.ndarray
     id: int
-    phi: Optional[float] = None
     mp: Optional[MpSolution] = None
 
 
 class VertexSet:
-    """Ordered collection of co-proper vertices with deterministic ids."""
+    """Ordered collection of co-proper vertices with deterministic ids
+    above the lower corner m of the outcome box."""
 
-    def __init__(self, box: OutcomeBox):
-        self.box = box
+    def __init__(self, m):
+        self.m = m
         self.vertices: list[Vertex] = []
         self._next_id = 0
 
@@ -56,7 +57,7 @@ class VertexSet:
         self.vertices.remove(vertex)
 
     def pending(self) -> list:
-        return [v for v in self.vertices if v.phi is None]
+        return [v for v in self.vertices if v.mp is None]
 
 
 def cut(vset: VertexSet, vertex: Vertex, w) -> VertexSet:
@@ -70,7 +71,7 @@ def cut(vset: VertexSet, vertex: Vertex, w) -> VertexSet:
     if np.any(w > vertex.z + COORD_TOL):
         raise ValueError("cut point must satisfy w <= v componentwise")
     vset.remove(vertex)
-    m = vset.box.m
+    m = vset.m
     for i in range(len(w)):
         z = vertex.z.copy()
         z[i] = w[i]
@@ -99,14 +100,14 @@ def prune(vset: VertexSet) -> VertexSet:
 
 
 def select_min_phi(vset: VertexSet):
-    """Vertex with the least cached phi (ties to the lowest id) and that
+    """Vertex with the least evaluated phi (ties to the lowest id) and that
     value; raises on an empty set, which signals exhaustion upstream."""
     best = None
     for v in vset.vertices:
-        if v.phi is None:
+        if v.mp is None:
             raise ValueError(f"vertex {v.id} has no evaluated phi")
-        if best is None or (v.phi, v.id) < (best.phi, best.id):
+        if best is None or (v.mp.phi, v.id) < (best.mp.phi, best.id):
             best = v
     if best is None:
         raise ValueError("empty vertex set")
-    return best, float(best.phi)
+    return best, float(best.mp.phi)

@@ -8,17 +8,17 @@ Grammar (whitespace insignificant)::
     power   ::= atom ('^' integer)?
     atom    ::= number | ident | '(' expr ')'
               | 'max' '(' expr (',' expr)+ ')'
-              | 'min' '(' expr (',' expr)+ ')'
 
-The parser accepts max and min anywhere, and desugars min(...) to
--max(-...), but a ``CompiledExpr`` accepts a max only at the root of an
-expression, over branches without one.  A max of quasiconvex functions is
-quasiconvex, so a root max stays within the class the solver assumes, and
-a constraint row max(a, b) <= 0 is exactly the rows a <= 0 and b <= 0.  A
-min of pseudoconvex functions is outside that class.  Every branch is
-smooth, so generated straight-line code, one arithmetic for value and
-gradient, is the one way an expression is evaluated; ``affine_parts``
-reads the linear form of an affine one.
+The parser accepts max anywhere and rejects min where it is written, but a
+``CompiledExpr`` accepts a max only at the root of an expression, over
+branches without one.  A max of quasiconvex functions is quasiconvex, so a
+root max stays within the class the solver assumes, and a constraint row
+max(a, b) <= 0 is exactly the rows a <= 0 and b <= 0.  A min of
+pseudoconvex functions is outside that class.  Every branch is smooth, so
+generated straight-line code, one arithmetic for value and gradient, is the
+one way an expression is evaluated; ``affine_parts`` reads the linear form
+of an affine one.  The branches of a root max are read one by one through
+``branch_pairs``; the flow picks among them (``band_members``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from .neurodynamic import band_members
 
-DEFAULT_ACTIVE_TOL = 1e-9
 MAX_UNROLLED_POW = 8
 
 
@@ -87,7 +86,7 @@ class Pow:
 @dataclass(frozen=True)
 class Max:
     children: tuple
-    # where max (or the min it desugars) stands in the source
+    # where max stands in the source
     pos: int = field(default=0, compare=False)
 
 
@@ -198,7 +197,10 @@ class _Parser:
         if kind == "num":
             return Const(float(val))
         if kind == "ident":
-            if val in ("max", "min"):
+            if val == "min":
+                raise ParseError("min is not supported: a min of pseudoconvex "
+                                 "functions is not pseudoconvex", pos)
+            if val == "max":
                 self.expect_op("(")
                 args = [self.expr()]
                 while True:
@@ -210,11 +212,8 @@ class _Parser:
                         break
                 self.expect_op(")")
                 if len(args) < 2:
-                    raise ParseError(f"{val} needs at least 2 arguments", pos)
-                if val == "max":
-                    return Max(tuple(args), pos)
-                # min(a, b, ...) == -max(-a, -b, ...)
-                return Neg(Max(tuple(_negate(a) for a in args), pos))
+                    raise ParseError("max needs at least 2 arguments", pos)
+                return Max(tuple(args), pos)
             if val not in self.varmap:
                 raise ParseError(f"undeclared variable {val!r}", pos)
             return Var(self.varmap[val], val)
@@ -223,14 +222,6 @@ class _Parser:
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
-
-
-def _negate(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(-e.value)
-    if isinstance(e, Neg):
-        return e.child
-    return Neg(e)
 
 
 def parse_expression(src: str, variables: Sequence[str]) -> Expr:
@@ -478,14 +469,11 @@ class CompiledExpr:
         return fns[0](xs) if len(fns) == 1 else max(fn(xs) for fn in fns)
 
     def value_grad(self, x):
-        """(value, gradient); at a root max the top value and the uniform
-        average of the gradients of the branches within DEFAULT_ACTIVE_TOL
-        of it, one element of the Clarke set."""
+        """(value, gradient) of a max-free expression; a root max has no
+        one gradient, so its branches are read through ``branch_pairs``."""
         if isinstance(self.ast, Max):
-            pairs = self.branch_pairs(x)
-            top = max(v for v, _ in pairs)
-            gens = [g for v, g in pairs if v >= top - DEFAULT_ACTIVE_TOL]
-            return top, sum(gens[1:], start=gens[0].copy()) / len(gens)
+            raise TypeError("value_grad of a root max: read its branches "
+                            "through branch_pairs")
         return self.branch_gradients[0](np.asarray(x, dtype=float).tolist())
 
     def branch_pairs(self, x) -> list:
@@ -497,7 +485,7 @@ class CompiledExpr:
         xs = np.asarray(x, dtype=float).tolist()
         return [fn(xs) for fn in self.branch_gradients]
 
-    def value_generators(self, x, active_tol: float = DEFAULT_ACTIVE_TOL):
+    def value_generators(self, x, active_tol: float):
         """(value, [generator gradients]): for a root max node the gradients
         of the branches within ``neurodynamic.band_members``'s band of the
         top, a single generator for any other expression."""
@@ -531,9 +519,9 @@ def _affine_kind(e: Expr):
         return kind is Var
     if kind is Max:
         raise ParseError(
-            "max or min below the root of an expression; write it as one "
-            "max of max-free branches, e.g. max(a, b) + c as "
-            "max(a + c, b + c) (a min is not pseudoconvex)", e.pos)
+            "max below the root of an expression; write it as one max of "
+            "max-free branches, e.g. max(a, b) + c as max(a + c, b + c)",
+            e.pos)
     kids = ((e.child,) if kind is Neg else
             (e.base,) if kind is Pow else (e.left, e.right))
     found = list(map(_affine_kind, kids))

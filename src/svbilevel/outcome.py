@@ -7,7 +7,9 @@ simplex enclosure of X and vertex evaluation (for M).  Two parametric
 subproblem families drive the main algorithm: the ray problem
 min_x max_j (f_j(x) - v_j) / d_j whose optimum projects v onto the weakly
 nondominated frontier, and MP(z): phi(z) = min {h(x, y) | (x, y) in G,
-f(x) <= z}, a decreasing function of z.
+f(x) <= z}, a decreasing function of z.  Every subproblem flow starts
+where its caller says: the driver passes a warm start or takes
+``PhiCache``'s, the box's feasible point of X with y = 1.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ class OutcomeBox:
     M: np.ndarray
     simplex_vertices: list
     U: float
-    m_argmin: Optional[list] = None
+    m_argmin: list
     # the feasible point of X the box flows started from
-    x_feasible: Optional[np.ndarray] = None
+    x_feasible: np.ndarray
 
 
 @dataclass
@@ -115,15 +117,6 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
                       m_argmin=m_argmin, x_feasible=x0)
 
 
-def _feasible_x(problem: BilevelProblem, box: Optional[OutcomeBox],
-                config: nd.FlowConfig) -> Optional[np.ndarray]:
-    """A feasible point of X: the one ``compute_box`` found, else a new
-    penalty-descent search."""
-    if box is not None and box.x_feasible is not None:
-        return box.x_feasible
-    return find_interior_start(problem, config)
-
-
 class RayObjective:
     """max_j (f_j(x) - v_j) / d_j with the max branches of each f_j
     flattened into one branch list.  Each branch runs through its lower
@@ -165,23 +158,18 @@ class RayObjective:
         return pairs
 
 
-def solve_ray(problem: BilevelProblem, box: Optional[OutcomeBox], v, d_hat,
-              config: Optional[nd.FlowConfig] = None,
-              x0: Optional[np.ndarray] = None) -> RaySolution:
+def solve_ray(problem: BilevelProblem, v, d_hat, x0,
+              config: Optional[nd.FlowConfig] = None) -> RaySolution:
     """Project v along direction d_hat onto the weakly nondominated frontier
-    by the scalarized pseudoconvex flow on ``RayObjective``.  Without
-    ``x0`` the flow starts at the box's feasible point of X."""
+    by the scalarized pseudoconvex flow on ``RayObjective``, started at the
+    point x0 of X."""
     if config is None:
         config = nd.FlowConfig()
     v = np.asarray(v, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
-    if np.any(d_hat <= 0.0):
-        raise ValueError("ray direction must be strictly positive")
+    if not (np.isfinite(d_hat).all() and (d_hat > 0.0).all()):
+        raise ValueError("ray direction must be finite and strictly positive")
     region = problem.x_region()
-    if x0 is None:
-        x0 = _feasible_x(problem, box, config)
-        if x0 is None:
-            raise OutcomeError("X is empty: no feasible point found")
     obj = RayObjective(problem, v, d_hat)
     res = _require_converged(nd.solve_flow(obj, region, x0, config), "ray problem")
     x = res.x_final
@@ -190,24 +178,14 @@ def solve_ray(problem: BilevelProblem, box: Optional[OutcomeBox], v, d_hat,
     return RaySolution(v=v, t=t, x=x, w=v + t * d_hat, d_hat=d_hat)
 
 
-def solve_mp(problem: BilevelProblem, z, config: Optional[nd.FlowConfig] = None,
-             u0: Optional[np.ndarray] = None,
-             box: Optional[OutcomeBox] = None) -> MpSolution:
-    """phi(z) = min {h(x, y) | (x, y) in G, f(x) <= z}.  Infeasible z is
-    detected by a stalled feasibility phase.  Without ``u0`` the search
-    starts at the box's feasible point of X."""
+def solve_mp(problem: BilevelProblem, z, u0,
+             config: Optional[nd.FlowConfig] = None) -> MpSolution:
+    """phi(z) = min {h(x, y) | (x, y) in G, f(x) <= z}, searched from u0.
+    Infeasible z is detected by a stalled feasibility phase."""
     if config is None:
         config = nd.FlowConfig()
     z = np.asarray(z, dtype=float)
     stack = stacked_mp_constraints(problem, z)
-    total = problem.n + problem.m
-    if u0 is None:
-        u0 = np.zeros(total)
-        x0 = _feasible_x(problem, box, config)
-        if x0 is not None:
-            u0[: problem.n] = x0
-        if problem.m:
-            u0[problem.n:] = 1.0
     u_feas = nd.find_feasible(stack, u0, config)
     if u_feas is None:
         return MpSolution(z=z, phi=math.inf, x=None, y=None, feasible=False)
@@ -221,14 +199,15 @@ def solve_mp(problem: BilevelProblem, z, config: Optional[nd.FlowConfig] = None,
 
 class PhiCache:
     """Memoizes MP solutions per outcome vector (keyed at 1e-9 resolution);
-    the driver re-queries vertices across iterations."""
+    the driver re-queries vertices across iterations.  A query without a
+    warm start begins at ``start``, the box's feasible point of X with
+    y = 1."""
 
-    def __init__(self, problem: BilevelProblem,
-                 config: Optional[nd.FlowConfig] = None,
-                 box: Optional[OutcomeBox] = None):
+    def __init__(self, problem: BilevelProblem, config: nd.FlowConfig,
+                 box: OutcomeBox):
         self.problem = problem
-        self.config = config if config is not None else nd.FlowConfig()
-        self.box = box
+        self.config = config
+        self.start = np.concatenate([box.x_feasible, np.ones(problem.m)])
         self._table = {}
         self.hits = 0
         self.misses = 0
@@ -241,7 +220,8 @@ class PhiCache:
         key = self._key(z)
         hit = self._table.get(key)
         if hit is None:
-            hit = solve_mp(self.problem, z, self.config, u0=u0, box=self.box)
+            hit = solve_mp(self.problem, z,
+                           self.start if u0 is None else u0, self.config)
             self._table[key] = hit
             self.misses += 1
         else:

@@ -163,13 +163,11 @@ class TestProperties:
 
     def test_cut_children_shape(self):
         rng = np.random.default_rng(7)
-        from svbilevel.outcome import OutcomeBox
         for _ in range(50):
             p = int(rng.integers(2, 6))
             m = rng.uniform(-1.0, 0.0, p)
             M = rng.uniform(1.0, 2.0, p)
-            box = OutcomeBox(m=m, M=M, simplex_vertices=[], U=0.0)
-            vset = VertexSet(box)
+            vset = VertexSet(m)
             parent = vset.add(rng.uniform(0.5, 1.0, p) * (M - m) + m)
             z = parent.z.copy()
             w = rng.uniform(m, z)
@@ -184,7 +182,7 @@ class TestProperties:
         report = request.getfixturevalue(f"report{number}")
         problem = catalog.load_example(number)
         box = report.box
-        ray = solve_ray(problem, box, box.M, np.ones(problem.p))
+        ray = solve_ray(problem, box.M, np.ones(problem.p), box.x_feasible)
         w = ray.w
 
         lo = np.zeros(2)
@@ -227,15 +225,18 @@ class TestProperties:
             for expr, dim in exprs:
                 for _ in range(100):
                     u = rng.uniform(lo[:dim], hi[:dim])
-                    _, grad = expr.value_grad(u)
-                    fd = np.zeros(dim)
-                    for i in range(dim):
-                        h = 1e-6 * max(1.0, abs(u[i]))
-                        up, dn = u.copy(), u.copy()
-                        up[i] += h
-                        dn[i] -= h
-                        fd[i] = (expr.value(up) - expr.value(dn)) / (2.0 * h)
-                    assert np.allclose(grad, fd, rtol=1e-4, atol=1e-6)
+                    # each branch of a root max against its own value
+                    for (_, grad), value in zip(expr.branch_pairs(u),
+                                                expr.branch_values):
+                        fd = np.zeros(dim)
+                        for i in range(dim):
+                            h = 1e-6 * max(1.0, abs(u[i]))
+                            up, dn = u.copy(), u.copy()
+                            up[i] += h
+                            dn[i] -= h
+                            fd[i] = (value(up.tolist())
+                                     - value(dn.tolist())) / (2.0 * h)
+                        assert np.allclose(grad, fd, rtol=1e-4, atol=1e-6)
 
     def test_linear_toy_matches_brute_force(self):
         problem = load_problem(LINEAR_TOY)

@@ -30,6 +30,18 @@ constraint_xy y1 - x1 + 2
 bound x1 0 1
 """
 
+# no y variables, one coupling row over x: x1 + x2 <= 1 inside X
+NO_Y_COUPLED_TEXT = """\
+vars x 2
+upper x1 + x2
+lower x1
+lower x2
+constraint_x x1 - 1
+constraint_xy x1 + x2 - 1
+bound x1 -1 2
+bound x2 -1 2
+"""
+
 # no rows: X is unbounded
 UNBOUNDED_TEXT = """\
 vars x 2
@@ -72,6 +84,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(direction=[1.0, 0.0])
 
+    @pytest.mark.parametrize("direction", [[math.nan, 1.0], [1.0, math.inf]])
+    def test_nonfinite_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            SolverConfig(direction=direction)
+
     def test_direction_coerced_to_array(self):
         cfg = SolverConfig(direction=[1.0, 2.0])
         assert isinstance(cfg.direction, np.ndarray)
@@ -105,7 +122,7 @@ class TestInitialize:
 
     def test_empty_region_detected(self):
         state = bnb.initialize(load_problem(INFEASIBLE_TEXT), SolverConfig())
-        assert state.terminated
+        assert state.status is not None
         assert state.status is SolverStatus.INFEASIBLE
 
     def test_probe_outside_its_region_sets_no_incumbent(self, monkeypatch):
@@ -248,6 +265,19 @@ class TestFindFeasibleY:
         problem = catalog.load_example(3)
         y = bnb.find_feasible_y(problem, np.full(3, 10.0), SolverConfig())
         assert y is None
+
+    def test_no_y_rows_checked_within_the_feasibility_tolerance(self):
+        # both rows 5e-7 above zero: past the flows' FEASIBILITY_TOL
+        problem = load_problem(NO_Y_COUPLED_TEXT)
+        config = SolverConfig()
+        y = bnb.find_feasible_y(problem, np.array([0.0, 0.5]), config)
+        assert y is not None and len(y) == 0
+        # the coupling row x1 + x2 - 1
+        assert bnb.find_feasible_y(problem, np.array([0.0, 1.0 + 5e-7]),
+                                   config) is None
+        # the X row x1 - 1
+        assert bnb.find_feasible_y(problem, np.array([1.0 + 5e-7, -1.0]),
+                                   config) is None
 
     def test_coupled_lift_succeeds(self):
         problem = catalog.load_example(6)

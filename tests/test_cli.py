@@ -85,6 +85,13 @@ class TestInputErrors:
         code, _, err = run(capsys, ["--example", "1", "--direction", "1,-1"])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["inf,1", "nan,1"])
+    def test_nonfinite_direction(self, capsys, text):
+        code, _, err = run(capsys, ["--example", "2", "--direction", text])
+        assert code == 1
+        assert err == ("error: direction components must be finite and "
+                       "strictly positive\n")
+
     def test_direction_length_mismatch(self, capsys):
         code, _, err = run(capsys, ["--example", "1", "--direction", "1,1,1"])
         assert code == 1

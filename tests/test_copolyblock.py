@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 from svbilevel.copolyblock import (
     COORD_TOL, Vertex, VertexSet, cut, prune, select_min_phi,
 )
-from svbilevel.outcome import MpSolution, OutcomeBox
+from svbilevel.outcome import MpSolution
 
 
-def make_box(m, M):
-    m = np.asarray(m, dtype=float)
-    M = np.asarray(M, dtype=float)
-    return OutcomeBox(m=m, M=M, simplex_vertices=[], U=0.0)
+def evaluated(v, phi):
+    """Record a feasible MP solution with value ``phi`` at vertex v."""
+    v.mp = MpSolution(z=v.z, phi=phi, x=None, y=None, feasible=True)
 
 
 def zs(vset):
@@ -20,40 +19,40 @@ def zs(vset):
 
 class TestVertexSet:
     def test_ids_are_monotone(self):
-        vs = VertexSet(make_box([0, 0], [1, 1]))
+        vs = VertexSet([0, 0])
         a = vs.add([1.0, 1.0])
         b = vs.add([0.5, 1.0])
         assert (a.id, b.id) == (0, 1)
 
     def test_duplicate_suppressed(self):
-        vs = VertexSet(make_box([0, 0], [1, 1]))
+        vs = VertexSet([0, 0])
         vs.add([0.5, 0.5])
         assert vs.add([0.5, 0.5 + 1e-10]) is None
         assert len(vs) == 1
 
     def test_pending_tracks_phi(self):
-        vs = VertexSet(make_box([0, 0], [1, 1]))
+        vs = VertexSet([0, 0])
         a = vs.add([1.0, 1.0])
         vs.add([0.5, 1.0])
-        a.phi = 2.0
+        evaluated(a, 2.0)
         assert [v.id for v in vs.pending()] == [1]
 
 
 class TestCut:
     def test_two_children(self):
-        vs = VertexSet(make_box([0, 0], [1, 1]))
+        vs = VertexSet([0, 0])
         v = vs.add([1.0, 1.0])
         cut(vs, v, [0.3, 0.4])
         assert zs(vs) == [(0.3, 1.0), (1.0, 0.4)]
 
     def test_lower_face_child_filtered(self):
-        vs = VertexSet(make_box([0, 0], [1, 1]))
+        vs = VertexSet([0, 0])
         v = vs.add([1.0, 1.0])
         cut(vs, v, [0.0, 0.4])
         assert zs(vs) == [(1.0, 0.4)]
 
     def test_three_dimensional_children(self):
-        vs = VertexSet(make_box([0, 0, 0], [1, 1, 1]))
+        vs = VertexSet([0, 0, 0])
         v = vs.add([1.0, 1.0, 1.0])
         cut(vs, v, [0.5, 0.5, 0.5])
         assert len(vs) == 3
@@ -62,7 +61,7 @@ class TestCut:
             assert diffs.sum() == 2
 
     def test_children_nest_below_parent(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         v = vs.add([1.5, 1.8])
         parent = v.z.copy()
         cut(vs, v, [0.6, 0.9])
@@ -71,7 +70,7 @@ class TestCut:
             assert np.sum(~np.isclose(child.z, parent)) == 1
 
     def test_cardinality_bound(self):
-        vs = VertexSet(make_box([0, 0], [1, 1]))
+        vs = VertexSet([0, 0])
         v = vs.add([1.0, 1.0])
         vs.add([0.9, 0.2])
         before = len(vs)
@@ -79,15 +78,15 @@ class TestCut:
         assert len(vs) <= before - 1 + 2
 
     def test_vertex_not_in_set(self):
-        vs = VertexSet(make_box([0, 0], [1, 1]))
+        vs = VertexSet([0, 0])
         v = vs.add([1.0, 1.0])
-        other = VertexSet(make_box([0, 0], [1, 1]))
+        other = VertexSet([0, 0])
         w = other.add([1.0, 1.0])
         with pytest.raises(ValueError):
             cut(vs, w, [0.3, 0.4])
 
     def test_w_above_v_rejected(self):
-        vs = VertexSet(make_box([0, 0], [1, 1]))
+        vs = VertexSet([0, 0])
         v = vs.add([0.5, 0.5])
         with pytest.raises(ValueError):
             cut(vs, v, [0.6, 0.4])
@@ -95,7 +94,7 @@ class TestCut:
 
 class TestPrune:
     def test_dominated_removed(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         vs.add([1.0, 1.0])
         vs.add([0.5, 0.5])
         prune(vs)
@@ -103,14 +102,14 @@ class TestPrune:
         assert zs(vs) == [(1.0, 1.0)]
 
     def test_incomparable_unchanged(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         vs.add([1.0, 0.2])
         vs.add([0.2, 1.0])
         prune(vs)
         assert len(vs) == 2
 
     def test_common_lower_bound_dropped(self):
-        vs = VertexSet(make_box([0, 0], [3, 3]))
+        vs = VertexSet([0, 0])
         vs.add([1.0, 2.0])
         vs.add([2.0, 1.0])
         vs.add([1.0, 1.0])
@@ -118,7 +117,7 @@ class TestPrune:
         assert zs(vs) == [(1.0, 2.0), (2.0, 1.0)]
 
     def test_infeasible_mp_removed(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         a = vs.add([1.0, 0.2])
         vs.add([0.2, 1.0])
         a.mp = MpSolution(z=a.z, phi=float("inf"), x=None, y=None,
@@ -127,7 +126,7 @@ class TestPrune:
         assert zs(vs) == [(0.2, 1.0)]
 
     def test_idempotent(self):
-        vs = VertexSet(make_box([0, 0], [3, 3]))
+        vs = VertexSet([0, 0])
         for z in ([1, 2], [2, 1], [1, 1], [0.5, 2.5]):
             vs.add(z)
         prune(vs)
@@ -180,7 +179,7 @@ class TestPruneMatchesPairwise:
                                   feasible=feasible)
             verts.append(v)
         expected = _pairwise_prune(verts)
-        vs = VertexSet(make_box(np.zeros(p), np.ones(p)))
+        vs = VertexSet(np.zeros(p))
         vs.vertices = list(verts)
         prune(vs)
         assert [v.id for v in vs.vertices] == [v.id for v in expected]
@@ -232,7 +231,7 @@ class TestCoverInvariant:
         knots, values = frontier
         m = np.array([knots[0], values[-1]])
         M = np.array([knots[-1], values[0]])
-        vs = VertexSet(make_box(m, M))
+        vs = VertexSet(m)
         vs.add(M)
         z1 = np.concatenate([np.linspace(m[0], M[0], 301), knots])
         points = np.column_stack([z1, np.interp(z1, knots, values)])
@@ -255,35 +254,37 @@ class TestCoverInvariant:
 
 class TestSelectMinPhi:
     def test_single_vertex(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         v = vs.add([2.0, 2.0])
-        v.phi = 1.25
+        evaluated(v, 1.25)
         best, beta = select_min_phi(vs)
         assert best is v and beta == 1.25
 
     def test_minimum_wins(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         a = vs.add([1.0, 0.2])
         b = vs.add([0.2, 1.0])
-        a.phi, b.phi = 0.7, 0.3
+        evaluated(a, 0.7)
+        evaluated(b, 0.3)
         best, beta = select_min_phi(vs)
         assert best is b and beta == 0.3
 
     def test_tie_breaks_to_lower_id(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         a = vs.add([1.0, 0.2])
         b = vs.add([0.2, 1.0])
-        a.phi = b.phi = 0.5
+        evaluated(a, 0.5)
+        evaluated(b, 0.5)
         best, _ = select_min_phi(vs)
         assert best is a
 
     def test_empty_set_raises(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         with pytest.raises(ValueError):
             select_min_phi(vs)
 
     def test_unevaluated_vertex_raises(self):
-        vs = VertexSet(make_box([0, 0], [2, 2]))
+        vs = VertexSet([0, 0])
         vs.add([1.0, 1.0])
         with pytest.raises(ValueError):
             select_min_phi(vs)

@@ -9,7 +9,7 @@ from svbilevel.expr import (
     BinOp, Const, Max, Neg, ParseError, Pow, Var,
     parse_expression, to_source, CompiledExpr,
 )
-from svbilevel.neurodynamic import band_members
+from svbilevel.neurodynamic import CERT_BAND, band_members
 
 V2 = ["x1", "x2"]
 
@@ -22,10 +22,6 @@ FIXTURE_EXPRESSIONS = [
     "(3*x1 + x2)^2 / (3*x1 + x2 - 1)^3",
     "-(x1 - x2) * (x1 + x2) / 2",
 ]
-
-# parsed and printed, but a CompiledExpr rejects a min
-PARSE_ONLY_EXPRESSIONS = ["min(x1, x2 - 1)"]
-
 
 COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-3, 3)
 
@@ -59,9 +55,8 @@ def _check_finite(v, node):
 
 
 def value_and_gradient(e, point):
-    """Forward-mode evaluation: (value, gradient).  A max node takes the
-    uniform average of the gradients of its branches within
-    ``DEFAULT_ACTIVE_TOL`` of the top."""
+    """Forward-mode evaluation of a max-free expression: (value,
+    gradient)."""
     n = len(point)
 
     def rec(node):
@@ -97,10 +92,7 @@ def value_and_gradient(e, point):
             dv = k * ex._ipow(bv, k - 1, node)
             _check_finite(v, node)
             return v, _check_finite(dv, node) * bg
-        pairs = [rec(c) for c in node.children]
-        top = max(v for v, _ in pairs)
-        gens = [g for v, g in pairs if v >= top - ex.DEFAULT_ACTIVE_TOL]
-        return top, sum(gens[1:], start=gens[0].copy()) / len(gens)
+        raise TypeError(f"not a max-free expression node: {node!r}")
 
     return rec(e)
 
@@ -247,9 +239,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expression("   ", V2)
 
-    def test_min_desugars_to_neg_max(self):
-        ast = parse_expression("min(x1, x2)", V2)
-        assert ast == Neg(Max((Neg(Var(0, "x1")), Neg(Var(1, "x2")))))
+    @pytest.mark.parametrize("src, pos", [
+        ("min(x1, x2)", 0), ("x1 + min(x1, x2)", 5), ("max(x1, min(x2, 1))", 8)])
+    def test_min_is_rejected_where_it_is_written(self, src, pos):
+        with pytest.raises(ParseError, match=rf"^min is not supported: a min "
+                           rf"of pseudoconvex functions is not pseudoconvex "
+                           rf"\(at position {pos}\)$"):
+            parse_expression(src, V2)
 
     def test_errors_name_the_position_after_whitespace(self):
         with pytest.raises(ParseError, match=r"'\$' \(at position 7\)"):
@@ -262,13 +258,13 @@ class TestParse:
         ast = parse_expression("x1 +  max(x1, x2)", V2)
         assert ast.right.pos == 6
         assert ast == parse_expression("x1 + max(x1, x2)", V2)
-        assert parse_expression(" min(x1, x2)", V2).child.pos == 1
+        assert parse_expression(" max(x1, x2)", V2).pos == 1
 
     def test_max_requires_two_args(self):
         with pytest.raises(ParseError):
             parse_expression("max(x1)", V2)
 
-    @pytest.mark.parametrize("src", FIXTURE_EXPRESSIONS + PARSE_ONLY_EXPRESSIONS)
+    @pytest.mark.parametrize("src", FIXTURE_EXPRESSIONS)
     def test_round_trip(self, src):
         ast = parse_expression(src, V2)
         assert parse_expression(to_source(ast), V2) == ast
@@ -304,7 +300,7 @@ class TestGradient:
     def test_smooth_single_generator(self):
         comp = CompiledExpr(parse_expression("x1 + x2^2", V2), 2)
         x = np.array([1.0, 0.5])
-        _, gens = comp.value_generators(x)
+        _, gens = comp.value_generators(x, CERT_BAND)
         assert len(gens) == 1
         np.testing.assert_allclose(gens[0], [1.0, 1.0])
         np.testing.assert_allclose(comp.value_grad(x)[1], [1.0, 1.0])
@@ -314,18 +310,22 @@ class TestGradient:
             "max(-0.5*x1 - 0.25*x2 - 0.2, -2*x1 + 4.6*x2 - 5.8)", V2), 2)
         # at (1, 0.5): branch values -0.825 vs -5.5, branch 1 uniquely active
         x = np.array([1.0, 0.5])
-        value, gens = comp.value_generators(x)
+        value, gens = comp.value_generators(x, CERT_BAND)
         assert value == pytest.approx(-0.825)
         assert len(gens) == 1
         np.testing.assert_allclose(gens[0], [-0.5, -0.25])
-        np.testing.assert_allclose(comp.value_grad(x)[1], [-0.5, -0.25])
 
-    def test_tie_gives_midpoint_selection(self):
+    def test_tie_gives_both_generators(self):
         comp = CompiledExpr(parse_expression("max(x1, x2)", V2), 2)
         x = np.array([1.0, 1.0])
-        _, gens = comp.value_generators(x)
-        assert len(gens) == 2
-        np.testing.assert_allclose(comp.value_grad(x)[1], [0.5, 0.5])
+        _, gens = comp.value_generators(x, CERT_BAND)
+        np.testing.assert_array_equal(gens, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_value_grad_of_a_root_max_raises(self):
+        # the flow picks among the branches itself; value_grad has no rule
+        comp = CompiledExpr(parse_expression("max(x1, x2)", V2), 2)
+        with pytest.raises(TypeError, match="branch_pairs"):
+            comp.value_grad(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("src", [s for s in FIXTURE_EXPRESSIONS if "max" not in s])
     def test_matches_finite_differences(self, src):
@@ -356,17 +356,6 @@ class TestGradient:
             checked += 1
         assert checked >= 50
 
-    def test_selection_is_convex_combination(self):
-        # the gradient at a max is the uniform average of the generators
-        comp = CompiledExpr(
-            parse_expression("max(x1, x2, x1 + x2 - 1)", V2), 2)
-        for x in [np.array([1.0, 1.0]), np.array([0.3, 0.3]), np.array([2.0, 0.1])]:
-            _, gens = comp.value_generators(x)
-            k = len(gens)
-            lam = np.full(k, 1.0 / k)
-            combo = sum(l * g for l, g in zip(lam, gens))
-            np.testing.assert_allclose(comp.value_grad(x)[1], combo, atol=1e-12)
-
 
 class TestCompiled:
     @pytest.mark.parametrize("src", FIXTURE_EXPRESSIONS)
@@ -376,11 +365,13 @@ class TestCompiled:
         rng = np.random.default_rng(7)
         for _ in range(30):
             x = rng.uniform(0.5, 3, 2)
-            vi, gi = value_and_gradient(ast, x)
-            assert comp.value(x) == pytest.approx(vi, rel=1e-12)
-            v, g = comp.value_grad(x)
-            assert v == pytest.approx(vi, rel=1e-12)
-            np.testing.assert_allclose(g, gi, atol=1e-10)
+            assert comp.value(x) == pytest.approx(_reference_value(ast, x),
+                                                  rel=1e-12)
+            # each branch of a root max, else the expression itself
+            for (v, g), branch in zip(comp.branch_pairs(x), comp.branches):
+                vi, gi = value_and_gradient(branch, x)
+                assert v == pytest.approx(vi, rel=1e-12)
+                np.testing.assert_allclose(g, gi, atol=1e-10)
 
     @given(EXPRESSIONS, st.lists(COORDS, min_size=3, max_size=3))
     # x1^-2 is finite there, its derivative -2 x1^-3 is not
@@ -397,30 +388,34 @@ class TestCompiled:
         with np.errstate(all="ignore"):
             assert _outcome(comp.value, x) == _outcome(
                 lambda u: _reference_value(ast, u), x)
-            assert _outcome(comp.value_grad, x) == _outcome(
-                lambda u: value_and_gradient(ast, u), x)
+            if isinstance(ast, Max):
+                with pytest.raises(TypeError):
+                    comp.value_grad(x)
+            else:
+                assert _outcome(comp.value_grad, x) == _outcome(
+                    lambda u: value_and_gradient(ast, u), x)
 
     @given(EXPRESSIONS, st.lists(COORDS, min_size=3, max_size=3))
     # b ** 2 and b * b round apart there
     @example(Pow(Var(0, "x1"), 2), [2.817595433862767, 0.0, 0.0])
     @settings(max_examples=300, deadline=None)
     def test_value_and_gradient_code_share_one_arithmetic(self, ast, coords):
-        # wherever value_grad returns, value, its value (without a max) and
-        # the top of the branch pairs are the same bits; only
-        # EvaluationError is raised
+        # wherever the branch pairs return, value and their top (without a
+        # max, value_grad's value) are the same bits; only EvaluationError
+        # is raised
         try:
             comp = CompiledExpr(ast, 3)
         except ex.EvaluationError:
             assume(False)
         x = np.array(coords)
         try:
-            v, _ = comp.value_grad(x)
+            pairs = comp.branch_pairs(x)
         except ex.EvaluationError:
             return
-        top = max(r for r, _ in comp.branch_pairs(x))
+        top = max(r for r, _ in pairs)
         assert comp.value(x).hex() == top.hex()
         if not isinstance(ast, Max):
-            assert comp.value(x).hex() == v.hex()
+            assert comp.value_grad(x)[0].hex() == top.hex()
 
     @pytest.mark.parametrize("k, x, value", [
         (9, 1e40, math.inf), (12, 1e30, math.inf),
@@ -553,7 +548,7 @@ class TestAffineParts:
 
 class TestRootMaxOnly:
     @pytest.mark.parametrize("src, pos", [
-        ("min(x1, x2)", 0), ("-max(x1, x2)", 1), ("x1*max(x1, x2)", 3),
+        ("-max(x1, x2)", 1), ("x1*max(x1, x2)", 3),
         ("max(x1, x2)^2", 0), ("1/max(x1, x2)", 2), ("max(x1, x2) + 1", 0),
         ("max(x1, max(x2, 1))", 8)])
     def test_max_below_the_root_is_rejected(self, src, pos):

@@ -47,6 +47,11 @@ def ex1_box(ex1):
     return compute_box(ex1)
 
 
+def start(problem, box):
+    """``PhiCache``'s start: the box's feasible point of X, y = 1."""
+    return np.concatenate([box.x_feasible, np.ones(problem.m)])
+
+
 class TestComputeBox:
     def test_example1(self, ex1_box):
         np.testing.assert_allclose(ex1_box.m, [-3.2875, -1.2], atol=2e-3)
@@ -84,12 +89,14 @@ class TestComputeBox:
 class TestSolveRay:
     def test_simplex_analytic(self):
         prob = load_problem(SIMPLEX)
-        sol = solve_ray(prob, None, v=[1.0, 1.0], d_hat=[1.0, 1.0])
+        sol = solve_ray(prob, v=[1.0, 1.0], d_hat=[1.0, 1.0],
+                        x0=find_interior_start(prob))
         assert sol.t == pytest.approx(-0.5, abs=1e-3)
         np.testing.assert_allclose(sol.w, [0.5, 0.5], atol=1e-3)
 
     def test_ray_identity_and_consistency(self, ex1, ex1_box):
-        sol = solve_ray(ex1, ex1_box, v=ex1_box.M, d_hat=[1.0, 1.0])
+        sol = solve_ray(ex1, v=ex1_box.M, d_hat=[1.0, 1.0],
+                        x0=ex1_box.x_feasible)
         np.testing.assert_allclose(sol.w, sol.v + sol.t * sol.d_hat, atol=1e-12)
         # t is the ray objective at x; rounding is monotone, so that is
         # the max over the objectives of (f_j(x) - v_j) / d_j exactly
@@ -99,7 +106,8 @@ class TestSolveRay:
                             for j, f in enumerate(ex1.lower))
 
     def test_w_weakly_nondominated_on_grid(self, ex1, ex1_box):
-        sol = solve_ray(ex1, ex1_box, v=ex1_box.M, d_hat=[1.0, 1.0])
+        sol = solve_ray(ex1, v=ex1_box.M, d_hat=[1.0, 1.0],
+                        x0=ex1_box.x_feasible)
         region = ex1.x_region()
         axes = np.linspace(0.0, 2.6, 400)
         r = 0.02
@@ -112,13 +120,21 @@ class TestSolveRay:
                 assert not np.all(z < sol.w - r)
 
     def test_point_already_on_frontier(self, ex1, ex1_box):
-        first = solve_ray(ex1, ex1_box, v=ex1_box.M, d_hat=[1.0, 1.0])
-        again = solve_ray(ex1, ex1_box, v=first.w, d_hat=[1.0, 1.0])
+        first = solve_ray(ex1, v=ex1_box.M, d_hat=[1.0, 1.0],
+                          x0=ex1_box.x_feasible)
+        again = solve_ray(ex1, v=first.w, d_hat=[1.0, 1.0],
+                          x0=ex1_box.x_feasible)
         assert again.t == pytest.approx(0.0, abs=1e-3)
 
     def test_nonpositive_direction_rejected(self, ex1, ex1_box):
         with pytest.raises(ValueError):
-            solve_ray(ex1, ex1_box, v=ex1_box.M, d_hat=[1.0, 0.0])
+            solve_ray(ex1, v=ex1_box.M, d_hat=[1.0, 0.0],
+                      x0=ex1_box.x_feasible)
+
+    @pytest.mark.parametrize("d_hat", [[math.nan, 1.0], [1.0, math.inf]])
+    def test_nonfinite_direction_rejected(self, ex1, ex1_box, d_hat):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            solve_ray(ex1, v=ex1_box.M, d_hat=d_hat, x0=ex1_box.x_feasible)
 
     def test_flattened_objective_generators(self, ex1):
         # the second lower objective is itself a max of two affine pieces,
@@ -223,7 +239,7 @@ class TestRayObjective:
 
 class TestSolveMp:
     def test_example1_phi_at_M(self, ex1, ex1_box):
-        sol = solve_mp(ex1, ex1_box.M)
+        sol = solve_mp(ex1, ex1_box.M, start(ex1, ex1_box))
         assert sol.feasible
         assert sol.phi == pytest.approx(1.25, abs=1e-3)
         np.testing.assert_allclose(sol.x, [1.0, 0.5], atol=5e-3)
@@ -231,12 +247,12 @@ class TestSolveMp:
     def test_example3_phi_at_M(self):
         prob = catalog.load_example(3)
         box = compute_box(prob)
-        sol = solve_mp(prob, box.M)
+        sol = solve_mp(prob, box.M, start(prob, box))
         assert sol.feasible
         assert sol.phi == pytest.approx(1.1, abs=5e-3)
 
     def test_infeasible_below_m(self, ex1, ex1_box):
-        sol = solve_mp(ex1, ex1_box.m - 1.0)
+        sol = solve_mp(ex1, ex1_box.m - 1.0, start(ex1, ex1_box))
         assert not sol.feasible
         assert math.isinf(sol.phi)
 
@@ -245,7 +261,7 @@ class TestSolveMp:
         zs = [lo + t * (hi - lo) for t in (0.35, 0.55, 0.75, 1.0)]
         phis = []
         for z in zs:
-            sol = solve_mp(ex1, z)
+            sol = solve_mp(ex1, z, start(ex1, ex1_box))
             if sol.feasible:
                 phis.append(sol.phi)
         assert len(phis) >= 2
@@ -253,7 +269,7 @@ class TestSolveMp:
             assert a >= b - 1e-4
 
     def test_solution_satisfies_constraints(self, ex1, ex1_box):
-        sol = solve_mp(ex1, ex1_box.M)
+        sol = solve_mp(ex1, ex1_box.M, start(ex1, ex1_box))
         for j, f in enumerate(ex1.lower):
             assert f.value(sol.x) <= ex1_box.M[j] + 1e-6
         assert np.all(ex1.x_region().values(sol.x) <= 1e-6)
@@ -265,37 +281,35 @@ class TestInteriorStart:
         box = compute_box(ex1, config)
         fresh = find_interior_start(ex1, config)
         assert box.x_feasible.tobytes() == fresh.tobytes()
-        plain_mp = solve_mp(ex1, box.M, config)
-        plain_ray = solve_ray(ex1, None, box.M, [1.0, 1.0], config)
 
         def refuse(*args):
             raise AssertionError("interior start searched again")
         monkeypatch.setattr(outcome, "find_interior_start", refuse)
-        mp = solve_mp(ex1, box.M, config, box=box)
-        ray = solve_ray(ex1, box, box.M, [1.0, 1.0], config)
-        assert mp.x.tobytes() == plain_mp.x.tobytes()
-        assert mp.y.tobytes() == plain_mp.y.tobytes()
-        assert ray.x.tobytes() == plain_ray.x.tobytes()
-        PhiCache(ex1, config, box).get(box.M)
+        cache = PhiCache(ex1, config, box)
+        expected = np.concatenate([box.x_feasible, np.ones(ex1.m)])
+        assert cache.start.tobytes() == expected.tobytes()
+        assert cache.get(box.M).feasible
+        ray = solve_ray(ex1, box.M, [1.0, 1.0], box.x_feasible, config)
+        assert np.isfinite(ray.t)
 
 
 class TestPhiCache:
     def test_repeat_query_hits_cache(self, ex1, ex1_box):
-        cache = PhiCache(ex1)
+        cache = PhiCache(ex1, FlowConfig(), ex1_box)
         a = cache.get(ex1_box.M)
         b = cache.get(ex1_box.M.copy())
         assert a is b
         assert cache.misses == 1
 
     def test_counts_hits_and_misses(self, ex1, ex1_box):
-        cache = PhiCache(ex1)
+        cache = PhiCache(ex1, FlowConfig(), ex1_box)
         cache.get(ex1_box.M)
         assert (cache.hits, cache.misses) == (0, 1)
         cache.get(ex1_box.M.copy())
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_distinct_keys(self, ex1, ex1_box):
-        cache = PhiCache(ex1)
+        cache = PhiCache(ex1, FlowConfig(), ex1_box)
         cache.get(ex1_box.M)
         cache.get(ex1_box.M - 1e-3)
         assert cache.misses == 2

@@ -71,14 +71,20 @@ class TestLoad:
         assert prob.n == 2 and prob.source_name.endswith("mini.prob")
 
     @pytest.mark.parametrize("src", [
-        "min(x1, x2)", "-max(x1, x2)", "x1*max(x1, x2)", "max(x1, x2)^2",
+        "-max(x1, x2)", "x1*max(x1, x2)", "max(x1, x2)^2",
         "1/max(x1, x2)", "max(x1, x2) + 1"])
     def test_max_below_the_root_fails_at_load(self, src):
-        # MINI has 6 lines; the position is that of the max or min
+        # MINI has 6 lines; the position is that of the max
         pos = src.index("m")
         with pytest.raises(ProblemFormatError,
                            match=rf"^line 7: .*root.*\(at position {pos}\)$"):
             load_problem(MINI + f"lower {src}\n")
+
+    def test_min_fails_at_load(self):
+        with pytest.raises(ProblemFormatError,
+                           match=r"^line 7: min is not supported: .*"
+                                 r"\(at position 0\)$"):
+            load_problem(MINI + "lower min(x1, x2)\n")
 
     @pytest.mark.parametrize("k", sorted(catalog.EXAMPLES))
     def test_all_examples_load(self, k):
