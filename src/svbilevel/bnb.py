@@ -243,9 +243,15 @@ def iterate(state: SolverState, problem: BilevelProblem,
 def solve(problem: BilevelProblem,
           config: Optional[SolverConfig] = None) -> SolverReport:
     """Run the branch-and-bound loop.  Raises ValueError, naming each
-    error, on a problem that ``validate`` rejects."""
+    error, on a problem that ``validate`` rejects, and on a fixed direction
+    that is not a vector of one component per objective."""
     if config is None:
         config = SolverConfig()
+    if (config.direction is not None
+            and config.direction.shape != (problem.p,)):
+        raise ValueError(f"direction has shape {config.direction.shape}, "
+                         f"problem has {problem.p} objectives: expected "
+                         f"shape ({problem.p},)")
     errors = [d.message for d in validate(problem, probe_boundedness=False)
               if d.level == "error"]
     if errors:

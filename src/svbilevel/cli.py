@@ -186,11 +186,6 @@ def main(argv=None) -> int:
     try:
         problem = _load(args)
         config = _make_config(args, trace)
-        if (config.direction is not None
-                and len(config.direction) != problem.p):
-            raise InputError(
-                f"direction has {len(config.direction)} components, "
-                f"problem has {problem.p} objectives")
         report = bnb.solve(problem, config)
     except (InputError, OutcomeError, nd.FlowError, ExprError,
             ValueError) as exc:

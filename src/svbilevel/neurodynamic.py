@@ -7,11 +7,14 @@ sets: objective-generator and near-active constraint weights are chosen by
 an exact minimum-norm rule (a closed form or a finite active-set QP) so the
 discrete flow slides along boundaries and nonsmooth valleys instead of
 chattering.  A sliding trial point whose S exceeds ZERO_BAND is pulled back
-by a Gauss-Newton polish that lands at S <= ZERO_BAND, the same level, so
-the pull after a tangent step is second order in the step and Armijo
-accepts full steps along curved rows.  A single violated row, the usual
-case, is pulled back in closed form; the S of each point is computed once,
-from its row values, and carried with them.
+by a Gauss-Newton polish that lands at S <= ZERO_BAND.  A single violated
+row, the usual case, is pulled back in closed form, and a curved row is
+pulled back to its level at the trial's origin (capped at ZERO_BAND / 2),
+so the pull after a tangent step along it is second order in the step and
+Armijo accepts full steps along curved rows; affine rows, which a tangent
+step moves only at first order, and several violated rows are pulled to 0.
+The S of each point is computed once, from its row values, and carried
+with them.
 
 The kink of a max objective gets the same treatment.  When two or more
 branches within the objective band carry weight in the selection, the
@@ -540,7 +543,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
                 # admits a limit cycle where the pullback undoes the decrease
                 if s_n > ZERO_BAND:
                     xn, vals_n, s_n = _polish_feasibility(stack, norms, xn,
-                                                          vals_n, s_n)
+                                                          vals_n, s_n, vals)
                 # monotone r and no escape beyond the boundary band, else the
                 # flow limit-cycles across the boundary (r can decrease there)
                 r_n = objective.value(xn)
@@ -598,14 +601,22 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
 
 
 def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
-                        vals: np.ndarray, s: float):
+                        vals: np.ndarray, s: float,
+                        origin: Optional[np.ndarray] = None):
     """Gauss-Newton descent on S until S <= ZERO_BAND, the level at which the
     trial loop of ``solve_flow`` calls it.  A looser target leaves a sliding
     flow parked at that target, where any tangent step that raises S by one
     ulp triggers a full normal pull whose cost in r Armijo then rejects.
     One violated row with gradient g takes the minimum-norm step
-    r_i g / (g.g) in closed form, the step least squares gives; more rows,
-    or one row the step pushed others through, are solved by least squares.
+    (r_i - l) g / (g.g) in closed form, the step least squares gives; more
+    rows, or one row the step pushed others through, are solved by least
+    squares onto level 0.  l is 0, except for a nonlinear row when the row
+    values ``origin`` of the trial's origin are given: then l is that row's
+    level there, max(0, min(origin_i, ZERO_BAND / 2)).  A tangent step moves
+    a curved row by a second-order amount, and pulling it back to its own
+    level costs r only that much, where a pull to 0 from the top of the
+    band costs r the band at every step; an affine row, moved only at first
+    order, is pulled to 0.
     Takes the row values ``vals`` of x and their S, ``s``, and returns
     (point, its row values, their S); each point it tries is evaluated
     once, and its S computed once."""
@@ -623,7 +634,10 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
                 gg = float(g @ g)
                 if gg <= 1e-24:
                     return x, vals, s
-                full = (vals[i] * g) / gg
+                level = 0.0
+                if origin is not None and i >= stack.na:
+                    level = max(0.0, min(origin[i], 0.5 * ZERO_BAND))
+                full = ((vals[i] - level) * g) / gg
             else:
                 G = np.array([stack.row_grad(i, x, norms) for i in rows])
                 if float(np.sum(G * G)) <= 1e-24:

@@ -170,7 +170,8 @@ class TestSolveExamples:
 
 class TestRejectsInvalid:
     """``solve`` refuses what ``validate`` marks as an error; each of these
-    problems was reported optimal with a wrong h before."""
+    problems was reported optimal with a wrong h before.  It also refuses a
+    direction that is not one component per objective."""
 
     def test_unbounded_region(self):
         with pytest.raises(ValueError, match="X has no constraints"):
@@ -179,6 +180,19 @@ class TestRejectsInvalid:
     def test_scalar_lower_level(self):
         with pytest.raises(ValueError, match=r"vectorial \(p >= 2\)"):
             bnb.solve(load_problem(SCALAR_TEXT))
+
+    # on example 2 (p = 2) these failed inside the first ray flow with a
+    # broadcast ValueError, an IndexError or a TypeError
+    @pytest.mark.parametrize("direction, shape",
+                             [([1.0, 1.0, 1.0], r"\(3,\)"), ([1.0], r"\(1,\)"),
+                              ([], r"\(0,\)"), ([[1.0, 1.0]], r"\(1, 2\)")],
+                             ids=["three", "one", "empty", "2-D"])
+    def test_direction_not_one_component_per_objective(self, direction,
+                                                       shape):
+        config = SolverConfig(direction=direction)
+        with pytest.raises(ValueError, match=rf"direction has shape {shape}, "
+                                             r"problem has 2 objectives"):
+            bnb.solve(catalog.load_example(2), config)
 
 
 class TestInvariants:

@@ -557,6 +557,50 @@ class TestRowPolish:
         np.testing.assert_allclose(res.x_final, [-0.5 ** 0.5] * 2,
                                    atol=1e-6)
 
+    @pytest.mark.parametrize("level, origin",
+                             [(0.0, -1e-3), (0.0, 0.0), (2e-10, 2e-10),
+                              (0.5e-9, 0.5e-9), (0.5e-9, 0.7e-9),
+                              (0.5e-9, 1e-3)])
+    def test_curved_row_lands_at_its_origin_level(self, level, origin):
+        # from 1e-7 outside the unit circle one step lands within about
+        # (5e-8)^2 of its target, far below ZERO_BAND
+        rows = RowSet.of([oracle("x1^2 + x2^2 - 1")], 2)
+        x0 = np.array([(1.0 + 1e-7) ** 0.5, 0.0])
+        vals = rows.values(x0)
+        x, out, _ = nd._polish_feasibility(
+            rows, rows.norm_estimates(), x0, vals, rows.total_penalty(vals),
+            np.array([origin]))
+        assert abs(out[0] - level) <= 1e-14
+        assert x[0] < x0[0]
+
+    @pytest.mark.parametrize("origin", [-1e-3, 0.0, 2e-10, 0.7e-9, 1e-3])
+    def test_affine_row_lands_at_zero(self, origin):
+        rows = RowSet.of([oracle("x1 + x2 - 1")], 2)
+        x0 = np.array([0.5 + 1e-7, 0.5])
+        vals = rows.values(x0)
+        _, out, s = nd._polish_feasibility(
+            rows, rows.norm_estimates(), x0, vals, rows.total_penalty(vals),
+            np.array([origin]))
+        assert rows.na == 1
+        assert abs(out[0]) <= 1e-15 and s <= 1e-15
+
+    def test_sliding_flow_keeps_its_level_on_a_small_ball(self):
+        # the last MP flow of ``ball3``, alone: at the top of the band
+        # every pull to 0 cost r about 3e-8, more than a tangent step
+        # gains, and the flow crawled 247 steps at dt about 1e-9
+        V3 = ["x1", "x2", "x3"]
+        z = 0.00022698146066599256
+        rows = RowSet.of([(oracle("(x1 - 0.5)^2 + x2^2 + x3^2", V3), 3,
+                           "ball", z)], 3)
+        res = solve_flow(oracle("(x1 - 1)^2 + x2^2 + x3^2 + 0.25", V3),
+                         rows, np.array([0.5, 0.010529758699913348,
+                                         0.010529758699913348]),
+                         FlowConfig())
+        assert res.status is FlowStatus.CONVERGED
+        assert res.steps <= 40
+        assert abs(res.objective_value
+                   - (0.25 + (z ** 0.5 - 0.5) ** 2)) <= 1e-7
+
 
 class _Ball:
     """The row |u - c|^2 - r2 <= 0."""
