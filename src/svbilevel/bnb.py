@@ -45,8 +45,8 @@ class SolverConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be finite and positive")
         if self.direction is not None:
             d = self.direction = np.asarray(self.direction, dtype=float)
             if not (np.isfinite(d).all() and (d > 0.0).all()):

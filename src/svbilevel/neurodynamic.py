@@ -6,7 +6,11 @@ increases r inside it).  The right-hand side is a selection from the Clarke
 sets: objective-generator and near-active constraint weights are chosen by
 an exact minimum-norm rule (a closed form or a finite active-set QP) so the
 discrete flow slides along boundaries and nonsmooth valleys instead of
-chattering.  A sliding trial point whose S exceeds ZERO_BAND is pulled back
+chattering.  Along one flow the QPs hardly change, so each active-set solve
+first tries the free set the flow's last one ended with, keyed by row and
+objective-branch index: one least squares there, kept only when the cold
+loop's own stopping test certifies it, which makes it the cold result bit
+for bit; else the cold loop runs as it would without the hint.  A sliding trial point whose S exceeds ZERO_BAND is pulled back
 by a Gauss-Newton polish that lands at S <= ZERO_BAND.  A single violated
 row, the usual case, is pulled back in closed form, and a curved row is
 pulled back to its level at the trial's origin (capped at ZERO_BAND / 2),
@@ -82,6 +86,16 @@ class FlowConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
+        if math.isnan(self.t_max):
+            raise ValueError("t_max must be a number, got nan")
+        if self.dt > self.t_max:
+            raise ValueError(f"dt = {self.dt} exceeds t_max = {self.t_max}")
+        if not self.max_steps >= 1:
+            raise ValueError("max_steps must be at least 1")
+        if not self.divergence_radius > 0:
+            raise ValueError("divergence_radius must be positive")
 
 
 @dataclass
@@ -222,12 +236,12 @@ LAM_CAP = 1e8
 
 
 def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
-                    act_gens: list):
-    """(velocity, mu): the velocity of least norm, -(g_plus + c*sum mu_j G_j
-    + sum lam_i A_i), over mu in the unit simplex and lam in [0, LAM_CAP]^k,
-    and the generator weights mu that give it.  Closed forms
-    for one generator and at most one row; for two generators and no
-    row: with a = g_plus + c*G_1 and b = g_plus + c*G_2 the least-norm
+                    act_gens: list, labels: Sequence = (), hint=None):
+    """(velocity, mu, hint): the velocity of least norm, -(g_plus + c*sum
+    mu_j G_j + sum lam_i A_i), over mu in the unit simplex and lam in
+    [0, LAM_CAP]^k, the generator weights mu that give it, and the hint
+    for the next call.  Closed forms for one generator and at most one
+    row; for two generators and no row: with a = g_plus + c*G_1 and b = g_plus + c*G_2 the least-norm
     point of the segment [b, a] is b + mu*(a - b), mu = clip(-b.(a - b) /
     |a - b|^2, 0, 1), the flow's velocity at a two-branch kink of a max
     objective; and for at most one generator and two rows, a flow sliding
@@ -235,33 +249,44 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
     else, and a two-row selection that needs a weight above LAM_CAP, goes
     to ``_active_set_weights``.  The row weights form a cone rather than
     a box: a curved constraint with a tiny gradient needs a large
-    multiplier to certify stationarity."""
+    multiplier to certify stationarity.
+    ``labels`` name the generators and then the rows; ``hint`` is a set of
+    labels, the support an earlier active-set solve ended with, which
+    warm-starts this one.  The returned hint is the support of this
+    call's active-set solve, as labels (None when a weight sits at
+    LAM_CAP, which the warm start does not reproduce), or ``hint`` itself
+    when a closed form answered."""
     nobj = len(obj_gens)
     k = len(act_gens)
     if nobj <= 1 and k == 0:
         g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
-        return -g, (1.0,) * nobj
+        return -g, (1.0,) * nobj, hint
     if nobj <= 1 and k == 1:
         g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
         a = act_gens[0]
         den = float(a @ a)
         lam = min(LAM_CAP, max(0.0, -float(g @ a) / den)) if den > 0.0 else 0.0
-        return -(g + lam * a), (1.0,) * nobj
+        return -(g + lam * a), (1.0,) * nobj, hint
     if nobj == 2 and k == 0:
         a = g_plus + c_gain * obj_gens[0]
         b = g_plus + c_gain * obj_gens[1]
         d = a - b
         den = float(d @ d)
         mu = min(1.0, max(0.0, -float(b @ d) / den)) if den > 0.0 else 0.0
-        return -(b + mu * d), (mu, 1.0 - mu)
+        return -(b + mu * d), (mu, 1.0 - mu), hint
     if nobj <= 1 and k == 2:
         vel = _two_row_velocity(
             g_plus + (c_gain * obj_gens[0] if nobj else 0.0), *act_gens)
         if vel is not None:
-            return vel, (1.0,) * nobj
+            return vel, (1.0,) * nobj, hint
     M = np.array([c_gain * g for g in obj_gens] + list(act_gens))
-    z = _active_set_weights(M, g_plus, nobj)
-    return -(g_plus + M.T @ z), z[:nobj]
+    warm = None if hint is None else np.array([lb in hint for lb in labels],
+                                              dtype=bool)
+    z = _active_set_weights(M, g_plus, nobj, warm)
+    hint = None
+    if len(labels) and not (z >= LAM_CAP).any():
+        hint = frozenset(lb for lb, w in zip(labels, z) if w > 0.0)
+    return -(g_plus + M.T @ z), z[:nobj], hint
 
 
 def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
@@ -299,36 +324,53 @@ def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
     return None if lam > LAM_CAP else -(g + lam * a)
 
 
-def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
-                        nobj: int) -> np.ndarray:
+def _active_set_weights(M: np.ndarray, g_plus: np.ndarray, nobj: int,
+                        hint: Optional[np.ndarray] = None) -> np.ndarray:
     """argmin ||g_plus + M^T z|| over z = (mu, lam): mu, the weights of the
     first ``nobj`` rows, in the unit simplex, and 0 <= lam <= LAM_CAP.
     Lawson-Hanson NNLS with the simplex equality kept exactly: start at the
     best simplex vertex, free the coordinate whose reduced gradient is most
     negative, re-solve the least squares on the free set, and step back to
     the boundary (fixing the coordinate that reaches it) while a free weight
-    leaves its bounds.  Finite; a weight that reaches LAM_CAP stays there."""
+    leaves its bounds.  Finite; a weight that reaches LAM_CAP stays there.
+    The result is the start, or the least squares on the final free set.
+    A ``hint``, a mask of the free set an earlier solve ended with, is
+    tried first (one that frees no simplex weight is ignored): the start
+    when it is the start's free set, else the least squares on it with no
+    weight capped, kept when every free weight lies in (0, LAM_CAP) and
+    the loop's own stopping test holds on the rest.
+    That is the loop's result whenever the loop would end on that free
+    set, the same call on the same inputs; otherwise the loop runs from
+    its start, as without a hint."""
     d = len(M)
-    z = np.zeros(d)
-    free = np.zeros(d, dtype=bool)
+    start = np.zeros(d, dtype=bool)
+    if nobj == 1:
+        start[0] = True
+    elif nobj:
+        start[int(np.argmin(np.linalg.norm(g_plus + M[:nobj], axis=1)))] = True
+    scale = max(_norm(g_plus),
+                float(np.linalg.norm(M, axis=1).max()))
+    tol = 1e-12 * scale * scale
+    if hint is not None and (hint[:nobj].any() or not nobj):
+        if np.array_equal(hint, start):
+            w = start.astype(float)
+        else:
+            w = _free_least_squares(M, g_plus, nobj, hint,
+                                    np.zeros(d, dtype=bool))
+        if (((w[hint] > 0.0) & (w[hint] < LAM_CAP)).all()
+                and _least_reduced_gradient(M, g_plus, nobj, w, hint,
+                                            hint)[1] >= -tol):
+            return w
+    z = start.astype(float)
+    free = start
     capped = np.zeros(d, dtype=bool)
     # entries the least squares undid at the current z: round-off, the
     # column lies in the span of the free ones
     refused = np.zeros(d, dtype=bool)
-    if nobj:
-        j = int(np.argmin(np.linalg.norm(g_plus + M[:nobj], axis=1)))
-        z[j], free[j] = 1.0, True
-    scale = max(_norm(g_plus),
-                float(np.linalg.norm(M, axis=1).max()))
-    tol = 1e-12 * scale * scale
     for _ in range(3 * d):
-        grad = M @ (g_plus + M.T @ z)
-        if nobj:
-            # reduced gradient: less the simplex multiplier
-            grad[:nobj] -= grad[:nobj][free[:nobj]].mean()
-        grad[free | capped | refused] = np.inf
-        t = int(np.argmin(grad))
-        if grad[t] >= -tol:
+        t, grad_t = _least_reduced_gradient(M, g_plus, nobj, z, free,
+                                            free | capped | refused)
+        if grad_t >= -tol:
             break
         free[t] = True
         w = _free_least_squares(M, g_plus, nobj, free, capped)
@@ -353,6 +395,22 @@ def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
             w = _free_least_squares(M, g_plus, nobj, free, capped)
         z = w
     return z
+
+
+def _least_reduced_gradient(M: np.ndarray, g_plus: np.ndarray, nobj: int,
+                            z: np.ndarray, free: np.ndarray,
+                            skip: np.ndarray):
+    """(t, gradient): the coordinate outside ``skip`` whose reduced gradient
+    at z is least, and that gradient, inf when every coordinate is skipped.
+    The simplex weights' gradient is taken less the simplex multiplier, the
+    mean over the free ones; with one simplex weight that entry is free and
+    skipped, and the subtraction is left out."""
+    grad = M @ (g_plus + M.T @ z)
+    if nobj > 1:
+        grad[:nobj] -= grad[:nobj][free[:nobj]].mean()
+    grad[skip] = np.inf
+    t = int(np.argmin(grad))
+    return t, grad[t]
 
 
 def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
@@ -424,14 +482,18 @@ def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
-                       vals: np.ndarray, band_scale: float):
-    """Returns (velocity, r_value, outside, kink) at x, whose row values
-    are ``vals``, with the flow's gradient-norm estimates ``norms``.
+                       vals: np.ndarray, band_scale: float, hint=None):
+    """Returns (velocity, r_value, outside, kink, hint) at x, whose row
+    values are ``vals``, with the flow's gradient-norm estimates ``norms``.
     kink lists the objective branches that carry weight in the selection
     when two or more do, else it is None (always outside the feasible
-    set, where the objective takes no part)."""
+    set, where the objective takes no part).  ``hint`` is the flow's
+    warm start for the selection QP (see ``_min_norm_combo``), labelled
+    by position-free keys: ~j for objective branch j, i for row i; the
+    hint for the next selection is returned."""
     g_plus = np.zeros(stack.n)
     act_gens = []
+    act_rows = []
     any_plus = False
     prod_gain = 1.0
     bands = np.maximum(ZERO_BAND, band_scale * norms)
@@ -446,29 +508,37 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
             g = stack.row_grad(i, x, norms)
             band = max(ZERO_BAND, band_scale * norms[i])
             act_gens.append(g)
+            act_rows.append(int(i))
             # smoothed Psi on the band: 0.5 at the boundary itself
             prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
     kink = None
     c_gain = 0.0 if any_plus else prod_gain
     r_val, obj_gens, members = _objective_generators(objective, x, band_scale)
     if c_gain == 0.0:
-        vel = _min_norm_combo([], 0.0, g_plus, act_gens)[0]
+        vel, _, hint = _min_norm_combo([], 0.0, g_plus, act_gens, act_rows,
+                                       hint)
     else:
-        vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
+        vel, mu, hint = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens,
+                                        [~j for j in members] + act_rows,
+                                        hint)
         if len(members) >= 2:
             # a branch the selection gives no weight is leaving the kink
             kink = [j for j, w in zip(members, mu) if w > 0.0]
             if len(kink) < 2:
                 kink = None
-    return vel, r_val, any_plus, kink
+    return vel, r_val, any_plus, kink, hint
 
 
 def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
     the time/step budget runs out.  Each point is evaluated once: the row
     values of the current x and their S come from the start check, then
-    from the accepted trial or the polish.  ``constraints`` is a RowSet or
-    a sequence of oracles (see ``RowSet.of``)."""
+    from the accepted trial or the polish.  The selection QP of each step
+    is warm-started from the support the flow's last one ended with, and
+    the terminal certification at the band of the last step reuses that
+    step's selection when x, its row values and the norms have not moved
+    since.  ``constraints`` is a RowSet or a sequence of oracles (see
+    ``RowSet.of``)."""
     x = np.asarray(x0, dtype=float).copy()
     stack = RowSet.of(constraints, len(x))
     norms = stack.norm_estimates()
@@ -485,13 +555,20 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
     # (velocity, kink, phase, norms at its start, at its end) of the trial
     # loop that failed last, before the band was widened
     failed = None
+    hint = None
+    # (x, row values, band, norms on entry, selection) of the last step
+    last = None
     stalls = 0
     steps = 0
     for steps in range(1, config.max_steps + 1):
         if t >= config.t_max:
             break
-        vel, r_val, outside, kink = _selected_velocity(
-            stack, norms, objective, x, vals, CERT_BAND * band_factor)
+        band = CERT_BAND * band_factor
+        entry_norms = norms.copy()
+        selection = _selected_velocity(stack, norms, objective, x, vals,
+                                       band, hint)
+        last = (x, vals, band, entry_norms, selection)
+        vel, r_val, outside, kink, hint = selection
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
@@ -588,8 +665,14 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
     # certify at the base band, escalating as above for degenerate vertices
     vnorm = math.inf
     for factor in (1.0, 10.0, 100.0):
-        vel, r_final, _, _ = _selected_velocity(
-            stack, norms, objective, x, vals, CERT_BAND * factor)
+        band = CERT_BAND * factor
+        if (last is not None and last[0] is x and last[1] is vals
+                and last[2] == band and np.array_equal(last[3], norms)):
+            selection = last[4]
+        else:
+            selection = _selected_velocity(stack, norms, objective, x, vals,
+                                           band, hint)
+        vel, r_final, _, _, hint = selection
         vnorm = min(vnorm, _norm(vel))
         if vnorm <= STATIONARITY_TOL:
             break

@@ -80,6 +80,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(epsilon=epsilon)
+
     def test_nonpositive_direction_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(direction=[1.0, 0.0])

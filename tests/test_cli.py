@@ -103,6 +103,21 @@ class TestInputErrors:
         assert code == 1
         assert err == "error: dt and t_max must be positive\n"
 
+    @pytest.mark.parametrize("flag,message", [
+        (["--dt", "nan"], "dt must be finite, got nan"),
+        (["--dt", "inf"], "dt must be finite, got inf"),
+        (["--dt", "1e300"], "dt = 1e+300 exceeds t_max = 200.0"),
+        (["--t-max", "nan"], "t_max must be a number, got nan"),
+        (["--epsilon", "nan"], "epsilon must be finite and positive"),
+        (["--epsilon", "inf"], "epsilon must be finite and positive")])
+    def test_nonfinite_setting(self, capsys, flag, message):
+        # a nan or oversized dt used to end "optimal" at h 0.357143, and
+        # epsilon nan ran to the iteration cap
+        code, out, err = run(capsys, ["--example", "2"] + flag)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_empty_feasible_set(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text(EMPTY_X_TEXT)

@@ -43,6 +43,29 @@ def penalty(x, constraints):
     return rows.total_penalty(rows.values(x))
 
 
+class TestFlowConfig:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"dt": -1.0}, "dt and t_max must be positive"),
+        ({"t_max": 0.0}, "dt and t_max must be positive"),
+        ({"dt": np.nan}, "dt must be finite"),
+        ({"dt": np.inf, "t_max": np.inf}, "dt must be finite"),
+        ({"t_max": np.nan}, "t_max must be a number"),
+        ({"dt": 1e300}, "exceeds t_max"),
+        ({"dt": 2.0, "t_max": 1.0}, "exceeds t_max"),
+        ({"max_steps": 0}, "max_steps must be at least 1"),
+        ({"divergence_radius": 0.0}, "divergence_radius must be positive"),
+        ({"divergence_radius": np.nan}, "divergence_radius must be positive"),
+    ])
+    def test_bad_setting_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FlowConfig(**kwargs)
+
+    def test_unbounded_horizon_and_radius_accepted(self):
+        cfg = FlowConfig(dt=1.0, t_max=np.inf, max_steps=1,
+                         divergence_radius=np.inf)
+        assert cfg.t_max == np.inf and cfg.divergence_radius == np.inf
+
+
 class TestPenalty:
     def test_interior_point_is_zero(self):
         assert penalty(np.array([1.0, 1.0]), example1_region()) == 0.0
@@ -125,7 +148,7 @@ class TestMinNormSelection:
     def test_velocity_norm_matches_brute_force(self, qp):
         obj_gens, c_gain, g_plus, act_gens = qp
         M, scale = stacked(*qp)
-        vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
+        vel, mu, _ = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
         expect = brute_force_min_norm(M, g_plus, len(obj_gens))
         assert abs(float(np.linalg.norm(vel)) - expect) <= 1e-10 * scale
         # the generator weights of the selection lie in the unit simplex
@@ -161,7 +184,7 @@ class TestMinNormSelection:
     def test_duplicated_generators_reach_zero_velocity(self):
         # max(x1, x2)-type kink against a row: 0 = 0.5*(1,0) + 0.5*(0,1)
         # + 0.5*(-1,-1), with the first generator duplicated
-        vel, _ = _min_norm_combo([np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+        vel, _, _ = _min_norm_combo([np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                                   np.array([0.0, 1.0])], 1.0, np.zeros(2),
                                  [np.array([-1.0, -1.0])])
         assert np.linalg.norm(vel) <= 1e-14
@@ -173,6 +196,115 @@ class TestMinNormSelection:
         np.testing.assert_array_equal(z, [LAM_CAP, 0.0])
 
 
+@st.composite
+def generic_qps(draw):
+    """(M, g_plus, nobj, rng): a selection QP with Gaussian entries drawn
+    from a seed, rows scaled over four decades, nobj in {0, 1, 2}, and at
+    most n + 1 rows (n with no generator), so that the optimal weights are
+    unique; and a generator seeded alike for drawing hints."""
+    n = draw(st.sampled_from([2, 3, 5]))
+    nobj = draw(st.integers(0, 2))
+    d = draw(st.integers(max(1, nobj), n + (1 if nobj else 0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((d, n)) * 10.0 ** rng.uniform(-2, 2, (d, 1))
+    return M, rng.standard_normal(n), nobj, rng
+
+
+def least_squares_calls(fn, *args):
+    """(result of fn(*args), number of ``_free_least_squares`` calls)."""
+    calls = []
+    real = nd._free_least_squares
+
+    def counted(*a):
+        calls.append(a)
+        return real(*a)
+    nd._free_least_squares = counted
+    try:
+        return fn(*args), len(calls)
+    finally:
+        nd._free_least_squares = real
+
+
+def support(z):
+    return (z > 0.0) & (z < LAM_CAP)
+
+
+def stops(M, g_plus, nobj, z):
+    """The active-set loop's own stopping test at z: no coordinate outside
+    the free and capped ones has a reduced gradient below -tol."""
+    scale = max(_norm(g_plus), float(np.linalg.norm(M, axis=1).max()))
+    free = support(z)
+    grad = nd._least_reduced_gradient(M, g_plus, nobj, z, free,
+                                      free | (z >= LAM_CAP))[1]
+    return grad >= -1e-12 * scale * scale
+
+
+class TestWarmStart:
+    """``_active_set_weights`` with a hint: the free set an earlier solve
+    ended with."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(generic_qps())
+    def test_hint_at_the_support_gives_the_cold_bits(self, qp):
+        M, g_plus, nobj, _ = qp
+        cold = _active_set_weights(M, g_plus, nobj)
+        warm, calls = least_squares_calls(_active_set_weights, M, g_plus,
+                                          nobj, support(cold))
+        assert warm.tobytes() == cold.tobytes()
+        if stops(M, g_plus, nobj, cold):
+            # the hint was taken: at most the one least squares
+            assert calls <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(generic_qps())
+    def test_wrong_hint_gives_the_cold_bits(self, qp):
+        M, g_plus, nobj, rng = qp
+        cold = _active_set_weights(M, g_plus, nobj)
+        hint = rng.random(len(M)) < 0.5
+        if np.array_equal(hint, support(cold)):
+            hint[rng.integers(len(M))] ^= True
+        warm = _active_set_weights(M, g_plus, nobj, hint)
+        assert warm.tobytes() == cold.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(generic_qps())
+    def test_result_passes_the_stopping_test(self, qp):
+        M, g_plus, nobj, rng = qp
+        for hint in (None, rng.random(len(M)) < 0.5):
+            assert stops(M, g_plus, nobj,
+                         _active_set_weights(M, g_plus, nobj, hint))
+
+    def test_hint_is_keyed_by_label_not_position(self):
+        # one generator and three rows: the active-set solve runs; the
+        # second call lists the rows in another order
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal(3)
+        rows = [rng.standard_normal(3) for _ in range(3)]
+        g_plus = np.zeros(3)
+        labels = [~0, 4, 7, 9]
+        vel, _, hint = _min_norm_combo([G], 1.0, g_plus, rows, labels)
+        assert hint is not None and hint <= set(labels)
+        order = [2, 0, 1]
+        moved = [rows[i] for i in order]
+        moved_labels = [~0] + [labels[1 + i] for i in order]
+        cold = _min_norm_combo([G], 1.0, g_plus, moved, moved_labels)
+        (warm_vel, _, warm_hint), calls = least_squares_calls(
+            _min_norm_combo, [G], 1.0, g_plus, moved, moved_labels, hint)
+        assert calls == 1
+        assert warm_vel.tobytes() == cold[0].tobytes()
+        assert warm_hint == cold[2] == hint
+        np.testing.assert_allclose(warm_vel, vel, atol=1e-12)
+
+    def test_no_hint_from_a_capped_weight(self):
+        # cancelling g_plus needs lam = 1e9 on the tiny row: it sits at
+        # the cap, which the warm start does not reproduce
+        rows = [np.array([-1e-9, 0.0]), np.array([0.0, 1.0]),
+                np.array([0.0, -1.0])]
+        _, _, hint = _min_norm_combo([], 0.0, np.array([1.0, 0.0]), rows,
+                                     [0, 1, 2], frozenset({1}))
+        assert hint is None
+
+
 class TestTwoGeneratorSelection:
     """The closed form for two objective generators and no row against the
     active-set solve of the same stacked QP."""
@@ -181,7 +313,7 @@ class TestTwoGeneratorSelection:
     def assert_matches_active_set(G1, G2, c_gain, g_plus):
         G1, G2, g_plus = (np.asarray(v, dtype=float) for v in (G1, G2, g_plus))
         M, scale = stacked([G1, G2], c_gain, g_plus, [])
-        vel, mu = _min_norm_combo([G1, G2], c_gain, g_plus, [])
+        vel, mu, _ = _min_norm_combo([G1, G2], c_gain, g_plus, [])
         ref = -(g_plus + M.T @ _active_set_weights(M, g_plus, 2))
         assert np.linalg.norm(vel - ref) <= 1e-12 * scale
         # vel is the combination the weights give
@@ -226,7 +358,7 @@ class TestTwoGeneratorSelection:
         # mu = 2/3 cancels (0, 1) against (0, -2) at every gain; the
         # active-set KKT system loses accuracy as c_gain^2 shrinks, the
         # closed form does not
-        vel, mu = _min_norm_combo([np.array([0.0, 1.0]),
+        vel, mu, _ = _min_norm_combo([np.array([0.0, 1.0]),
                                    np.array([0.0, -2.0])],
                                   c_gain, np.zeros(2), [])
         assert np.linalg.norm(vel) <= 1e-15 * c_gain
@@ -242,7 +374,7 @@ class TestOneGeneratorTwoRowSelection:
         obj_gens = [np.asarray(g, dtype=float) for g in obj_gens]
         g_plus, a1, a2 = (np.asarray(v, dtype=float) for v in (g_plus, a1, a2))
         M, scale = stacked(obj_gens, c_gain, g_plus, [a1, a2])
-        vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, [a1, a2])
+        vel, mu, _ = _min_norm_combo(obj_gens, c_gain, g_plus, [a1, a2])
         ref = -(g_plus + M.T @ _active_set_weights(M, g_plus, len(obj_gens)))
         assert np.linalg.norm(vel - ref) <= 1e-12 * scale
         assert list(mu) == [1.0] * len(obj_gens)
@@ -302,7 +434,7 @@ class TestOneGeneratorTwoRowSelection:
     def test_exact_velocity(self, c_gain):
         # lam_1 = c cancels the first component; the second row would raise
         # the norm
-        vel, _ = _min_norm_combo([np.array([1.0, 0.5])], c_gain, np.zeros(2),
+        vel, _, _ = _min_norm_combo([np.array([1.0, 0.5])], c_gain, np.zeros(2),
                                  [np.array([-1.0, 0.0]), np.array([0.3, 1.0])])
         assert np.linalg.norm(vel - [0.0, -c_gain / 2.0]) <= 1e-15 * c_gain
 

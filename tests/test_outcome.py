@@ -8,11 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 from svbilevel import catalog, outcome
 from svbilevel import expr as ex
 from svbilevel.expr import BinOp, CompiledExpr, Const, Max
-from svbilevel.neurodynamic import FlowConfig
+from svbilevel.neurodynamic import (
+    FlowConfig, FlowStatus, find_feasible, solve_flow,
+)
 from svbilevel.outcome import (
     PhiCache, RayObjective, compute_box, solve_mp, solve_ray,
 )
-from svbilevel.problem import find_interior_start, load_problem
+from svbilevel.problem import (
+    find_interior_start, load_problem, stacked_mp_constraints,
+)
 
 from test_expr import COORDS, SMOOTH_EXPRESSIONS, _band_generators, _bits
 
@@ -273,6 +277,49 @@ class TestSolveMp:
         for j, f in enumerate(ex1.lower):
             assert f.value(sol.x) <= ex1_box.M[j] + 1e-6
         assert np.all(ex1.x_region().values(sol.x) <= 1e-6)
+
+
+class TestFalseInfeasibleVertices:
+    """Three vertices of example 1's run at epsilon 1e-5, where
+    ``find_feasible`` from the default start (1, 1) stalls: its
+    summed-gradient step on the violated row f_1 - z_1 is blocked by the
+    tight row f_2 - z_2 [2] at a point that is not stationary for S (the
+    least-norm subgradient of S there is 0.7 to 0.9, the summed gradient
+    about 2).  Each MP(z) has a point meeting every row with a margin of
+    at least 0.01."""
+
+    # (z, a point of MP(z) found on a grid, the least margin of its rows)
+    VERTICES = [
+        ((-3.13548539, -0.63868676), (0.305, 1.205), 0.01),
+        ((-3.05336287, -0.75839657), (0.5, 1.31), 0.0156),
+        ((-3.10326878, -0.73691376), (0.455, 1.295), 0.0106),
+    ]
+
+    @pytest.mark.parametrize("z,x,margin", VERTICES)
+    def test_the_vertex_is_feasible(self, ex1, z, x, margin):
+        rows = stacked_mp_constraints(ex1, z)
+        assert rows.values(np.array(x)).max() <= -margin
+
+    def test_the_first_vertex_lies_below_the_certified_beta(self, ex1):
+        # the run certifies beta = 1.79250 with phi of this vertex at inf
+        z, x, _ = self.VERTICES[0]
+        rows = stacked_mp_constraints(ex1, z)
+        res = solve_flow(ex1.upper, rows, np.array(x), FlowConfig())
+        assert res.status is FlowStatus.CONVERGED
+        assert res.objective_value == pytest.approx(1.7323, abs=1e-4)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="find_feasible's summed-gradient descent stalls against the "
+               "tight row f_2 - z_2 [2] at a non-stationary point of S and "
+               "reports these feasible MP(z) infeasible; example 1's "
+               "OPTIMAL rests on the three verdicts")
+    @pytest.mark.parametrize("z,x,margin", VERTICES)
+    def test_find_feasible_finds_a_point(self, ex1, z, x, margin):
+        rows = stacked_mp_constraints(ex1, z)
+        u = find_feasible(rows, np.array([1.0, 1.0]), FlowConfig())
+        assert u is not None
+        assert rows.values(u).max() <= 1e-7
 
 
 class TestInteriorStart:
