@@ -6,7 +6,7 @@ summary (x*, y*, h*, iteration count, wall time, status).  An optional
 trace file collects every integration step of every flow.
 
 Exit codes: 0 optimal, 2 infeasible, 3 iteration cap reached, 1 input
-error.
+error (a command-line usage error included; ``--help`` exits 0).
 """
 
 from __future__ import annotations
@@ -39,8 +39,17 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own usage errors exit 2, the code of an infeasible
+    problem; here they are input errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svbilevel",
         description="Global solver for pseudoconvex semivectorial bilevel "
                     "problems.")
@@ -118,15 +127,19 @@ def _vec(v) -> str:
     return "(" + ", ".join(_fmt(c) for c in v) + ")"
 
 
-def _print_table(report: bnb.SolverReport, out) -> None:
+def _log_cells(report: bnb.SolverReport) -> list:
+    """The iteration log as rows of formatted cells, the header (k,
+    v_1..v_p, alpha, beta, gap) first."""
     p = len(report.box.M)
     header = ["k"] + [f"v_{i + 1}" for i in range(p)] + ["alpha", "beta", "gap"]
-    rows = [[str(row.k)] + [_fmt(c) for c in row.v]
-            + [_fmt(row.alpha), _fmt(row.beta), _fmt(row.gap)]
-            for row in report.log]
-    widths = [max(len(h), *(len(r[j]) for r in rows)) if rows else len(h)
-              for j, h in enumerate(header)]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)), file=out)
+    return [header] + [[str(row.k)] + [_fmt(c) for c in row.v]
+                       + [_fmt(row.alpha), _fmt(row.beta), _fmt(row.gap)]
+                       for row in report.log]
+
+
+def _print_table(report: bnb.SolverReport, out) -> None:
+    rows = _log_cells(report)
+    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
     for r in rows:
         print("  ".join(c.rjust(w) for c, w in zip(r, widths)), file=out)
 
@@ -145,12 +158,7 @@ def _print_summary(report: bnb.SolverReport, out) -> None:
 
 
 def _print_csv(report: bnb.SolverReport, out) -> None:
-    p = len(report.box.M)
-    print(",".join(["k"] + [f"v_{i + 1}" for i in range(p)]
-                   + ["alpha", "beta", "gap"]), file=out)
-    for row in report.log:
-        cells = [str(row.k)] + [_fmt(c) for c in row.v]
-        cells += [_fmt(row.alpha), _fmt(row.beta), _fmt(row.gap)]
+    for cells in _log_cells(report):
         print(",".join(cells), file=out)
     summary = [f"status={report.status.value}",
                f"alpha={_fmt(report.alpha)}",

@@ -533,11 +533,13 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
     the time/step budget runs out.  Each point is evaluated once: the row
     values of the current x and their S come from the start check, then
-    from the accepted trial or the polish.  The selection QP of each step
-    is warm-started from the support the flow's last one ended with, and
-    the terminal certification at the band of the last step reuses that
-    step's selection when x, its row values and the norms have not moved
-    since.  ``constraints`` is a RowSet or a sequence of oracles (see
+    from the accepted trial or the polish.  Every step selects at the base
+    band CERT_BAND; a step whose 31 halvings all fail ends the flow.  The
+    terminal certification is the one place that tests 1x, 10x and 100x
+    the band, and at 1x it reuses the last step's selection when x, its
+    row values and the norms have not moved since.  The selection QP of
+    each step is warm-started from the support the flow's last one ended
+    with.  ``constraints`` is a RowSet or a sequence of oracles (see
     ``RowSet.of``)."""
     x = np.asarray(x0, dtype=float).copy()
     stack = RowSet.of(constraints, len(x))
@@ -551,23 +553,18 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
     dt = config.dt
     dt_max = config.dt * 1e4
     t = 0.0
-    band_factor = 1.0
-    # (velocity, kink, phase, norms at its start, at its end) of the trial
-    # loop that failed last, before the band was widened
-    failed = None
     hint = None
-    # (x, row values, band, norms on entry, selection) of the last step
+    # (x, row values, norms on entry, selection) of the last step
     last = None
     stalls = 0
     steps = 0
     for steps in range(1, config.max_steps + 1):
         if t >= config.t_max:
             break
-        band = CERT_BAND * band_factor
         entry_norms = norms.copy()
         selection = _selected_velocity(stack, norms, objective, x, vals,
-                                       band, hint)
-        last = (x, vals, band, entry_norms, selection)
+                                       CERT_BAND, hint)
+        last = (x, vals, entry_norms, selection)
         vel, r_val, outside, kink, hint = selection
         vnorm = _norm(vel)
         if trace:
@@ -587,18 +584,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
         # penalty descent governs only when some row exceeds its activity
         # band; within the band the flow slides and r-descent governs
         infeasible_phase = outside
-        if (failed is not None and kink == failed[1]
-                and outside == failed[2] and np.array_equal(vel, failed[0])
-                and np.array_equal(norms, failed[3])):
-            # the widened band selects what the failed loop had: its trial
-            # points would all fail again, leaving the norms it left
-            start_norms = failed[3]
-            norms[:] = failed[4]
-            trials = ()
-        else:
-            start_norms = norms.copy()
-            trials = range(31)
-        for _ in trials:
+        for _ in range(31):
             xn = x + trial * direction
             if (xn == x).all():
                 # motion below float resolution: numeric stationarity
@@ -632,12 +618,8 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
                 break
             trial *= 0.5
         if not accepted:
-            # at a degenerate vertex a blocking row just outside the band
-            # defeats every step; widen the band so it joins the balance
-            if band_factor < 100.0:
-                band_factor *= 10.0
-                failed = (vel, kink, outside, start_norms, norms.copy())
-                continue
+            # no step descends: the flow ends here, and the certification
+            # below decides whether this point is stationary
             break
         # displacement equals trial (unit direction); a run of vanishing
         # accepted steps means numeric stagnation the margins cannot see
@@ -647,8 +629,6 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
                 break
         else:
             stalls = 0
-        band_factor = 1.0
-        failed = None
         x, vals, s_cur = xn, vals_n, s_n
         t += trial
         # adaptive step: grow on clean acceptance, follow the backtracked
@@ -662,16 +642,17 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
                               steps, vnorm)
 
     x, vals, s_cur = _polish_feasibility(stack, norms, x, vals, s_cur)
-    # certify at the base band, escalating as above for degenerate vertices
+    # certify at the base band, then at 10x and 100x it: at a degenerate
+    # vertex a blocking row just outside the base band defeats every step,
+    # and a wider band lets it join the balance
     vnorm = math.inf
     for factor in (1.0, 10.0, 100.0):
-        band = CERT_BAND * factor
-        if (last is not None and last[0] is x and last[1] is vals
-                and last[2] == band and np.array_equal(last[3], norms)):
-            selection = last[4]
+        if (factor == 1.0 and last is not None and last[0] is x
+                and last[1] is vals and np.array_equal(last[2], norms)):
+            selection = last[3]
         else:
             selection = _selected_velocity(stack, norms, objective, x, vals,
-                                           band, hint)
+                                           CERT_BAND * factor, hint)
         vel, r_final, _, _, hint = selection
         vnorm = min(vnorm, _norm(vel))
         if vnorm <= STATIONARITY_TOL:

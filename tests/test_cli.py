@@ -142,6 +142,24 @@ class TestInputErrors:
         assert err == ("error: lower level must be vectorial (p >= 2); "
                        "X has no constraints; it cannot be bounded\n")
 
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--example", "1", "--format", "xml"],
+        ["--example", "1", "--dt", "-inf"],
+        ["--example", "1", "--file", "problem.txt"]])
+    def test_usage_error_is_one(self, capsys, argv):
+        # argparse's own code is 2, the code of an infeasible problem
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "svbilevel: error:" in capsys.readouterr().err
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: svbilevel" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_optimal_is_zero(self, capsys):

@@ -602,10 +602,10 @@ class TestSolveFlow:
         assert res.status is FlowStatus.CONVERGED and res.steps == 8
         np.testing.assert_allclose(res.x_final, [-1.0, 1.0], atol=1e-12)
 
-    def test_widened_band_repeats_no_failed_trial_loop(self):
-        # value() reads 1 above value_grad(): every trial fails, and with no
-        # rows the widened bands select the same velocity, so only the
-        # first trial loop evaluates its 31 points
+    def test_failed_trial_loop_ends_the_flow(self):
+        # value() reads 1 above value_grad(): every trial fails, so the
+        # first step's 31 trial points are the flow's only ones, and the
+        # flow ends there unconverged
         class Overstated:
             calls = 0
 
@@ -618,8 +618,26 @@ class TestSolveFlow:
 
         obj = Overstated()
         res = solve_flow(obj, [], np.array([1.0, 2.0]), FlowConfig())
-        assert res.status is FlowStatus.MAX_TIME and res.steps == 3
+        assert res.status is FlowStatus.MAX_TIME and res.steps == 1
         assert obj.calls == 31
+
+    def test_certification_widens_the_band(self):
+        # r = x1 with value() 1 above value_grad(): every trial fails.  The
+        # row -x1 <= 0 reads -5e-4 at the start, outside the base band
+        # 1e-4, so the first step's velocity is -e1; at 10x the band the
+        # row joins with gain 0.75 and cancels the gradient
+        class Overstated:
+            def value_grad(self, x):
+                return float(x[0]), np.array([1.0, 0.0])
+
+            def value(self, x):
+                return float(x[0]) + 1.0
+
+        res = solve_flow(Overstated(), [oracle("-x1")],
+                         np.array([5e-4, 0.0]), FlowConfig())
+        assert res.status is FlowStatus.CONVERGED and res.steps == 1
+        assert res.final_velocity_norm == 0.0
+        np.testing.assert_array_equal(res.x_final, [5e-4, 0.0])
 
     def test_shared_rows_carry_no_state_between_flows(self):
         # the row's gradient norm is 2e-6 at the start, far below the
