@@ -252,8 +252,7 @@ def solve(problem: BilevelProblem,
         raise ValueError(f"direction has shape {config.direction.shape}, "
                          f"problem has {problem.p} objectives: expected "
                          f"shape ({problem.p},)")
-    errors = [d.message for d in validate(problem, probe_boundedness=False)
-              if d.level == "error"]
+    errors = [d.message for d in validate(problem) if d.level == "error"]
     if errors:
         raise ValueError("; ".join(errors))
     t0 = time.perf_counter()

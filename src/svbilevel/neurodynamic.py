@@ -64,6 +64,9 @@ CERT_BAND = 1e-4
 STATIONARITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
 
+# A flow whose point leaves this ball ends DIVERGED.
+DIVERGENCE_RADIUS = 1e7
+
 
 class FlowStatus(enum.Enum):
     CONVERGED = "Converged"
@@ -80,7 +83,6 @@ class FlowConfig:
     dt: float = 1e-2
     t_max: float = 200.0
     max_steps: int = 200_000
-    divergence_radius: float = 1e7
     trace: Optional["TraceRecorder"] = None
 
     def __post_init__(self):
@@ -94,8 +96,6 @@ class FlowConfig:
             raise ValueError(f"dt = {self.dt} exceeds t_max = {self.t_max}")
         if not self.max_steps >= 1:
             raise ValueError("max_steps must be at least 1")
-        if not self.divergence_radius > 0:
-            raise ValueError("divergence_radius must be positive")
 
 
 @dataclass
@@ -637,7 +637,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
             dt = min(dt * 2.0, dt_max)
         else:
             dt = trial * 4.0
-        if _norm(x) > config.divergence_radius:
+        if _norm(x) > DIVERGENCE_RADIUS:
             return FlowResult(x, math.nan, s_cur, FlowStatus.DIVERGED,
                               steps, vnorm)
 
@@ -766,6 +766,6 @@ def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarra
         else:
             return None
         x, vals, s = xn, vals_n, s_n
-        if _norm(x) > config.divergence_radius:
+        if _norm(x) > DIVERGENCE_RADIUS:
             raise FlowError("feasibility flow diverged")
     return x if s <= FEASIBILITY_TOL else None

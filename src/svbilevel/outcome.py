@@ -59,9 +59,21 @@ class MpSolution:
     feasible: bool
 
 
-def _require_converged(res: nd.FlowResult, what: str) -> nd.FlowResult:
+def _reject_diverged(res: nd.FlowResult, what: str) -> nd.FlowResult:
     if res.status is nd.FlowStatus.DIVERGED:
         raise OutcomeError(f"{what}: flow diverged (unbounded problem?)")
+    return res
+
+
+def _box_flow(objective, region, x0, config, what: str) -> nd.FlowResult:
+    """A box flow over X; it must converge, or [m, M] may not contain
+    f(X)."""
+    res = nd.solve_flow(objective, region, x0, config)
+    if res.status is not nd.FlowStatus.CONVERGED:
+        raise OutcomeError(
+            f"{what}: flow ended {res.status.value} after {res.steps} "
+            f"steps; X may be unbounded or wider than the flow horizon "
+            f"t_max = {config.t_max:g}")
     return res
 
 
@@ -69,7 +81,10 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
                 ) -> OutcomeBox:
     """Box [m, M] containing the outcome set: m from p minimizing flows,
     M from evaluating each objective on the vertices of a simplex
-    enclosing X."""
+    enclosing X.  This is where X is checked numerically: every one of the
+    p + n + 1 flows must end converged, else ``OutcomeError`` names it,
+    since an unbounded X, or one wider than the horizon ``t_max``, leaves
+    a box that need not contain f(X)."""
     if config is None:
         config = nd.FlowConfig()
     region = problem.x_region()
@@ -82,8 +97,7 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
     m_argmin = []
     start = x0
     for i, f in enumerate(problem.lower):
-        res = _require_converged(nd.solve_flow(f, region, start, config),
-                                 f"min f_{i + 1} over X")
+        res = _box_flow(f, region, start, config, f"min f_{i + 1} over X")
         m[i] = res.objective_value
         m_argmin.append(res.x_final.copy())
         start = res.x_final
@@ -93,13 +107,11 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
-        res = _require_converged(
-            nd.solve_flow(AffineRow(e, 0.0), region, x0, config),
-            f"min x_{k + 1} over X")
+        res = _box_flow(AffineRow(e, 0.0), region, x0, config,
+                        f"min x_{k + 1} over X")
         delta0[k] = res.objective_value
-    res = _require_converged(
-        nd.solve_flow(AffineRow(-np.ones(n), 0.0), region, x0, config),
-        "max <e, x> over X")
+    res = _box_flow(AffineRow(-np.ones(n), 0.0), region, x0, config,
+                    "max <e, x> over X")
     U = -res.objective_value
 
     vertices = [delta0.copy()]
@@ -171,7 +183,7 @@ def solve_ray(problem: BilevelProblem, v, d_hat, x0,
         raise ValueError("ray direction must be finite and strictly positive")
     region = problem.x_region()
     obj = RayObjective(problem, v, d_hat)
-    res = _require_converged(nd.solve_flow(obj, region, x0, config), "ray problem")
+    res = _reject_diverged(nd.solve_flow(obj, region, x0, config), "ray problem")
     x = res.x_final
     # recompute t from the terminal point so the ray identity is exact
     t = obj.value(x)
@@ -189,8 +201,8 @@ def solve_mp(problem: BilevelProblem, z, u0,
     u_feas = nd.find_feasible(stack, u0, config)
     if u_feas is None:
         return MpSolution(z=z, phi=math.inf, x=None, y=None, feasible=False)
-    res = _require_converged(nd.solve_flow(problem.upper, stack, u_feas, config),
-                             "MP value flow")
+    res = _reject_diverged(nd.solve_flow(problem.upper, stack, u_feas, config),
+                           "MP value flow")
     u = res.x_final
     return MpSolution(z=z, phi=float(res.objective_value),
                       x=u[: problem.n].copy(), y=u[problem.n:].copy(),

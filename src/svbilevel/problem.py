@@ -38,9 +38,6 @@ import numpy as np
 from . import neurodynamic as nd
 from .expr import CompiledExpr, ExprError, Max, parse_expression
 
-# how far a flow in ``validate`` must escape for X to look unbounded
-PROBE_RADIUS = 1e6
-
 
 class ProblemFormatError(Exception):
     """Raised for malformed problem files; carries the offending line."""
@@ -320,9 +317,11 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(problem: BilevelProblem, probe_boundedness: bool = True) -> list:
+def validate(problem: BilevelProblem) -> list:
     """Structural diagnostics: hard errors for shape violations, warnings for
-    unverifiable convexity assumptions, a numeric probe for boundedness of X."""
+    unverifiable convexity assumptions.  It starts no flow: whether X is
+    bounded is checked where the outcome box is built
+    (``outcome.compute_box``), whose flows must converge."""
     out = []
     if problem.p < 2:
         out.append(Diagnostic("error", "lower level must be vectorial (p >= 2)"))
@@ -337,28 +336,6 @@ def validate(problem: BilevelProblem, probe_boundedness: bool = True) -> list:
         "pseudoconvexity of the objectives and quasiconvexity of the "
         "constraints are assumed, not verified; fractional-quadratic and "
         "max-of-affine forms are standard sufficient conditions"))
-
-    if probe_boundedness and problem.p >= 1:
-        region = problem.x_region()
-        # long horizon so escape to the radius is reachable before t_max
-        cfg = nd.FlowConfig(divergence_radius=PROBE_RADIUS, t_max=1e9)
-        x0 = find_interior_start(problem, cfg)
-        if x0 is None:
-            out.append(Diagnostic("error", "could not find a point of X"))
-            return out
-        for i in range(problem.n):
-            for sign in (1.0, -1.0):
-                coeffs = np.zeros(problem.n)
-                coeffs[i] = sign
-                obj = AffineRow(coeffs, 0.0)
-                res = nd.solve_flow(obj, region, x0, cfg)
-                if res.status is nd.FlowStatus.DIVERGED:
-                    direction = "below" if sign > 0 else "above"
-                    out.append(Diagnostic(
-                        "warning",
-                        f"X appears unbounded ({'x%d' % (i + 1)} unbounded "
-                        f"{direction})"))
-                    break
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from svbilevel import bnb, catalog
 from svbilevel.bnb import SolverConfig, SolverStatus
-from svbilevel.outcome import MpSolution
+from svbilevel.outcome import MpSolution, OutcomeError
 from svbilevel.problem import load_problem
 
 INFEASIBLE_TEXT = """\
@@ -57,6 +57,18 @@ upper x1^2 + x2^2
 lower x1^2 + x2^2
 bound x1 -1 2
 bound x2 -1 2
+"""
+
+# X = {x1 + x2 >= 500} in [0, 1000]^2: bounded, but wider than the default
+# flow horizon t_max = 200
+WIDE_TEXT = """\
+vars x 2
+upper x1 + 2*x2
+lower x1
+lower x2
+constraint_x 500 - x1 - x2
+bound x1 0 1000
+bound x2 0 1000
 """
 
 
@@ -174,13 +186,21 @@ class TestSolveExamples:
 
 
 class TestRejectsInvalid:
-    """``solve`` refuses what ``validate`` marks as an error; each of these
-    problems was reported optimal with a wrong h before.  It also refuses a
-    direction that is not one component per objective."""
+    """``solve`` refuses what ``validate`` marks as an error, and an X
+    whose box flows do not converge; each of these problems was reported
+    optimal with a wrong h before.  It also refuses a direction that is not
+    one component per objective."""
 
     def test_unbounded_region(self):
         with pytest.raises(ValueError, match="X has no constraints"):
             bnb.solve(load_problem(UNBOUNDED_TEXT))
+
+    def test_region_wider_than_the_flow_horizon(self):
+        # h* = 500 and m = (0, 0); at t_max = 200 the box flow of min f_1
+        # stopped short, and the solve reported h 563.44 with m (236, 250)
+        with pytest.raises(OutcomeError, match=r"^min f_1 over X: flow "
+                                               r"ended MaxTime"):
+            bnb.solve(load_problem(WIDE_TEXT))
 
     def test_scalar_lower_level(self):
         with pytest.raises(ValueError, match=r"vectorial \(p >= 2\)"):

@@ -36,6 +36,15 @@ bound x1 -1 1
 bound x2 0 1
 """
 
+# X = {x1 <= 0} is unbounded below
+UNBOUNDED_X_TEXT = """\
+vars x 1
+upper x1
+lower x1
+lower x1 + 1
+constraint_x x1 - 0
+"""
+
 # X has no rows and the lower level one objective: two errors
 INVALID_TEXT = """\
 vars x 2
@@ -47,6 +56,12 @@ lower x1
 @pytest.fixture(scope="module")
 def ex1_report():
     return bnb.solve(catalog.load_example(1), bnb.SolverConfig(epsilon=1e-5))
+
+
+def box_flow_error(steps, t_max):
+    return (f"error: min f_1 over X: flow ended MaxTime after {steps} steps; "
+            f"X may be unbounded or wider than the flow horizon "
+            f"t_max = {t_max}\n")
 
 
 def run(capsys, argv):
@@ -132,6 +147,20 @@ class TestInputErrors:
         assert code == 1
         assert out == ""
         assert err == "error: division by zero at node 1.0 / x1\n"
+
+    # each ended "optimal" with a wrong h (-791.49 and -1.04) when a box
+    # flow that stopped at the horizon was accepted
+    def test_unbounded_x(self, capsys, tmp_path):
+        path = tmp_path / "unbounded.txt"
+        path.write_text(UNBOUNDED_X_TEXT)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err == box_flow_error(16, "200")
+
+    def test_horizon_shorter_than_x(self, capsys):
+        code, out, err = run(capsys, ["--example", "4", "--t-max", "0.05"])
+        assert (code, out) == (1, "")
+        assert err == box_flow_error(4, "0.05")
 
     def test_problem_validate_rejects(self, capsys, tmp_path):
         path = tmp_path / "invalid.txt"

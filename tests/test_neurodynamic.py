@@ -53,17 +53,14 @@ class TestFlowConfig:
         ({"dt": 1e300}, "exceeds t_max"),
         ({"dt": 2.0, "t_max": 1.0}, "exceeds t_max"),
         ({"max_steps": 0}, "max_steps must be at least 1"),
-        ({"divergence_radius": 0.0}, "divergence_radius must be positive"),
-        ({"divergence_radius": np.nan}, "divergence_radius must be positive"),
     ])
     def test_bad_setting_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             FlowConfig(**kwargs)
 
     def test_unbounded_horizon_and_radius_accepted(self):
-        cfg = FlowConfig(dt=1.0, t_max=np.inf, max_steps=1,
-                         divergence_radius=np.inf)
-        assert cfg.t_max == np.inf and cfg.divergence_radius == np.inf
+        cfg = FlowConfig(dt=1.0, t_max=np.inf, max_steps=1)
+        assert cfg.t_max == np.inf
 
 
 class TestPenalty:
@@ -500,7 +497,7 @@ class TestSolveFlow:
 
     def test_divergence_detected(self):
         obj = oracle("x1 + x2", V2)  # unbounded below, no constraints
-        cfg = FlowConfig(dt=1e3, divergence_radius=1e4, t_max=1e9)
+        cfg = FlowConfig(dt=1e3, t_max=1e9)
         res = solve_flow(obj, [], np.array([0.0, 0.0]), cfg)
         assert res.status is FlowStatus.DIVERGED
 

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -88,6 +89,21 @@ class TestComputeBox:
             assert np.all(z >= ex1_box.m - 0.02)
             assert np.all(z <= ex1_box.M + 0.02)
             count += 1
+
+    # X is unbounded where the min f_i flows do not go, so only the named
+    # enclosure flow stops short
+    @pytest.mark.parametrize("text, flow", [
+        ("vars x 1\nupper x1\nlower x1^2\nlower (x1 + 1)^2\n"
+         "constraint_x x1\n", "min x_1 over X"),
+        ("vars x 2\nupper x1\nlower x1^2 + x2^2\nlower (x1 - 1)^2 + x2^2\n"
+         "bound x1 0 inf\nbound x2 0 inf\n", "max <e, x> over X"),
+    ], ids=["min-x", "max-sum"])
+    def test_enclosure_flows_must_converge(self, text, flow):
+        with pytest.raises(outcome.OutcomeError,
+                           match=rf"^{re.escape(flow)}: flow ended MaxTime "
+                                 r"after \d+ steps; X may be unbounded or "
+                                 r"wider than the flow horizon t_max = 200$"):
+            compute_box(load_problem(text))
 
 
 class TestSolveRay:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svbilevel import catalog
+from svbilevel import bnb, catalog
+from svbilevel import neurodynamic as nd
 from svbilevel.expr import Max
+from svbilevel.outcome import OutcomeError
 from svbilevel.problem import (
     ProblemFormatError, load_problem, stacked_mp_constraints, validate,
 )
@@ -100,13 +102,24 @@ class TestValidate:
 
     def test_p1_is_error(self):
         prob = load_problem("vars x 1\nupper x1\nlower x1\nconstraint_x x1 - 1\nbound x1 0 1\n")
-        diags = validate(prob, probe_boundedness=False)
+        diags = validate(prob)
         assert any("p >= 2" in d.message for d in diags if d.level == "error")
 
     def test_unbounded_region_flagged(self):
+        # X = {x1 <= 0}: the box flow of min f_1 runs off to the horizon
         prob = load_problem("vars x 1\nupper x1\nlower x1\nlower x1 + 1\nconstraint_x x1 - 0\n")
-        diags = validate(prob)
-        assert any("unbounded" in d.message for d in diags if d.level == "warning")
+        with pytest.raises(OutcomeError, match=r"^min f_1 over X: flow ended "
+                                               r"MaxTime .*unbounded"):
+            bnb.solve(prob)
+
+    def test_starts_no_flow(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate started a flow")
+
+        monkeypatch.setattr(nd, "solve_flow", refuse)
+        monkeypatch.setattr(nd, "find_feasible", refuse)
+        diags = validate(catalog.load_example(5))
+        assert not [d for d in diags if d.level == "error"]
 
 
 def expression_rows(exprs, fmt, point, shifts=None):
