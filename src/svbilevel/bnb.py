@@ -139,12 +139,12 @@ def _in_stack(problem: BilevelProblem, sol) -> bool:
 
 
 def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
-    """Box, singleton vertex set {M}, the p lower-face upper-bound probes
-    and the initial bounds."""
+    """Box, singleton vertex set {M}, the p lower-face upper-bound probes,
+    then phi at M and the initial bounds."""
     box = compute_box(problem, config.flow)
     cache = PhiCache(problem, config.flow, box)
     V = VertexSet(box.m)
-    V.add(box.M)
+    top = V.add(box.M)
 
     alpha = math.inf
     incumbent = None
@@ -161,11 +161,13 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
             alpha = sol.phi
             incumbent = Incumbent(x=sol.x, y=sol.y, h=sol.phi)
 
-    top = cache.get(box.M)
     state = SolverState(box=box, V=V, cache=cache, alpha=alpha,
-                        beta=top.phi if top.feasible else math.inf,
-                        incumbent=incumbent)
-    if not top.feasible and incumbent is None:
+                        beta=math.inf, incumbent=incumbent)
+    # M is a vertex like any other: one solve, and its lower-face check
+    _evaluate_pending(state, problem, config)
+    if top.mp.feasible:
+        state.beta = top.mp.phi
+    elif incumbent is None:
         state.status = SolverStatus.INFEASIBLE
     return state
 

@@ -195,7 +195,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "num":
-            return Const(float(val))
+            value = float(val)
+            if math.isinf(value):
+                raise ParseError(f"number {val!r} overflows a float", pos)
+            return Const(value)
         if kind == "ident":
             if val == "min":
                 raise ParseError("min is not supported: a min of pseudoconvex "

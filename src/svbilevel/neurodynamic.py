@@ -67,6 +67,10 @@ FEASIBILITY_TOL = 1e-7
 # A flow whose point leaves this ball ends DIVERGED.
 DIVERGENCE_RADIUS = 1e7
 
+# solve_flow stops stepping after this many Euler steps and certifies where
+# it stands; find_feasible gives up after this many descent steps.
+MAX_STEPS = 200_000
+
 
 class FlowStatus(enum.Enum):
     CONVERGED = "Converged"
@@ -82,7 +86,6 @@ class FlowError(Exception):
 class FlowConfig:
     dt: float = 1e-2
     t_max: float = 200.0
-    max_steps: int = 200_000
     trace: Optional["TraceRecorder"] = None
 
     def __post_init__(self):
@@ -94,8 +97,6 @@ class FlowConfig:
             raise ValueError("t_max must be a number, got nan")
         if self.dt > self.t_max:
             raise ValueError(f"dt = {self.dt} exceeds t_max = {self.t_max}")
-        if not self.max_steps >= 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -558,7 +559,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
     last = None
     stalls = 0
     steps = 0
-    for steps in range(1, config.max_steps + 1):
+    for steps in range(1, MAX_STEPS + 1):
         if t >= config.t_max:
             break
         entry_norms = norms.copy()
@@ -741,7 +742,7 @@ def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarra
     dt = config.dt
     vals = stack.values(x)
     s = stack.total_penalty(vals)
-    for _ in range(config.max_steps):
+    for _ in range(MAX_STEPS):
         if s <= FEASIBILITY_TOL:
             return x
         g = np.zeros(stack.n)

@@ -7,9 +7,10 @@ simplex enclosure of X and vertex evaluation (for M).  Two parametric
 subproblem families drive the main algorithm: the ray problem
 min_x max_j (f_j(x) - v_j) / d_j whose optimum projects v onto the weakly
 nondominated frontier, and MP(z): phi(z) = min {h(x, y) | (x, y) in G,
-f(x) <= z}, a decreasing function of z.  Every subproblem flow starts
-where its caller says: the driver passes a warm start or takes
-``PhiCache``'s, the box's feasible point of X with y = 1.
+f(x) <= z}, a decreasing function of z, solved once per query by
+``PhiCache``.  Every subproblem flow starts where its caller says: the
+driver passes a warm start or takes ``PhiCache``'s, the box's feasible
+point of X with y = 1.
 """
 
 from __future__ import annotations
@@ -210,32 +211,20 @@ def solve_mp(problem: BilevelProblem, z, u0,
 
 
 class PhiCache:
-    """Memoizes MP solutions per outcome vector (keyed at 1e-9 resolution);
-    the driver re-queries vertices across iterations.  A query without a
-    warm start begins at ``start``, the box's feasible point of X with
-    y = 1."""
+    """Solves MP(z) for the driver, one flow per call: the branch-and-bound
+    evaluates phi once at each vertex and keeps the value on the vertex, so
+    nothing is memoized here.  A query without a warm start begins at
+    ``start``, the box's feasible point of X with y = 1; ``misses`` counts
+    the solves."""
 
     def __init__(self, problem: BilevelProblem, config: nd.FlowConfig,
                  box: OutcomeBox):
         self.problem = problem
         self.config = config
         self.start = np.concatenate([box.x_feasible, np.ones(problem.m)])
-        self._table = {}
-        self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _key(z) -> tuple:
-        return tuple(round(float(c) * 1e9) for c in z)
-
     def get(self, z, u0: Optional[np.ndarray] = None) -> MpSolution:
-        key = self._key(z)
-        hit = self._table.get(key)
-        if hit is None:
-            hit = solve_mp(self.problem, z,
-                           self.start if u0 is None else u0, self.config)
-            self._table[key] = hit
-            self.misses += 1
-        else:
-            self.hits += 1
-        return hit
+        self.misses += 1
+        return solve_mp(self.problem, z, self.start if u0 is None else u0,
+                        self.config)

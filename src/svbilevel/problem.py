@@ -28,6 +28,7 @@ Variables are named x1..xn and y1..ym.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -223,7 +224,7 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
     else:
         raise TypeError(f"unsupported source: {source!r}")
 
-    n = m = None
+    dims = {}
     raw = {"upper": [], "lower": [], "constraint_x": [], "constraint_xy": []}
     bounds = []
     known = {}
@@ -244,10 +245,10 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
                 raise ProblemFormatError(f"bad count {toks[1]!r}", line_no)
             if count < 0:
                 raise ProblemFormatError("negative dimension", line_no)
-            if toks[0] == "x":
-                n = count
-            else:
-                m = count
+            if toks[0] in dims:
+                raise ProblemFormatError(f"'vars {toks[0]}' declared twice",
+                                         line_no)
+            dims[toks[0]] = count
         elif key in raw:
             if not rest:
                 raise ProblemFormatError(f"'{key}' needs an expression", line_no)
@@ -256,9 +257,12 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
             toks = rest.split()
             if len(toks) != 3:
                 raise ProblemFormatError("expected 'bound <var> <lo> <hi>'", line_no)
-            bounds.append((line_no, toks[0],
-                           _parse_float(toks[1], line_no),
-                           _parse_float(toks[2], line_no)))
+            lo, hi = (_parse_float(t, line_no) for t in toks[1:])
+            # +-inf marks a one-sided bound; nan marks nothing
+            if math.isnan(lo) or math.isnan(hi):
+                raise ProblemFormatError(f"nan in the bound of {toks[0]}",
+                                         line_no)
+            bounds.append((line_no, toks[0], lo, hi))
         elif key == "known":
             toks = rest.split()
             if not toks:
@@ -268,12 +272,11 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
         else:
             raise ProblemFormatError(f"unknown directive {key!r}", line_no)
 
-    if n is None:
+    if "x" not in dims:
         raise ProblemFormatError("missing 'vars x' declaration")
+    n, m = dims["x"], dims.get("y", 0)
     if n < 1:
         raise ProblemFormatError("need at least one x variable")
-    if m is None:
-        m = 0
     if len(raw["upper"]) != 1:
         raise ProblemFormatError(
             f"exactly one 'upper' line required, found {len(raw['upper'])}")

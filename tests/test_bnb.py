@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -157,6 +158,22 @@ class TestInitialize:
         state = bnb.initialize(catalog.load_example(1), SolverConfig())
         assert state.alpha == math.inf
         assert state.incumbent is None
+
+    @pytest.mark.parametrize("number,epsilon", [(1, 1e-5), (2, 1e-4)])
+    def test_phi_solved_once_per_vertex(self, number, epsilon, monkeypatch):
+        # a vertex keeps its phi, so no z is solved twice, M included
+        queries = Counter()
+        get = bnb.PhiCache.get
+
+        def counted(cache, z, u0=None):
+            queries[tuple(np.asarray(z, dtype=float).tolist())] += 1
+            return get(cache, z, u0)
+
+        monkeypatch.setattr(bnb.PhiCache, "get", counted)
+        report = bnb.solve(catalog.load_example(number),
+                           SolverConfig(epsilon=epsilon))
+        assert max(queries.values()) == 1
+        assert queries[tuple(report.box.M.tolist())] == 1
 
 
 class TestSolveExamples:

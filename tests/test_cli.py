@@ -45,6 +45,32 @@ lower x1 + 1
 constraint_x x1 - 0
 """
 
+REPEATED_VARS_TEXT = """\
+vars x 2
+vars x 3
+upper x1
+lower x1
+lower x2
+constraint_x x1 - 1
+"""
+
+NAN_BOUND_TEXT = """\
+vars x 2
+upper x1
+lower x1
+lower x2
+constraint_x x1 - 1
+bound x1 nan 1
+"""
+
+OVERFLOW_TEXT = """\
+vars x 2
+upper x1
+lower x1
+lower x2
+constraint_x 1e400*x1 - 1
+"""
+
 # X has no rows and the lower level one objective: two errors
 INVALID_TEXT = """\
 vars x 2
@@ -170,6 +196,21 @@ class TestInputErrors:
         assert out == ""
         assert err == ("error: lower level must be vectorial (p >= 2); "
                        "X has no constraints; it cannot be bounded\n")
+
+    # unchecked, these load as n = 3, as a dropped lower bound (solved
+    # "optimal") and as a coefficient of inf (solved "infeasible")
+    @pytest.mark.parametrize("text,message", [
+        (REPEATED_VARS_TEXT, "line 2: 'vars x' declared twice"),
+        (NAN_BOUND_TEXT, "line 6: nan in the bound of x1"),
+        (OVERFLOW_TEXT, "line 5: number '1e400' overflows a float "
+                        "(at position 0)"),
+    ], ids=["repeated-vars", "nan-bound", "overflowing-literal"])
+    def test_malformed_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "malformed.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         [],
