@@ -3,16 +3,17 @@
 The driver maintains an inner copolyblock approximation of the weakly
 nondominated outcome set.  Each iteration evaluates the monotone value
 function phi at the pending vertices, takes the least value as the lower
-bound beta, projects the argmin vertex onto the frontier along a positive
-ray, tries to lift the projected point to a feasible upper-level pair for
-the incumbent, and cuts the vertex with the projection.  The loop stops
-when alpha - beta <= epsilon * (1 + |beta|), when the vertex set empties,
-or at the iteration cap.
+bound beta, projects the argmin vertex v onto the frontier along the ray
+from v toward the box's lower corner m, tries to lift the projected point
+to a feasible upper-level pair for the incumbent, and cuts the vertex with
+the projection.  The loop stops when alpha - beta <= epsilon * (1 + |beta|),
+when the vertex set empties, or at the iteration cap.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,20 +41,15 @@ class SolverStatus(Enum):
 @dataclass
 class SolverConfig:
     epsilon: float = 1e-2
-    direction: Optional[np.ndarray] = None
     flow: nd.FlowConfig = field(default_factory=nd.FlowConfig)
     max_iterations: int = 500
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be finite and positive")
-        if self.direction is not None:
-            d = self.direction = np.asarray(self.direction, dtype=float)
-            if not (np.isfinite(d).all() and (d > 0.0).all()):
-                raise ValueError("direction components must be finite and "
-                                 "strictly positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not (isinstance(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 @dataclass
@@ -101,20 +97,16 @@ class SolverReport:
     box: OutcomeBox
 
 
-def _ray_direction(config: SolverConfig, box: OutcomeBox, v: np.ndarray
-                   ) -> np.ndarray:
-    if config.direction is not None:
-        return config.direction
-    # adaptive ray: aim from the vertex toward m, floored away from zero so
-    # the direction stays strictly positive on the lower faces; the floor is
-    # tiny because an inflated component chokes the step the ray can take
-    # in the coordinates that still have distance to cover
+def _ray_direction(box: OutcomeBox, v: np.ndarray) -> np.ndarray:
+    # aim from the vertex toward m, floored away from zero so the direction
+    # stays strictly positive on the lower faces; the floor is tiny because
+    # an inflated component chokes the step the ray can take in the
+    # coordinates that still have distance to cover
     span = np.maximum(box.M - box.m, 1e-9)
     return np.maximum(v - box.m, 1e-6 * span)
 
 
-def _evaluate_pending(state: SolverState, problem: BilevelProblem,
-                      config: SolverConfig) -> None:
+def _evaluate_pending(state: SolverState, problem: BilevelProblem) -> None:
     """Fill phi for pending vertices; drop infeasible vertices and vertices
     whose minimizer sits on the lower boundary of the box (those outcomes
     are covered by the initialization subproblems)."""
@@ -164,7 +156,7 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
     state = SolverState(box=box, V=V, cache=cache, alpha=alpha,
                         beta=math.inf, incumbent=incumbent)
     # M is a vertex like any other: one solve, and its lower-face check
-    _evaluate_pending(state, problem, config)
+    _evaluate_pending(state, problem)
     if top.mp.feasible:
         state.beta = top.mp.phi
     elif incumbent is None:
@@ -190,7 +182,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
     if state.status is not None:
         return state
     state.k += 1
-    _evaluate_pending(state, problem, config)
+    _evaluate_pending(state, problem)
     if len(state.V) == 0:
         if state.incumbent is not None:
             state.beta = state.alpha
@@ -208,7 +200,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
     state.beta = min(max(state.beta, beta_raw), state.alpha)
     v = vertex.z
 
-    d_hat = _ray_direction(config, state.box, v)
+    d_hat = _ray_direction(state.box, v)
     # prune dropped every infeasible vertex, so the selected one has an MP
     # minimizer to start its ray from
     ray = solve_ray(problem, v, d_hat, vertex.mp.x, config.flow)
@@ -245,15 +237,9 @@ def iterate(state: SolverState, problem: BilevelProblem,
 def solve(problem: BilevelProblem,
           config: Optional[SolverConfig] = None) -> SolverReport:
     """Run the branch-and-bound loop.  Raises ValueError, naming each
-    error, on a problem that ``validate`` rejects, and on a fixed direction
-    that is not a vector of one component per objective."""
+    error, on a problem that ``validate`` rejects."""
     if config is None:
         config = SolverConfig()
-    if (config.direction is not None
-            and config.direction.shape != (problem.p,)):
-        raise ValueError(f"direction has shape {config.direction.shape}, "
-                         f"problem has {problem.p} objectives: expected "
-                         f"shape ({problem.p},)")
     errors = [d.message for d in validate(problem) if d.level == "error"]
     if errors:
         raise ValueError("; ".join(errors))

@@ -15,8 +15,6 @@ import argparse
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import bnb, catalog
 from . import neurodynamic as nd
 from .expr import ExprError
@@ -59,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", metavar="PATH", help="problem file to solve")
     parser.add_argument("--epsilon", type=float, default=1e-2, metavar="E",
                         help="relative optimality tolerance (default 0.01)")
-    parser.add_argument("--direction", metavar="V1,...,VP",
-                        help="fixed positive ray direction, comma separated")
     parser.add_argument("--dt", type=float, default=None,
                         help="integrator step size")
     parser.add_argument("--t-max", type=float, default=None,
@@ -72,15 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write per-step flow trace CSV to PATH")
     return parser
-
-
-def _parse_direction(text: str) -> np.ndarray:
-    try:
-        d = np.array([float(tok) for tok in text.split(",")])
-    except ValueError:
-        raise InputError(f"bad direction {text!r}: expected comma separated "
-                         "numbers")
-    return d
 
 
 def _load(args) -> "bnb.BilevelProblem":
@@ -109,8 +96,6 @@ def _make_config(args, trace: Optional[nd.TraceRecorder]) -> bnb.SolverConfig:
     if trace is not None:
         flow_kwargs["trace"] = trace
     kwargs = {"epsilon": args.epsilon}
-    if args.direction is not None:
-        kwargs["direction"] = _parse_direction(args.direction)
     if args.max_iters is not None:
         kwargs["max_iterations"] = args.max_iters
     try:

@@ -306,7 +306,8 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
     for line_no, var, lo, hi in bounds:
         if var not in valid_names:
             raise ProblemFormatError(f"unknown variable {var!r} in bound", line_no)
-        if lo > hi:
+        # [inf, inf] and [-inf, -inf] build no row, yet hold no number
+        if lo > hi or lo == math.inf or hi == -math.inf:
             raise ProblemFormatError(f"empty bound [{lo}, {hi}]", line_no)
         checked_bounds.append(VariableBound(var, lo, hi))
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from svbilevel import bnb, catalog
+from svbilevel import neurodynamic as nd
 
 # Example 1: f1 and f2 are convex and X is convex, so a point is weakly
 # efficient when no feasible direction lowers both objectives.  Near the
@@ -100,3 +101,17 @@ def test_example2_within_epsilon_of_h_star_at_1e_4():
     report = solve(2, 1e-4)
     assert report.status is bnb.SolverStatus.OPTIMAL
     assert within(report, H2, 1e-4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="MP and ray flows that end MaxTime still feed the bounds: at "
+           "t_max 2 one MP flow and one ray flow of example 1 stop at the "
+           "horizon, and the solve reports optimal with beta 1.7924765 "
+           "above h*")
+def test_a_short_horizon_does_not_certify_example1():
+    report = bnb.solve(catalog.load_example(1),
+                       bnb.SolverConfig(epsilon=1e-5,
+                                        flow=nd.FlowConfig(t_max=2.0)))
+    assert (report.status is not bnb.SolverStatus.OPTIMAL
+            or report.beta <= H1 + 1e-9)
