@@ -439,6 +439,17 @@ def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
     return namespace["generated"]
 
 
+_F64 = np.dtype(np.float64)
+
+
+def as_floats(x) -> list:
+    """x as a list of Python floats, the argument of a generated function;
+    a float64 array converts directly, anything else through an array."""
+    if type(x) is np.ndarray and x.dtype == _F64:
+        return x.tolist()
+    return np.asarray(x, dtype=float).tolist()
+
+
 class CompiledExpr:
     """An expression bound to a variable count, with generated value and
     (value, gradient) functions for each branch, made on first use so that
@@ -467,7 +478,7 @@ class CompiledExpr:
         return [_generate(b, self.n_vars, gradient=True) for b in self.branches]
 
     def value(self, x) -> float:
-        xs = np.asarray(x, dtype=float).tolist()
+        xs = as_floats(x)
         fns = self.branch_values
         return fns[0](xs) if len(fns) == 1 else max(fn(xs) for fn in fns)
 
@@ -477,7 +488,7 @@ class CompiledExpr:
         if isinstance(self.ast, Max):
             raise TypeError("value_grad of a root max: read its branches "
                             "through branch_pairs")
-        return self.branch_gradients[0](np.asarray(x, dtype=float).tolist())
+        return self.branch_gradients[0](as_floats(x))
 
     def branch_pairs(self, x) -> list:
         """(value, gradient) of each branch (see ``branches``) by its
@@ -485,7 +496,7 @@ class CompiledExpr:
         but a root max."""
         if not isinstance(self.ast, Max):
             return [self.value_grad(x)]
-        xs = np.asarray(x, dtype=float).tolist()
+        xs = as_floats(x)
         return [fn(xs) for fn in self.branch_gradients]
 
     def value_generators(self, x, active_tol: float):

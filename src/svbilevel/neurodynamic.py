@@ -35,8 +35,14 @@ kink, and is not pulled back to it.
 
 Constraints are a ``RowSet``: an affine block evaluated as one product,
 then nonlinear rows, each an oracle with ``value(u)`` and ``value_grad(u)``
-that reads the first k columns of u and may be shifted by a constant.  The
-flows also accept a plain sequence of oracles and convert it once.
+that reads the first k columns of u and may be shifted by a constant.  A
+point's nonlinear rows, their gradients and its S are computed from one
+list of Python floats: each row is a function of that list, resolved once
+per RowSet (a max-free expression's own generated code), and S adds the
+positive row values in the order ``ndarray.sum`` adds them.  The flows
+amplify a one-ulp difference, so this arithmetic is kept bit for bit that
+of the oracles and of ``ndarray.sum``.  The flows also accept a plain
+sequence of oracles and convert it once.
 Objectives are oracles with ``value(x)`` and ``value_grad(x)``; a max-type
 nonsmooth objective also exposes ``branch_pairs(x)``, the
 ``(value, gradient)`` of each branch, and the flow picks the branches
@@ -134,6 +140,19 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _row_function(oracle, k: Optional[int], gradient: bool):
+    """A nonlinear row's value function, or its (value, gradient) function,
+    of a list of floats whose first k entries, all when k is None, are the
+    row's columns.  A max-free ``CompiledExpr`` (one branch) gives its own
+    generated function, which reads only the entries of the variables it
+    uses; any other oracle is called on an array of the row's entries."""
+    if len(getattr(oracle, "branches", ())) == 1:
+        fns = oracle.branch_gradients if gradient else oracle.branch_values
+        return fns[0]
+    method = oracle.value_grad if gradient else oracle.value
+    return lambda ws: method(np.array(ws[:k]))
+
+
 class RowSet:
     """Constraint rows r_i(u) <= 0, evaluated together: an affine block
     A u + b, then the nonlinear rows.  A nonlinear row (oracle, k, shift)
@@ -141,7 +160,11 @@ class RowSet:
     head (empty unless ``fix_head`` set one): the oracle reads the first k
     columns of w, all of them when k is None.  ``labels`` name the rows in
     the order ``values`` returns them.
-    A RowSet holds no flow state, so one set serves any number of flows."""
+    The nonlinear rows and their gradients are evaluated on w as one list
+    of Python floats, each row by its ``_row_function``, resolved on first
+    use, so that a RowSet built and not evaluated generates no code; u is a
+    float array.  A RowSet holds no flow state, so one set serves any
+    number of flows."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, nonlinear=(), labels=(),
                  head: Optional[np.ndarray] = None):
@@ -153,6 +176,11 @@ class RowSet:
         self.na = len(b)
         self.size = self.na + len(self.nonlinear)
         self.head = np.zeros(0) if head is None else head
+        self._head = self.head.tolist()
+        # (value function, shift) of each nonlinear row, and its (value,
+        # gradient) function, each resolved on first use
+        self._value_fns = None
+        self._grad_fns = [None] * len(self.nonlinear)
 
     @classmethod
     def of(cls, rows: Sequence, width: int) -> "RowSet":
@@ -192,18 +220,19 @@ class RowSet:
         affine = np.maximum(np.linalg.norm(self.A, axis=1), 1e-12)
         return np.concatenate([affine, np.ones(len(self.nonlinear))])
 
-    def _columns(self, u):
-        return np.concatenate([self.head, u]) if len(self.head) else u
-
     def values(self, u) -> np.ndarray:
         if not self.nonlinear:
             return self.A @ u + self.b
-        w = self._columns(u)
-        nl = np.array([c.value(w if k is None else w[:k]) - shift
-                       for c, k, shift in self.nonlinear])
+        rows = self._value_fns
+        if rows is None:
+            rows = self._value_fns = [(_row_function(c, k, False), shift)
+                                   for c, k, shift in self.nonlinear]
+        ws = self._head + u.tolist()
+        nl = [fn(ws) - shift for fn, shift in rows]
         if self.na:
-            return np.concatenate([self.A @ u + self.b, nl])
-        return nl
+            # one array from one list: cheaper than joining two arrays
+            return np.array((self.A @ u + self.b).tolist() + nl)
+        return np.array(nl)
 
     def row_grad(self, i: int, u, norms: Optional[np.ndarray] = None
                  ) -> np.ndarray:
@@ -211,22 +240,35 @@ class RowSet:
         ``norms``, the calling flow's estimates."""
         if i < self.na:
             return self.A[i]
-        c, k, _ = self.nonlinear[i - self.na]
-        w = self._columns(u)
-        g = c.value_grad(w if k is None else w[:k])[1]
+        j = i - self.na
+        c, k, _ = self.nonlinear[j]
+        fn = self._grad_fns[j]
+        if fn is None:
+            fn = self._grad_fns[j] = _row_function(c, k, True)
+        ws = self._head + u.tolist()
+        g = fn(ws)[1]
         if k is not None:
-            g = np.concatenate([g, np.zeros(len(w) - k)])
-        if len(self.head):
-            g = g[len(self.head):]
+            g = np.concatenate([g, np.zeros(len(ws) - k)])
+        if self._head:
+            g = g[len(self._head):]
         if norms is not None:
             norms[i] = max(_norm(g), 1e-12)
         return g
 
     @staticmethod
     def total_penalty(vals: np.ndarray) -> float:
-        """S = sum_i max{0, r_i} of row values ``vals``."""
-        pos = vals[vals > 0.0]
-        return float(pos.sum()) if pos.size else 0.0
+        """S = sum_i max{0, r_i} of row values ``vals``: the positive values
+        added in index order, which is ``ndarray.sum``'s order below 8
+        terms; from 8 up, ``ndarray.sum`` itself, whose pairwise order
+        differs.  Not the built-in ``sum``, which Python 3.12 made
+        compensated."""
+        s = 0.0
+        count = 0
+        for v in vals.tolist():
+            if v > 0.0:
+                s += v
+                count += 1
+        return float(vals[vals > 0.0].sum()) if count >= 8 else s
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +541,7 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
     prod_gain = 1.0
     bands = np.maximum(ZERO_BAND, band_scale * norms)
     # rows below their band contribute nothing
-    for i in np.flatnonzero(vals >= -bands):
+    for i in (vals >= -bands).nonzero()[0].tolist():
         band = bands[i]
         v = vals[i]
         if v > band:
@@ -509,7 +551,7 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
             g = stack.row_grad(i, x, norms)
             band = max(ZERO_BAND, band_scale * norms[i])
             act_gens.append(g)
-            act_rows.append(int(i))
+            act_rows.append(i)
             # smoothed Psi on the band: 0.5 at the boundary itself
             prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
     kink = None
@@ -691,7 +733,7 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
         # Gauss-Newton on the violated rows: a summed-gradient step is
         # defeated when a nearly-tight row's gradient opposes the violated
         # one, so solve the linearized system jointly instead
-        rows = [i for i in range(stack.size) if vals[i] > 0.0]
+        rows = (vals > 0.0).nonzero()[0].tolist()
         while True:
             if len(rows) == 1:
                 i = rows[0]
@@ -722,8 +764,8 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
             else:
                 # the step pushed through rows at their bound: hold those at
                 # the bound as well and solve again
-                grown = [i for i in range(stack.size)
-                         if pushed[i] > 0.0 and i not in rows]
+                grown = [i for i in (pushed > 0.0).nonzero()[0].tolist()
+                         if i not in rows]
                 if not grown:
                     return x, vals, s
                 rows += grown
@@ -747,11 +789,10 @@ def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarra
             return x
         g = np.zeros(stack.n)
         norm_sq = 0.0
-        for i in range(stack.size):
-            if vals[i] > ZERO_BAND:
-                gi = stack.row_grad(i, x)
-                g += gi
-                norm_sq += float(gi @ gi)
+        for i in (vals > ZERO_BAND).nonzero()[0].tolist():
+            gi = stack.row_grad(i, x)
+            g += gi
+            norm_sq += float(gi @ gi)
         gnorm = _norm(g)
         if gnorm <= STATIONARITY_TOL:
             return None

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import neurodynamic as nd
-from .expr import EvaluationError, to_source
+from .expr import EvaluationError, as_floats, to_source
 from .problem import AffineRow, BilevelProblem, find_interior_start, \
     stacked_mp_constraints
 
@@ -153,13 +153,13 @@ class RayObjective:
                                            f.branch_gradients)]
 
     def value(self, x) -> float:
-        xs = np.asarray(x, dtype=float).tolist()
+        xs = as_floats(x)
         return max((value(xs) - vj) / dj for _, value, _, vj, dj in self.terms)
 
     def branch_pairs(self, x) -> list:
         """((f_j(x) - v_j) / d_j, gradient) of each branch, in the order of
         ``terms``."""
-        xs = np.asarray(x, dtype=float).tolist()
+        xs = as_floats(x)
         pairs = []
         for branch, _, grad, vj, dj in self.terms:
             bv, bg = grad(xs)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from svbilevel import bnb, catalog
 from svbilevel import expr as ex
 from svbilevel.expr import (
     BinOp, Const, Max, Neg, ParseError, Pow, Var,
     parse_expression, to_source, CompiledExpr,
 )
-from svbilevel.neurodynamic import CERT_BAND, band_members
+from svbilevel.neurodynamic import CERT_BAND, RowSet, band_members
+from svbilevel.problem import validate
 
 V2 = ["x1", "x2"]
 
@@ -559,3 +561,48 @@ class TestRootMaxOnly:
     def test_root_max_of_smooth_branches_is_accepted(self):
         comp = CompiledExpr(parse_expression("max(x1^2, x2 / (x1 + 2))", V2), 2)
         assert comp.value([1.0, 3.0]) == 1.0
+
+
+class TestLazyGeneration:
+    """Code is generated on first evaluation, never on load: a problem
+    loads and validates with no generated function, and a solve makes
+    only the functions its flows call."""
+
+    @staticmethod
+    def _refuse(e, n, gradient):
+        raise AssertionError(f"generated {to_source(e)} on load")
+
+    @pytest.mark.parametrize("number", range(1, 7))
+    def test_load_generates_nothing(self, number, monkeypatch):
+        monkeypatch.setattr(ex, "_generate", self._refuse)
+        problem = catalog.load_example(number)
+        assert not [d for d in validate(problem) if d.level == "error"]
+
+    @pytest.mark.parametrize("number, epsilon, most", [
+        (1, 1e-5, 10), (2, 1e-2, 6), (3, 1e-2, 10), (4, 1e-2, 8),
+        (6, 1e-2, 10)])
+    def test_solve_generates_what_it_evaluates(self, number, epsilon, most,
+                                               monkeypatch):
+        problem = catalog.load_example(number)
+        made = []
+        generate = ex._generate
+        monkeypatch.setattr(ex, "_generate", lambda e, n, gradient: (
+            made.append(gradient) or generate(e, n, gradient)))
+        report = bnb.solve(problem, bnb.SolverConfig(epsilon=epsilon))
+        assert report.status is bnb.SolverStatus.OPTIMAL
+        assert 0 < len(made) <= most
+
+    def test_rows_make_each_function_on_first_use(self, monkeypatch):
+        made = []
+        generate = ex._generate
+        monkeypatch.setattr(ex, "_generate", lambda e, n, gradient: (
+            made.append(gradient) or generate(e, n, gradient)))
+        rows = RowSet.of([CompiledExpr(parse_expression(src, V2), 2)
+                          for src in ("x1^2 + x2^2 - 1", "x1*x2 - 4")], 2)
+        assert made == []
+        for x in ([0.5, 0.5], [3.0, 2.0]):
+            rows.values(np.array(x))
+        assert made == [False, False]
+        for _ in range(2):
+            rows.row_grad(1, np.array([3.0, 2.0]))
+        assert made == [False, False, True]

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from svbilevel import catalog
 from svbilevel import neurodynamic as nd
@@ -74,6 +74,23 @@ class TestPenalty:
 
     def test_empty_list(self):
         assert penalty(np.array([3.0]), []) == 0.0
+
+    # ``ndarray.sum`` adds below 8 terms in index order and pairwise from 8
+    # up; the built-in sum() is compensated from Python 3.12 on
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 2.5e-320, 1e-310,
+                                     1e-300, 1e300, 1.7e300, 8e307, 1e16,
+                                     1.0, -1.0, -1e300, np.inf])
+                    | st.floats(allow_nan=False), max_size=24)
+           | st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=8,
+                      max_size=24))
+    @example([1e16, 1.0, 1.0])
+    @example([1e16] + [1.0] * 9)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_numpy_sum_bit_for_bit(self, entries):
+        v = np.array(entries, dtype=float)
+        with np.errstate(all="ignore"):
+            assert RowSet.total_penalty(v).hex() == \
+                float(v[v > 0.0].sum()).hex()
 
 
 def brute_force_min_norm(M, g_plus, nobj):
@@ -807,6 +824,67 @@ class TestCarriedPenalty:
             rows.values(res.x_final))
 
 
+def _assert_rows_match_oracles(rows: RowSet, u: np.ndarray):
+    """Each nonlinear row's value and gradient at u, hex for hex, are its
+    oracle's on w = (head, u): value(w[:k]) - shift, and value_grad's
+    gradient padded with zeros to the width of w, less the head."""
+    vals = rows.values(u)
+    w = np.concatenate([rows.head, u])
+    h = len(rows.head)
+    for j, (c, k, shift) in enumerate(rows.nonlinear):
+        cols = w if k is None else w[:k]
+        i = rows.na + j
+        assert float(vals[i]).hex() == float(c.value(cols) - shift).hex()
+        g = c.value_grad(cols)[1]
+        g = np.concatenate([g, np.zeros(len(w) - len(cols))])[h:]
+        assert rows.row_grad(i, u).tobytes() == g.tobytes()
+
+
+class TestRowsFromOneList:
+    """A RowSet evaluates its nonlinear rows from one list of floats: the
+    same bits as calling each row's oracle on its own columns."""
+
+    @staticmethod
+    def _points(width, count=25):
+        rng = np.random.default_rng(5)
+        return [rng.uniform(-0.5, 2.0, width) for _ in range(count)]
+
+    @pytest.mark.parametrize("number", [1, 4, 6])
+    def test_mp_stack_at_m(self, number):
+        # example 1: the curved s-row and the f_1 row beside f_2's max
+        # branch rows; example 4: the disc coupling row; example 6: the
+        # y columns, and f-rows over the first k columns of u = (x, y)
+        problem = catalog.load_example(number)
+        rows = stacked_mp_constraints(problem, compute_box(problem).M)
+        assert rows.nonlinear
+        for u in self._points(problem.n + problem.m):
+            _assert_rows_match_oracles(rows, u)
+
+    @pytest.mark.parametrize("number", [4, 6])
+    def test_lift_rows(self, number):
+        # rows over y behind a fixed head x: example 6's g-rows are affine,
+        # example 4's disc row is not
+        problem = catalog.load_example(number)
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            rows = problem.lift_rows(rng.uniform(0.0, 2.0, problem.n))
+            assert len(rows.head) == problem.n
+            assert bool(rows.nonlinear) == (number == 4)
+            for y in self._points(problem.m, 5):
+                _assert_rows_match_oracles(rows, y)
+
+    @given(row_sets(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_ball_rows(self, case, h):
+        rows, x = case
+        # a ball over the first two columns, then a head of h of them fixed
+        ball = _Ball(x[:2] + 0.5, 1.0)
+        rows = RowSet(rows.A, rows.b, rows.nonlinear + ((ball, 2, 0.25),))
+        if h:
+            rows = rows.fix_head(x[:h])
+        _assert_rows_match_oracles(rows, x[h:] - 0.25)
+
+
 class _CountingRow:
     """A constraint row that records each point its value is taken at."""
 
@@ -852,17 +930,23 @@ class TestEvaluateOnce:
         box = compute_box(problem)
         rows = stacked_mp_constraints(problem, box.M)
         u0 = np.concatenate([find_interior_start(problem), np.ones(problem.m)])
-        # the nonlinear rows of a RowSet call their oracles' ``value``:
-        # record those calls, the objective's aside
+        # a RowSet evaluates its nonlinear rows by the functions of a list
+        # of floats that ``_row_function`` resolves: record their calls at
+        # the row's own columns
         seen = []
-        value = CompiledExpr.value
+        resolve = nd._row_function
 
-        def counted(expr, x):
-            if expr is not problem.upper:
-                seen.append((id(expr), np.asarray(x, dtype=float).tobytes()))
-            return value(expr, x)
+        def recorded(oracle, k, gradient):
+            fn = resolve(oracle, k, gradient)
+            if gradient:
+                return fn
 
-        monkeypatch.setattr(CompiledExpr, "value", counted)
+            def counted(ws):
+                seen.append((id(oracle), np.array(ws[:k]).tobytes()))
+                return fn(ws)
+            return counted
+
+        monkeypatch.setattr(nd, "_row_function", recorded)
         self._check(problem.upper, rows, u0, seen)
 
 
