@@ -9,8 +9,17 @@ discrete flow slides along boundaries and nonsmooth valleys instead of
 chattering.  Along one flow the QPs hardly change, so each active-set solve
 first tries the free set the flow's last one ended with, keyed by row and
 objective-branch index: one least squares there, kept only when the cold
-loop's own stopping test certifies it, which makes it the cold result bit
-for bit; else the cold loop runs as it would without the hint.  A sliding trial point whose S exceeds ZERO_BAND is pulled back
+loop's own stopping test certifies it.  A hint that fails is tried once
+more with one edit: less its non-positive weights, or with the coordinate
+of least reduced gradient added.  A kept candidate is the cold result bit
+for bit wherever the optimal weights are unique; at a degenerate selection,
+whose velocity is about 0, its weights can differ from the cold loop's and
+its velocity only by rounding.  When neither is kept the cold loop runs as
+it would without the hint.  The QPs, the polish and the kink step take
+their products as ``ndarray.dot``, the BLAS calls of ``@`` on the same
+operands with less dispatch, and their least squares through ``_lstsq``,
+the LAPACK solve of ``np.linalg.lstsq``.
+A sliding trial point whose S exceeds ZERO_BAND is pulled back
 by a Gauss-Newton polish that lands at S <= ZERO_BAND.  A single violated
 row, the usual case, is pulled back in closed form, and a curved row is
 pulled back to its level at the trial's origin (capped at ZERO_BAND / 2),
@@ -210,19 +219,19 @@ class RowSet:
         """The rows as functions of the columns after x, with the leading
         len(x) columns held at x."""
         h = len(x)
-        return RowSet(self.A[:, h:], self.b + self.A[:, :h] @ x,
+        return RowSet(self.A[:, h:], self.b + self.A[:, :h].dot(x),
                       self.nonlinear, self.labels,
                       np.concatenate([self.head, x]))
 
     def norm_estimates(self) -> np.ndarray:
         """A flow's starting per-row gradient norms: fixed for affine rows,
         1.0 for a nonlinear row until ``row_grad`` records its gradient."""
-        affine = np.maximum(np.linalg.norm(self.A, axis=1), 1e-12)
+        affine = np.maximum(np.sqrt((self.A * self.A).sum(axis=1)), 1e-12)
         return np.concatenate([affine, np.ones(len(self.nonlinear))])
 
     def values(self, u) -> np.ndarray:
         if not self.nonlinear:
-            return self.A @ u + self.b
+            return self.A.dot(u) + self.b
         rows = self._value_fns
         if rows is None:
             rows = self._value_fns = [(_row_function(c, k, False), shift)
@@ -231,7 +240,7 @@ class RowSet:
         nl = [fn(ws) - shift for fn, shift in rows]
         if self.na:
             # one array from one list: cheaper than joining two arrays
-            return np.array((self.A @ u + self.b).tolist() + nl)
+            return np.array((self.A.dot(u) + self.b).tolist() + nl)
         return np.array(nl)
 
     def row_grad(self, i: int, u, norms: Optional[np.ndarray] = None
@@ -307,15 +316,16 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
     if nobj <= 1 and k == 1:
         g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
         a = act_gens[0]
-        den = float(a @ a)
-        lam = min(LAM_CAP, max(0.0, -float(g @ a) / den)) if den > 0.0 else 0.0
+        den = float(a.dot(a))
+        lam = (min(LAM_CAP, max(0.0, -float(g.dot(a)) / den)) if den > 0.0
+               else 0.0)
         return -(g + lam * a), (1.0,) * nobj, hint
     if nobj == 2 and k == 0:
         a = g_plus + c_gain * obj_gens[0]
         b = g_plus + c_gain * obj_gens[1]
         d = a - b
-        den = float(d @ d)
-        mu = min(1.0, max(0.0, -float(b @ d) / den)) if den > 0.0 else 0.0
+        den = float(d.dot(d))
+        mu = min(1.0, max(0.0, -float(b.dot(d)) / den)) if den > 0.0 else 0.0
         return -(b + mu * d), (mu, 1.0 - mu), hint
     if nobj <= 1 and k == 2:
         vel = _two_row_velocity(
@@ -328,8 +338,8 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
     z = _active_set_weights(M, g_plus, nobj, warm)
     hint = None
     if len(labels) and not (z >= LAM_CAP).any():
-        hint = frozenset(lb for lb, w in zip(labels, z) if w > 0.0)
-    return -(g_plus + M.T @ z), z[:nobj], hint
+        hint = frozenset(lb for lb, w in zip(labels, z.tolist()) if w > 0.0)
+    return -(g_plus + M.T.dot(z)), z[:nobj], hint
 
 
 def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
@@ -342,16 +352,16 @@ def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
     1/sin^2.  Else the better face, lam = (max(0, -q_1/p_11), 0) or
     (0, max(0, -q_2/p_22)) with q = (a_1.g, a_2.g), which covers lam = 0
     and is exact for parallel and antiparallel rows."""
-    p11 = float(a1 @ a1)
-    p22 = float(a2 @ a2)
-    q1 = float(a1 @ g)
-    q2 = float(a2 @ g)
+    p11 = float(a1.dot(a1))
+    p22 = float(a2.dot(a2))
+    q1 = float(a1.dot(g))
+    q2 = float(a2.dot(g))
     if p11 > 0.0 and p22 > 0.0:
-        p12 = float(a1 @ a2)
+        p12 = float(a1.dot(a2))
         w = a2 - (p12 / p11) * a1
-        ww = float(w @ w)
+        ww = float(w.dot(w))
         if ww > 1e-16 * p22:
-            lam2 = -float(w @ g) / ww
+            lam2 = -float(w.dot(g)) / ww
             lam1 = -(q1 + lam2 * p12) / p11
             if lam1 >= 0.0 and lam2 >= 0.0:
                 if lam1 > LAM_CAP or lam2 > LAM_CAP:
@@ -378,32 +388,50 @@ def _active_set_weights(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     leaves its bounds.  Finite; a weight that reaches LAM_CAP stays there.
     The result is the start, or the least squares on the final free set.
     A ``hint``, a mask of the free set an earlier solve ended with, is
-    tried first (one that frees no simplex weight is ignored): the start
-    when it is the start's free set, else the least squares on it with no
-    weight capped, kept when every free weight lies in (0, LAM_CAP) and
-    the loop's own stopping test holds on the rest.
-    That is the loop's result whenever the loop would end on that free
-    set, the same call on the same inputs; otherwise the loop runs from
-    its start, as without a hint."""
+    tried first (a candidate that frees no simplex weight is passed over):
+    the start when it is the start's free set, else the least squares on it
+    with no weight capped, kept when every free weight lies in (0, LAM_CAP)
+    and the loop's own stopping test holds on the rest.  A hint that fails
+    is tried once more with one edit: less its free weights that are not
+    positive, or, when they all are and only the stopping test failed, with
+    the coordinate of least reduced gradient freed as well.
+    A kept candidate is the loop's result whenever the loop would end on
+    that free set, the same call on the same inputs.  Where the optimal
+    weights are not unique, which happens only where the velocity is about
+    0, another free set can pass the same test, and its weights differ from
+    the loop's while its velocity differs only by rounding.  When neither
+    candidate is kept the loop runs from its start, as without a hint."""
     d = len(M)
     start = np.zeros(d, dtype=bool)
     if nobj == 1:
         start[0] = True
     elif nobj:
-        start[int(np.argmin(np.linalg.norm(g_plus + M[:nobj], axis=1)))] = True
-    scale = max(_norm(g_plus),
-                float(np.linalg.norm(M, axis=1).max()))
+        G = g_plus + M[:nobj]
+        start[int(np.argmin(np.sqrt((G * G).sum(axis=1))))] = True
+    # the largest row norm is the root of the largest squared norm
+    scale = max(_norm(g_plus), math.sqrt(float((M * M).sum(axis=1).max())))
     tol = 1e-12 * scale * scale
-    if hint is not None and (hint[:nobj].any() or not nobj):
-        if np.array_equal(hint, start):
-            w = start.astype(float)
-        else:
-            w = _free_least_squares(M, g_plus, nobj, hint,
-                                    np.zeros(d, dtype=bool))
-        if (((w[hint] > 0.0) & (w[hint] < LAM_CAP)).all()
-                and _least_reduced_gradient(M, g_plus, nobj, w, hint,
-                                            hint)[1] >= -tol):
-            return w
+    if hint is not None:
+        none_capped = np.zeros(d, dtype=bool)
+        for _ in range(2):
+            if nobj and not hint[:nobj].any():
+                break
+            if np.array_equal(hint, start):
+                w = start.astype(float)
+            else:
+                w = _free_least_squares(M, g_plus, nobj, hint, none_capped)
+            positive = hint & (w > 0.0)
+            if not np.array_equal(positive, hint):
+                hint = positive
+                continue
+            if (w[hint] >= LAM_CAP).any():
+                break
+            t, grad_t = _least_reduced_gradient(M, g_plus, nobj, w, hint,
+                                                hint)
+            if grad_t >= -tol:
+                return w
+            hint = hint.copy()
+            hint[t] = True
     z = start.astype(float)
     free = start
     capped = np.zeros(d, dtype=bool)
@@ -448,9 +476,11 @@ def _least_reduced_gradient(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     The simplex weights' gradient is taken less the simplex multiplier, the
     mean over the free ones; with one simplex weight that entry is free and
     skipped, and the subtraction is left out."""
-    grad = M @ (g_plus + M.T @ z)
+    grad = M.dot(g_plus + M.T.dot(z))
     if nobj > 1:
-        grad[:nobj] -= grad[:nobj][free[:nobj]].mean()
+        used = grad[:nobj][free[:nobj]]
+        # ndarray.mean's own arithmetic: the sum over the count
+        grad[:nobj] -= used.sum() / len(used)
     grad[skip] = np.inf
     t = int(np.argmin(grad))
     return t, grad[t]
@@ -459,23 +489,37 @@ def _least_reduced_gradient(M: np.ndarray, g_plus: np.ndarray, nobj: int,
 def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
                         free: np.ndarray, capped: np.ndarray) -> np.ndarray:
     """Least squares over the free weights, the rest held at 0 or LAM_CAP;
-    the free simplex weights sum to one through the KKT system."""
+    the free simplex weights, the first rows of M[free], sum to one through
+    the KKT system."""
     w = np.where(capped, LAM_CAP, 0.0)
-    r0 = g_plus + M.T @ w
+    r0 = g_plus + M.T.dot(w)
     Mf = M[free]
-    a = (np.arange(len(M)) < nobj)[free].astype(float)
-    if a.any():
+    nf = np.count_nonzero(free[:nobj])
+    if nf:
         f = len(Mf)
         kkt = np.zeros((f + 1, f + 1))
-        kkt[:f, :f] = 2.0 * (Mf @ Mf.T)
-        kkt[:f, f] = kkt[f, :f] = a
+        kkt[:f, :f] = 2.0 * Mf.dot(Mf.T)
+        kkt[:nf, f] = kkt[f, :nf] = 1.0
         rhs = np.empty(f + 1)
-        rhs[:f] = -2.0 * (Mf @ r0)
+        rhs[:f] = -2.0 * Mf.dot(r0)
         rhs[f] = 1.0
-        w[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+        w[free] = _lstsq(kkt, rhs)[:-1]
     elif len(Mf):
-        w[free] = np.linalg.lstsq(Mf.T, -r0, rcond=None)[0]
+        w[free] = _lstsq(Mf.T, -r0)
     return w
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a, b, rcond=None)[0]`` bit for bit, for a 2-D a
+    with at least one row and a 1-D b: the same LAPACK solve, with numpy's
+    default cutoff eps * max(m, n) passed in and b as one column.
+    ``np.linalg.lstsq`` is looked up at each call, so that a patched one
+    sees every solve."""
+    m, n = a.shape
+    return np.linalg.lstsq(a, b[:, None], rcond=_EPS * max(m, n))[0][:, 0]
 
 
 def band_members(pairs, band: float):
@@ -513,11 +557,11 @@ def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
     if len(kink) == 2:
         rb, gb = pairs[kink[1]]
         d = ga - gb
-        den = float(d @ d)
+        den = float(d.dot(d))
         return x - ((ra - rb) / den) * d if den > 0.0 else x
     D = np.array([pairs[j][1] - ga for j in kink[1:]])
     e = np.array([pairs[j][0] - ra for j in kink[1:]])
-    return x - np.linalg.lstsq(D, e, rcond=None)[0]
+    return x - _lstsq(D, e)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +782,7 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
             if len(rows) == 1:
                 i = rows[0]
                 g = stack.row_grad(i, x, norms)
-                gg = float(g @ g)
+                gg = float(g.dot(g))
                 if gg <= 1e-24:
                     return x, vals, s
                 level = 0.0
@@ -747,9 +791,9 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
                 full = ((vals[i] - level) * g) / gg
             else:
                 G = np.array([stack.row_grad(i, x, norms) for i in rows])
-                if float(np.sum(G * G)) <= 1e-24:
+                if float((G * G).sum()) <= 1e-24:
                     return x, vals, s
-                full = np.linalg.lstsq(G, vals[rows], rcond=None)[0]
+                full = _lstsq(G, vals[rows])
             delta = full
             pushed = None
             for _ in range(8):
@@ -792,7 +836,7 @@ def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarra
         for i in (vals > ZERO_BAND).nonzero()[0].tolist():
             gi = stack.row_grad(i, x)
             g += gi
-            norm_sq += float(gi @ gi)
+            norm_sq += float(gi.dot(gi))
         gnorm = _norm(g)
         if gnorm <= STATIONARITY_TOL:
             return None

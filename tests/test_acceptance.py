@@ -73,9 +73,9 @@ def certified(report, epsilon):
 @pytest.mark.xfail(
     strict=True,
     reason="the published target (1.25 at (1.0, 0.5)) is not weakly "
-           "efficient for the stated problem data; the computed optimum is "
-           "1.7925 at (0.2634, 1.2366), matching an independent oracle; "
-           "see the decisions ledger")
+           "efficient for the stated problem data; the exact optimum is "
+           "h* = 1.7920206 at (0.2637795, 1.2362205), derived in "
+           "tests/test_exact_optima.py")
 def test_example1_reproduction(report1):
     assert report1.status is bnb.SolverStatus.OPTIMAL
     assert report1.wall_time < 120.0
@@ -95,8 +95,9 @@ def test_example2_value_and_gap(report2):
     strict=True,
     reason="the published target value 0.607448 is impossible for the "
            "stated problem data: h >= 1.1 on the entire feasible set, and "
-           "h at the published solution point evaluates to 1.170838; the "
-           "computed optimum is exactly 1.1; see the decisions ledger")
+           "h at the published solution point evaluates to 1.170790; the "
+           "exact optimum is h* = 1.1 at x = 0, derived in "
+           "tests/test_exact_optima.py")
 def test_example3_value_and_gap(report3):
     assert report3.status is bnb.SolverStatus.OPTIMAL
     assert report3.wall_time < 120.0
@@ -140,9 +141,10 @@ def test_example6_matches_its_closed_forms(report6):
     strict=True,
     reason="the published boxes are not reproducible from the stated "
            "problem data: the first example's printed box does not contain "
-           "the outcome set (min f_1 = -3.2875 < -2.52) and the third "
-           "example's printed m_3 = 1.65 exceeds the provable bound "
-           "f_3 <= 1; see the decisions ledger")
+           "the outcome set (f_1 = -3.2275 < -2.52 at (0.3, 1.25), a point "
+           "of X) and the third example's printed m_3 = 1.65 exceeds the "
+           "bound f_3 <= 1, since f_3 - 1 = -3 x2 / (x1 + 5 x2 + 5 x3 + 10) "
+           "<= 0 on X; the exact optima are in tests/test_exact_optima.py")
 def test_box_reproduction(report1, report3):
     published1 = np.array([-2.52, 0.49, 3.29, 1.20])
     computed1 = np.concatenate([report1.box.m, report1.box.M])

@@ -34,6 +34,15 @@ H1 = S1 + (1.5 - S1) ** 2
 X2 = (1.0, 2.0 * math.sqrt(2.0) - 1.0)
 H2 = (6.0 * math.sqrt(2.0) - 1.0) / (9.0 + 10.0 * math.sqrt(2.0))
 
+# Example 3: X lies in x >= 0, and there
+#   h - 1.1 = (1.9 x1 + 0.9 x2 + 8.9 x3) / (x1 + x2 + x3 + 10) >= 0,
+# with equality only at x = 0, which X contains.  And
+#   f1 - 1 = (2 x1 + 2 x2) / (3 x2 + 3 x3 + 10) >= 0,
+# with equality only where x1 = x2 = 0.  So 0 minimizes f1 over X, no point
+# of X has every f_j below f_j(0), and 0 is weakly efficient: h* = 1.1.
+X3 = (0.0, 0.0, 0.0)
+H3 = 1.1
+
 # Example 4: f = (x1, x2), so the weakly efficient points of G (X cut by
 # the disc x1^2 + x2^2 <= 0.81) are the segment x1 + x2 = -1 inside the
 # disc; the edges x1 = -1 and x2 = -1 lie outside it.  h = x1 - 0.9 is
@@ -49,7 +58,8 @@ H4 = -0.9 - (1.0 + math.sqrt(0.62)) / 2.0
 X5 = (0.5,) + (0.0,) * 13
 H5 = 0.5
 
-EXACT = {1: (X1, H1), 2: (X2, H2), 4: (X4, H4), 5: (X5, H5)}
+EXACT = {1: (X1, H1), 2: (X2, H2), 3: (X3, H3), 4: (X4, H4),
+         5: (X5, H5)}
 
 
 def solve(number, epsilon):
@@ -62,7 +72,7 @@ def within(report, h_star, epsilon):
 
 
 @pytest.mark.parametrize("number, value", [
-    (1, 1.7920206), (2, 0.3234482), (4, -1.7937004), (5, 0.5)])
+    (1, 1.7920206), (2, 0.3234482), (3, 1.1), (4, -1.7937004), (5, 0.5)])
 def test_the_exact_point_is_feasible_and_attains_h_star(number, value):
     problem = catalog.load_example(number)
     x, h_star = EXACT[number]
@@ -73,7 +83,7 @@ def test_the_exact_point_is_feasible_and_attains_h_star(number, value):
     assert h_star == pytest.approx(value, abs=5e-8)
 
 
-@pytest.mark.parametrize("number", [2, 4, 5])
+@pytest.mark.parametrize("number", [2, 3, 4, 5])
 def test_within_epsilon_of_h_star_at_the_acceptance_epsilon(number):
     report = solve(number, 1e-2)
     assert report.status is bnb.SolverStatus.OPTIMAL

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from svbilevel import catalog
+from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
 from svbilevel.expr import CompiledExpr, parse_expression
 from svbilevel.neurodynamic import (
     LAM_CAP, FlowConfig, FlowStatus, RowSet, TraceRecorder,
-    _active_set_weights, _min_norm_combo, _norm, find_feasible, solve_flow,
+    _active_set_weights, _lstsq, _min_norm_combo, _norm, find_feasible,
+    solve_flow,
 )
 from svbilevel.outcome import compute_box
 from svbilevel.problem import find_interior_start, stacked_mp_constraints
@@ -209,6 +210,20 @@ class TestMinNormSelection:
         z = _active_set_weights(M, np.array([1.0, 0.0]), 0)
         np.testing.assert_array_equal(z, [LAM_CAP, 0.0])
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the KKT system of _free_least_squares puts the Gram block "
+               "2 M M^T, of size c^2, beside the unit simplex row: at "
+               "c = 1e-6 the velocity is 3.1e-6 * 2c and the weights are "
+               "off by 2e-6")
+    def test_small_gain_keeps_the_exact_weights(self):
+        # mu = (2/3, 1/3) cancels c (0, 1) against c (0, -2) at every gain
+        c_gain = 1e-6
+        M = c_gain * np.array([[0.0, 1.0], [0.0, -2.0]])
+        z = _active_set_weights(M, np.zeros(2), 2)
+        assert np.linalg.norm(M.T @ z) <= 1e-12 * 2.0 * c_gain
+        np.testing.assert_allclose(z, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+
 
 @st.composite
 def generic_qps(draw):
@@ -222,6 +237,18 @@ def generic_qps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M = rng.standard_normal((d, n)) * 10.0 ** rng.uniform(-2, 2, (d, 1))
     return M, rng.standard_normal(n), nobj, rng
+
+
+def seeded_selection_qp(seed):
+    """(M, g_plus, nobj): n in 2..5, 1..3 objective generators and 1..6
+    rows, Gaussian entries with rows scaled over four decades.  More rows
+    than n + 1 make selections whose optimal weights are not unique."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    nobj = int(rng.integers(1, 4))
+    d = nobj + int(rng.integers(1, 7))
+    M = rng.standard_normal((d, n)) * 10.0 ** rng.uniform(-2, 2, (d, 1))
+    return M, rng.standard_normal(n), nobj
 
 
 def least_squares_calls(fn, *args):
@@ -308,6 +335,53 @@ class TestWarmStart:
         assert warm_vel.tobytes() == cold[0].tobytes()
         assert warm_hint == cold[2] == hint
         np.testing.assert_allclose(warm_vel, vel, atol=1e-12)
+
+    @pytest.mark.parametrize("hint", [
+        # the support less its third row: the edit frees that row
+        [True, True, True, False, False],
+        # the support plus a row whose weight comes out negative: the edit
+        # drops it
+        [True, True, True, True, True],
+    ])
+    def test_one_edit_hint_costs_two_least_squares(self, hint):
+        # g = (1, 1, 1, 1) against the rows -e1, -e2, -e3 and e4: the
+        # least-norm velocity is (0, 0, 0, -1), with the weights (1, 1, 1)
+        # on the first three rows
+        M = np.vstack([np.ones(4), -np.eye(4)[:3], np.eye(4)[3]])
+        g_plus = np.zeros(4)
+        cold, calls = least_squares_calls(_active_set_weights, M, g_plus, 1)
+        assert calls == 3
+        np.testing.assert_allclose(cold, [1.0, 1.0, 1.0, 1.0, 0.0],
+                                   atol=1e-15)
+        warm, calls = least_squares_calls(_active_set_weights, M, g_plus, 1,
+                                          np.array(hint))
+        assert calls == 2
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_one_edit_hints_give_the_cold_bits_where_not_degenerate(self):
+        # the cold support and each one-coordinate flip of it, on seeded
+        # QPs; where the velocity is about 0 the optimal weights need not
+        # be unique, and only the velocity is compared
+        solves = 0
+        for seed in range(400):
+            M, g_plus, nobj = seeded_selection_qp(seed)
+            scale = max(_norm(g_plus), float(np.linalg.norm(M, axis=1).max()))
+            cold = _active_set_weights(M, g_plus, nobj)
+            cold_vnorm = _norm(g_plus + M.T @ cold)
+            hints = [support(cold)]
+            for i in range(len(M)):
+                hint = support(cold)
+                hint[i] ^= True
+                hints.append(hint)
+            for hint in hints:
+                warm = _active_set_weights(M, g_plus, nobj, hint)
+                solves += 1
+                if cold_vnorm > 1e-9 * scale:
+                    assert warm.tobytes() == cold.tobytes(), (seed, hint)
+                else:
+                    assert _norm(g_plus + M.T @ warm) <= 1e-9 * scale, \
+                        (seed, hint)
+        assert solves > 2000
 
     def test_no_hint_from_a_capped_weight(self):
         # cancelling g_plus needs lam = 1e9 on the tiny row: it sits at
@@ -665,6 +739,47 @@ class TestSolveFlow:
         assert runs[0].status is FlowStatus.CONVERGED
         assert runs[1].steps == runs[0].steps
         assert runs[1].x_final.tobytes() == runs[0].x_final.tobytes()
+
+
+def _system(kind, rng):
+    """(a, b): a seeded least-squares system of the given kind, rows scaled
+    over six decades."""
+    m, n = {"square": (4, 4), "tall": (6, 3), "wide": (2, 5),
+            "rank-deficient": (5, 4), "one-row": (1, 3)}[kind]
+    if kind == "rank-deficient":
+        a = rng.standard_normal((m, 2)) @ rng.standard_normal((2, n))
+    else:
+        a = rng.standard_normal((m, n))
+    a *= 10.0 ** rng.uniform(-3, 3, (m, 1))
+    return a, rng.standard_normal(m)
+
+
+class TestLeastSquares:
+    """``_lstsq``, the one least-squares call of the selection QP, the row
+    polish and the kink step."""
+
+    @pytest.mark.parametrize("kind", ["square", "tall", "wide",
+                                      "rank-deficient", "one-row"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_numpy_default(self, kind, seed):
+        a, b = _system(kind, np.random.default_rng(seed))
+        assert _lstsq(a, b).tobytes() == \
+            np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
+
+    def test_a_patched_numpy_lstsq_sees_the_solves(self, monkeypatch):
+        # the benchmark's tracer counts least squares by patching
+        # np.linalg.lstsq, so _lstsq must look it up at each call
+        calls = []
+        real = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        report = bnb.solve(catalog.load_example(4),
+                           bnb.SolverConfig(epsilon=1e-2))
+        assert report.status is bnb.SolverStatus.OPTIMAL
+        assert len(calls) > 0
 
 
 def _no_lstsq(*args, **kwargs):
