@@ -240,7 +240,7 @@ def solve(problem: BilevelProblem,
     error, on a problem that ``validate`` rejects."""
     if config is None:
         config = SolverConfig()
-    errors = [d.message for d in validate(problem) if d.level == "error"]
+    errors = validate(problem)
     if errors:
         raise ValueError("; ".join(errors))
     t0 = time.perf_counter()

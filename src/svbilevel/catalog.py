@@ -1,7 +1,6 @@
 """Built-in example problems 1 through 6.
 
-Each entry is problem-file text (see module problem for the format).  The
-``known`` lines carry reference values used by the test harness only.
+Each entry is problem-file text (see module problem for the format).
 """
 
 EXAMPLES = {
@@ -19,9 +18,6 @@ constraint_x -x1 - x2 + 1.5
 constraint_x 0.5*(x1 - 1)^2 + 1.4*(x2 - 0.5)^2 - 1.1
 bound x1 0 inf
 bound x2 0 inf
-known upper_value 1.25
-known x 1.0 0.5
-known epsilon 0.00001
 """,
     2: """\
 # Example 2: fractional upper objective, fractional lower pair
@@ -34,9 +30,6 @@ constraint_x 3*x1 + x2 - 8
 constraint_x x1 - x2 - 1
 bound x1 1 inf
 bound x2 1 inf
-known upper_value 0.324469
-known x 1.020247 1.835256
-known epsilon 0.01
 """,
     3: """\
 # Example 3: four fractional lower objectives over a polytope
@@ -53,9 +46,6 @@ constraint_x 9*x1 + 7*x2 + 3*x3 - 10
 bound x1 0 inf
 bound x2 0 inf
 bound x3 0 inf
-known upper_value 0.607448
-known x 0.0 0.775596 0.007336
-known epsilon 0.01
 """,
     4: """\
 # Example 4: linear h, coordinate lower objectives, disc coupling constraint
@@ -67,9 +57,6 @@ constraint_x -x1 - x2 - 1
 constraint_xy x1^2 + x2^2 - 0.81
 bound x1 -1 1
 bound x2 -1 1
-known upper_value -1.793699
-known x -0.893699 -0.106301
-known epsilon 0.01
 """,
     5: """\
 # Example 5: 14-dimensional box, two separable quadratic lower objectives
@@ -94,9 +81,6 @@ bound x11 -1 2
 bound x12 -1 2
 bound x13 -1 2
 bound x14 -1 2
-known upper_value 0.5
-known x 0.5 0 0 0 0 0 0 0 0 0 0 0 0 0
-known epsilon 0.01
 """,
     6: """\
 # Example 6: coupled upper variables y, fractional objectives
@@ -116,10 +100,6 @@ constraint_xy x2 + x3 - 5*y1 + 2*y2 - 1
 bound x1 0 inf
 bound x2 0 inf
 bound x3 0 inf
-known upper_value 0.012365
-known x 0.130662 0.156198 1.558087
-known y 0.142857 0.0
-known epsilon 0.01
 """,
 }
 

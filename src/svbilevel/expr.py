@@ -272,7 +272,8 @@ def to_source(e: Expr) -> str:
         return f"{left} {e.op} {right}"
     if isinstance(e, Pow):
         base = to_source(e.base)
-        if _prec(e.base) < 4:
+        # a negative constant too: -2.0^2 reads back as -(2.0^2)
+        if _prec(e.base) < 4 or base.startswith("-"):
             base = f"({base})"
         return f"{base}^{e.exponent}"
     if isinstance(e, Max):

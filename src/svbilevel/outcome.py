@@ -33,10 +33,12 @@ class OutcomeError(Exception):
 
 @dataclass
 class OutcomeBox:
+    """The box [m, M] that contains f(X): m_argmin[i] minimizes f_i over
+    X, and M bounds each f_i on ``simplex_vertices``, a simplex that
+    encloses X."""
     m: np.ndarray
     M: np.ndarray
     simplex_vertices: list
-    U: float
     m_argmin: list
     # the feasible point of X the box flows started from
     x_feasible: np.ndarray
@@ -44,11 +46,11 @@ class OutcomeBox:
 
 @dataclass
 class RaySolution:
-    v: np.ndarray
-    t: float
+    """The end x of a ray flow from v along d_hat, and w = v + t d_hat, its
+    projection onto the frontier at t = ``RayObjective(problem, v,
+    d_hat).value(x)``."""
     x: np.ndarray
     w: np.ndarray
-    d_hat: np.ndarray
 
 
 @dataclass
@@ -126,7 +128,7 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
     for i, f in enumerate(problem.lower):
         for v in vertices:
             M[i] = max(M[i], f.value(v))
-    return OutcomeBox(m=m, M=M, simplex_vertices=vertices, U=U,
+    return OutcomeBox(m=m, M=M, simplex_vertices=vertices,
                       m_argmin=m_argmin, x_feasible=x0)
 
 
@@ -188,7 +190,7 @@ def solve_ray(problem: BilevelProblem, v, d_hat, x0,
     x = res.x_final
     # recompute t from the terminal point so the ray identity is exact
     t = obj.value(x)
-    return RaySolution(v=v, t=t, x=x, w=v + t * d_hat, d_hat=d_hat)
+    return RaySolution(x=x, w=v + t * d_hat)
 
 
 def solve_mp(problem: BilevelProblem, z, u0,

@@ -20,7 +20,7 @@ Problem file format (line oriented):
     constraint_x <expr> s_k <= 0, over x only
     constraint_xy <expr> g_j <= 0, over x and y
     bound x1 -1 2       optional box bound (use -inf/inf for one-sided)
-    known <key> <vals>  optional reference values, ignored by the solver
+    known <key> <vals>  accepted and skipped (reference values)
     # comment
 
 Variables are named x1..xn and y1..ym.
@@ -29,10 +29,9 @@ Variables are named x1..xn and y1..ym.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -56,15 +55,6 @@ class VariableBound:
     name: str
     lo: float
     hi: float
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str  # "error", "warning" or "info"
-    message: str
-
-    def __str__(self):
-        return f"{self.level}: {self.message}"
 
 
 class AffineRow:
@@ -94,16 +84,10 @@ class BilevelProblem:
     lower_constraints: tuple
     coupling: tuple
     bounds: tuple = ()
-    known: dict = field(default_factory=dict)
-    source_name: str = "<text>"
 
     @property
     def p(self) -> int:
         return len(self.lower)
-
-    @property
-    def ell(self) -> int:
-        return len(self.coupling)
 
     @property
     def x_names(self):
@@ -207,27 +191,11 @@ def _parse_float(tok: str, line_no: int) -> float:
         raise ProblemFormatError(f"not a number: {tok!r}", line_no)
 
 
-def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
-    """Parse a problem from a file path or from literal text (anything
-    containing a newline is treated as text)."""
-    name = "<text>"
-    if isinstance(source, os.PathLike):
-        name = os.fspath(source)
-        with open(source) as fh:
-            text = fh.read()
-    elif isinstance(source, str) and "\n" not in source and os.path.exists(source):
-        name = source
-        with open(source) as fh:
-            text = fh.read()
-    elif isinstance(source, str):
-        text = source
-    else:
-        raise TypeError(f"unsupported source: {source!r}")
-
+def load_problem(text: str) -> BilevelProblem:
+    """Parse a problem from its text (see the module docstring)."""
     dims = {}
     raw = {"upper": [], "lower": [], "constraint_x": [], "constraint_xy": []}
     bounds = []
-    known = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -263,13 +231,7 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
                 raise ProblemFormatError(f"nan in the bound of {toks[0]}",
                                          line_no)
             bounds.append((line_no, toks[0], lo, hi))
-        elif key == "known":
-            toks = rest.split()
-            if not toks:
-                raise ProblemFormatError("'known' needs a key", line_no)
-            vals = [_parse_float(t, line_no) for t in toks[1:]]
-            known[toks[0]] = vals[0] if len(vals) == 1 else vals
-        else:
+        elif key != "known":
             raise ProblemFormatError(f"unknown directive {key!r}", line_no)
 
     if "x" not in dims:
@@ -314,7 +276,7 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
     return BilevelProblem(
         n=n, m=m, upper=upper, lower=tuple(lower),
         lower_constraints=tuple(s_rows), coupling=tuple(g_rows),
-        bounds=tuple(checked_bounds), known=known, source_name=name)
+        bounds=tuple(checked_bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +284,16 @@ def load_problem(source: Union[str, os.PathLike]) -> BilevelProblem:
 # ---------------------------------------------------------------------------
 
 def validate(problem: BilevelProblem) -> list:
-    """Structural diagnostics: hard errors for shape violations, warnings for
-    unverifiable convexity assumptions.  It starts no flow: whether X is
-    bounded is checked where the outcome box is built
+    """The messages of the shape errors that make a problem unsolvable;
+    empty when there is none.  The assumed structure (pseudoconvex
+    objectives, quasiconvex constraints) is not verified.  It starts no
+    flow: whether X is bounded is checked where the outcome box is built
     (``outcome.compute_box``), whose flows must converge."""
     out = []
     if problem.p < 2:
-        out.append(Diagnostic("error", "lower level must be vectorial (p >= 2)"))
+        out.append("lower level must be vectorial (p >= 2)")
     if problem.x_region().size == 0:
-        out.append(Diagnostic("error", "X has no constraints; it cannot be bounded"))
-    if problem.m == 0:
-        out.append(Diagnostic("info", "no y variables declared"))
-    if problem.ell == 0:
-        out.append(Diagnostic("info", "no coupling constraints declared"))
-    out.append(Diagnostic(
-        "warning",
-        "pseudoconvexity of the objectives and quasiconvexity of the "
-        "constraints are assumed, not verified; fractional-quadratic and "
-        "max-of-affine forms are standard sufficient conditions"))
+        out.append("X has no constraints; it cannot be bounded")
     return out
 
 

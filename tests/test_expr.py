@@ -23,6 +23,8 @@ FIXTURE_EXPRESSIONS = [
     "(2*x1 + 3*x2) / (4*x1 + 5*x2 + 10)",
     "(3*x1 + x2)^2 / (3*x1 + x2 - 1)^3",
     "-(x1 - x2) * (x1 + x2) / 2",
+    "x1 * (-2)^2",
+    "(-1.5)^3 * x2",
 ]
 
 COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-3, 3)
@@ -576,7 +578,7 @@ class TestLazyGeneration:
     def test_load_generates_nothing(self, number, monkeypatch):
         monkeypatch.setattr(ex, "_generate", self._refuse)
         problem = catalog.load_example(number)
-        assert not [d for d in validate(problem) if d.level == "error"]
+        assert validate(problem) == []
 
     @pytest.mark.parametrize("number, epsilon, most", [
         (1, 1e-5, 10), (2, 1e-2, 6), (3, 1e-2, 10), (4, 1e-2, 8),

@@ -62,7 +62,9 @@ class TestComputeBox:
         np.testing.assert_allclose(ex1_box.m, [-3.2875, -1.2], atol=2e-3)
         np.testing.assert_allclose(ex1_box.simplex_vertices[0],
                                    [0.25, 0.166667], atol=2e-3)
-        assert ex1_box.U == pytest.approx(2.683, abs=2e-3)
+        # each other vertex sums to U, the max of x1 + x2 over X
+        assert sum(ex1_box.simplex_vertices[1]) == pytest.approx(2.683,
+                                                                 abs=2e-3)
         np.testing.assert_allclose(ex1_box.M, [6.6994, 4.8916], atol=2e-2)
 
     def test_example3(self):
@@ -74,7 +76,7 @@ class TestComputeBox:
     def test_linear_objectives_on_unit_box(self):
         box = compute_box(load_problem(UNIT_BOX))
         np.testing.assert_allclose(box.m, [0.0, -1.0], atol=1e-3)
-        assert box.U == pytest.approx(2.0, abs=1e-3)
+        assert sum(box.simplex_vertices[1]) == pytest.approx(2.0, abs=1e-3)
         np.testing.assert_allclose(box.M, [2.0, 2.0], atol=1e-2)
 
     def test_box_contains_sampled_outcomes(self, ex1, ex1_box):
@@ -111,19 +113,19 @@ class TestSolveRay:
         prob = load_problem(SIMPLEX)
         sol = solve_ray(prob, v=[1.0, 1.0], d_hat=[1.0, 1.0],
                         x0=find_interior_start(prob))
-        assert sol.t == pytest.approx(-0.5, abs=1e-3)
+        # w = v + t d_hat at t = -0.5
         np.testing.assert_allclose(sol.w, [0.5, 0.5], atol=1e-3)
 
     def test_ray_identity_and_consistency(self, ex1, ex1_box):
-        sol = solve_ray(ex1, v=ex1_box.M, d_hat=[1.0, 1.0],
-                        x0=ex1_box.x_feasible)
-        np.testing.assert_allclose(sol.w, sol.v + sol.t * sol.d_hat, atol=1e-12)
-        # t is the ray objective at x; rounding is monotone, so that is
-        # the max over the objectives of (f_j(x) - v_j) / d_j exactly
-        obj = RayObjective(ex1, sol.v, sol.d_hat)
-        assert sol.t == obj.value(sol.x)
-        assert sol.t == max((f.value(sol.x) - sol.v[j]) / sol.d_hat[j]
-                            for j, f in enumerate(ex1.lower))
+        v, d_hat = ex1_box.M, np.ones(2)
+        sol = solve_ray(ex1, v=v, d_hat=d_hat, x0=ex1_box.x_feasible)
+        # w = v + t d_hat at t, the ray objective at x; rounding is
+        # monotone, so t is the max over the objectives of
+        # (f_j(x) - v_j) / d_j exactly
+        t = RayObjective(ex1, v, d_hat).value(sol.x)
+        assert sol.w.tobytes() == (v + t * d_hat).tobytes()
+        assert t == max((f.value(sol.x) - v[j]) / d_hat[j]
+                        for j, f in enumerate(ex1.lower))
 
     def test_w_weakly_nondominated_on_grid(self, ex1, ex1_box):
         sol = solve_ray(ex1, v=ex1_box.M, d_hat=[1.0, 1.0],
@@ -144,7 +146,8 @@ class TestSolveRay:
                           x0=ex1_box.x_feasible)
         again = solve_ray(ex1, v=first.w, d_hat=[1.0, 1.0],
                           x0=ex1_box.x_feasible)
-        assert again.t == pytest.approx(0.0, abs=1e-3)
+        # t = 0: w stays where it started
+        np.testing.assert_allclose(again.w, first.w, atol=1e-3)
 
     def test_nonpositive_direction_rejected(self, ex1, ex1_box):
         with pytest.raises(ValueError):
@@ -353,7 +356,7 @@ class TestInteriorStart:
         assert cache.start.tobytes() == expected.tobytes()
         assert cache.get(box.M).feasible
         ray = solve_ray(ex1, box.M, [1.0, 1.0], box.x_feasible, config)
-        assert np.isfinite(ray.t)
+        assert np.isfinite(ray.w).all()
 
 
 class TestPhiCache:
