@@ -164,16 +164,14 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
     return state
 
 
-def find_feasible_y(problem: BilevelProblem, x, config: SolverConfig
-                    ) -> Optional[np.ndarray]:
+def find_feasible_y(problem: BilevelProblem, x) -> Optional[np.ndarray]:
     """Lift x to (x, y) in G at fixed x: a feasibility flow over y on the
     rows of G that involve y, both checked within ``FEASIBILITY_TOL``.
     With no y variables the flow returns the empty point or None."""
     x = np.asarray(x, dtype=float)
     if (problem.x_region().values(x) > nd.FEASIBILITY_TOL).any():
         return None
-    return nd.find_feasible(problem.lift_rows(x), np.ones(problem.m),
-                            config.flow)
+    return nd.find_feasible(problem.lift_rows(x), np.ones(problem.m))
 
 
 def iterate(state: SolverState, problem: BilevelProblem,
@@ -213,7 +211,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
     y_k = None
     if (np.max(np.abs(ray.w - z_k)) <= W_MATCH_TOL
             and np.all(ray.w > state.box.m + BOUNDARY_TOL)):
-        y_k = find_feasible_y(problem, ray.x, config)
+        y_k = find_feasible_y(problem, ray.x)
         update = y_k is not None
     if update:
         u = np.concatenate([ray.x, y_k])

@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", metavar="PATH", help="problem file to solve")
     parser.add_argument("--epsilon", type=float, default=1e-2, metavar="E",
                         help="relative optimality tolerance (default 0.01)")
-    parser.add_argument("--dt", type=float, default=None,
-                        help="integrator step size")
     parser.add_argument("--t-max", type=float, default=None,
                         help="integration horizon per flow")
     parser.add_argument("--max-iters", type=int, default=None,
@@ -89,8 +87,6 @@ def _load(args) -> "bnb.BilevelProblem":
 
 def _make_config(args, trace: Optional[nd.TraceRecorder]) -> bnb.SolverConfig:
     flow_kwargs = {}
-    if args.dt is not None:
-        flow_kwargs["dt"] = args.dt
     if args.t_max is not None:
         flow_kwargs["t_max"] = args.t_max
     if trace is not None:

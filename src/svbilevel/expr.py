@@ -5,7 +5,7 @@ Grammar (whitespace insignificant)::
     expr    ::= term (('+'|'-') term)*
     term    ::= factor (('*'|'/') factor)*
     factor  ::= '-' factor | power
-    power   ::= atom ('^' integer)?
+    power   ::= atom ('^' '-'? integer)?
     atom    ::= number | ident | '(' expr ')'
               | 'max' '(' expr (',' expr)+ ')'
 
@@ -184,12 +184,16 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
+            sign = ""
+            if self.peek()[:2] == ("op", "-"):
+                self.next()
+                sign = "-"
             kind, val, pos = self.next()
             if kind != "num":
                 raise ParseError("expected integer exponent after '^'", pos)
             if any(c in val for c in ".eE"):
                 raise ParseError(f"non-integer exponent {val!r}", pos)
-            return Pow(base, int(val))
+            return Pow(base, int(sign + val))
         return base
 
     def atom(self) -> Expr:
@@ -272,8 +276,10 @@ def to_source(e: Expr) -> str:
         return f"{left} {e.op} {right}"
     if isinstance(e, Pow):
         base = to_source(e.base)
-        # a negative constant too: -2.0^2 reads back as -(2.0^2)
-        if _prec(e.base) < 4 or base.startswith("-"):
+        # a negative constant too: -2.0^2 reads back as -(2.0^2); and a
+        # power, since x^2^3 does not parse
+        if (_prec(e.base) < 4 or isinstance(e.base, Pow)
+                or base.startswith("-")):
             base = f"({base})"
         return f"{base}^{e.exponent}"
     if isinstance(e, Max):

@@ -43,15 +43,13 @@ the descent test.  A branch the selection gives no weight is leaving the
 kink, and is not pulled back to it.
 
 Constraints are a ``RowSet``: an affine block evaluated as one product,
-then nonlinear rows, each an oracle with ``value(u)`` and ``value_grad(u)``
-that reads the first k columns of u and may be shifted by a constant.  A
-point's nonlinear rows, their gradients and its S are computed from one
-list of Python floats: each row is a function of that list, resolved once
-per RowSet (a max-free expression's own generated code), and S adds the
+then nonlinear rows, each a max-free expression over the leading columns
+of u, shifted by a constant.  A point's nonlinear rows, their gradients
+and its S are computed from one list of Python floats: each row is its
+expression's own generated code, a function of that list, and S adds the
 positive row values in the order ``ndarray.sum`` adds them.  The flows
 amplify a one-ulp difference, so this arithmetic is kept bit for bit that
-of the oracles and of ``ndarray.sum``.  The flows also accept a plain
-sequence of oracles and convert it once.
+of the expressions and of ``ndarray.sum``.  Euler steps start at ``DT``.
 Objectives are oracles with ``value(x)`` and ``value_grad(x)``; a max-type
 nonsmooth objective also exposes ``branch_pairs(x)``, the
 ``(value, gradient)`` of each branch, and the flow picks the branches
@@ -86,6 +84,10 @@ DIVERGENCE_RADIUS = 1e7
 # it stands; find_feasible gives up after this many descent steps.
 MAX_STEPS = 200_000
 
+# solve_flow's first Euler step, which a clean step doubles up to 1e4 times
+# this; find_feasible's least first trial of each descent step.
+DT = 1e-2
+
 
 class FlowStatus(enum.Enum):
     CONVERGED = "Converged"
@@ -99,19 +101,12 @@ class FlowError(Exception):
 
 @dataclass
 class FlowConfig:
-    dt: float = 1e-2
     t_max: float = 200.0
     trace: Optional["TraceRecorder"] = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
-        if not math.isfinite(self.dt):
-            raise ValueError(f"dt must be finite, got {self.dt}")
-        if math.isnan(self.t_max):
-            raise ValueError("t_max must be a number, got nan")
-        if self.dt > self.t_max:
-            raise ValueError(f"dt = {self.dt} exceeds t_max = {self.t_max}")
+        if not self.t_max > 0:
+            raise ValueError(f"t_max must be positive, got {self.t_max}")
 
 
 @dataclass
@@ -149,31 +144,18 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _row_function(oracle, k: Optional[int], gradient: bool):
-    """A nonlinear row's value function, or its (value, gradient) function,
-    of a list of floats whose first k entries, all when k is None, are the
-    row's columns.  A max-free ``CompiledExpr`` (one branch) gives its own
-    generated function, which reads only the entries of the variables it
-    uses; any other oracle is called on an array of the row's entries."""
-    if len(getattr(oracle, "branches", ())) == 1:
-        fns = oracle.branch_gradients if gradient else oracle.branch_values
-        return fns[0]
-    method = oracle.value_grad if gradient else oracle.value
-    return lambda ws: method(np.array(ws[:k]))
-
-
 class RowSet:
     """Constraint rows r_i(u) <= 0, evaluated together: an affine block
-    A u + b, then the nonlinear rows.  A nonlinear row (oracle, k, shift)
-    is ``oracle.value(w[:k]) - shift`` with w = (head, u), u behind a fixed
-    head (empty unless ``fix_head`` set one): the oracle reads the first k
-    columns of w, all of them when k is None.  ``labels`` name the rows in
-    the order ``values`` returns them.
+    A u + b, then the nonlinear rows.  A nonlinear row (expr, shift) is
+    ``expr.value(w) - shift`` with w = (head, u), u behind a fixed head
+    (empty unless ``fix_head`` set one); expr is a max-free expression
+    over the first ``expr.n_vars`` columns of w.  ``labels`` name the rows
+    in the order ``values`` returns them.
     The nonlinear rows and their gradients are evaluated on w as one list
-    of Python floats, each row by its ``_row_function``, resolved on first
-    use, so that a RowSet built and not evaluated generates no code; u is a
-    float array.  A RowSet holds no flow state, so one set serves any
-    number of flows."""
+    of Python floats, each row by its expression's generated functions,
+    made on first use, so that a RowSet built and not evaluated generates
+    no code; u is a float array.  A RowSet holds no flow state, so one set
+    serves any number of flows."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, nonlinear=(), labels=(),
                  head: Optional[np.ndarray] = None):
@@ -186,34 +168,32 @@ class RowSet:
         self.size = self.na + len(self.nonlinear)
         self.head = np.zeros(0) if head is None else head
         self._head = self.head.tolist()
-        # (value function, shift) of each nonlinear row, and its (value,
-        # gradient) function, each resolved on first use
+        # (value function, shift) of each nonlinear row, made on first use
         self._value_fns = None
-        self._grad_fns = [None] * len(self.nonlinear)
 
     @classmethod
     def of(cls, rows: Sequence, width: int) -> "RowSet":
         """Split ``rows`` into the affine block and the nonlinear rows, each
-        in the given order.  A row is an oracle over all ``width`` columns,
-        or a tuple (oracle, k, label, shift): the row oracle(u[:k]) - shift
-        <= 0 over the first k columns, and its label.  Oracles have
-        ``value(u)`` and ``value_grad(u)``; one whose ``affine`` attribute
-        is not None, a pair (coeffs, const), joins the affine block with
-        the constant const - shift.  A RowSet is returned as it is."""
-        if isinstance(rows, RowSet):
-            return rows
-        rows = [r if isinstance(r, tuple)
-                else (r, width, getattr(r, "label", ""), 0.0) for r in rows]
-        aff = [r for r in rows if getattr(r[0], "affine", None) is not None]
-        nonlinear = [r for r in rows if getattr(r[0], "affine", None) is None]
+        in the given order.  A row is a tuple (row, label, shift), the row
+        row(u) - shift <= 0, or a bare row, with label "" and shift 0.  A
+        row is an ``AffineRow`` or a ``CompiledExpr`` over the first
+        ``n_vars`` of the ``width`` columns; one whose ``affine``, a pair
+        (coeffs, const), is not None joins the affine block with the
+        constant const - shift.  A root max is not a row: it is one row per
+        branch (see ``problem``), so it raises TypeError."""
+        rows = [r if isinstance(r, tuple) else (r, "", 0.0) for r in rows]
+        aff = [r for r in rows if r[0].affine is not None]
+        nonlinear = [r for r in rows if r[0].affine is None]
+        for c, label, _ in nonlinear:
+            if len(c.branches) != 1:
+                raise TypeError(f"row {label!r} is a root max: pass one row "
+                                "per branch")
         A = np.zeros((len(aff), width))
-        for i, (c, k, _, _) in enumerate(aff):
-            A[i, :k] = c.affine[0]
-        b = np.array([float(c.affine[1]) - shift for c, _, _, shift in aff])
-        return cls(A, b,
-                   [(c, None if k == width else k, shift)
-                    for c, k, _, shift in nonlinear],
-                   [r[2] for r in aff + nonlinear])
+        for i, (c, _, _) in enumerate(aff):
+            A[i, :len(c.affine[0])] = c.affine[0]
+        b = np.array([float(c.affine[1]) - shift for c, _, shift in aff])
+        return cls(A, b, [(c, shift) for c, _, shift in nonlinear],
+                   [r[1] for r in aff + nonlinear])
 
     def fix_head(self, x) -> "RowSet":
         """The rows as functions of the columns after x, with the leading
@@ -234,8 +214,8 @@ class RowSet:
             return self.A.dot(u) + self.b
         rows = self._value_fns
         if rows is None:
-            rows = self._value_fns = [(_row_function(c, k, False), shift)
-                                   for c, k, shift in self.nonlinear]
+            rows = self._value_fns = [(c.branch_values[0], shift)
+                                      for c, shift in self.nonlinear]
         ws = self._head + u.tolist()
         nl = [fn(ws) - shift for fn, shift in rows]
         if self.na:
@@ -249,15 +229,11 @@ class RowSet:
         ``norms``, the calling flow's estimates."""
         if i < self.na:
             return self.A[i]
-        j = i - self.na
-        c, k, _ = self.nonlinear[j]
-        fn = self._grad_fns[j]
-        if fn is None:
-            fn = self._grad_fns[j] = _row_function(c, k, True)
+        c = self.nonlinear[i - self.na][0]
         ws = self._head + u.tolist()
-        g = fn(ws)[1]
-        if k is not None:
-            g = np.concatenate([g, np.zeros(len(ws) - k)])
+        g = c.branch_gradients[0](ws)[1]
+        if c.n_vars < len(ws):
+            g = np.concatenate([g, np.zeros(len(ws) - c.n_vars)])
         if self._head:
             g = g[len(self._head):]
         if norms is not None:
@@ -616,7 +592,7 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
     return vel, r_val, any_plus, kink, hint
 
 
-def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
+def solve_flow(objective, rows: RowSet, x0, config: FlowConfig) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
     the time/step budget runs out.  Each point is evaluated once: the row
     values of the current x and their S come from the start check, then
@@ -626,19 +602,17 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
     the band, and at 1x it reuses the last step's selection when x, its
     row values and the norms have not moved since.  The selection QP of
     each step is warm-started from the support the flow's last one ended
-    with.  ``constraints`` is a RowSet or a sequence of oracles (see
-    ``RowSet.of``)."""
+    with."""
     x = np.asarray(x0, dtype=float).copy()
-    stack = RowSet.of(constraints, len(x))
-    norms = stack.norm_estimates()
+    norms = rows.norm_estimates()
     trace = config.trace
     flow_id = trace.next_flow() if trace else 0
 
-    vals = stack.values(x)
-    s_cur = stack.total_penalty(vals)
+    vals = rows.values(x)
+    s_cur = rows.total_penalty(vals)
 
-    dt = config.dt
-    dt_max = config.dt * 1e4
+    dt = DT
+    dt_max = DT * 1e4
     t = 0.0
     hint = None
     # (x, row values, norms on entry, selection) of the last step
@@ -649,7 +623,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
         if t >= config.t_max:
             break
         entry_norms = norms.copy()
-        selection = _selected_velocity(stack, norms, objective, x, vals,
+        selection = _selected_velocity(rows, norms, objective, x, vals,
                                        CERT_BAND, hint)
         last = (x, vals, entry_norms, selection)
         vel, r_val, outside, kink, hint = selection
@@ -680,8 +654,8 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
                 # land on the kink the selection balanced, before the row
                 # polish and the descent test (see the module docstring)
                 xn = _kink_step(objective, kink, xn)
-            vals_n = stack.values(xn)
-            s_n = stack.total_penalty(vals_n)
+            vals_n = rows.values(xn)
+            s_n = rows.total_penalty(vals_n)
             # Armijo margin: plain non-increase admits exact two-point cycles
             # across kinks where the objective is symmetric
             margin = 1e-4 * trial * vnorm
@@ -692,7 +666,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
                 # descent on a point that will be pulled back afterwards
                 # admits a limit cycle where the pullback undoes the decrease
                 if s_n > ZERO_BAND:
-                    xn, vals_n, s_n = _polish_feasibility(stack, norms, xn,
+                    xn, vals_n, s_n = _polish_feasibility(rows, norms, xn,
                                                           vals_n, s_n, vals)
                 # monotone r and no escape beyond the boundary band, else the
                 # flow limit-cycles across the boundary (r can decrease there)
@@ -728,7 +702,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
             return FlowResult(x, math.nan, s_cur, FlowStatus.DIVERGED,
                               steps, vnorm)
 
-    x, vals, s_cur = _polish_feasibility(stack, norms, x, vals, s_cur)
+    x, vals, s_cur = _polish_feasibility(rows, norms, x, vals, s_cur)
     # certify at the base band, then at 10x and 100x it: at a degenerate
     # vertex a blocking row just outside the base band defeats every step,
     # and a wider band lets it join the balance
@@ -738,7 +712,7 @@ def solve_flow(objective, constraints, x0, config: FlowConfig) -> FlowResult:
                 and last[1] is vals and np.array_equal(last[2], norms)):
             selection = last[3]
         else:
-            selection = _selected_velocity(stack, norms, objective, x, vals,
+            selection = _selected_velocity(rows, norms, objective, x, vals,
                                            CERT_BAND * factor, hint)
         vel, r_final, _, _, hint = selection
         vnorm = min(vnorm, _norm(vel))
@@ -819,33 +793,30 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
     return x, vals, s
 
 
-def find_feasible(constraints, x_init, config: FlowConfig) -> Optional[np.ndarray]:
-    """Penalty-descent flow over a RowSet or a sequence of oracles; returns
-    a feasible point, or None when the descent stalls at positive penalty
-    (infeasible system)."""
-    x = np.asarray(x_init, dtype=float).copy()
-    stack = RowSet.of(constraints, len(x))
-    dt = config.dt
-    vals = stack.values(x)
-    s = stack.total_penalty(vals)
+def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
+    """Penalty-descent flow over ``rows``; returns a feasible point, or None
+    when the descent stalls at positive penalty (infeasible system)."""
+    x = np.asarray(x0, dtype=float).copy()
+    vals = rows.values(x)
+    s = rows.total_penalty(vals)
     for _ in range(MAX_STEPS):
         if s <= FEASIBILITY_TOL:
             return x
-        g = np.zeros(stack.n)
+        g = np.zeros(rows.n)
         norm_sq = 0.0
         for i in (vals > ZERO_BAND).nonzero()[0].tolist():
-            gi = stack.row_grad(i, x)
+            gi = rows.row_grad(i, x)
             g += gi
             norm_sq += float(gi.dot(gi))
         gnorm = _norm(g)
         if gnorm <= STATIONARITY_TOL:
             return None
         # Newton-like secant step toward S = 0, fall back to Euler + backtracking
-        trial = min(max(dt, s / max(norm_sq, 1e-300)), 1e6)
+        trial = min(max(DT, s / max(norm_sq, 1e-300)), 1e6)
         for _ in range(31):
             xn = x - trial * g
-            vals_n = stack.values(xn)
-            s_n = stack.total_penalty(vals_n)
+            vals_n = rows.values(xn)
+            s_n = rows.total_penalty(vals_n)
             if s_n < s * (1.0 + 1e-12) + 1e-15 and s_n != s:
                 break
             trial *= 0.5

@@ -91,7 +91,7 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
     if config is None:
         config = nd.FlowConfig()
     region = problem.x_region()
-    x0 = find_interior_start(problem, config)
+    x0 = find_interior_start(problem)
     if x0 is None:
         raise OutcomeError("X is empty: no feasible point found")
 
@@ -201,7 +201,7 @@ def solve_mp(problem: BilevelProblem, z, u0,
         config = nd.FlowConfig()
     z = np.asarray(z, dtype=float)
     stack = stacked_mp_constraints(problem, z)
-    u_feas = nd.find_feasible(stack, u0, config)
+    u_feas = nd.find_feasible(stack, u0)
     if u_feas is None:
         return MpSolution(z=z, phi=math.inf, x=None, y=None, feasible=False)
     res = _reject_diverged(nd.solve_flow(problem.upper, stack, u_feas, config),

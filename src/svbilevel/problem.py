@@ -60,10 +60,9 @@ class VariableBound:
 class AffineRow:
     """Constraint oracle for an affine row  a @ u + b <= 0."""
 
-    def __init__(self, coeffs, const: float, label: str = ""):
+    def __init__(self, coeffs, const: float):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.const = float(const)
-        self.label = label
         self.affine = (self.coeffs, self.const)
 
     def value(self, u) -> float:
@@ -99,14 +98,15 @@ class BilevelProblem:
 
     @cached_property
     def _rows(self) -> tuple:
-        """The rows of G as ``RowSet.of`` tuples (oracle, k, label, shift)
-        over u = (x, y), in four groups: the rows of X (declared s-rows,
-        then x-bound rows), the rows on y alone (y >= 0, then y-bound rows),
-        the g-rows, and the f-rows, whose last entry is the index i of the
-        z_i that shifts them.  A row whose expression is a max is one row
-        per branch, labelled "<row> [j]" for branch j: max(a, b) <= z is
-        exactly a <= z and b <= z, and each branch is smooth.  Built on
-        first use."""
+        """The rows of G as ``RowSet.of`` tuples (row, label, shift) over
+        u = (x, y), in four groups: the rows of X (declared s-rows, then
+        x-bound rows), the rows on y alone (y >= 0, then y-bound rows), the
+        g-rows, and the f-rows, whose last entry is the index i of the z_i
+        that shifts them.  Each row is an ``AffineRow`` or a max-free
+        expression over the leading ``n_vars`` columns of u.  A row whose
+        expression is a max is one row per branch, labelled "<row> [j]" for
+        branch j: max(a, b) <= z is exactly a <= z and b <= z, and each
+        branch is smooth.  Built on first use."""
         n, total = self.n, self.n + self.m
         names = self.x_names + self.y_names
 
@@ -116,7 +116,7 @@ class BilevelProblem:
             return e
 
         def split(exprs, fmt):
-            """(k, oracle, label) of each row of expression k of ``exprs``,
+            """(k, row, label) of each row of expression k of ``exprs``,
             labelled fmt.format(k + 1)."""
             for k, c in enumerate(exprs):
                 label = fmt.format(k + 1)
@@ -126,22 +126,22 @@ class BilevelProblem:
                 for j, b in enumerate(c.ast.children):
                     yield k, CompiledExpr(b, c.n_vars), f"{label} [{j + 1}]"
 
-        x_rows = [(s, n, label, 0.0)
+        x_rows = [(s, label, 0.0)
                   for _, s, label in split(self.lower_constraints, "s_{}")]
-        y_rows = [(AffineRow(unit(n + j, -1.0, total), 0.0), total,
-                   f"y{j + 1} >= 0", 0.0) for j in range(self.m)]
+        y_rows = [(AffineRow(unit(n + j, -1.0, total), 0.0), f"y{j + 1} >= 0",
+                   0.0) for j in range(self.m)]
         for b in self.bounds:
             i = names.index(b.name)
             rows, width = (x_rows, n) if i < n else (y_rows, total)
             if np.isfinite(b.lo):
-                rows.append((AffineRow(unit(i, -1.0, width), b.lo), width,
+                rows.append((AffineRow(unit(i, -1.0, width), b.lo),
                              f"{b.name} >= {b.lo}", 0.0))
             if np.isfinite(b.hi):
-                rows.append((AffineRow(unit(i, 1.0, width), -b.hi), width,
+                rows.append((AffineRow(unit(i, 1.0, width), -b.hi),
                              f"{b.name} <= {b.hi}", 0.0))
-        g_rows = [(g, total, label, 0.0)
+        g_rows = [(g, label, 0.0)
                   for _, g, label in split(self.coupling, "g_{}")]
-        f_rows = [(f, n, label, i)
+        f_rows = [(f, label, i)
                   for i, f, label in split(self.lower, "f_{0} - z_{0}")]
         return x_rows, y_rows, g_rows, f_rows
 
@@ -175,7 +175,7 @@ def stacked_mp_constraints(problem: BilevelProblem, z) -> nd.RowSet:
     if len(z) != problem.p:
         raise ValueError(f"z has length {len(z)}, expected p = {problem.p}")
     x_rows, y_rows, g_rows, f_rows = problem._rows
-    f_rows = [(f, k, label, float(z[i])) for f, k, label, i in f_rows]
+    f_rows = [(f, label, float(z[i])) for f, label, i in f_rows]
     return nd.RowSet.of(x_rows + y_rows + f_rows + g_rows,
                         problem.n + problem.m)
 
@@ -297,16 +297,19 @@ def validate(problem: BilevelProblem) -> list:
     return out
 
 
-def find_interior_start(problem: BilevelProblem, config=None) -> Optional[np.ndarray]:
-    """A feasible point of X, from the origin (or bound midpoints) via
-    penalty descent."""
-    if config is None:
-        config = nd.FlowConfig()
+def find_interior_start(problem: BilevelProblem) -> Optional[np.ndarray]:
+    """A feasible point of X by penalty descent, started at the origin in
+    each free coordinate and inside each bounded one: at the midpoint of
+    [lo, hi], taking lo + 2 for a missing upper end, hi - 2 for a missing
+    lower one, and [0, 2] for a bound with neither."""
     x0 = np.zeros(problem.n)
     for b in problem.bounds:
         if b.name.startswith("x"):
             i = int(b.name[1:]) - 1
-            lo = b.lo if np.isfinite(b.lo) else 0.0
-            hi = b.hi if np.isfinite(b.hi) else lo + 2.0
+            lo, hi = b.lo, b.hi
+            if not np.isfinite(lo):
+                lo = hi - 2.0 if np.isfinite(hi) else 0.0
+            if not np.isfinite(hi):
+                hi = lo + 2.0
             x0[i] = 0.5 * (lo + hi)
-    return nd.find_feasible(problem.x_region(), x0, config)
+    return nd.find_feasible(problem.x_region(), x0)

@@ -269,11 +269,12 @@ class TestProperties:
 
 def test_neurodynamic_unit_quadratic():
     obj = CompiledExpr(parse_expression("x1^2 + x2^2", ["x1", "x2"]), 2)
-    constraint = AffineRow([-1.0, -1.0], 1.0, label="x1 + x2 >= 1")
+    # x1 + x2 >= 1
+    rows = nd.RowSet.of([AffineRow([-1.0, -1.0], 1.0)], 2)
     config = nd.FlowConfig()
     rng = np.random.default_rng(12345)
     for _ in range(20):
         x0 = rng.uniform(-5.0, 5.0, 2)
-        res = nd.solve_flow(obj, [constraint], x0, config)
+        res = nd.solve_flow(obj, rows, x0, config)
         assert res.status is nd.FlowStatus.CONVERGED
         assert res.x_final == pytest.approx([0.5, 0.5], abs=1e-3)

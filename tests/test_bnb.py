@@ -299,31 +299,30 @@ class TestDeterminism:
 class TestFindFeasibleY:
     def test_no_y_membership_accepts(self):
         problem = catalog.load_example(3)
-        y = bnb.find_feasible_y(problem, np.zeros(3), SolverConfig())
+        y = bnb.find_feasible_y(problem, np.zeros(3))
         assert y is not None and len(y) == 0
 
     def test_no_y_membership_rejects(self):
         problem = catalog.load_example(3)
-        y = bnb.find_feasible_y(problem, np.full(3, 10.0), SolverConfig())
+        y = bnb.find_feasible_y(problem, np.full(3, 10.0))
         assert y is None
 
     def test_no_y_rows_checked_within_the_feasibility_tolerance(self):
         # both rows 5e-7 above zero: past the flows' FEASIBILITY_TOL
         problem = load_problem(NO_Y_COUPLED_TEXT)
-        config = SolverConfig()
-        y = bnb.find_feasible_y(problem, np.array([0.0, 0.5]), config)
+        y = bnb.find_feasible_y(problem, np.array([0.0, 0.5]))
         assert y is not None and len(y) == 0
         # the coupling row x1 + x2 - 1
-        assert bnb.find_feasible_y(problem, np.array([0.0, 1.0 + 5e-7]),
-                                   config) is None
+        assert bnb.find_feasible_y(problem,
+                                   np.array([0.0, 1.0 + 5e-7])) is None
         # the X row x1 - 1
-        assert bnb.find_feasible_y(problem, np.array([1.0 + 5e-7, -1.0]),
-                                   config) is None
+        assert bnb.find_feasible_y(problem,
+                                   np.array([1.0 + 5e-7, -1.0])) is None
 
     def test_coupled_lift_succeeds(self):
         problem = catalog.load_example(6)
         x = np.array([0.130662, 0.156198, 1.558087])
-        y = bnb.find_feasible_y(problem, x, SolverConfig())
+        y = bnb.find_feasible_y(problem, x)
         assert y is not None
         u = np.concatenate([x, y])
         assert all(g.value(u) <= 1e-6 for g in problem.coupling)
@@ -331,5 +330,5 @@ class TestFindFeasibleY:
 
     def test_empty_y_slice_returns_none(self):
         problem = load_problem(EMPTY_Y_TEXT)
-        y = bnb.find_feasible_y(problem, np.array([0.5]), SolverConfig())
+        y = bnb.find_feasible_y(problem, np.array([0.5]))
         assert y is None

@@ -129,22 +129,19 @@ class TestInputErrors:
         code, _, err = run(capsys, ["--example", "1", "--epsilon", "-1"])
         assert code == 1
 
-    @pytest.mark.parametrize("flag", [["--dt", "-1"], ["--t-max", "0"]])
+    @pytest.mark.parametrize("flag", [["--t-max", "-1"], ["--t-max", "0"]])
     def test_nonpositive_flow_setting(self, capsys, flag):
         code, _, err = run(capsys, ["--example", "1"] + flag)
         assert code == 1
-        assert err == "error: dt and t_max must be positive\n"
+        assert err == f"error: t_max must be positive, got {float(flag[1])}\n"
 
     @pytest.mark.parametrize("flag,message", [
-        (["--dt", "nan"], "dt must be finite, got nan"),
-        (["--dt", "inf"], "dt must be finite, got inf"),
-        (["--dt", "1e300"], "dt = 1e+300 exceeds t_max = 200.0"),
-        (["--t-max", "nan"], "t_max must be a number, got nan"),
+        (["--t-max", "nan"], "t_max must be positive, got nan"),
+        (["--t-max=-inf"], "t_max must be positive, got -inf"),
         (["--epsilon", "nan"], "epsilon must be finite and positive"),
         (["--epsilon", "inf"], "epsilon must be finite and positive")])
     def test_nonfinite_setting(self, capsys, flag, message):
-        # a nan or oversized dt used to end "optimal" at h 0.357143, and
-        # epsilon nan ran to the iteration cap
+        # epsilon nan used to run to the iteration cap
         code, out, err = run(capsys, ["--example", "2"] + flag)
         assert code == 1
         assert out == ""
@@ -211,7 +208,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         [],
         ["--example", "1", "--format", "xml"],
-        ["--example", "1", "--dt", "-inf"],
+        ["--example", "1", "--t-max", "-inf"],
         ["--example", "1", "--file", "problem.txt"]])
     def test_usage_error_is_one(self, capsys, argv):
         # argparse's own code is 2, the code of an infeasible problem
@@ -228,6 +225,13 @@ class TestInputErrors:
         assert exc.value.code == 1
         assert "unrecognized arguments: --direction 1,1" in \
             capsys.readouterr().err
+
+    def test_no_dt_flag(self, capsys):
+        # every flow starts at the step neurodynamic.DT
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--example", "3", "--dt", "1"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --dt 1" in capsys.readouterr().err
 
     def test_help_is_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -25,6 +25,8 @@ FIXTURE_EXPRESSIONS = [
     "-(x1 - x2) * (x1 + x2) / 2",
     "x1 * (-2)^2",
     "(-1.5)^3 * x2",
+    "(x1^2)^3",
+    "x1^-2",
 ]
 
 COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-3, 3)
@@ -272,6 +274,11 @@ class TestParse:
     def test_round_trip(self, src):
         ast = parse_expression(src, V2)
         assert parse_expression(to_source(ast), V2) == ast
+
+    @given(EXPRESSIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_every_printed_expression_parses(self, e):
+        parse_expression(to_source(e), ["x1", "x2", "x3"])
 
 
 def _value(src, x, variables=V2):

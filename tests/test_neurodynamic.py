@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
-from svbilevel.expr import CompiledExpr, parse_expression
+from svbilevel.expr import BinOp, CompiledExpr, Const, Pow, Var, \
+    parse_expression
 from svbilevel.neurodynamic import (
     LAM_CAP, FlowConfig, FlowStatus, RowSet, TraceRecorder,
     _active_set_weights, _lstsq, _min_norm_combo, _norm, find_feasible,
@@ -39,6 +40,11 @@ def example1_region():
     return [oracle(r) for r in rows]
 
 
+def rows_of(*exprs, width=2):
+    """The RowSet of the expression rows ``exprs`` over ``width`` columns."""
+    return RowSet.of(exprs, width)
+
+
 def penalty(x, constraints):
     """S(x) = sum_i max{0, s_i(x)}, from the row values of x."""
     rows = RowSet.of(constraints, len(x))
@@ -46,21 +52,13 @@ def penalty(x, constraints):
 
 
 class TestFlowConfig:
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"dt": -1.0}, "dt and t_max must be positive"),
-        ({"t_max": 0.0}, "dt and t_max must be positive"),
-        ({"dt": np.nan}, "dt must be finite"),
-        ({"dt": np.inf, "t_max": np.inf}, "dt must be finite"),
-        ({"t_max": np.nan}, "t_max must be a number"),
-        ({"dt": 1e300}, "exceeds t_max"),
-        ({"dt": 2.0, "t_max": 1.0}, "exceeds t_max"),
-    ])
-    def test_bad_setting_rejected(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            FlowConfig(**kwargs)
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, -np.inf, np.nan])
+    def test_bad_horizon_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            FlowConfig(t_max=t_max)
 
     def test_unbounded_horizon_and_radius_accepted(self):
-        cfg = FlowConfig(dt=1.0, t_max=np.inf)
+        cfg = FlowConfig(t_max=np.inf)
         assert cfg.t_max == np.inf
 
 
@@ -539,7 +537,7 @@ class TestOneGeneratorTwoRowSelection:
 class TestSolveFlow:
     def test_qp_known_optimum(self):
         obj = oracle("x1^2 + x2^2")
-        cons = [oracle("-x1 - x2 + 1")]
+        cons = rows_of(oracle("-x1 - x2 + 1"))
         res = solve_flow(obj, cons, np.array([1.0, 0.0]), FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         np.testing.assert_allclose(res.x_final, [0.5, 0.5], atol=1e-3)
@@ -547,7 +545,7 @@ class TestSolveFlow:
 
     def test_qp_twenty_random_starts(self):
         obj = oracle("x1^2 + x2^2")
-        cons = [oracle("-x1 - x2 + 1")]
+        cons = rows_of(oracle("-x1 - x2 + 1"))
         rng = np.random.default_rng(3)
         for _ in range(20):
             x0 = rng.uniform(0.0, 3.0, 2)
@@ -559,7 +557,8 @@ class TestSolveFlow:
     def test_min_f1_over_example1(self):
         # componentwise minimum of the first lower objective over X
         obj = oracle("x1^2 + x2^2 + 0.4*x1 - 4*x2")
-        res = solve_flow(obj, example1_region(), np.array([1.0, 1.0]), FlowConfig())
+        res = solve_flow(obj, rows_of(*example1_region()), np.array([1.0, 1.0]),
+                         FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         assert res.objective_value == pytest.approx(-3.2875, abs=2e-3)
         np.testing.assert_allclose(res.x_final, [0.27244, 1.27244], atol=2e-3)
@@ -567,35 +566,38 @@ class TestSolveFlow:
     def test_nonsmooth_max_objective(self):
         # min max(x1, x2) s.t. x1 + x2 >= 1: optimum at the kink (0.5, 0.5)
         obj = oracle("max(x1, x2)")
-        cons = [oracle("-x1 - x2 + 1")]
+        cons = rows_of(oracle("-x1 - x2 + 1"))
         res = solve_flow(obj, cons, np.array([2.0, 0.3]), FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         assert res.objective_value == pytest.approx(0.5, abs=1e-3)
 
     def test_constant_objective_converges_immediately(self):
         obj = oracle("0*x1")
-        res = solve_flow(obj, example1_region(), np.array([1.0, 1.0]), FlowConfig())
+        res = solve_flow(obj, rows_of(*example1_region()), np.array([1.0, 1.0]),
+                         FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         np.testing.assert_array_equal(res.x_final, [1.0, 1.0])
         assert res.steps <= 8  # only band-tightening re-tests, no motion
 
     def test_converged_invariant(self):
         obj = oracle("x1 + x2^2")
-        res = solve_flow(obj, example1_region(), np.array([1.0, 1.0]), FlowConfig())
+        res = solve_flow(obj, rows_of(*example1_region()), np.array([1.0, 1.0]),
+                         FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         assert res.penalty_residual <= nd.FEASIBILITY_TOL
         assert res.final_velocity_norm <= nd.STATIONARITY_TOL
 
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, monkeypatch):
         obj = oracle("x1 + x2", V2)  # unbounded below, no constraints
-        cfg = FlowConfig(dt=1e3, t_max=1e9)
-        res = solve_flow(obj, [], np.array([0.0, 0.0]), cfg)
+        monkeypatch.setattr(nd, "DT", 1e3)
+        res = solve_flow(obj, rows_of(), np.array([0.0, 0.0]),
+                         FlowConfig(t_max=1e9))
         assert res.status is FlowStatus.DIVERGED
 
     def test_trace_recording(self):
         trace = TraceRecorder()
         obj = oracle("x1^2 + x2^2")
-        solve_flow(obj, [oracle("-x1 - x2 + 1")], np.array([1.0, 0.0]),
+        solve_flow(obj, rows_of(oracle("-x1 - x2 + 1")), np.array([1.0, 0.0]),
                    FlowConfig(trace=trace))
         assert trace.rows
         flow_id, t, x, r, s, speed = trace.rows[0]
@@ -604,7 +606,7 @@ class TestSolveFlow:
     def test_objective_descent_inside_feasible_region(self):
         trace = TraceRecorder()
         obj = oracle("x1^2 + x2^2 + 0.4*x1 - 4*x2")
-        solve_flow(obj, example1_region(), np.array([1.0, 1.0]),
+        solve_flow(obj, rows_of(*example1_region()), np.array([1.0, 1.0]),
                    FlowConfig(trace=trace))
         inside = [row for row in trace.rows if row[4] <= 1e-7]
         rs = [row[3] for row in inside]
@@ -618,7 +620,8 @@ class TestSolveFlow:
         v3 = ["x1", "x2", "x3"]
         obj = oracle("(x1 - 1)^2 + x2^2 + x3^2", v3)
         ball = oracle("x1^2 + x2^2 + x3^2 - 0.0625", v3)
-        res = solve_flow(obj, [ball], np.full(3, 0.14391), FlowConfig())
+        res = solve_flow(obj, rows_of(ball, width=3), np.full(3, 0.14391),
+                         FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         assert res.steps < 1000
         assert res.penalty_residual <= 1e-9
@@ -628,7 +631,7 @@ class TestSolveFlow:
         # at (1/3, 0); a flow sliding along the circle must land on it after
         # each tangent step, not crawl at the rounding noise of the branches
         obj = oracle("max((x1 - 1)^2 + x2^2, 0.25*((x1 + 1)^2 + x2^2))")
-        res = solve_flow(obj, [], np.array([1.0, 2.0]), FlowConfig())
+        res = solve_flow(obj, rows_of(), np.array([1.0, 2.0]), FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         assert res.steps < 60
         assert abs(res.objective_value - 4.0 / 9.0) <= 1e-9
@@ -650,7 +653,8 @@ class TestSolveFlow:
             return kink_step(objective, kink, x)
 
         monkeypatch.setattr(nd, "_kink_step", recorded)
-        res = solve_flow(obj, [], np.array([0.1, 0.05, 1.5]), FlowConfig())
+        res = solve_flow(obj, rows_of(width=3), np.array([0.1, 0.05, 1.5]),
+                         FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         assert 3 in sizes
         assert abs(res.objective_value - 1.0) <= 1e-9
@@ -662,7 +666,7 @@ class TestSolveFlow:
         # must leave the kink instead of being pulled back onto it
         obj = oracle("max((x1 - 2)^2 + x2^2 - 4.5, x1^2 + x2^2)")
         for x0 in ([-0.125 - 1e-5, 0.0], [-0.125, 0.3]):
-            res = solve_flow(obj, [], np.array(x0), FlowConfig())
+            res = solve_flow(obj, rows_of(), np.array(x0), FlowConfig())
             assert res.status is FlowStatus.CONVERGED
             assert res.objective_value <= 1e-9
 
@@ -675,8 +679,8 @@ class TestSolveFlow:
         x = np.array([0.3, 0.2])
         assert nd._kink_step(two, [0, 1], x) is x
         x0 = np.array([-1.0, 2.0])
-        ref = solve_flow(one, [], x0, FlowConfig())
-        res = solve_flow(two, [], x0, FlowConfig())
+        ref = solve_flow(one, rows_of(), x0, FlowConfig())
+        res = solve_flow(two, rows_of(), x0, FlowConfig())
         assert res.status is FlowStatus.CONVERGED and res.steps == ref.steps
         assert res.x_final.tobytes() == ref.x_final.tobytes()
         assert res.objective_value == ref.objective_value
@@ -685,7 +689,8 @@ class TestSolveFlow:
         # from just outside x2 <= 1 the band's gain is about 5e-8: the
         # velocity is small, but the point is infeasible, so the flow goes
         # on to the minimizer at the corner
-        res = solve_flow(oracle("x1"), [oracle("x2 - 1"), oracle("-x1 - 1")],
+        res = solve_flow(oracle("x1"), rows_of(oracle("x2 - 1"),
+                                               oracle("-x1 - 1")),
                          np.array([0.0, 1.0 + 0.9999999e-4]), FlowConfig())
         assert res.status is FlowStatus.CONVERGED and res.steps == 8
         np.testing.assert_allclose(res.x_final, [-1.0, 1.0], atol=1e-12)
@@ -705,7 +710,7 @@ class TestSolveFlow:
                 return float(x @ x) + 1.0
 
         obj = Overstated()
-        res = solve_flow(obj, [], np.array([1.0, 2.0]), FlowConfig())
+        res = solve_flow(obj, rows_of(), np.array([1.0, 2.0]), FlowConfig())
         assert res.status is FlowStatus.MAX_TIME and res.steps == 1
         assert obj.calls == 31
 
@@ -721,7 +726,7 @@ class TestSolveFlow:
             def value(self, x):
                 return float(x[0]) + 1.0
 
-        res = solve_flow(Overstated(), [oracle("-x1")],
+        res = solve_flow(Overstated(), rows_of(oracle("-x1")),
                          np.array([5e-4, 0.0]), FlowConfig())
         assert res.status is FlowStatus.CONVERGED and res.steps == 1
         assert res.final_velocity_norm == 0.0
@@ -830,7 +835,7 @@ class TestRowPolish:
         # min x1 + x2 on the unit disc from (1, 0): every selection and
         # every pull-back along the circle involves one row
         monkeypatch.setattr(np.linalg, "lstsq", _no_lstsq)
-        res = solve_flow(oracle("x1 + x2"), [oracle("x1^2 + x2^2 - 1")],
+        res = solve_flow(oracle("x1 + x2"), rows_of(oracle("x1^2 + x2^2 - 1")),
                          np.array([1.0, 0.0]), FlowConfig())
         assert res.status is FlowStatus.CONVERGED
         np.testing.assert_allclose(res.x_final, [-0.5 ** 0.5] * 2,
@@ -869,8 +874,8 @@ class TestRowPolish:
         # gains, and the flow crawled 247 steps at dt about 1e-9
         V3 = ["x1", "x2", "x3"]
         z = 0.00022698146066599256
-        rows = RowSet.of([(oracle("(x1 - 0.5)^2 + x2^2 + x3^2", V3), 3,
-                           "ball", z)], 3)
+        rows = RowSet.of([(oracle("(x1 - 0.5)^2 + x2^2 + x3^2", V3), "ball",
+                           z)], 3)
         res = solve_flow(oracle("(x1 - 1)^2 + x2^2 + x3^2 + 0.25", V3),
                          rows, np.array([0.5, 0.010529758699913348,
                                          0.010529758699913348]),
@@ -881,20 +886,13 @@ class TestRowPolish:
                    - (0.25 + (z ** 0.5 - 0.5) ** 2)) <= 1e-7
 
 
-class _Ball:
-    """The row |u - c|^2 - r2 <= 0."""
-
-    def __init__(self, c, r2):
-        self.c = np.asarray(c, dtype=float)
-        self.r2 = r2
-
-    def value(self, u):
-        d = u - self.c
-        return float(d @ d) - self.r2
-
-    def value_grad(self, u):
-        d = u - self.c
-        return float(d @ d) - self.r2, 2.0 * d
+def _ball(c, r2):
+    """The expression row |u - c|^2 - r2 <= 0 over len(c) columns."""
+    body = Const(-r2)
+    for i, ci in enumerate(c):
+        square = Pow(BinOp("-", Var(i, f"x{i + 1}"), Const(float(ci))), 2)
+        body = BinOp("+", square, body)
+    return CompiledExpr(body, len(c))
 
 
 _coord = st.floats(-3.0, 3.0)
@@ -909,8 +907,8 @@ def row_sets(draw):
     nq = draw(st.integers(0 if na else 1, 3))
     A = np.array([draw(vec) for _ in range(na)]).reshape(na, n)
     b = np.array([draw(_coord) for _ in range(na)])
-    balls = [(_Ball(draw(vec), draw(st.floats(0.1, 4.0))), None,
-              draw(_coord)) for _ in range(nq)]
+    balls = [(_ball(draw(vec), draw(st.floats(0.1, 4.0))), draw(_coord))
+             for _ in range(nq)]
     return RowSet(A, b, balls), np.array(draw(vec))
 
 
@@ -931,7 +929,7 @@ class TestCarriedPenalty:
     @settings(max_examples=40, deadline=None)
     def test_flow_reports_the_s_of_its_final_point(self, case):
         rows, x0 = case
-        objective = _Ball(np.ones(rows.n), 0.0)
+        objective = _ball(np.ones(rows.n), 0.0)
         # generated row sets drive flows toward the step cap
         with mock.patch.object(nd, "MAX_STEPS", 200):
             res = solve_flow(objective, rows, x0, FlowConfig())
@@ -941,18 +939,41 @@ class TestCarriedPenalty:
 
 def _assert_rows_match_oracles(rows: RowSet, u: np.ndarray):
     """Each nonlinear row's value and gradient at u, hex for hex, are its
-    oracle's on w = (head, u): value(w[:k]) - shift, and value_grad's
-    gradient padded with zeros to the width of w, less the head."""
+    expression's on w = (head, u): value(w[:n_vars]) - shift, and
+    value_grad's gradient padded with zeros to the width of w, less the
+    head."""
     vals = rows.values(u)
     w = np.concatenate([rows.head, u])
     h = len(rows.head)
-    for j, (c, k, shift) in enumerate(rows.nonlinear):
-        cols = w if k is None else w[:k]
+    for j, (c, shift) in enumerate(rows.nonlinear):
+        cols = w[:c.n_vars]
         i = rows.na + j
         assert float(vals[i]).hex() == float(c.value(cols) - shift).hex()
         g = c.value_grad(cols)[1]
         g = np.concatenate([g, np.zeros(len(w) - len(cols))])[h:]
         assert rows.row_grad(i, u).tobytes() == g.tobytes()
+
+
+class TestRowSetOf:
+    def test_rows_keep_their_order_labels_and_shifts(self):
+        rows = RowSet.of([(oracle("x1^2 - 1"), "disc", 0.5),
+                          (oracle("x2 - 1", ["x1", "x2", "y1"]), "cap", 2.0),
+                          oracle("-x1")], 3)
+        assert rows.labels == ("cap", "", "disc")
+        np.testing.assert_array_equal(rows.A, [[0.0, 1.0, 0.0],
+                                               [-1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(rows.b, [-3.0, 0.0])
+        # the nonlinear row reads the first two columns; its gradient is
+        # padded to the set's width
+        u = np.array([2.0, 0.0, 7.0])
+        assert rows.values(u)[2] == 2.5
+        np.testing.assert_array_equal(rows.row_grad(2, u), [4.0, 0.0, 0.0])
+
+    def test_a_root_max_row_is_rejected(self):
+        # a max row is one row per branch (``problem._rows``), and a RowSet
+        # would read only its first branch
+        with pytest.raises(TypeError, match="'m' is a root max"):
+            RowSet.of([(oracle("max(x1^2 - 1, x2^2 - 1)"), "m", 0.0)], 2)
 
 
 class TestRowsFromOneList:
@@ -993,26 +1014,24 @@ class TestRowsFromOneList:
     def test_ball_rows(self, case, h):
         rows, x = case
         # a ball over the first two columns, then a head of h of them fixed
-        ball = _Ball(x[:2] + 0.5, 1.0)
-        rows = RowSet(rows.A, rows.b, rows.nonlinear + ((ball, 2, 0.25),))
+        ball = _ball(x[:2] + 0.5, 1.0)
+        rows = RowSet(rows.A, rows.b, rows.nonlinear + ((ball, 0.25),))
         if h:
             rows = rows.fix_head(x[:h])
         _assert_rows_match_oracles(rows, x[h:] - 0.25)
 
 
-class _CountingRow:
-    """A constraint row that records each point its value is taken at."""
+def _record_values(monkeypatch, rows: RowSet, seen: list):
+    """Make each nonlinear row of ``rows`` record in ``seen`` the point, at
+    the row's own columns, where a RowSet takes its value: the row's
+    generated value function, wrapped."""
+    for c, _ in rows.nonlinear:
+        fn = c.branch_values[0]
 
-    def __init__(self, base, seen: list):
-        self.base = base
-        self.seen = seen
-
-    def value(self, x):
-        self.seen.append((id(self), np.asarray(x, dtype=float).tobytes()))
-        return self.base.value(x)
-
-    def value_grad(self, x):
-        return self.base.value_grad(x)
+        def counted(ws, c=c, fn=fn):
+            seen.append((id(c), np.array(ws[:c.n_vars]).tobytes()))
+            return fn(ws)
+        monkeypatch.setattr(c, "branch_values", [counted])
 
 
 class TestEvaluateOnce:
@@ -1024,44 +1043,29 @@ class TestEvaluateOnce:
         return len(seen) - len(set(seen))
 
     def _check(self, objective, rows, u_start, seen):
-        cfg = FlowConfig()
-        u = find_feasible(rows, u_start, cfg)
+        u = find_feasible(rows, u_start)
         assert u is not None and seen
         assert self._repeats(seen) == 0
         seen.clear()
-        res = solve_flow(objective, rows, u, cfg)
+        res = solve_flow(objective, rows, u, FlowConfig())
         assert res.steps > 1 and seen
         assert self._repeats(seen) == 0
 
-    def test_curved_row(self):
+    def test_curved_row(self, monkeypatch):
         v3 = ["x1", "x2", "x3"]
         obj = oracle("(x1 - 1)^2 + x2^2 + x3^2", v3)
-        ball = oracle("x1^2 + x2^2 + x3^2 - 0.0625", v3)
+        rows = rows_of(oracle("x1^2 + x2^2 + x3^2 - 0.0625", v3), width=3)
         seen = []
-        self._check(obj, [_CountingRow(ball, seen)], np.full(3, 0.5), seen)
+        _record_values(monkeypatch, rows, seen)
+        self._check(obj, rows, np.full(3, 0.5), seen)
 
     def test_example4_mp_stack(self, monkeypatch):
         problem = catalog.load_example(4)
         box = compute_box(problem)
         rows = stacked_mp_constraints(problem, box.M)
         u0 = np.concatenate([find_interior_start(problem), np.ones(problem.m)])
-        # a RowSet evaluates its nonlinear rows by the functions of a list
-        # of floats that ``_row_function`` resolves: record their calls at
-        # the row's own columns
         seen = []
-        resolve = nd._row_function
-
-        def recorded(oracle, k, gradient):
-            fn = resolve(oracle, k, gradient)
-            if gradient:
-                return fn
-
-            def counted(ws):
-                seen.append((id(oracle), np.array(ws[:k]).tobytes()))
-                return fn(ws)
-            return counted
-
-        monkeypatch.setattr(nd, "_row_function", recorded)
+        _record_values(monkeypatch, rows, seen)
         self._check(problem.upper, rows, u0, seen)
 
 
@@ -1079,27 +1083,27 @@ class TestNorm:
 
 class TestFindFeasible:
     def test_already_feasible_unchanged(self):
-        x = find_feasible(example1_region(), np.array([1.0, 1.0]), FlowConfig())
+        x = find_feasible(rows_of(*example1_region()), np.array([1.0, 1.0]))
         np.testing.assert_array_equal(x, [1.0, 1.0])
 
     def test_from_far_outside(self):
         region = example1_region()
-        x = find_feasible(region, np.array([5.0, 5.0]), FlowConfig())
+        x = find_feasible(rows_of(*region), np.array([5.0, 5.0]))
         assert x is not None
         for c in region:
             assert c.value(x) <= 1e-6
 
     def test_empty_system_is_infeasible(self):
-        cons = [oracle("x1 + 1", ["x1"]), oracle("-x1 + 1", ["x1"])]
-        assert find_feasible(cons, np.array([0.0]), FlowConfig()) is None
+        cons = rows_of(oracle("x1 + 1", ["x1"]), oracle("-x1 + 1", ["x1"]),
+                       width=1)
+        assert find_feasible(cons, np.array([0.0])) is None
 
     def test_penalty_monotone_along_descent(self):
         region = example1_region()
-        cfg = FlowConfig()
         x = np.array([8.0, -3.0])
         prev = penalty(x, region)
         # re-run the descent manually step by step through find_feasible's
         # contract: the returned point has no higher penalty than the start
-        out = find_feasible(region, x, cfg)
+        out = find_feasible(rows_of(*region), x)
         assert out is not None
         assert penalty(out, region) <= prev

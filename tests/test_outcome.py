@@ -336,7 +336,7 @@ class TestFalseInfeasibleVertices:
     @pytest.mark.parametrize("z,x,margin", VERTICES)
     def test_find_feasible_finds_a_point(self, ex1, z, x, margin):
         rows = stacked_mp_constraints(ex1, z)
-        u = find_feasible(rows, np.array([1.0, 1.0]), FlowConfig())
+        u = find_feasible(rows, np.array([1.0, 1.0]))
         assert u is not None
         assert rows.values(u).max() <= 1e-7
 
@@ -345,7 +345,7 @@ class TestInteriorStart:
     def test_box_point_replaces_the_interior_search(self, ex1, monkeypatch):
         config = FlowConfig()
         box = compute_box(ex1, config)
-        fresh = find_interior_start(ex1, config)
+        fresh = find_interior_start(ex1)
         assert box.x_feasible.tobytes() == fresh.tobytes()
 
         def refuse(*args):
