@@ -41,8 +41,9 @@ class SolverStatus(Enum):
 @dataclass
 class SolverConfig:
     epsilon: float = 1e-2
-    flow: nd.FlowConfig = field(default_factory=nd.FlowConfig)
     max_iterations: int = 500
+    # records every step of every flow when set
+    trace: Optional[nd.TraceRecorder] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -133,8 +134,8 @@ def _in_stack(problem: BilevelProblem, sol) -> bool:
 def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
     """Box, singleton vertex set {M}, the p lower-face upper-bound probes,
     then phi at M and the initial bounds."""
-    box = compute_box(problem, config.flow)
-    cache = PhiCache(problem, config.flow, box)
+    box = compute_box(problem, config.trace)
+    cache = PhiCache(problem, box, config.trace)
     V = VertexSet(box.m)
     top = V.add(box.M)
 
@@ -201,7 +202,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
     d_hat = _ray_direction(state.box, v)
     # prune dropped every infeasible vertex, so the selected one has an MP
     # minimizer to start its ray from
-    ray = solve_ray(problem, v, d_hat, vertex.mp.x, config.flow)
+    ray = solve_ray(problem, v, d_hat, vertex.mp.x, config.trace)
     z_k = np.array([f.value(ray.x) for f in problem.lower])
     w = np.clip(ray.w, state.box.m, v)
 

@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", metavar="PATH", help="problem file to solve")
     parser.add_argument("--epsilon", type=float, default=1e-2, metavar="E",
                         help="relative optimality tolerance (default 0.01)")
-    parser.add_argument("--t-max", type=float, default=None,
-                        help="integration horizon per flow")
     parser.add_argument("--max-iters", type=int, default=None,
                         help="branch-and-bound iteration cap")
     parser.add_argument("--format", choices=("table", "csv"), default="table",
@@ -86,18 +84,11 @@ def _load(args) -> "bnb.BilevelProblem":
 
 
 def _make_config(args, trace: Optional[nd.TraceRecorder]) -> bnb.SolverConfig:
-    flow_kwargs = {}
-    if args.t_max is not None:
-        flow_kwargs["t_max"] = args.t_max
-    if trace is not None:
-        flow_kwargs["trace"] = trace
-    kwargs = {"epsilon": args.epsilon}
+    kwargs = {"epsilon": args.epsilon, "trace": trace}
     if args.max_iters is not None:
         kwargs["max_iterations"] = args.max_iters
-    try:
-        return bnb.SolverConfig(flow=nd.FlowConfig(**flow_kwargs), **kwargs)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    # a bad setting raises ValueError, which main reports as an input error
+    return bnb.SolverConfig(**kwargs)
 
 
 def _fmt(value: float) -> str:

@@ -5,7 +5,7 @@ Grammar (whitespace insignificant)::
     expr    ::= term (('+'|'-') term)*
     term    ::= factor (('*'|'/') factor)*
     factor  ::= '-' factor | power
-    power   ::= atom ('^' '-'? integer)?
+    power   ::= atom ('^' '-'? integer)?     |exponent| <= MAX_EXPONENT
     atom    ::= number | ident | '(' expr ')'
               | 'max' '(' expr (',' expr)+ ')'
 
@@ -34,6 +34,10 @@ import numpy as np
 from .neurodynamic import band_members
 
 MAX_UNROLLED_POW = 8
+
+# The largest exponent magnitude the parser takes: a power is multiplied
+# out at each evaluation, so x^k costs k products.
+MAX_EXPONENT = 1000
 
 
 class ExprError(Exception):
@@ -184,16 +188,22 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            sign = ""
-            if self.peek()[:2] == ("op", "-"):
-                self.next()
+            kind, val, start = self.next()
+            pos, sign = start, ""
+            if kind == "op" and val == "-":
+                kind, val, pos = self.next()
                 sign = "-"
-            kind, val, pos = self.next()
             if kind != "num":
                 raise ParseError("expected integer exponent after '^'", pos)
             if any(c in val for c in ".eE"):
                 raise ParseError(f"non-integer exponent {val!r}", pos)
-            return Pow(base, int(sign + val))
+            # the length first: int() refuses a string of over 4300 digits
+            digits = val.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits) > MAX_EXPONENT):
+                raise ParseError(f"exponent magnitude above {MAX_EXPONENT}",
+                                 start)
+            return Pow(base, int(sign + digits))
         return base
 
     def atom(self) -> Expr:

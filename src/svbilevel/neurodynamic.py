@@ -50,10 +50,10 @@ expression's own generated code, a function of that list, and S adds the
 positive row values in the order ``ndarray.sum`` adds them.  The flows
 amplify a one-ulp difference, so this arithmetic is kept bit for bit that
 of the expressions and of ``ndarray.sum``.  Euler steps start at ``DT``.
-Objectives are oracles with ``value(x)`` and ``value_grad(x)``; a max-type
-nonsmooth objective also exposes ``branch_pairs(x)``, the
-``(value, gradient)`` of each branch, and the flow picks the branches
-within the band itself (``band_members``).
+Objectives are oracles with ``value(x)`` and ``branch_pairs(x)``, the
+``(value, gradient)`` of each branch: one pair for a smooth objective,
+one per branch for a max, among which the flow picks the branches within
+the band itself (``band_members``).
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ DIVERGENCE_RADIUS = 1e7
 # it stands; find_feasible gives up after this many descent steps.
 MAX_STEPS = 200_000
 
-# solve_flow's first Euler step, which a clean step doubles up to 1e4 times
-# this; find_feasible's least first trial of each descent step.
+# solve_flow's first Euler step, which each clean step doubles;
+# find_feasible's least first trial of each descent step.
 DT = 1e-2
 
 
@@ -97,16 +97,6 @@ class FlowStatus(enum.Enum):
 
 class FlowError(Exception):
     pass
-
-
-@dataclass
-class FlowConfig:
-    t_max: float = 200.0
-    trace: Optional["TraceRecorder"] = None
-
-    def __post_init__(self):
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
 
 
 @dataclass
@@ -509,12 +499,10 @@ def band_members(pairs, band: float):
 
 
 def _objective_generators(objective, x, band: float):
-    """(value, [generator, ...], [branch, ...]) at x.  An objective with
-    ``branch_pairs`` contributes the gradients of its branches within
-    ``band_members``'s band, listed by their indices."""
-    pairs_fn = getattr(objective, "branch_pairs", None)
-    pairs = pairs_fn(x) if pairs_fn is not None \
-        else [objective.value_grad(x)]
+    """(value, [generator, ...], [branch, ...]) at x: the gradients of the
+    objective's branches within ``band_members``'s band, listed by their
+    indices."""
+    pairs = objective.branch_pairs(x)
     if len(pairs) == 1:
         v, g = pairs[0]
         return v, [g], [0]
@@ -592,27 +580,27 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
     return vel, r_val, any_plus, kink, hint
 
 
-def solve_flow(objective, rows: RowSet, x0, config: FlowConfig) -> FlowResult:
+def solve_flow(objective, rows: RowSet, x0,
+               trace: Optional[TraceRecorder] = None) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
-    the time/step budget runs out.  Each point is evaluated once: the row
-    values of the current x and their S come from the start check, then
-    from the accepted trial or the polish.  Every step selects at the base
-    band CERT_BAND; a step whose 31 halvings all fail ends the flow.  The
-    terminal certification is the one place that tests 1x, 10x and 100x
-    the band, and at 1x it reuses the last step's selection when x, its
-    row values and the norms have not moved since.  The selection QP of
-    each step is warm-started from the support the flow's last one ended
-    with."""
+    the step budget ``MAX_STEPS`` runs out.  Each point is evaluated once:
+    the row values of the current x and their S come from the start check,
+    then from the accepted trial or the polish.  Every step selects at the
+    base band CERT_BAND; a step whose 31 halvings all fail ends the flow.
+    The terminal certification is the one place that tests 1x, 10x and
+    100x the band, and at 1x it reuses the last step's selection when x,
+    its row values and the norms have not moved since.  The selection QP
+    of each step is warm-started from the support the flow's last one
+    ended with.  ``trace``, when given, records every step."""
     x = np.asarray(x0, dtype=float).copy()
     norms = rows.norm_estimates()
-    trace = config.trace
     flow_id = trace.next_flow() if trace else 0
 
     vals = rows.values(x)
     s_cur = rows.total_penalty(vals)
 
     dt = DT
-    dt_max = DT * 1e4
+    # arc length, for the trace only
     t = 0.0
     hint = None
     # (x, row values, norms on entry, selection) of the last step
@@ -620,8 +608,6 @@ def solve_flow(objective, rows: RowSet, x0, config: FlowConfig) -> FlowResult:
     stalls = 0
     steps = 0
     for steps in range(1, MAX_STEPS + 1):
-        if t >= config.t_max:
-            break
         entry_norms = norms.copy()
         selection = _selected_velocity(rows, norms, objective, x, vals,
                                        CERT_BAND, hint)
@@ -637,8 +623,7 @@ def solve_flow(objective, rows: RowSet, x0, config: FlowConfig) -> FlowResult:
             break
         # explicit Euler on the unit-speed reparameterization: the gain
         # product shrinks the velocity near active constraints without
-        # changing the path, so stepping along the direction keeps the
-        # time budget meaningful as arc length
+        # changing the path, so each step moves x by its trial length
         direction = vel / vnorm
         trial = dt
         accepted = False
@@ -695,7 +680,7 @@ def solve_flow(objective, rows: RowSet, x0, config: FlowConfig) -> FlowResult:
         # adaptive step: grow on clean acceptance, follow the backtracked
         # scale otherwise
         if trial == dt:
-            dt = min(dt * 2.0, dt_max)
+            dt *= 2.0
         else:
             dt = trial * 4.0
         if _norm(x) > DIVERGENCE_RADIUS:

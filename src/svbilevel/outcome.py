@@ -68,28 +68,23 @@ def _reject_diverged(res: nd.FlowResult, what: str) -> nd.FlowResult:
     return res
 
 
-def _box_flow(objective, region, x0, config, what: str) -> nd.FlowResult:
+def _box_flow(objective, region, x0, trace, what: str) -> nd.FlowResult:
     """A box flow over X; it must converge, or [m, M] may not contain
     f(X)."""
-    res = nd.solve_flow(objective, region, x0, config)
+    res = nd.solve_flow(objective, region, x0, trace)
     if res.status is not nd.FlowStatus.CONVERGED:
-        raise OutcomeError(
-            f"{what}: flow ended {res.status.value} after {res.steps} "
-            f"steps; X may be unbounded or wider than the flow horizon "
-            f"t_max = {config.t_max:g}")
+        raise OutcomeError(f"{what}: flow ended {res.status.value} after "
+                           f"{res.steps} steps; X may be unbounded")
     return res
 
 
-def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
-                ) -> OutcomeBox:
+def compute_box(problem: BilevelProblem,
+                trace: Optional[nd.TraceRecorder] = None) -> OutcomeBox:
     """Box [m, M] containing the outcome set: m from p minimizing flows,
     M from evaluating each objective on the vertices of a simplex
     enclosing X.  This is where X is checked numerically: every one of the
     p + n + 1 flows must end converged, else ``OutcomeError`` names it,
-    since an unbounded X, or one wider than the horizon ``t_max``, leaves
-    a box that need not contain f(X)."""
-    if config is None:
-        config = nd.FlowConfig()
+    since an unbounded X leaves a box that need not contain f(X)."""
     region = problem.x_region()
     x0 = find_interior_start(problem)
     if x0 is None:
@@ -100,7 +95,7 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
     m_argmin = []
     start = x0
     for i, f in enumerate(problem.lower):
-        res = _box_flow(f, region, start, config, f"min f_{i + 1} over X")
+        res = _box_flow(f, region, start, trace, f"min f_{i + 1} over X")
         m[i] = res.objective_value
         m_argmin.append(res.x_final.copy())
         start = res.x_final
@@ -110,10 +105,10 @@ def compute_box(problem: BilevelProblem, config: Optional[nd.FlowConfig] = None
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
-        res = _box_flow(AffineRow(e, 0.0), region, x0, config,
+        res = _box_flow(AffineRow(e, 0.0), region, x0, trace,
                         f"min x_{k + 1} over X")
         delta0[k] = res.objective_value
-    res = _box_flow(AffineRow(-np.ones(n), 0.0), region, x0, config,
+    res = _box_flow(AffineRow(-np.ones(n), 0.0), region, x0, trace,
                     "max <e, x> over X")
     U = -res.objective_value
 
@@ -174,19 +169,18 @@ class RayObjective:
 
 
 def solve_ray(problem: BilevelProblem, v, d_hat, x0,
-              config: Optional[nd.FlowConfig] = None) -> RaySolution:
+              trace: Optional[nd.TraceRecorder] = None) -> RaySolution:
     """Project v along direction d_hat onto the weakly nondominated frontier
     by the scalarized pseudoconvex flow on ``RayObjective``, started at the
     point x0 of X."""
-    if config is None:
-        config = nd.FlowConfig()
     v = np.asarray(v, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
     if not (np.isfinite(d_hat).all() and (d_hat > 0.0).all()):
         raise ValueError("ray direction must be finite and strictly positive")
     region = problem.x_region()
     obj = RayObjective(problem, v, d_hat)
-    res = _reject_diverged(nd.solve_flow(obj, region, x0, config), "ray problem")
+    res = _reject_diverged(nd.solve_flow(obj, region, x0, trace),
+                           "ray problem")
     x = res.x_final
     # recompute t from the terminal point so the ray identity is exact
     t = obj.value(x)
@@ -194,17 +188,15 @@ def solve_ray(problem: BilevelProblem, v, d_hat, x0,
 
 
 def solve_mp(problem: BilevelProblem, z, u0,
-             config: Optional[nd.FlowConfig] = None) -> MpSolution:
+             trace: Optional[nd.TraceRecorder] = None) -> MpSolution:
     """phi(z) = min {h(x, y) | (x, y) in G, f(x) <= z}, searched from u0.
     Infeasible z is detected by a stalled feasibility phase."""
-    if config is None:
-        config = nd.FlowConfig()
     z = np.asarray(z, dtype=float)
     stack = stacked_mp_constraints(problem, z)
     u_feas = nd.find_feasible(stack, u0)
     if u_feas is None:
         return MpSolution(z=z, phi=math.inf, x=None, y=None, feasible=False)
-    res = _reject_diverged(nd.solve_flow(problem.upper, stack, u_feas, config),
+    res = _reject_diverged(nd.solve_flow(problem.upper, stack, u_feas, trace),
                            "MP value flow")
     u = res.x_final
     return MpSolution(z=z, phi=float(res.objective_value),
@@ -219,14 +211,14 @@ class PhiCache:
     ``start``, the box's feasible point of X with y = 1; ``misses`` counts
     the solves."""
 
-    def __init__(self, problem: BilevelProblem, config: nd.FlowConfig,
-                 box: OutcomeBox):
+    def __init__(self, problem: BilevelProblem, box: OutcomeBox,
+                 trace: Optional[nd.TraceRecorder] = None):
         self.problem = problem
-        self.config = config
+        self.trace = trace
         self.start = np.concatenate([box.x_feasible, np.ones(problem.m)])
         self.misses = 0
 
     def get(self, z, u0: Optional[np.ndarray] = None) -> MpSolution:
         self.misses += 1
         return solve_mp(self.problem, z, self.start if u0 is None else u0,
-                        self.config)
+                        self.trace)

@@ -68,8 +68,8 @@ class AffineRow:
     def value(self, u) -> float:
         return float(self.coeffs @ u + self.const)
 
-    def value_grad(self, u):
-        return self.value(u), self.coeffs.copy()
+    def branch_pairs(self, u) -> list:
+        return [(self.value(u), self.coeffs.copy())]
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def certified(report, epsilon):
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="the published target (1.25 at (1.0, 0.5)) is not weakly "
            "efficient for the stated problem data; the exact optimum is "
            "h* = 1.7920206 at (0.2637795, 1.2362205), derived in "
@@ -92,7 +92,7 @@ def test_example2_value_and_gap(report2):
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="the published target value 0.607448 is impossible for the "
            "stated problem data: h >= 1.1 on the entire feasible set, and "
            "h at the published solution point evaluates to 1.170790; the "
@@ -138,7 +138,7 @@ def test_example6_matches_its_closed_forms(report6):
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="the published boxes are not reproducible from the stated "
            "problem data: the first example's printed box does not contain "
            "the outcome set (f_1 = -3.2275 < -2.52 at (0.3, 1.25), a point "
@@ -271,10 +271,9 @@ def test_neurodynamic_unit_quadratic():
     obj = CompiledExpr(parse_expression("x1^2 + x2^2", ["x1", "x2"]), 2)
     # x1 + x2 >= 1
     rows = nd.RowSet.of([AffineRow([-1.0, -1.0], 1.0)], 2)
-    config = nd.FlowConfig()
     rng = np.random.default_rng(12345)
     for _ in range(20):
         x0 = rng.uniform(-5.0, 5.0, 2)
-        res = nd.solve_flow(obj, rows, x0, config)
+        res = nd.solve_flow(obj, rows, x0)
         assert res.status is nd.FlowStatus.CONVERGED
         assert res.x_final == pytest.approx([0.5, 0.5], abs=1e-3)

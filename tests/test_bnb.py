@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 
 from svbilevel import bnb, catalog
 from svbilevel.bnb import SolverConfig, SolverStatus
-from svbilevel.outcome import MpSolution, OutcomeError
+from svbilevel.outcome import MpSolution
 from svbilevel.problem import load_problem
 
 INFEASIBLE_TEXT = """\
@@ -60,8 +61,8 @@ bound x1 -1 2
 bound x2 -1 2
 """
 
-# X = {x1 + x2 >= 500} in [0, 1000]^2: bounded, but wider than the default
-# flow horizon t_max = 200
+# X = {x1 + x2 >= 500} in [0, 1000]^2: h* = 500 at (500, 0), and X is
+# wider than the arc length 200 at which flows used to be cut
 WIDE_TEXT = """\
 vars x 2
 upper x1 + 2*x2
@@ -102,6 +103,11 @@ class TestConfig:
         # the ray always aims from the vertex toward m
         with pytest.raises(TypeError, match="direction"):
             SolverConfig(direction=[1.0, 1.0])
+
+    def test_fields(self):
+        # the flows have no settings of their own
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "epsilon", "max_iterations", "trace"]
 
     def test_bad_iteration_cap_rejected(self):
         with pytest.raises(ValueError):
@@ -202,20 +208,20 @@ class TestSolveExamples:
 
 
 class TestRejectsInvalid:
-    """``solve`` refuses what ``validate`` marks as an error, and an X
-    whose box flows do not converge; each of these problems was reported
-    optimal with a wrong h before."""
+    """``solve`` refuses what ``validate`` marks as an error, and solves a
+    valid X it once refused; each of these problems was reported optimal
+    with a wrong h before."""
 
     def test_unbounded_region(self):
         with pytest.raises(ValueError, match="X has no constraints"):
             bnb.solve(load_problem(UNBOUNDED_TEXT))
 
     def test_region_wider_than_the_flow_horizon(self):
-        # h* = 500 and m = (0, 0); at t_max = 200 the box flow of min f_1
-        # stopped short, and the solve reported h 563.44 with m (236, 250)
-        with pytest.raises(OutcomeError, match=r"^min f_1 over X: flow "
-                                               r"ended MaxTime"):
-            bnb.solve(load_problem(WIDE_TEXT))
+        # flows used to stop at arc length 200: this X was refused, and
+        # before the box flows had to converge it was reported with h 563.44
+        report = bnb.solve(load_problem(WIDE_TEXT))
+        assert report.status is SolverStatus.OPTIMAL
+        assert abs(report.incumbent.h - 500.0) <= 1e-2 * (1.0 + 500.0)
 
     def test_scalar_lower_level(self):
         with pytest.raises(ValueError, match=r"vectorial \(p >= 2\)"):

@@ -91,7 +91,7 @@ def test_within_epsilon_of_h_star_at_the_acceptance_epsilon(number):
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="the solver ends at h 1.7925245 with beta 1.7924984 above h*: "
            "find_feasible reports three feasible MP(z) of example 1 "
            "infeasible, so their vertices are dropped")
@@ -103,7 +103,7 @@ def test_example1_within_epsilon_of_h_star():
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="the solver ends at h 0.3232387, 2.1e-4 below h*: the face "
            "probe's incumbent (1, 1.8249243) sits 4.4e-6 above m_2 and is "
            "strictly dominated, outside epsilon (1 + |h*|) = 1.3e-4")
@@ -114,14 +114,15 @@ def test_example2_within_epsilon_of_h_star_at_1e_4():
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="MP and ray flows that end MaxTime still feed the bounds: at "
-           "t_max 2 one MP flow and one ray flow of example 1 stop at the "
-           "horizon, and the solve reports optimal with beta 1.7924765 "
-           "above h*")
-def test_a_short_horizon_does_not_certify_example1():
+           "MAX_STEPS 10 the box flows converge, 8 MP and ray flows of "
+           "example 1 stop at the cap, and the solve reports optimal with "
+           "h = beta = 1.8919018, 0.1 above h*")
+def test_a_step_cap_short_of_convergence_does_not_certify_example1(
+        monkeypatch):
+    monkeypatch.setattr(nd, "MAX_STEPS", 10)
     report = bnb.solve(catalog.load_example(1),
-                       bnb.SolverConfig(epsilon=1e-5,
-                                        flow=nd.FlowConfig(t_max=2.0)))
+                       bnb.SolverConfig(epsilon=1e-5))
     assert (report.status is not bnb.SolverStatus.OPTIMAL
             or report.beta <= H1 + 1e-9)

@@ -245,6 +245,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expression("   ", V2)
 
+    def test_exponent_at_the_limit(self):
+        assert parse_expression("x1^1000", V2) == Pow(Var(0, "x1"), 1000)
+        assert parse_expression("x1^-1000", V2) == Pow(Var(0, "x1"), -1000)
+
+    # a power is multiplied out at each evaluation: 2^100000000000000 hung
+    # the loader, and 5,000 digits raised int()'s own ValueError
+    @pytest.mark.parametrize("exponent", ["1001", "-1001", "9" * 5000],
+                             ids=["1001", "-1001", "5000-digits"])
+    def test_exponent_above_the_limit(self, exponent):
+        with pytest.raises(ParseError, match=r"^exponent magnitude above "
+                                             r"1000 \(at position 3\)$"):
+            parse_expression(f"x1^{exponent}", V2)
+
     @pytest.mark.parametrize("src, pos", [
         ("min(x1, x2)", 0), ("x1 + min(x1, x2)", 5), ("max(x1, min(x2, 1))", 8)])
     def test_min_is_rejected_where_it_is_written(self, src, pos):

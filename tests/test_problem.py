@@ -87,6 +87,17 @@ class TestLoad:
                            match=rf"^line 7: .*root.*\(at position {pos}\)$"):
             load_problem(MINI + f"lower {src}\n")
 
+    @pytest.mark.parametrize("src, pos", [
+        ("lower x1^1001", 3), ("lower x1^-1001", 3),
+        ("lower x1^" + "9" * 5000, 3),
+        ("constraint_x x1 + x2 - 2^100000000000000", 12)],
+        ids=["1001", "-1001", "5000-digits", "1e14"])
+    def test_exponent_above_the_limit_fails_at_load(self, src, pos):
+        with pytest.raises(ProblemFormatError,
+                           match=rf"^line 7: exponent magnitude above 1000 "
+                                 rf"\(at position {pos}\)$"):
+            load_problem(MINI + src + "\n")
+
     def test_min_fails_at_load(self):
         with pytest.raises(ProblemFormatError,
                            match=r"^line 7: min is not supported: .*"
@@ -108,10 +119,11 @@ class TestValidate:
         assert validate(prob) == ["lower level must be vectorial (p >= 2)"]
 
     def test_unbounded_region_flagged(self):
-        # X = {x1 <= 0}: the box flow of min f_1 runs off to the horizon
+        # X = {x1 <= 0}: the box flow of min f_1 runs off past
+        # DIVERGENCE_RADIUS
         prob = load_problem("vars x 1\nupper x1\nlower x1\nlower x1 + 1\nconstraint_x x1 - 0\n")
         with pytest.raises(OutcomeError, match=r"^min f_1 over X: flow ended "
-                                               r"MaxTime .*unbounded"):
+                                               r"Diverged .*unbounded$"):
             bnb.solve(prob)
 
     def test_starts_no_flow(self, monkeypatch):

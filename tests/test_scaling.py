@@ -81,7 +81,7 @@ def test_within_epsilon_of_h_star(case):
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="ROADMAP items 11 and 15: find_feasible calls two feasible "
            "MP(z) infeasible, their vertices are dropped, and the solve "
            "reports optimal at h 0.393 above h*, where 0.0279 is allowed")
@@ -90,7 +90,7 @@ def test_example4_with_f_times_100():
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="ROADMAP items 11 and 15: the solve ends optimal with beta = h "
            "2.55e-3 above h*, where 2.79e-5 is allowed")
 def test_example1_with_x_times_0_1_at_1e_5():
