@@ -1,13 +1,14 @@
 """Branch-and-bound driver over the outcome space.
 
 The driver maintains an inner copolyblock approximation of the weakly
-nondominated outcome set.  Each iteration evaluates the monotone value
-function phi at the pending vertices, takes the least value as the lower
-bound beta, projects the argmin vertex v onto the frontier along the ray
-from v toward the box's lower corner m, tries to lift the projected point
-to a feasible upper-level pair for the incumbent, and cuts the vertex with
-the projection.  The loop stops when alpha - beta <= epsilon * (1 + |beta|),
-when the vertex set empties, or at the iteration cap.
+nondominated outcome set, a list of vertices in the order they were made.
+Each iteration evaluates the monotone value function phi at the vertices
+not yet evaluated, takes the least value as the lower bound beta,
+projects the argmin vertex v onto the frontier along the ray from v
+toward the box's lower corner m, tries to lift the projected point to a
+feasible upper-level pair for the incumbent, and cuts the vertex with the
+projection.  The loop stops when alpha - beta <= epsilon * (1 + |beta|),
+when the vertex list empties, or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from typing import Optional
 import numpy as np
 
 from . import neurodynamic as nd
-from .copolyblock import VertexSet, cut, prune, select_min_phi
+from .copolyblock import COORD_TOL, Vertex, cut, prune, select_min_phi
 from .outcome import OutcomeBox, PhiCache, compute_box, solve_ray
 from .problem import BilevelProblem, stacked_mp_constraints, validate
 
-# Outcomes within BOUNDARY_TOL of a lower face z_i = m_i are the face probes'
-# to cover; a ray point w within W_MATCH_TOL of its f(x) is an outcome.
-BOUNDARY_TOL = 1e-9
+# A ray point w within W_MATCH_TOL of its f(x) is an outcome.
 W_MATCH_TOL = 1e-4
 
 
@@ -75,7 +74,7 @@ class IterationRow:
 @dataclass
 class SolverState:
     box: OutcomeBox
-    V: VertexSet
+    V: list[Vertex]
     cache: PhiCache
     alpha: float
     beta: float
@@ -108,16 +107,17 @@ def _ray_direction(box: OutcomeBox, v: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_pending(state: SolverState, problem: BilevelProblem) -> None:
-    """Fill phi for pending vertices; drop infeasible vertices and vertices
-    whose minimizer sits on the lower boundary of the box (those outcomes
-    are covered by the initialization subproblems)."""
-    for v in state.V.pending():
+    """Fill phi at the vertices not yet evaluated; drop infeasible vertices
+    and vertices whose minimizer sits within ``COORD_TOL`` of a lower face
+    of the box (those outcomes are covered by the initialization
+    subproblems)."""
+    for v in [v for v in state.V if v.mp is None]:
         sol = state.cache.get(v.z)
         v.mp = sol
         if not sol.feasible:
             continue
         for i, f in enumerate(problem.lower):
-            if abs(f.value(sol.x) - state.box.m[i]) <= BOUNDARY_TOL:
+            if abs(f.value(sol.x) - state.box.m[i]) <= COORD_TOL:
                 state.V.remove(v)
                 break
     prune(state.V)
@@ -132,12 +132,12 @@ def _in_stack(problem: BilevelProblem, sol) -> bool:
 
 
 def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
-    """Box, singleton vertex set {M}, the p lower-face upper-bound probes,
+    """Box, the one-vertex list [M], the p lower-face upper-bound probes,
     then phi at M and the initial bounds."""
     box = compute_box(problem, config.trace)
     cache = PhiCache(problem, box, config.trace)
-    V = VertexSet(box.m)
-    top = V.add(box.M)
+    top = Vertex(box.M)
+    V = [top]
 
     alpha = math.inf
     incumbent = None
@@ -182,7 +182,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
         return state
     state.k += 1
     _evaluate_pending(state, problem)
-    if len(state.V) == 0:
+    if not state.V:
         if state.incumbent is not None:
             state.beta = state.alpha
             state.status = SolverStatus.OPTIMAL
@@ -211,7 +211,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
     update = False
     y_k = None
     if (np.max(np.abs(ray.w - z_k)) <= W_MATCH_TOL
-            and np.all(ray.w > state.box.m + BOUNDARY_TOL)):
+            and np.all(ray.w > state.box.m + COORD_TOL)):
         y_k = find_feasible_y(problem, ray.x)
         update = y_k is not None
     if update:
@@ -225,7 +225,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
     if state.alpha - state.beta <= config.epsilon * (1.0 + abs(state.beta)):
         state.status = SolverStatus.OPTIMAL
     else:
-        cut(state.V, vertex, w)
+        cut(state.V, vertex, w, state.box.m)
         prune(state.V)
 
     state.log.append(IterationRow(k=state.k, v=v.copy(), alpha=state.alpha,

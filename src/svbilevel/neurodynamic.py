@@ -17,8 +17,8 @@ whose velocity is about 0, its weights can differ from the cold loop's and
 its velocity only by rounding.  When neither is kept the cold loop runs as
 it would without the hint.  The QPs, the polish and the kink step take
 their products as ``ndarray.dot``, the BLAS calls of ``@`` on the same
-operands with less dispatch, and their least squares through ``_lstsq``,
-the LAPACK solve of ``np.linalg.lstsq``.
+operands with less dispatch, and their least squares with
+``np.linalg.lstsq``.
 A sliding trial point whose S exceeds ZERO_BAND is pulled back
 by a Gauss-Newton polish that lands at S <= ZERO_BAND.  A single violated
 row, the usual case, is pulled back in closed form, and a curved row is
@@ -91,7 +91,7 @@ DT = 1e-2
 
 class FlowStatus(enum.Enum):
     CONVERGED = "Converged"
-    MAX_TIME = "MaxTime"
+    UNCONVERGED = "Unconverged"
     DIVERGED = "Diverged"
 
 
@@ -469,23 +469,10 @@ def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
         rhs = np.empty(f + 1)
         rhs[:f] = -2.0 * Mf.dot(r0)
         rhs[f] = 1.0
-        w[free] = _lstsq(kkt, rhs)[:-1]
+        w[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
     elif len(Mf):
-        w[free] = _lstsq(Mf.T, -r0)
+        w[free] = np.linalg.lstsq(Mf.T, -r0, rcond=None)[0]
     return w
-
-
-_EPS = float(np.finfo(float).eps)
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(a, b, rcond=None)[0]`` bit for bit, for a 2-D a
-    with at least one row and a 1-D b: the same LAPACK solve, with numpy's
-    default cutoff eps * max(m, n) passed in and b as one column.
-    ``np.linalg.lstsq`` is looked up at each call, so that a patched one
-    sees every solve."""
-    m, n = a.shape
-    return np.linalg.lstsq(a, b[:, None], rcond=_EPS * max(m, n))[0][:, 0]
 
 
 def band_members(pairs, band: float):
@@ -525,7 +512,7 @@ def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
         return x - ((ra - rb) / den) * d if den > 0.0 else x
     D = np.array([pairs[j][1] - ga for j in kink[1:]])
     e = np.array([pairs[j][0] - ra for j in kink[1:]])
-    return x - _lstsq(D, e)
+    return x - np.linalg.lstsq(D, e, rcond=None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +693,7 @@ def solve_flow(objective, rows: RowSet, x0,
     if vnorm <= STATIONARITY_TOL and s_cur <= FEASIBILITY_TOL:
         status = FlowStatus.CONVERGED
     else:
-        status = FlowStatus.MAX_TIME
+        status = FlowStatus.UNCONVERGED
     return FlowResult(x, float(r_final), s_cur, status, steps, vnorm)
 
 
@@ -752,7 +739,7 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
                 G = np.array([stack.row_grad(i, x, norms) for i in rows])
                 if float((G * G).sum()) <= 1e-24:
                     return x, vals, s
-                full = _lstsq(G, vals[rows])
+                full = np.linalg.lstsq(G, vals[rows], rcond=None)[0]
             delta = full
             pushed = None
             for _ in range(8):

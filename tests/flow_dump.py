@@ -3,10 +3,15 @@
 Each ``neurodynamic.solve_flow`` call prints its status, its step count and
 the hex of the bytes of its final point and objective value; each
 ``neurodynamic.find_feasible`` call prints the hex of the point it returns,
-or ``none``.  Two checkouts whose dumps are equal ran the same flows to the
-same bits.  The solves are examples 1 to 6 at the epsilons of
-``test_acceptance.py`` (example 1 at 1e-5), example 2 at 1e-4, and
-``ball3``, example 5 in 3 variables.
+or ``none``.  After each solve, one line per iteration prints k and the hex
+of the selected vertex, alpha and beta, and a last line the hex of the
+incumbent's x, y and h, or ``none``.  Two checkouts whose dumps are equal
+ran the same flows and the same outer loop to the same bits.  The solves
+are examples 1 to 6 at the epsilons of ``test_acceptance.py`` (example 1
+at 1e-5), example 2 at 1e-4, ``ball3``, example 5 in 3 variables, and
+``tri3``, three lower objectives in 3 variables, at 1e-2 for 60
+iterations: the one case whose cuts make children that ``prune`` drops
+before phi is evaluated at them.
 
     python tests/flow_dump.py > dump.txt
 
@@ -36,11 +41,23 @@ bound x2 -1 2
 bound x3 -1 2
 """
 
-# (name, problem text, epsilon)
-CASES = [(f"ex{k}", catalog.example_text(k), 1e-5 if k == 1 else 1e-2)
+TRI3 = """\
+vars x 3
+upper (x1 - 1)^2 + (x2 - 1)^2 + x3^2 + 0.25
+lower x1^2 + x2^2 + x3^2
+lower (x1 - 0.5)^2 + x2^2 + x3^2
+lower x1^2 + (x2 - 0.5)^2 + x3^2
+bound x1 -1 2
+bound x2 -1 2
+bound x3 -1 2
+"""
+
+# (name, problem text, epsilon, iteration cap)
+CASES = [(f"ex{k}", catalog.example_text(k), 1e-5 if k == 1 else 1e-2, 500)
          for k in range(1, 7)]
-CASES += [("ex2-deep", catalog.example_text(2), 1e-4),
-          ("ball3", BALL3, 1e-2)]
+CASES += [("ex2-deep", catalog.example_text(2), 1e-4, 500),
+          ("ball3", BALL3, 1e-2, 500),
+          ("tri3", TRI3, 1e-2, 60)]
 
 
 def _hex(values) -> str:
@@ -64,8 +81,15 @@ def main() -> None:
 
     nd.solve_flow, nd.find_feasible = dumped_flow, dumped_feasible
     try:
-        for name, text, epsilon in CASES:
-            bnb.solve(load_problem(text), bnb.SolverConfig(epsilon=epsilon))
+        for name, text, epsilon, cap in CASES:
+            report = bnb.solve(load_problem(text), bnb.SolverConfig(
+                epsilon=epsilon, max_iterations=cap))
+            for row in report.log:
+                print(name, "iteration", row.k, _hex(row.v), _hex(row.alpha),
+                      _hex(row.beta))
+            inc = report.incumbent
+            print(name, "incumbent", "none" if inc is None else
+                  " ".join(_hex(a) for a in (inc.x, inc.y, inc.h)))
     finally:
         nd.solve_flow, nd.find_feasible = solve_flow, find_feasible
 

@@ -10,7 +10,7 @@ import pytest
 
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
-from svbilevel.copolyblock import VertexSet, cut
+from svbilevel.copolyblock import Vertex, cut
 from svbilevel.expr import CompiledExpr, parse_expression
 from svbilevel.outcome import solve_ray
 from svbilevel.problem import AffineRow, load_problem
@@ -169,13 +169,13 @@ class TestProperties:
             p = int(rng.integers(2, 6))
             m = rng.uniform(-1.0, 0.0, p)
             M = rng.uniform(1.0, 2.0, p)
-            vset = VertexSet(m)
-            parent = vset.add(rng.uniform(0.5, 1.0, p) * (M - m) + m)
+            parent = Vertex(rng.uniform(0.5, 1.0, p) * (M - m) + m)
+            V = [parent]
             z = parent.z.copy()
             w = rng.uniform(m, z)
-            cut(vset, parent, w)
-            assert len(vset) <= p
-            for child in vset.vertices:
+            cut(V, parent, w, m)
+            assert len(V) <= p
+            for child in V:
                 assert np.all(child.z <= z + 1e-12)
                 assert np.sum(~np.isclose(child.z, z)) == 1
 

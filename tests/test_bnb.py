@@ -137,7 +137,7 @@ class TestInitialize:
     def test_starts_with_top_vertex_only(self):
         state = bnb.initialize(catalog.load_example(1), SolverConfig())
         assert len(state.V) == 1
-        assert np.allclose(state.V.vertices[0].z, state.box.M)
+        assert np.allclose(state.V[0].z, state.box.M)
 
     def test_bounds_ordered(self):
         state = bnb.initialize(catalog.load_example(1), SolverConfig())

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svbilevel.copolyblock import (
-    COORD_TOL, Vertex, VertexSet, cut, prune, select_min_phi,
+    COORD_TOL, Vertex, cut, prune, select_min_phi,
 )
 from svbilevel.outcome import MpSolution
 
@@ -13,143 +13,140 @@ def evaluated(v, phi):
     v.mp = MpSolution(z=v.z, phi=phi, x=None, y=None, feasible=True)
 
 
-def zs(vset):
-    return sorted(tuple(v.z) for v in vset.vertices)
+def vertices(*points):
+    """A vertex list in creation order, one vertex per point."""
+    return [Vertex(np.array(z, dtype=float)) for z in points]
 
 
-class TestVertexSet:
-    def test_ids_are_monotone(self):
-        vs = VertexSet([0, 0])
-        a = vs.add([1.0, 1.0])
-        b = vs.add([0.5, 1.0])
-        assert (a.id, b.id) == (0, 1)
+def zs(V):
+    return sorted(tuple(v.z) for v in V)
 
-    def test_duplicate_suppressed(self):
-        vs = VertexSet([0, 0])
-        vs.add([0.5, 0.5])
-        assert vs.add([0.5, 0.5 + 1e-10]) is None
-        assert len(vs) == 1
 
-    def test_pending_tracks_phi(self):
-        vs = VertexSet([0, 0])
-        a = vs.add([1.0, 1.0])
-        vs.add([0.5, 1.0])
-        evaluated(a, 2.0)
-        assert [v.id for v in vs.pending()] == [1]
+M0 = np.zeros(2)
 
 
 class TestCut:
     def test_two_children(self):
-        vs = VertexSet([0, 0])
-        v = vs.add([1.0, 1.0])
-        cut(vs, v, [0.3, 0.4])
-        assert zs(vs) == [(0.3, 1.0), (1.0, 0.4)]
+        V = vertices([1.0, 1.0])
+        cut(V, V[0], [0.3, 0.4], M0)
+        assert zs(V) == [(0.3, 1.0), (1.0, 0.4)]
 
     def test_lower_face_child_filtered(self):
-        vs = VertexSet([0, 0])
-        v = vs.add([1.0, 1.0])
-        cut(vs, v, [0.0, 0.4])
-        assert zs(vs) == [(1.0, 0.4)]
+        V = vertices([1.0, 1.0])
+        cut(V, V[0], [0.0, 0.4], M0)
+        assert zs(V) == [(1.0, 0.4)]
 
     def test_three_dimensional_children(self):
-        vs = VertexSet([0, 0, 0])
-        v = vs.add([1.0, 1.0, 1.0])
-        cut(vs, v, [0.5, 0.5, 0.5])
-        assert len(vs) == 3
-        for child in vs.vertices:
+        V = vertices([1.0, 1.0, 1.0])
+        cut(V, V[0], [0.5, 0.5, 0.5], np.zeros(3))
+        assert len(V) == 3
+        for child in V:
             diffs = np.isclose(child.z, [1, 1, 1])
             assert diffs.sum() == 2
 
     def test_children_nest_below_parent(self):
-        vs = VertexSet([0, 0])
-        v = vs.add([1.5, 1.8])
-        parent = v.z.copy()
-        cut(vs, v, [0.6, 0.9])
-        for child in vs.vertices:
+        V = vertices([1.5, 1.8])
+        parent = V[0].z.copy()
+        cut(V, V[0], [0.6, 0.9], M0)
+        for child in V:
             assert np.all(child.z <= parent + 1e-12)
             assert np.sum(~np.isclose(child.z, parent)) == 1
 
+    def test_children_follow_creation_order(self):
+        # the children go after every older vertex, child i in place i
+        V = vertices([1.0, 1.0], [0.9, 0.2])
+        older = V[1]
+        cut(V, V[0], [0.3, 0.4], M0)
+        assert V[0] is older
+        assert [tuple(v.z) for v in V[1:]] == [(0.3, 1.0), (1.0, 0.4)]
+        assert all(v.mp is None for v in V[1:])
+
     def test_cardinality_bound(self):
-        vs = VertexSet([0, 0])
-        v = vs.add([1.0, 1.0])
-        vs.add([0.9, 0.2])
-        before = len(vs)
-        cut(vs, v, [0.3, 0.4])
-        assert len(vs) <= before - 1 + 2
+        V = vertices([1.0, 1.0], [0.9, 0.2])
+        before = len(V)
+        cut(V, V[0], [0.3, 0.4], M0)
+        assert len(V) <= before - 1 + 2
 
     def test_vertex_not_in_set(self):
-        vs = VertexSet([0, 0])
-        v = vs.add([1.0, 1.0])
-        other = VertexSet([0, 0])
-        w = other.add([1.0, 1.0])
+        V = vertices([1.0, 1.0])
+        other = vertices([1.0, 1.0])
         with pytest.raises(ValueError):
-            cut(vs, w, [0.3, 0.4])
+            cut(V, other[0], [0.3, 0.4], M0)
 
     def test_w_above_v_rejected(self):
-        vs = VertexSet([0, 0])
-        v = vs.add([0.5, 0.5])
+        V = vertices([0.5, 0.5])
         with pytest.raises(ValueError):
-            cut(vs, v, [0.6, 0.4])
+            cut(V, V[0], [0.6, 0.4], M0)
 
 
 class TestPrune:
     def test_dominated_removed(self):
-        vs = VertexSet([0, 0])
-        vs.add([1.0, 1.0])
-        vs.add([0.5, 0.5])
-        prune(vs)
+        V = vertices([1.0, 1.0], [0.5, 0.5])
+        prune(V)
         # [m, (0.5, 0.5)] lies inside [m, (1, 1)]
-        assert zs(vs) == [(1.0, 1.0)]
+        assert zs(V) == [(1.0, 1.0)]
 
     def test_incomparable_unchanged(self):
-        vs = VertexSet([0, 0])
-        vs.add([1.0, 0.2])
-        vs.add([0.2, 1.0])
-        prune(vs)
-        assert len(vs) == 2
+        V = vertices([1.0, 0.2], [0.2, 1.0])
+        prune(V)
+        assert len(V) == 2
 
     def test_common_lower_bound_dropped(self):
-        vs = VertexSet([0, 0])
-        vs.add([1.0, 2.0])
-        vs.add([2.0, 1.0])
-        vs.add([1.0, 1.0])
-        prune(vs)
-        assert zs(vs) == [(1.0, 2.0), (2.0, 1.0)]
+        V = vertices([1.0, 2.0], [2.0, 1.0], [1.0, 1.0])
+        prune(V)
+        assert zs(V) == [(1.0, 2.0), (2.0, 1.0)]
 
     def test_infeasible_mp_removed(self):
-        vs = VertexSet([0, 0])
-        a = vs.add([1.0, 0.2])
-        vs.add([0.2, 1.0])
-        a.mp = MpSolution(z=a.z, phi=float("inf"), x=None, y=None,
-                          feasible=False)
-        prune(vs)
-        assert zs(vs) == [(0.2, 1.0)]
+        V = vertices([1.0, 0.2], [0.2, 1.0])
+        V[0].mp = MpSolution(z=V[0].z, phi=float("inf"), x=None, y=None,
+                             feasible=False)
+        prune(V)
+        assert zs(V) == [(0.2, 1.0)]
+
+    def test_prune_drops_a_vertex_equal_to_an_earlier_one(self):
+        # equal within COORD_TOL in every coordinate: the earlier vertex,
+        # the one that may already carry phi, is kept
+        V = vertices([0.5, 0.5], [1.0, 0.2], [0.5, 0.5 + 1e-10])
+        first = V[0]
+        prune(V)
+        assert len(V) == 2 and V[0] is first
+
+    def test_a_cut_child_equal_to_an_evaluated_vertex_is_not_kept(self):
+        # the child (0.3, 1) is the older vertex, whose phi is known: the
+        # child goes, so no phi is solved twice at one z
+        V = vertices([1.0, 1.0], [0.3, 1.0])
+        older = V[1]
+        evaluated(older, 0.5)
+        cut(V, V[0], [0.3, 0.4], M0)
+        prune(V)
+        assert V[0] is older
+        assert [tuple(v.z) for v in V if v.mp is None] == [(1.0, 0.4)]
 
     def test_idempotent(self):
-        vs = VertexSet([0, 0])
-        for z in ([1, 2], [2, 1], [1, 1], [0.5, 2.5]):
-            vs.add(z)
-        prune(vs)
-        once = zs(vs)
-        prune(vs)
-        assert zs(vs) == once
+        V = vertices([1, 2], [2, 1], [1, 1], [0.5, 2.5], [1, 1])
+        prune(V)
+        once = list(V)
+        prune(V)
+        assert V == once
 
 
 def _pairwise_prune(verts):
-    """Survivors of ``prune`` by the pairwise loop it replaced."""
+    """Survivors of ``prune`` by a loop over pairs: a vertex goes if it is
+    infeasible, below another vertex, or equal to an earlier one."""
     keep = []
-    for v in verts:
+    for i, v in enumerate(verts):
         if v.mp is not None and not v.mp.feasible:
             continue
-        dominated = False
-        for u in verts:
+        dropped = False
+        for k, u in enumerate(verts):
             if u is v:
                 continue
             diff = u.z - v.z
-            if np.all(diff >= -COORD_TOL) and np.any(diff > COORD_TOL):
-                dominated = True
+            if np.all(diff >= -COORD_TOL) and (np.any(diff > COORD_TOL)
+                                               or k < i):
+                dropped = True
                 break
-        if not dominated:
+        if not dropped:
             keep.append(v)
     return keep
 
@@ -167,22 +164,21 @@ class TestPruneMatchesPairwise:
         p = data.draw(st.sampled_from([2, 3, 4]))
         points = data.draw(st.lists(
             st.lists(PRUNE_COORDS, min_size=p, max_size=p), max_size=12))
-        # duplicates on purpose: ``add`` would suppress them
+        # duplicates on purpose: only the first of them survives
         if points:
             points += data.draw(st.lists(st.sampled_from(points), max_size=3))
         verts = []
-        for i, z in enumerate(points):
-            v = Vertex(z=np.array(z), id=i)
+        for z in points:
+            v = Vertex(z=np.array(z))
             feasible = data.draw(st.sampled_from([None, True, False]))
             if feasible is not None:
                 v.mp = MpSolution(z=v.z, phi=0.0, x=None, y=None,
                                   feasible=feasible)
             verts.append(v)
         expected = _pairwise_prune(verts)
-        vs = VertexSet(np.zeros(p))
-        vs.vertices = list(verts)
-        prune(vs)
-        assert [v.id for v in vs.vertices] == [v.id for v in expected]
+        V = list(verts)
+        prune(V)
+        assert [id(v) for v in V] == [id(v) for v in expected]
 
 
 SLOPES = st.sampled_from([0.0, -0.25, -0.5, -1.0, -2.0, -4.0])
@@ -231,22 +227,20 @@ class TestCoverInvariant:
         knots, values = frontier
         m = np.array([knots[0], values[-1]])
         M = np.array([knots[-1], values[0]])
-        vs = VertexSet(m)
-        vs.add(M)
+        V = [Vertex(M)]
         z1 = np.concatenate([np.linspace(m[0], M[0], 301), knots])
         points = np.column_stack([z1, np.interp(z1, knots, values)])
         points = points[(points > m + 1e-6).all(axis=1)]
         for _ in range(12):
-            if not len(vs):
+            if not V:
                 break
-            vertex = vs.vertices[data.draw(
-                st.integers(0, len(vs) - 1), label="vertex")]
+            vertex = V[data.draw(st.integers(0, len(V) - 1), label="vertex")]
             # the driver's adaptive direction: from the vertex toward m
             d = np.maximum(vertex.z - m, 1e-6 * (M - m))
             w = np.clip(ray_exit(knots, values, vertex.z, d), m, vertex.z)
-            cut(vs, vertex, w)
-            prune(vs)
-            Z = np.array([v.z for v in vs.vertices]).reshape(-1, 2)
+            cut(V, vertex, w, m)
+            prune(V)
+            Z = np.array([v.z for v in V]).reshape(-1, 2)
             covered = (points[:, None, :] <= Z[None, :, :] + 1e-9).all(
                 axis=2).any(axis=1)
             assert covered.all(), points[~covered][0]
@@ -254,37 +248,31 @@ class TestCoverInvariant:
 
 class TestSelectMinPhi:
     def test_single_vertex(self):
-        vs = VertexSet([0, 0])
-        v = vs.add([2.0, 2.0])
-        evaluated(v, 1.25)
-        best, beta = select_min_phi(vs)
-        assert best is v and beta == 1.25
+        V = vertices([2.0, 2.0])
+        evaluated(V[0], 1.25)
+        best, beta = select_min_phi(V)
+        assert best is V[0] and beta == 1.25
 
     def test_minimum_wins(self):
-        vs = VertexSet([0, 0])
-        a = vs.add([1.0, 0.2])
-        b = vs.add([0.2, 1.0])
-        evaluated(a, 0.7)
-        evaluated(b, 0.3)
-        best, beta = select_min_phi(vs)
-        assert best is b and beta == 0.3
+        V = vertices([1.0, 0.2], [0.2, 1.0])
+        evaluated(V[0], 0.7)
+        evaluated(V[1], 0.3)
+        best, beta = select_min_phi(V)
+        assert best is V[1] and beta == 0.3
 
-    def test_tie_breaks_to_lower_id(self):
-        vs = VertexSet([0, 0])
-        a = vs.add([1.0, 0.2])
-        b = vs.add([0.2, 1.0])
-        evaluated(a, 0.5)
-        evaluated(b, 0.5)
-        best, _ = select_min_phi(vs)
-        assert best is a
+    def test_tie_breaks_to_the_earliest_vertex(self):
+        V = vertices([1.0, 0.2], [0.2, 1.0], [0.5, 0.5])
+        for v, phi in zip(V, (0.6, 0.5, 0.5)):
+            evaluated(v, phi)
+        best, _ = select_min_phi(V)
+        assert best is V[1]
 
     def test_empty_set_raises(self):
-        vs = VertexSet([0, 0])
         with pytest.raises(ValueError):
-            select_min_phi(vs)
+            select_min_phi([])
 
     def test_unevaluated_vertex_raises(self):
-        vs = VertexSet([0, 0])
-        vs.add([1.0, 1.0])
+        V = vertices([1.0, 1.0], [0.2, 1.5])
+        evaluated(V[0], 0.5)
         with pytest.raises(ValueError):
-            select_min_phi(vs)
+            select_min_phi(V)

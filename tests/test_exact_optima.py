@@ -115,8 +115,8 @@ def test_example2_within_epsilon_of_h_star_at_1e_4():
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="MP and ray flows that end MaxTime still feed the bounds: at "
-           "MAX_STEPS 10 the box flows converge, 8 MP and ray flows of "
+    reason="MP and ray flows that end Unconverged still feed the bounds: "
+           "at MAX_STEPS 10 the box flows converge, 8 MP and ray flows of "
            "example 1 stop at the cap, and the solve reports optimal with "
            "h = beta = 1.8919018, 0.1 above h*")
 def test_a_step_cap_short_of_convergence_does_not_certify_example1(

@@ -11,8 +11,8 @@ from svbilevel.expr import BinOp, CompiledExpr, Const, Pow, Var, \
     parse_expression
 from svbilevel.neurodynamic import (
     LAM_CAP, FlowStatus, RowSet, TraceRecorder,
-    _active_set_weights, _lstsq, _min_norm_combo, _norm, find_feasible,
-    solve_flow,
+    _active_set_weights, _free_least_squares, _min_norm_combo, _norm,
+    find_feasible, solve_flow,
 )
 from svbilevel.outcome import compute_box
 from svbilevel.problem import find_interior_start, stacked_mp_constraints
@@ -698,7 +698,7 @@ class TestSolveFlow:
 
         obj = Overstated()
         res = solve_flow(obj, rows_of(), np.array([1.0, 2.0]))
-        assert res.status is FlowStatus.MAX_TIME and res.steps == 1
+        assert res.status is FlowStatus.UNCONVERGED and res.steps == 1
         assert obj.calls == 31
 
     def test_certification_widens_the_band(self):
@@ -747,20 +747,24 @@ def _system(kind, rng):
 
 
 class TestLeastSquares:
-    """``_lstsq``, the one least-squares call of the selection QP, the row
-    polish and the kink step."""
+    """The least squares of the selection QP, the row polish and the kink
+    step: ``np.linalg.lstsq`` with numpy's default cutoff."""
 
     @pytest.mark.parametrize("kind", ["square", "tall", "wide",
                                       "rank-deficient", "one-row"])
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_identical_to_numpy_default(self, kind, seed):
+        # with every weight free and none of them a simplex weight, the
+        # selection QP's free solve is the least squares of M.T w = -g
         a, b = _system(kind, np.random.default_rng(seed))
-        assert _lstsq(a, b).tobytes() == \
-            np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
+        n = a.shape[1]
+        w = _free_least_squares(a.T, -b, 0, np.ones(n, dtype=bool),
+                                np.zeros(n, dtype=bool))
+        assert w.tobytes() == np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
 
     def test_a_patched_numpy_lstsq_sees_the_solves(self, monkeypatch):
         # the benchmark's tracer counts least squares by patching
-        # np.linalg.lstsq, so _lstsq must look it up at each call
+        # np.linalg.lstsq, so each solve must look it up at its call
         calls = []
         real = np.linalg.lstsq
 
