@@ -49,7 +49,13 @@ and its S are computed from one list of Python floats: each row is its
 expression's own generated code, a function of that list, and S adds the
 positive row values in the order ``ndarray.sum`` adds them.  The flows
 amplify a one-ulp difference, so this arithmetic is kept bit for bit that
-of the expressions and of ``ndarray.sum``.  Euler steps start at ``DT``.
+of the expressions and of ``ndarray.sum``.  Euler steps start at ``DT``,
+and each step's first trial is twice the last accepted length.  A flow is
+stationary where its velocity is at most ``STATIONARITY_TOL`` scaled by
+max(1, the largest branch-gradient norm of the objective at the flow's
+start): steep objectives, such as a ray objective divided by a small
+direction component, round at that scale, and an absolute test cannot be
+passed there.
 Objectives are oracles with ``value(x)`` and ``branch_pairs(x)``, the
 ``(value, gradient)`` of each branch: one pair for a smooth objective,
 one per branch for a max, among which the flow picks the branches within
@@ -72,8 +78,10 @@ ZERO_BAND = 1e-9
 # recognized; matches the 1e-3 accuracy the flow promises on terminal points.
 CERT_BAND = 1e-4
 
-# A flow is stationary where its velocity is at most STATIONARITY_TOL at a
-# point whose S is at most FEASIBILITY_TOL, the S find_feasible stops at.
+# A flow is stationary where its velocity is at most STATIONARITY_TOL times
+# max(1, the largest branch-gradient norm of its objective at its start) at
+# a point whose S is at most FEASIBILITY_TOL, the S find_feasible stops at;
+# find_feasible's own stop on the gradient of S is absolute.
 STATIONARITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
 
@@ -84,8 +92,8 @@ DIVERGENCE_RADIUS = 1e7
 # it stands; find_feasible gives up after this many descent steps.
 MAX_STEPS = 200_000
 
-# solve_flow's first Euler step, which each clean step doubles;
-# find_feasible's least first trial of each descent step.
+# solve_flow's first Euler step (each later step first tries twice the last
+# accepted length); find_feasible's least first trial of each descent step.
 DT = 1e-2
 
 
@@ -193,11 +201,15 @@ class RowSet:
                       self.nonlinear, self.labels,
                       np.concatenate([self.head, x]))
 
-    def norm_estimates(self) -> np.ndarray:
-        """A flow's starting per-row gradient norms: fixed for affine rows,
-        1.0 for a nonlinear row until ``row_grad`` records its gradient."""
+    def norm_estimates(self, u) -> np.ndarray:
+        """A flow's starting per-row gradient norms at u: fixed for affine
+        rows; a nonlinear row's is its gradient's norm at u, which
+        ``row_grad`` updates as the flow moves."""
         affine = np.maximum(np.sqrt((self.A * self.A).sum(axis=1)), 1e-12)
-        return np.concatenate([affine, np.ones(len(self.nonlinear))])
+        norms = np.concatenate([affine, np.empty(len(self.nonlinear))])
+        for i in range(self.na, self.size):
+            self.row_grad(i, u, norms)
+        return norms
 
     def values(self, u) -> np.ndarray:
         if not self.nonlinear:
@@ -570,7 +582,13 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
 def solve_flow(objective, rows: RowSet, x0,
                trace: Optional[TraceRecorder] = None) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
-    the step budget ``MAX_STEPS`` runs out.  Each point is evaluated once:
+    the step budget ``MAX_STEPS`` runs out.  Stationarity is relative to
+    the objective's scale: a velocity of at most ``STATIONARITY_TOL`` times
+    max(1, max_j |grad r_j(x0)|) over its branches at the start point,
+    fixed for the flow; the step loop and the certification both test it.
+    Each step's first trial is twice the last accepted length, ``DT`` at
+    the first step.  The gradient-norm estimates of the nonlinear rows
+    start at their norms at ``x0``.  Each point is evaluated once:
     the row values of the current x and their S come from the start check,
     then from the accepted trial or the polish.  Every step selects at the
     base band CERT_BAND; a step whose 31 halvings all fail ends the flow.
@@ -580,7 +598,9 @@ def solve_flow(objective, rows: RowSet, x0,
     of each step is warm-started from the support the flow's last one
     ended with.  ``trace``, when given, records every step."""
     x = np.asarray(x0, dtype=float).copy()
-    norms = rows.norm_estimates()
+    norms = rows.norm_estimates(x)
+    tol = STATIONARITY_TOL * max(
+        1.0, max(_norm(g) for _, g in objective.branch_pairs(x)))
     flow_id = trace.next_flow() if trace else 0
 
     vals = rows.values(x)
@@ -605,8 +625,7 @@ def solve_flow(objective, rows: RowSet, x0,
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
         # a small velocity at an infeasible point is the band's gain and
         # the row cone cancelling, not stationarity
-        if vnorm == 0.0 or (vnorm <= STATIONARITY_TOL
-                            and s_cur <= FEASIBILITY_TOL):
+        if vnorm == 0.0 or (vnorm <= tol and s_cur <= FEASIBILITY_TOL):
             break
         # explicit Euler on the unit-speed reparameterization: the gain
         # product shrinks the velocity near active constraints without
@@ -664,12 +683,11 @@ def solve_flow(objective, rows: RowSet, x0,
             stalls = 0
         x, vals, s_cur = xn, vals_n, s_n
         t += trial
-        # adaptive step: grow on clean acceptance, follow the backtracked
-        # scale otherwise
-        if trial == dt:
-            dt *= 2.0
-        else:
-            dt = trial * 4.0
+        # the next step first tries twice this accepted length: one doubling
+        # past a clean step, and after a backtracked one the last length
+        # that failed, so a step accepted after two halvings costs the next
+        # one halving, not the same two again
+        dt = 2.0 * trial
         if _norm(x) > DIVERGENCE_RADIUS:
             return FlowResult(x, math.nan, s_cur, FlowStatus.DIVERGED,
                               steps, vnorm)
@@ -688,9 +706,9 @@ def solve_flow(objective, rows: RowSet, x0,
                                            CERT_BAND * factor, hint)
         vel, r_final, _, _, hint = selection
         vnorm = min(vnorm, _norm(vel))
-        if vnorm <= STATIONARITY_TOL:
+        if vnorm <= tol:
             break
-    if vnorm <= STATIONARITY_TOL and s_cur <= FEASIBILITY_TOL:
+    if vnorm <= tol and s_cur <= FEASIBILITY_TOL:
         status = FlowStatus.CONVERGED
     else:
         status = FlowStatus.UNCONVERGED

@@ -92,7 +92,7 @@ def test_within_epsilon_of_h_star_at_the_acceptance_epsilon(number):
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="the solver ends at h 1.7925245 with beta 1.7924984 above h*: "
+    reason="the solver ends at h 1.7925411 with beta 1.7925135 above h*: "
            "find_feasible reports three feasible MP(z) of example 1 "
            "infeasible, so their vertices are dropped")
 def test_example1_within_epsilon_of_h_star():
