@@ -532,9 +532,10 @@ def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
-                       vals: np.ndarray, band_scale: float, hint=None):
+                       vals: np.ndarray, hint=None):
     """Returns (velocity, r_value, outside, kink, hint) at x, whose row
-    values are ``vals``, with the flow's gradient-norm estimates ``norms``.
+    values are ``vals``, with the flow's gradient-norm estimates ``norms``
+    and the band CERT_BAND.
     kink lists the objective branches that carry weight in the selection
     when two or more do, else it is None (always outside the feasible
     set, where the objective takes no part).  ``hint`` is the flow's
@@ -546,7 +547,7 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
     act_rows = []
     any_plus = False
     prod_gain = 1.0
-    bands = np.maximum(ZERO_BAND, band_scale * norms)
+    bands = np.maximum(ZERO_BAND, CERT_BAND * norms)
     # rows below their band contribute nothing
     for i in (vals >= -bands).nonzero()[0].tolist():
         band = bands[i]
@@ -556,14 +557,14 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
             any_plus = True
         else:
             g = stack.row_grad(i, x, norms)
-            band = max(ZERO_BAND, band_scale * norms[i])
+            band = max(ZERO_BAND, CERT_BAND * norms[i])
             act_gens.append(g)
             act_rows.append(i)
             # smoothed Psi on the band: 0.5 at the boundary itself
             prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
     kink = None
     c_gain = 0.0 if any_plus else prod_gain
-    r_val, obj_gens, members = _objective_generators(objective, x, band_scale)
+    r_val, obj_gens, members = _objective_generators(objective, x, CERT_BAND)
     if c_gain == 0.0:
         vel, _, hint = _min_norm_combo([], 0.0, g_plus, act_gens, act_rows,
                                        hint)
@@ -585,18 +586,20 @@ def solve_flow(objective, rows: RowSet, x0,
     the step budget ``MAX_STEPS`` runs out.  Stationarity is relative to
     the objective's scale: a velocity of at most ``STATIONARITY_TOL`` times
     max(1, max_j |grad r_j(x0)|) over its branches at the start point,
-    fixed for the flow; the step loop and the certification both test it.
+    fixed for the flow, at a point whose S is at most ``FEASIBILITY_TOL``.
     Each step's first trial is twice the last accepted length, ``DT`` at
     the first step.  The gradient-norm estimates of the nonlinear rows
     start at their norms at ``x0``.  Each point is evaluated once:
     the row values of the current x and their S come from the start check,
-    then from the accepted trial or the polish.  Every step selects at the
-    base band CERT_BAND; a step whose 31 halvings all fail ends the flow.
-    The terminal certification is the one place that tests 1x, 10x and
-    100x the band, and at 1x it reuses the last step's selection when x,
-    its row values and the norms have not moved since.  The selection QP
-    of each step is warm-started from the support the flow's last one
-    ended with.  ``trace``, when given, records every step."""
+    then from the accepted trial or the polish.  Every selection is made at
+    the band CERT_BAND, and the flow is certified once, at that band: a
+    step whose selection is stationary ends the flow ``Converged`` there.
+    Every other end (a zero velocity at an infeasible point, 31 failed
+    halvings, 100 stalled steps or ``MAX_STEPS``) polishes the point and
+    selects once more, and is ``Converged`` only if that selection is
+    stationary.  The selection QP of each step is warm-started from the
+    support the flow's last one ended with.  ``trace``, when given,
+    records every step."""
     x = np.asarray(x0, dtype=float).copy()
     norms = rows.norm_estimates(x)
     tol = STATIONARITY_TOL * max(
@@ -610,22 +613,20 @@ def solve_flow(objective, rows: RowSet, x0,
     # arc length, for the trace only
     t = 0.0
     hint = None
-    # (x, row values, norms on entry, selection) of the last step
-    last = None
     stalls = 0
     steps = 0
     for steps in range(1, MAX_STEPS + 1):
-        entry_norms = norms.copy()
-        selection = _selected_velocity(rows, norms, objective, x, vals,
-                                       CERT_BAND, hint)
-        last = (x, vals, entry_norms, selection)
-        vel, r_val, outside, kink, hint = selection
+        vel, r_val, outside, kink, hint = _selected_velocity(
+            rows, norms, objective, x, vals, hint)
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
         # a small velocity at an infeasible point is the band's gain and
         # the row cone cancelling, not stationarity
-        if vnorm == 0.0 or (vnorm <= tol and s_cur <= FEASIBILITY_TOL):
+        if vnorm <= tol and s_cur <= FEASIBILITY_TOL:
+            return FlowResult(x, float(r_val), s_cur, FlowStatus.CONVERGED,
+                              steps, vnorm)
+        if vnorm == 0.0:
             break
         # explicit Euler on the unit-speed reparameterization: the gain
         # product shrinks the velocity near active constraints without
@@ -633,9 +634,6 @@ def solve_flow(objective, rows: RowSet, x0,
         direction = vel / vnorm
         trial = dt
         accepted = False
-        # penalty descent governs only when some row exceeds its activity
-        # band; within the band the flow slides and r-descent governs
-        infeasible_phase = outside
         for _ in range(31):
             xn = x + trial * direction
             if (xn == x).all():
@@ -650,7 +648,9 @@ def solve_flow(objective, rows: RowSet, x0,
             # Armijo margin: plain non-increase admits exact two-point cycles
             # across kinks where the objective is symmetric
             margin = 1e-4 * trial * vnorm
-            if infeasible_phase:
+            # penalty descent governs only when some row exceeds its activity
+            # band; within the band the flow slides and r-descent governs
+            if outside:
                 ok = s_n <= s_cur - margin + 1e-15
             else:
                 # project the candidate back onto the boundary first: judging
@@ -693,21 +693,9 @@ def solve_flow(objective, rows: RowSet, x0,
                               steps, vnorm)
 
     x, vals, s_cur = _polish_feasibility(rows, norms, x, vals, s_cur)
-    # certify at the base band, then at 10x and 100x it: at a degenerate
-    # vertex a blocking row just outside the base band defeats every step,
-    # and a wider band lets it join the balance
-    vnorm = math.inf
-    for factor in (1.0, 10.0, 100.0):
-        if (factor == 1.0 and last is not None and last[0] is x
-                and last[1] is vals and np.array_equal(last[2], norms)):
-            selection = last[3]
-        else:
-            selection = _selected_velocity(rows, norms, objective, x, vals,
-                                           CERT_BAND * factor, hint)
-        vel, r_final, _, _, hint = selection
-        vnorm = min(vnorm, _norm(vel))
-        if vnorm <= tol:
-            break
+    vel, r_final, _, _, _ = _selected_velocity(rows, norms, objective, x,
+                                               vals, hint)
+    vnorm = _norm(vel)
     if vnorm <= tol and s_cur <= FEASIBILITY_TOL:
         status = FlowStatus.CONVERGED
     else:

@@ -47,8 +47,8 @@ class OutcomeBox:
 @dataclass
 class RaySolution:
     """The end x of a ray flow from v along d_hat, and w = v + t d_hat, its
-    projection onto the frontier at t = ``RayObjective(problem, v,
-    d_hat).value(x)``."""
+    projection onto the frontier at the flow's objective value t, which is
+    ``RayObjective(problem, v, d_hat).value(x)``."""
     x: np.ndarray
     w: np.ndarray
 
@@ -181,10 +181,7 @@ def solve_ray(problem: BilevelProblem, v, d_hat, x0,
     obj = RayObjective(problem, v, d_hat)
     res = _reject_diverged(nd.solve_flow(obj, region, x0, trace),
                            "ray problem")
-    x = res.x_final
-    # recompute t from the terminal point so the ray identity is exact
-    t = obj.value(x)
-    return RaySolution(x=x, w=v + t * d_hat)
+    return RaySolution(x=res.x_final, w=v + res.objective_value * d_hat)
 
 
 def solve_mp(problem: BilevelProblem, z, u0,

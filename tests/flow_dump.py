@@ -8,10 +8,12 @@ of the selected vertex, alpha and beta, and a last line the hex of the
 incumbent's x, y and h, or ``none``.  Two checkouts whose dumps are equal
 ran the same flows and the same outer loop to the same bits.  The solves
 are examples 1 to 6 at the epsilons of ``test_acceptance.py`` (example 1
-at 1e-5), example 2 at 1e-4, ``ball3``, example 5 in 3 variables, and
-``tri3``, three lower objectives in 3 variables, at 1e-2 for 60
-iterations: the one case whose cuts make children that ``prune`` drops
-before phi is evaluated at them.
+at 1e-5), example 2 at 1e-4, ``ball3``, example 5 in 3 variables,
+``ball2``, example 5 in 2 variables, whose f1 face probe stalls and ends
+``Unconverged``, so its flow leaves the step loop for the final polish and
+certification, and ``tri3``, three lower objectives in 3 variables, at
+1e-2 for 60 iterations: the one case whose cuts make children that
+``prune`` drops before phi is evaluated at them.
 
     python tests/flow_dump.py > dump.txt
 
@@ -30,6 +32,15 @@ import numpy as np
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
 from svbilevel.problem import load_problem
+
+BALL2 = """\
+vars x 2
+upper (x1 - 1)^2 + x2^2 + 0.25
+lower x1^2 + x2^2
+lower (x1 - 0.5)^2 + x2^2
+bound x1 -1 2
+bound x2 -1 2
+"""
 
 BALL3 = """\
 vars x 3
@@ -57,6 +68,7 @@ CASES = [(f"ex{k}", catalog.example_text(k), 1e-5 if k == 1 else 1e-2, 500)
          for k in range(1, 7)]
 CASES += [("ex2-deep", catalog.example_text(2), 1e-4, 500),
           ("ball3", BALL3, 1e-2, 500),
+          ("ball2", BALL2, 1e-2, 500),
           ("tri3", TRI3, 1e-2, 60)]
 
 

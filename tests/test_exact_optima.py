@@ -116,12 +116,21 @@ def test_example2_within_epsilon_of_h_star_at_1e_4():
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="MP and ray flows that end Unconverged still feed the bounds: "
-           "at MAX_STEPS 10 the box flows converge, 8 MP and ray flows of "
-           "example 1 stop at the cap, and the solve reports optimal with "
-           "h = beta = 1.8919018, 0.1 above h*")
+           "with the box flows run in full and MAX_STEPS 10 after them, 14 "
+           "of example 1's 33 flows end Unconverged, and the solve reports "
+           "optimal with h = beta = 1.8417363, 0.0497 above h*")
 def test_a_step_cap_short_of_convergence_does_not_certify_example1(
         monkeypatch):
-    monkeypatch.setattr(nd, "MAX_STEPS", 10)
+    # the box flows must converge, else compute_box raises before the
+    # bounds are built; the cap holds for every flow after them
+    compute_box = bnb.compute_box
+
+    def capped_after(*args, **kwargs):
+        box = compute_box(*args, **kwargs)
+        monkeypatch.setattr(nd, "MAX_STEPS", 10)
+        return box
+
+    monkeypatch.setattr(bnb, "compute_box", capped_after)
     report = bnb.solve(catalog.load_example(1),
                        bnb.SolverConfig(epsilon=1e-5))
     assert (report.status is not bnb.SolverStatus.OPTIMAL

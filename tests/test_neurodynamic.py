@@ -705,11 +705,13 @@ class TestSolveFlow:
         assert res.status is FlowStatus.UNCONVERGED and res.steps == 1
         assert obj.calls == 31
 
-    def test_certification_widens_the_band(self):
+    def test_certification_keeps_the_band_of_the_steps(self):
         # r = x1 with value() 1 above branch_pairs(): every trial fails.  The
-        # row -x1 <= 0 reads -5e-4 at the start, outside the base band
-        # 1e-4, so the first step's velocity is -e1; at 10x the band the
-        # row joins with gain 0.75 and cancels the gradient
+        # row -x1 <= 0 reads -5e-4 at the start, outside the band 1e-4 the
+        # steps select at, so the velocity is -e1 there.  The minimizer is
+        # x1 = 0: the flow ends where it started, and that point is not
+        # certified, though at 10x the band the row would cancel the
+        # gradient
         class Overstated:
             def branch_pairs(self, x):
                 return [(float(x[0]), np.array([1.0, 0.0]))]
@@ -719,8 +721,8 @@ class TestSolveFlow:
 
         res = solve_flow(Overstated(), rows_of(oracle("-x1")),
                          np.array([5e-4, 0.0]))
-        assert res.status is FlowStatus.CONVERGED and res.steps == 1
-        assert res.final_velocity_norm == 0.0
+        assert res.status is FlowStatus.UNCONVERGED and res.steps == 1
+        assert res.final_velocity_norm == 1.0
         np.testing.assert_array_equal(res.x_final, [5e-4, 0.0])
 
     def test_shared_rows_carry_no_state_between_flows(self):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from svbilevel import catalog, outcome
+from svbilevel import bnb, catalog, outcome
 from svbilevel import expr as ex
+from svbilevel import neurodynamic as nd
 from svbilevel.expr import BinOp, CompiledExpr, Const, Max
 from svbilevel.neurodynamic import (
     FlowStatus, find_feasible, solve_flow,
@@ -125,6 +126,29 @@ class TestSolveRay:
         assert sol.w.tobytes() == (v + t * d_hat).tobytes()
         assert t == max((f.value(sol.x) - v[j]) / d_hat[j]
                         for j, f in enumerate(ex1.lower))
+
+    @pytest.mark.parametrize("number", range(1, 7))
+    def test_every_flow_reports_its_objective_at_its_end(self, number,
+                                                         monkeypatch):
+        # solve_ray takes t from the flow's objective_value, so a flow must
+        # report value(x_final) to the bit, however it ended
+        ends = []
+        flow = nd.solve_flow
+
+        def recorded(objective, *args, **kwargs):
+            res = flow(objective, *args, **kwargs)
+            ends.append((objective, res))
+            return res
+
+        monkeypatch.setattr(nd, "solve_flow", recorded)
+        bnb.solve(catalog.load_example(number),
+                  bnb.SolverConfig(epsilon=1e-5 if number == 1 else 1e-2))
+        ends = [(obj, res) for obj, res in ends
+                if res.status is not FlowStatus.DIVERGED]
+        assert ends
+        for obj, res in ends:
+            assert (float(res.objective_value).hex()
+                    == float(obj.value(res.x_final)).hex())
 
     def test_w_weakly_nondominated_on_grid(self, ex1, ex1_box):
         sol = solve_ray(ex1, v=ex1_box.M, d_hat=[1.0, 1.0],
