@@ -466,24 +466,45 @@ def _least_reduced_gradient(M: np.ndarray, g_plus: np.ndarray, nobj: int,
 
 def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
                         free: np.ndarray, capped: np.ndarray) -> np.ndarray:
-    """Least squares over the free weights, the rest held at 0 or LAM_CAP;
-    the free simplex weights, the first rows of M[free], sum to one through
-    the KKT system."""
+    """Least squares over the free weights, the rest held at 0 or LAM_CAP.
+    One free simplex weight is held at 1 by the KKT system of the normal
+    equations, whose simplex row pins it.  Two or more, nf of them, sum to
+    one by construction: they are 1/nf each plus Q y, Q an orthonormal
+    basis of the directions whose entries sum to 0, and y with the free row
+    weights solves the least squares of M's columns in those coordinates.
+    The shift 1/nf is orthogonal to Q, so the least-norm y that ``lstsq``
+    returns gives the least-norm weights, and tied generators share their
+    weight evenly.  There the KKT system put a Gram block of size c^2
+    beside the unit simplex row, and at a gain c of 1e-6 its weights came
+    back off by 2e-6.  The one-weight case keeps the KKT arithmetic: the
+    flows amplify a one-ulp change of it, and the catalog's exact optima
+    (example 6's among them) are reached with it."""
     w = np.where(capped, LAM_CAP, 0.0)
     r0 = g_plus + M.T.dot(w)
-    Mf = M[free]
+    idx = np.flatnonzero(free)
     nf = np.count_nonzero(free[:nobj])
-    if nf:
+    if nf == 1:
+        Mf = M[idx]
         f = len(Mf)
         kkt = np.zeros((f + 1, f + 1))
         kkt[:f, :f] = 2.0 * Mf.dot(Mf.T)
-        kkt[:nf, f] = kkt[f, :nf] = 1.0
+        kkt[0, f] = kkt[f, 0] = 1.0
         rhs = np.empty(f + 1)
         rhs[:f] = -2.0 * Mf.dot(r0)
         rhs[f] = 1.0
-        w[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
-    elif len(Mf):
-        w[free] = np.linalg.lstsq(Mf.T, -r0, rcond=None)[0]
+        w[idx] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+    elif nf:
+        gens = idx[:nf]
+        w[gens] = 1.0 / nf
+        # the complement of the all-ones direction
+        q = np.linalg.qr(np.ones((nf, 1)), mode="complete")[0][:, 1:]
+        cols = np.vstack([q.T.dot(M[gens]), M[idx[nf:]]])
+        y = np.linalg.lstsq(cols.T, -(r0 + M[gens].T.dot(w[gens])),
+                            rcond=None)[0]
+        w[gens] += q.dot(y[:nf - 1])
+        w[idx[nf:]] = y[nf - 1:]
+    elif len(idx):
+        w[idx] = np.linalg.lstsq(M[idx].T, -r0, rcond=None)[0]
     return w
 
 

@@ -198,12 +198,6 @@ class TestMinNormSelection:
         z = _active_set_weights(M, np.array([1.0, 0.0]), 0)
         np.testing.assert_array_equal(z, [LAM_CAP, 0.0])
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the KKT system of _free_least_squares puts the Gram block "
-               "2 M M^T, of size c^2, beside the unit simplex row: at "
-               "c = 1e-6 the velocity is 3.1e-6 * 2c and the weights are "
-               "off by 2e-6")
     def test_small_gain_keeps_the_exact_weights(self):
         # mu = (2/3, 1/3) cancels c (0, 1) against c (0, -2) at every gain
         c_gain = 1e-6
