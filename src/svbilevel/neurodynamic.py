@@ -17,8 +17,15 @@ whose velocity is about 0, its weights can differ from the cold loop's and
 its velocity only by rounding.  When neither is kept the cold loop runs as
 it would without the hint.  The QPs, the polish and the kink step take
 their products as ``ndarray.dot``, the BLAS calls of ``@`` on the same
-operands with less dispatch, and their least squares with
-``np.linalg.lstsq``.
+operands with less dispatch, and their least squares from ``_lstsq``: the
+LAPACK gufunc that ``np.linalg.lstsq`` wraps, called with the wrapper's
+cutoff, so its bits are the wrapper's.  On these systems of 2 to 15
+entries the wrapper's checks and its ``errstate`` context cost more than
+the solve.  A result that is not finite raises ``LinAlgError``, as the
+wrapper does when the SVD fails; outside that context an invalid value is
+first numpy's default RuntimeWarning.  While ``np.linalg.lstsq`` is
+replaced, as the benchmark's tracer and a test replace it to count solves,
+``_lstsq`` calls the replacement.
 A sliding trial point whose S exceeds ZERO_BAND is pulled back
 by a Gauss-Newton polish that lands at S <= ZERO_BAND.  A single violated
 row, the usual case, is pulled back in closed form, and a curved row is
@@ -26,8 +33,12 @@ pulled back to its level at the trial's origin (capped at ZERO_BAND / 2),
 so the pull after a tangent step along it is second order in the step and
 Armijo accepts full steps along curved rows; affine rows, which a tangent
 step moves only at first order, and several violated rows are pulled to 0.
-The S of each point is computed once, from its row values, and carried
-with them.
+The S of each point is computed once, with its row values by
+``RowSet.evaluate``, and carried with them.  Tests that only choose a
+branch or pick rows (the motion test, the band escape, the row scans of
+the selection, the polish and ``find_feasible``) compare the Python floats
+of those arrays, which pick what numpy's comparisons pick and compute no
+float the flows use.
 
 The kink of a max objective gets the same treatment.  When two or more
 branches within the objective band carry weight in the selection, the
@@ -44,13 +55,14 @@ kink, and is not pulled back to it.
 
 Constraints are a ``RowSet``: an affine block evaluated as one product,
 then nonlinear rows, each a max-free expression over the leading columns
-of u, shifted by a constant.  A point's nonlinear rows, their gradients
-and its S are computed from one list of Python floats: each row is its
-expression's own generated code, a function of that list, and S adds the
-positive row values in the order ``ndarray.sum`` adds them.  The flows
-amplify a one-ulp difference, so this arithmetic is kept bit for bit that
-of the expressions and of ``ndarray.sum``.  Euler steps start at ``DT``,
-and each step's first trial is twice the last accepted length.  A flow is
+of u, shifted by a constant.  A point's nonlinear rows and their
+gradients are computed from one list of Python floats, each row its
+expression's own generated code, a function of that list; its row values
+and S come from one list of floats too, S adding the positive values in
+the order ``ndarray.sum`` adds them.  The flows amplify a one-ulp
+difference, so this arithmetic is kept bit for bit that of the
+expressions and of ``ndarray.sum``.  Euler steps start at ``DT``, and
+each step's first trial is twice the last accepted length.  A flow is
 stationary where its velocity is at most ``STATIONARITY_TOL`` scaled by
 max(1, the largest branch-gradient norm of the objective at the flow's
 start): steep objectives, such as a ray objective divided by a small
@@ -65,11 +77,13 @@ the band itself (``band_members``).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 ZERO_BAND = 1e-9
 
@@ -142,6 +156,46 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+# numpy's own lstsq, to tell when a caller has replaced it
+_NUMPY_LSTSQ = np.linalg.lstsq
+_EPS = float(np.finfo(float).eps)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-norm least-squares solution of a x = b, a a float matrix
+    with at least one row and b a float vector: ``np.linalg.lstsq(a, b,
+    rcond=None)[0]`` bit for bit, from the LAPACK gufunc that function
+    wraps, called with the same cutoff and without the wrapper's checks
+    and its ``errstate`` context.  A result that is not finite raises
+    ``LinAlgError``, as the wrapper does when the SVD fails.  While
+    ``np.linalg.lstsq`` is replaced (to count solves), the replacement is
+    called instead."""
+    if np.linalg.lstsq is not _NUMPY_LSTSQ:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    m, n = a.shape
+    x = _umath_linalg.lstsq(a, b[:, None], _EPS * max(m, n),
+                            signature="ddd->ddid")[0][:, 0]
+    if not all(map(math.isfinite, x.tolist())):
+        raise np.linalg.LinAlgError(
+            "SVD did not converge in Linear Least Squares")
+    return x
+
+
+def _positive_sum(floats: list, vals: np.ndarray) -> float:
+    """S = sum_i max{0, r_i} of the row values ``vals``, given also as the
+    list ``floats``: the positive values added in index order, which is
+    ``ndarray.sum``'s order below 8 terms; from 8 up, ``ndarray.sum``
+    itself, whose pairwise order differs.  Not the built-in ``sum``, which
+    Python 3.12 made compensated."""
+    s = 0.0
+    count = 0
+    for v in floats:
+        if v > 0.0:
+            s += v
+            count += 1
+    return float(vals[vals > 0.0].sum()) if count >= 8 else s
+
+
 class RowSet:
     """Constraint rows r_i(u) <= 0, evaluated together: an affine block
     A u + b, then the nonlinear rows.  A nonlinear row (expr, shift) is
@@ -212,18 +266,25 @@ class RowSet:
         return norms
 
     def values(self, u) -> np.ndarray:
+        return self.evaluate(u)[0]
+
+    def evaluate(self, u):
+        """(values, S) at u: the row values and their ``total_penalty``,
+        both from the one list of floats the values are made from."""
         if not self.nonlinear:
-            return self.A.dot(u) + self.b
+            vals = self.A.dot(u) + self.b
+            return vals, _positive_sum(vals.tolist(), vals)
         rows = self._value_fns
         if rows is None:
             rows = self._value_fns = [(c.branch_values[0], shift)
                                       for c, shift in self.nonlinear]
         ws = self._head + u.tolist()
-        nl = [fn(ws) - shift for fn, shift in rows]
+        floats = [fn(ws) - shift for fn, shift in rows]
         if self.na:
             # one array from one list: cheaper than joining two arrays
-            return np.array((self.A.dot(u) + self.b).tolist() + nl)
-        return np.array(nl)
+            floats = (self.A.dot(u) + self.b).tolist() + floats
+        vals = np.array(floats)
+        return vals, _positive_sum(floats, vals)
 
     def row_grad(self, i: int, u, norms: Optional[np.ndarray] = None
                  ) -> np.ndarray:
@@ -244,18 +305,9 @@ class RowSet:
 
     @staticmethod
     def total_penalty(vals: np.ndarray) -> float:
-        """S = sum_i max{0, r_i} of row values ``vals``: the positive values
-        added in index order, which is ``ndarray.sum``'s order below 8
-        terms; from 8 up, ``ndarray.sum`` itself, whose pairwise order
-        differs.  Not the built-in ``sum``, which Python 3.12 made
-        compensated."""
-        s = 0.0
-        count = 0
-        for v in vals.tolist():
-            if v > 0.0:
-                s += v
-                count += 1
-        return float(vals[vals > 0.0].sum()) if count >= 8 else s
+        """S = sum_i max{0, r_i} of row values ``vals`` (see
+        ``_positive_sum``)."""
+        return _positive_sum(vals.tolist(), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +522,16 @@ def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     One free simplex weight is held at 1 by the KKT system of the normal
     equations, whose simplex row pins it.  Two or more, nf of them, sum to
     one by construction: they are 1/nf each plus Q y, Q an orthonormal
-    basis of the directions whose entries sum to 0, and y with the free row
-    weights solves the least squares of M's columns in those coordinates.
-    The shift 1/nf is orthogonal to Q, so the least-norm y that ``lstsq``
-    returns gives the least-norm weights, and tied generators share their
-    weight evenly.  There the KKT system put a Gram block of size c^2
-    beside the unit simplex row, and at a gain c of 1e-6 its weights came
-    back off by 2e-6.  The one-weight case keeps the KKT arithmetic: the
-    flows amplify a one-ulp change of it, and the catalog's exact optima
-    (example 6's among them) are reached with it."""
+    basis of the directions whose entries sum to 0 (``_zero_sum_basis``,
+    one QR for each nf), and y with the free row weights solves the least
+    squares of M's columns in those coordinates.  The shift 1/nf is
+    orthogonal to Q, so the least-norm y that ``_lstsq`` returns gives the
+    least-norm weights, and tied generators share their weight evenly.
+    There the KKT system put a Gram block of size c^2 beside the unit
+    simplex row, and at a gain c of 1e-6 its weights came back off by
+    2e-6.  The one-weight case keeps the KKT arithmetic: the flows amplify
+    a one-ulp change of it, and the catalog's exact optima (example 6's
+    among them) are reached with it."""
     w = np.where(capped, LAM_CAP, 0.0)
     r0 = g_plus + M.T.dot(w)
     idx = np.flatnonzero(free)
@@ -492,20 +545,28 @@ def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
         rhs = np.empty(f + 1)
         rhs[:f] = -2.0 * Mf.dot(r0)
         rhs[f] = 1.0
-        w[idx] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+        w[idx] = _lstsq(kkt, rhs)[:-1]
     elif nf:
         gens = idx[:nf]
         w[gens] = 1.0 / nf
-        # the complement of the all-ones direction
-        q = np.linalg.qr(np.ones((nf, 1)), mode="complete")[0][:, 1:]
+        q = _zero_sum_basis(nf)
         cols = np.vstack([q.T.dot(M[gens]), M[idx[nf:]]])
-        y = np.linalg.lstsq(cols.T, -(r0 + M[gens].T.dot(w[gens])),
-                            rcond=None)[0]
+        y = _lstsq(cols.T, -(r0 + M[gens].T.dot(w[gens])))
         w[gens] += q.dot(y[:nf - 1])
         w[idx[nf:]] = y[nf - 1:]
     elif len(idx):
-        w[idx] = np.linalg.lstsq(M[idx].T, -r0, rcond=None)[0]
+        w[idx] = _lstsq(M[idx].T, -r0)
     return w
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_sum_basis(nf: int) -> np.ndarray:
+    """An orthonormal basis of the directions in R^nf whose entries sum to
+    0: the complement of the all-ones column in its complete QR, computed
+    once for each nf and read only."""
+    q = np.linalg.qr(np.ones((nf, 1)), mode="complete")[0][:, 1:]
+    q.flags.writeable = False
+    return q
 
 
 def band_members(pairs, band: float):
@@ -545,7 +606,7 @@ def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
         return x - ((ra - rb) / den) * d if den > 0.0 else x
     D = np.array([pairs[j][1] - ga for j in kink[1:]])
     e = np.array([pairs[j][0] - ra for j in kink[1:]])
-    return x - np.linalg.lstsq(D, e, rcond=None)[0]
+    return x - _lstsq(D, e)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +629,14 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
     act_rows = []
     any_plus = False
     prod_gain = 1.0
-    bands = np.maximum(ZERO_BAND, CERT_BAND * norms)
-    # rows below their band contribute nothing
-    for i in (vals >= -bands).nonzero()[0].tolist():
-        band = bands[i]
-        v = vals[i]
+    for i, (v, norm) in enumerate(zip(vals.tolist(), norms.tolist())):
+        band = CERT_BAND * norm
+        # max(ZERO_BAND, band) as np.maximum takes it: a NaN band stays NaN
+        if band < ZERO_BAND:
+            band = ZERO_BAND
+        # rows below their band contribute nothing
+        if not v >= -band:
+            continue
         if v > band:
             g_plus += stack.row_grad(i, x, norms)
             any_plus = True
@@ -627,8 +691,8 @@ def solve_flow(objective, rows: RowSet, x0,
         1.0, max(_norm(g) for _, g in objective.branch_pairs(x)))
     flow_id = trace.next_flow() if trace else 0
 
-    vals = rows.values(x)
-    s_cur = rows.total_penalty(vals)
+    vals, s_cur = rows.evaluate(x)
+    xnorm = _norm(x)
 
     dt = DT
     # arc length, for the trace only
@@ -655,17 +719,17 @@ def solve_flow(objective, rows: RowSet, x0,
         direction = vel / vnorm
         trial = dt
         accepted = False
+        x_floats = x.tolist()
         for _ in range(31):
             xn = x + trial * direction
-            if (xn == x).all():
+            if xn.tolist() == x_floats:
                 # motion below float resolution: numeric stationarity
                 break
             if kink is not None:
                 # land on the kink the selection balanced, before the row
                 # polish and the descent test (see the module docstring)
                 xn = _kink_step(objective, kink, xn)
-            vals_n = rows.values(xn)
-            s_n = rows.total_penalty(vals_n)
+            vals_n, s_n = rows.evaluate(xn)
             # Armijo margin: plain non-increase admits exact two-point cycles
             # across kinks where the objective is symmetric
             margin = 1e-4 * trial * vnorm
@@ -685,7 +749,8 @@ def solve_flow(objective, rows: RowSet, x0,
                 r_n = objective.value(xn)
                 ok = r_n <= r_val - margin + 1e-15 * max(1.0, abs(r_val))
                 if ok:
-                    ok = not (vals_n > CERT_BAND * norms).any()
+                    ok = not any(v > CERT_BAND * norm for v, norm in
+                                 zip(vals_n.tolist(), norms.tolist()))
             if ok:
                 accepted = True
                 break
@@ -696,20 +761,21 @@ def solve_flow(objective, rows: RowSet, x0,
             break
         # displacement equals trial (unit direction); a run of vanishing
         # accepted steps means numeric stagnation the margins cannot see
-        if trial < 1e-12 * max(1.0, _norm(x)):
+        if trial < 1e-12 * max(1.0, xnorm):
             stalls += 1
             if stalls >= 100:
                 break
         else:
             stalls = 0
         x, vals, s_cur = xn, vals_n, s_n
+        xnorm = _norm(x)
         t += trial
         # the next step first tries twice this accepted length: one doubling
         # past a clean step, and after a backtracked one the last length
         # that failed, so a step accepted after two halvings costs the next
         # one halving, not the same two again
         dt = 2.0 * trial
-        if _norm(x) > DIVERGENCE_RADIUS:
+        if xnorm > DIVERGENCE_RADIUS:
             return FlowResult(x, math.nan, s_cur, FlowStatus.DIVERGED,
                               steps, vnorm)
 
@@ -750,7 +816,7 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
         # Gauss-Newton on the violated rows: a summed-gradient step is
         # defeated when a nearly-tight row's gradient opposes the violated
         # one, so solve the linearized system jointly instead
-        rows = (vals > 0.0).nonzero()[0].tolist()
+        rows = [i for i, v in enumerate(vals.tolist()) if v > 0.0]
         while True:
             if len(rows) == 1:
                 i = rows[0]
@@ -766,13 +832,12 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
                 G = np.array([stack.row_grad(i, x, norms) for i in rows])
                 if float((G * G).sum()) <= 1e-24:
                     return x, vals, s
-                full = np.linalg.lstsq(G, vals[rows], rcond=None)[0]
+                full = _lstsq(G, vals[rows])
             delta = full
             pushed = None
             for _ in range(8):
                 xn = x - delta
-                vals_n = stack.values(xn)
-                s_n = stack.total_penalty(vals_n)
+                vals_n, s_n = stack.evaluate(xn)
                 if s_n < s:
                     break
                 if pushed is None:
@@ -781,8 +846,8 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
             else:
                 # the step pushed through rows at their bound: hold those at
                 # the bound as well and solve again
-                grown = [i for i in (pushed > 0.0).nonzero()[0].tolist()
-                         if i not in rows]
+                grown = [i for i, v in enumerate(pushed.tolist())
+                         if v > 0.0 and i not in rows]
                 if not grown:
                     return x, vals, s
                 rows += grown
@@ -796,17 +861,17 @@ def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
     """Penalty-descent flow over ``rows``; returns a feasible point, or None
     when the descent stalls at positive penalty (infeasible system)."""
     x = np.asarray(x0, dtype=float).copy()
-    vals = rows.values(x)
-    s = rows.total_penalty(vals)
+    vals, s = rows.evaluate(x)
     for _ in range(MAX_STEPS):
         if s <= FEASIBILITY_TOL:
             return x
         g = np.zeros(rows.n)
         norm_sq = 0.0
-        for i in (vals > ZERO_BAND).nonzero()[0].tolist():
-            gi = rows.row_grad(i, x)
-            g += gi
-            norm_sq += float(gi.dot(gi))
+        for i, v in enumerate(vals.tolist()):
+            if v > ZERO_BAND:
+                gi = rows.row_grad(i, x)
+                g += gi
+                norm_sq += float(gi.dot(gi))
         gnorm = _norm(g)
         if gnorm <= STATIONARITY_TOL:
             return None
@@ -814,8 +879,7 @@ def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
         trial = min(max(DT, s / max(norm_sq, 1e-300)), 1e6)
         for _ in range(31):
             xn = x - trial * g
-            vals_n = rows.values(xn)
-            s_n = rows.total_penalty(vals_n)
+            vals_n, s_n = rows.evaluate(xn)
             if s_n < s * (1.0 + 1e-12) + 1e-15 and s_n != s:
                 break
             trial *= 0.5

@@ -84,7 +84,9 @@ def compute_box(problem: BilevelProblem,
     M from evaluating each objective on the vertices of a simplex
     enclosing X.  This is where X is checked numerically: every one of the
     p + n + 1 flows must end converged, else ``OutcomeError`` names it,
-    since an unbounded X leaves a box that need not contain f(X)."""
+    since an unbounded X leaves a box that need not contain f(X).  An m_i
+    above M_i by more than rounding also raises ``OutcomeError``, naming
+    f_i: the vertex bound M_i holds only for a quasiconvex f_i."""
     region = problem.x_region()
     x0 = find_interior_start(problem)
     if x0 is None:
@@ -123,6 +125,14 @@ def compute_box(problem: BilevelProblem,
     for i, f in enumerate(problem.lower):
         for v in vertices:
             M[i] = max(M[i], f.value(v))
+        # the vertex bound holds for a quasiconvex f_i; a minimum above it,
+        # by more than rounding, shows f_i is not one
+        if m[i] - M[i] > 1e-9 * max(1.0, abs(M[i])):
+            raise OutcomeError(
+                f"f_{i + 1}: its minimum over X, {m[i]:.6g}, exceeds "
+                f"M_{i + 1} = {M[i]:.6g}, its largest value on the vertices "
+                f"of a simplex enclosing X; that bound needs f_{i + 1} "
+                "quasiconvex")
     return OutcomeBox(m=m, M=M, simplex_vertices=vertices,
                       m_argmin=m_argmin, x_feasible=x0)
 

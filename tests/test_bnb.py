@@ -7,7 +7,7 @@ import pytest
 
 from svbilevel import bnb, catalog
 from svbilevel.bnb import SolverConfig, SolverStatus
-from svbilevel.outcome import MpSolution
+from svbilevel.outcome import MpSolution, OutcomeError
 from svbilevel.problem import load_problem
 
 INFEASIBLE_TEXT = """\
@@ -71,6 +71,18 @@ lower x2
 constraint_x 500 - x1 - x2
 bound x1 0 1000
 bound x2 0 1000
+"""
+
+# 1/(x1 - 0.3) is not quasiconvex over x1 in [-1, 2]: its minimum over X,
+# 1/1.7 = 0.588 at x1 = 2, lies above its largest value on the enclosing
+# simplex, M_1 = 0.213; this was reported optimal with h 1
+POLE_BOX_TEXT = """\
+vars x 2
+upper (x1 - 1)^2 + (x2 - 1)^2
+lower 1/(x1 - 0.3)
+lower x2
+bound x1 -1 2
+bound x2 -1 2
 """
 
 
@@ -226,6 +238,12 @@ class TestRejectsInvalid:
     def test_scalar_lower_level(self):
         with pytest.raises(ValueError, match=r"vectorial \(p >= 2\)"):
             bnb.solve(load_problem(SCALAR_TEXT))
+
+    def test_a_minimum_above_the_vertex_bound(self):
+        with pytest.raises(OutcomeError,
+                           match=r"^f_1: its minimum over X, 0\.588235, "
+                                 r"exceeds M_1 = 0\.212766"):
+            bnb.solve(load_problem(POLE_BOX_TEXT))
 
 
 class TestInvariants:

@@ -45,6 +45,16 @@ lower x1 + 1
 constraint_x x1 - 0
 """
 
+# f_1 = 1/(x1 - 0.3) has m_1 = 0.588 above M_1 = 0.213: not quasiconvex
+POLE_BOX_TEXT = """\
+vars x 2
+upper (x1 - 1)^2 + (x2 - 1)^2
+lower 1/(x1 - 0.3)
+lower x2
+bound x1 -1 2
+bound x2 -1 2
+"""
+
 REPEATED_VARS_TEXT = """\
 vars x 2
 vars x 3
@@ -159,6 +169,16 @@ class TestInputErrors:
         assert (code, out) == (1, "")
         assert err == ("error: min f_1 over X: flow ended Diverged after 30 "
                        "steps; X may be unbounded\n")
+
+    def test_minimum_above_the_vertex_bound(self, capsys, tmp_path):
+        path = tmp_path / "pole.txt"
+        path.write_text(POLE_BOX_TEXT)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: f_1: its minimum over X, 0.588235, exceeds "
+                       "M_1 = 0.212766, its largest value on the vertices of "
+                       "a simplex enclosing X; that bound needs f_1 "
+                       "quasiconvex\n")
 
     def test_problem_validate_rejects(self, capsys, tmp_path):
         path = tmp_path / "invalid.txt"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -77,9 +78,20 @@ class TestPenalty:
     @settings(max_examples=400, deadline=None)
     def test_equals_numpy_sum_bit_for_bit(self, entries):
         v = np.array(entries, dtype=float)
+        # ``evaluate`` takes S from the list its values are made from: the
+        # first half of v as affine rows 0*u + v_i, the rest as nonlinear
+        # rows u^2 - (-v_i), each v_i at u = 0
+        k = len(v) // 2
+        square = CompiledExpr(Pow(Var(0, "x1"), 2), 1)
+        rows = RowSet(np.zeros((k, 1)), v[:k],
+                      [(square, -e) for e in v[k:].tolist()])
         with np.errstate(all="ignore"):
-            assert RowSet.total_penalty(v).hex() == \
-                float(v[v > 0.0].sum()).hex()
+            expected = float(v[v > 0.0].sum()).hex()
+            assert RowSet.total_penalty(v).hex() == expected
+            vals, s = rows.evaluate(np.zeros(1))
+            assert (vals == v).all()
+            assert s.hex() == expected
+            assert vals.tobytes() == rows.values(np.zeros(1)).tobytes()
 
 
 def brute_force_min_norm(M, g_plus, nobj):
@@ -735,23 +747,67 @@ class TestSolveFlow:
 
 def _system(kind, rng):
     """(a, b): a seeded least-squares system of the given kind, rows scaled
-    over six decades."""
+    over six decades.  "transposed" is a transposed view, the layout of the
+    selection QP's M[idx].T; "kkt" is the selection QP's KKT system for one
+    simplex weight and three rows, symmetric with a zero corner, unscaled."""
     m, n = {"square": (4, 4), "tall": (6, 3), "wide": (2, 5),
-            "rank-deficient": (5, 4), "one-row": (1, 3)}[kind]
+            "rank-deficient": (5, 4), "one-row": (1, 3), "transposed": (5, 3),
+            "kkt": (5, 5)}[kind]
+    if kind == "kkt":
+        mf = rng.standard_normal((m - 1, 3))
+        a = np.zeros((m, m))
+        a[:-1, :-1] = 2.0 * mf.dot(mf.T)
+        a[0, -1] = a[-1, 0] = 1.0
+        b = np.append(rng.standard_normal(m - 1), 1.0)
+        return a, b
     if kind == "rank-deficient":
         a = rng.standard_normal((m, 2)) @ rng.standard_normal((2, n))
+    elif kind == "transposed":
+        a = rng.standard_normal((n, m)).T
     else:
         a = rng.standard_normal((m, n))
     a *= 10.0 ** rng.uniform(-3, 3, (m, 1))
     return a, rng.standard_normal(m)
 
 
+_KINDS = ["square", "tall", "wide", "rank-deficient", "one-row",
+          "transposed", "kkt"]
+
+
 class TestLeastSquares:
     """The least squares of the selection QP, the row polish and the kink
-    step: ``np.linalg.lstsq`` with numpy's default cutoff."""
+    step: ``_lstsq``, which calls the LAPACK gufunc of ``np.linalg.lstsq``
+    with numpy's default cutoff and returns that function's bits without
+    its wrapper; a replaced ``np.linalg.lstsq`` is called in its place."""
 
-    @pytest.mark.parametrize("kind", ["square", "tall", "wide",
-                                      "rank-deficient", "one-row"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_helper_bit_identical_to_numpy(self, kind, seed):
+        a, b = _system(kind, np.random.default_rng(seed))
+        x = nd._lstsq(a, b)
+        assert x.shape == (a.shape[1],)
+        assert x.tobytes() == np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
+
+    def test_a_nan_matrix_raises(self):
+        # numpy's wrapper raises LinAlgError, a ValueError, when the SVD
+        # fails; the gufunc on its own returns NaN and flags the invalid
+        # value, which the errstate here silences
+        a, b = _system("square", np.random.default_rng(0))
+        a[1, 2] = np.nan
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(np.linalg.LinAlgError):
+            nd._lstsq(a, b)
+
+    @pytest.mark.parametrize("nf", [2, 3, 5])
+    def test_zero_sum_basis_is_made_once(self, nf):
+        q = nd._zero_sum_basis(nf)
+        fresh = np.linalg.qr(np.ones((nf, 1)), mode="complete")[0][:, 1:]
+        assert nd._zero_sum_basis(nf) is q
+        assert q.tobytes() == fresh.tobytes()
+        assert not q.flags.writeable
+
+    @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_identical_to_numpy_default(self, kind, seed):
         # with every weight free and none of them a simplex weight, the
@@ -764,18 +820,23 @@ class TestLeastSquares:
 
     def test_a_patched_numpy_lstsq_sees_the_solves(self, monkeypatch):
         # the benchmark's tracer counts least squares by patching
-        # np.linalg.lstsq, so each solve must look it up at its call
-        calls = []
+        # np.linalg.lstsq, so each solve must look it up at its call;
+        # examples 4 and 6 both reach the KKT, zero-sum and multi-row
+        # solves, and example 6's polish solves for up to 12 rows
         real = np.linalg.lstsq
+        for number in (4, 6):
+            calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
-        report = bnb.solve(catalog.load_example(4),
-                           bnb.SolverConfig(epsilon=1e-2))
-        assert report.status is bnb.SolverStatus.OPTIMAL
-        assert len(calls) > 0
+            def counted(*args, **kwargs):
+                # the function that called ``_lstsq``
+                calls.append(sys._getframe(2).f_code.co_name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, "lstsq", counted)
+            report = bnb.solve(catalog.load_example(number),
+                               bnb.SolverConfig(epsilon=1e-2))
+            assert report.status is bnb.SolverStatus.OPTIMAL
+            assert {"_free_least_squares", "_polish_feasibility"} <= \
+                set(calls)
 
 
 def _no_lstsq(*args, **kwargs):
