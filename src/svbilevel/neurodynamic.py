@@ -6,16 +6,9 @@ increases r inside it).  The right-hand side is a selection from the Clarke
 sets: objective-generator and near-active constraint weights are chosen by
 an exact minimum-norm rule (a closed form or a finite active-set QP) so the
 discrete flow slides along boundaries and nonsmooth valleys instead of
-chattering.  Along one flow the QPs hardly change, so each active-set solve
-first tries the free set the flow's last one ended with, keyed by row and
-objective-branch index: one least squares there, kept only when the cold
-loop's own stopping test certifies it.  A hint that fails is tried once
-more with one edit: less its non-positive weights, or with the coordinate
-of least reduced gradient added.  A kept candidate is the cold result bit
-for bit wherever the optimal weights are unique; at a degenerate selection,
-whose velocity is about 0, its weights can differ from the cold loop's and
-its velocity only by rounding.  When neither is kept the cold loop runs as
-it would without the hint.  The QPs, the polish and the kink step take
+chattering.  A selection is a function of the point, its row values and
+the flow's gradient-norm estimates alone: it carries nothing from one step
+to the next.  The QPs, the polish and the kink step take
 their products as ``ndarray.dot``, the BLAS calls of ``@`` on the same
 operands with less dispatch, and their least squares from ``_lstsq``: the
 LAPACK gufunc that ``np.linalg.lstsq`` wraps, called with the wrapper's
@@ -269,8 +262,9 @@ class RowSet:
         return self.evaluate(u)[0]
 
     def evaluate(self, u):
-        """(values, S) at u: the row values and their ``total_penalty``,
-        both from the one list of floats the values are made from."""
+        """(values, S) at u: the row values and S = sum_i max{0, r_i}
+        (``_positive_sum``), both from the one list of floats the values
+        are made from."""
         if not self.nonlinear:
             vals = self.A.dot(u) + self.b
             return vals, _positive_sum(vals.tolist(), vals)
@@ -303,12 +297,6 @@ class RowSet:
             norms[i] = max(_norm(g), 1e-12)
         return g
 
-    @staticmethod
-    def total_penalty(vals: np.ndarray) -> float:
-        """S = sum_i max{0, r_i} of row values ``vals`` (see
-        ``_positive_sum``)."""
-        return _positive_sum(vals.tolist(), vals)
-
 
 # ---------------------------------------------------------------------------
 # Minimum-norm selection
@@ -318,12 +306,12 @@ LAM_CAP = 1e8
 
 
 def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
-                    act_gens: list, labels: Sequence = (), hint=None):
-    """(velocity, mu, hint): the velocity of least norm, -(g_plus + c*sum
+                    act_gens: list):
+    """(velocity, mu): the velocity of least norm, -(g_plus + c*sum
     mu_j G_j + sum lam_i A_i), over mu in the unit simplex and lam in
-    [0, LAM_CAP]^k, the generator weights mu that give it, and the hint
-    for the next call.  Closed forms for one generator and at most one
-    row; for two generators and no row: with a = g_plus + c*G_1 and b = g_plus + c*G_2 the least-norm
+    [0, LAM_CAP]^k, and the generator weights mu that give it.  Closed
+    forms for one generator and at most one row; for two generators and no
+    row: with a = g_plus + c*G_1 and b = g_plus + c*G_2 the least-norm
     point of the segment [b, a] is b + mu*(a - b), mu = clip(-b.(a - b) /
     |a - b|^2, 0, 1), the flow's velocity at a two-branch kink of a max
     objective; and for at most one generator and two rows, a flow sliding
@@ -331,45 +319,34 @@ def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
     else, and a two-row selection that needs a weight above LAM_CAP, goes
     to ``_active_set_weights``.  The row weights form a cone rather than
     a box: a curved constraint with a tiny gradient needs a large
-    multiplier to certify stationarity.
-    ``labels`` name the generators and then the rows; ``hint`` is a set of
-    labels, the support an earlier active-set solve ended with, which
-    warm-starts this one.  The returned hint is the support of this
-    call's active-set solve, as labels (None when a weight sits at
-    LAM_CAP, which the warm start does not reproduce), or ``hint`` itself
-    when a closed form answered."""
+    multiplier to certify stationarity."""
     nobj = len(obj_gens)
     k = len(act_gens)
     if nobj <= 1 and k == 0:
         g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
-        return -g, (1.0,) * nobj, hint
+        return -g, (1.0,) * nobj
     if nobj <= 1 and k == 1:
         g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
         a = act_gens[0]
         den = float(a.dot(a))
         lam = (min(LAM_CAP, max(0.0, -float(g.dot(a)) / den)) if den > 0.0
                else 0.0)
-        return -(g + lam * a), (1.0,) * nobj, hint
+        return -(g + lam * a), (1.0,) * nobj
     if nobj == 2 and k == 0:
         a = g_plus + c_gain * obj_gens[0]
         b = g_plus + c_gain * obj_gens[1]
         d = a - b
         den = float(d.dot(d))
         mu = min(1.0, max(0.0, -float(b.dot(d)) / den)) if den > 0.0 else 0.0
-        return -(b + mu * d), (mu, 1.0 - mu), hint
+        return -(b + mu * d), (mu, 1.0 - mu)
     if nobj <= 1 and k == 2:
         vel = _two_row_velocity(
             g_plus + (c_gain * obj_gens[0] if nobj else 0.0), *act_gens)
         if vel is not None:
-            return vel, (1.0,) * nobj, hint
+            return vel, (1.0,) * nobj
     M = np.array([c_gain * g for g in obj_gens] + list(act_gens))
-    warm = None if hint is None else np.array([lb in hint for lb in labels],
-                                              dtype=bool)
-    z = _active_set_weights(M, g_plus, nobj, warm)
-    hint = None
-    if len(labels) and not (z >= LAM_CAP).any():
-        hint = frozenset(lb for lb, w in zip(labels, z.tolist()) if w > 0.0)
-    return -(g_plus + M.T.dot(z)), z[:nobj], hint
+    z = _active_set_weights(M, g_plus, nobj)
+    return -(g_plus + M.T.dot(z)), z[:nobj]
 
 
 def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
@@ -407,8 +384,8 @@ def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
     return None if lam > LAM_CAP else -(g + lam * a)
 
 
-def _active_set_weights(M: np.ndarray, g_plus: np.ndarray, nobj: int,
-                        hint: Optional[np.ndarray] = None) -> np.ndarray:
+def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
+                        nobj: int) -> np.ndarray:
     """argmin ||g_plus + M^T z|| over z = (mu, lam): mu, the weights of the
     first ``nobj`` rows, in the unit simplex, and 0 <= lam <= LAM_CAP.
     Lawson-Hanson NNLS with the simplex equality kept exactly: start at the
@@ -416,21 +393,7 @@ def _active_set_weights(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     negative, re-solve the least squares on the free set, and step back to
     the boundary (fixing the coordinate that reaches it) while a free weight
     leaves its bounds.  Finite; a weight that reaches LAM_CAP stays there.
-    The result is the start, or the least squares on the final free set.
-    A ``hint``, a mask of the free set an earlier solve ended with, is
-    tried first (a candidate that frees no simplex weight is passed over):
-    the start when it is the start's free set, else the least squares on it
-    with no weight capped, kept when every free weight lies in (0, LAM_CAP)
-    and the loop's own stopping test holds on the rest.  A hint that fails
-    is tried once more with one edit: less its free weights that are not
-    positive, or, when they all are and only the stopping test failed, with
-    the coordinate of least reduced gradient freed as well.
-    A kept candidate is the loop's result whenever the loop would end on
-    that free set, the same call on the same inputs.  Where the optimal
-    weights are not unique, which happens only where the velocity is about
-    0, another free set can pass the same test, and its weights differ from
-    the loop's while its velocity differs only by rounding.  When neither
-    candidate is kept the loop runs from its start, as without a hint."""
+    The result is the start, or the least squares on the final free set."""
     d = len(M)
     start = np.zeros(d, dtype=bool)
     if nobj == 1:
@@ -441,27 +404,6 @@ def _active_set_weights(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     # the largest row norm is the root of the largest squared norm
     scale = max(_norm(g_plus), math.sqrt(float((M * M).sum(axis=1).max())))
     tol = 1e-12 * scale * scale
-    if hint is not None:
-        none_capped = np.zeros(d, dtype=bool)
-        for _ in range(2):
-            if nobj and not hint[:nobj].any():
-                break
-            if np.array_equal(hint, start):
-                w = start.astype(float)
-            else:
-                w = _free_least_squares(M, g_plus, nobj, hint, none_capped)
-            positive = hint & (w > 0.0)
-            if not np.array_equal(positive, hint):
-                hint = positive
-                continue
-            if (w[hint] >= LAM_CAP).any():
-                break
-            t, grad_t = _least_reduced_gradient(M, g_plus, nobj, w, hint,
-                                                hint)
-            if grad_t >= -tol:
-                return w
-            hint = hint.copy()
-            hint[t] = True
     z = start.astype(float)
     free = start
     capped = np.zeros(d, dtype=bool)
@@ -614,19 +556,15 @@ def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
-                       vals: np.ndarray, hint=None):
-    """Returns (velocity, r_value, outside, kink, hint) at x, whose row
-    values are ``vals``, with the flow's gradient-norm estimates ``norms``
-    and the band CERT_BAND.
+                       vals: np.ndarray):
+    """Returns (velocity, r_value, outside, kink) at x, whose row values
+    are ``vals``, with the flow's gradient-norm estimates ``norms`` and the
+    band CERT_BAND.
     kink lists the objective branches that carry weight in the selection
     when two or more do, else it is None (always outside the feasible
-    set, where the objective takes no part).  ``hint`` is the flow's
-    warm start for the selection QP (see ``_min_norm_combo``), labelled
-    by position-free keys: ~j for objective branch j, i for row i; the
-    hint for the next selection is returned."""
+    set, where the objective takes no part)."""
     g_plus = np.zeros(stack.n)
     act_gens = []
-    act_rows = []
     any_plus = False
     prod_gain = 1.0
     for i, (v, norm) in enumerate(zip(vals.tolist(), norms.tolist())):
@@ -644,25 +582,21 @@ def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
             g = stack.row_grad(i, x, norms)
             band = max(ZERO_BAND, CERT_BAND * norms[i])
             act_gens.append(g)
-            act_rows.append(i)
             # smoothed Psi on the band: 0.5 at the boundary itself
             prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
     kink = None
     c_gain = 0.0 if any_plus else prod_gain
     r_val, obj_gens, members = _objective_generators(objective, x, CERT_BAND)
     if c_gain == 0.0:
-        vel, _, hint = _min_norm_combo([], 0.0, g_plus, act_gens, act_rows,
-                                       hint)
+        vel = _min_norm_combo([], 0.0, g_plus, act_gens)[0]
     else:
-        vel, mu, hint = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens,
-                                        [~j for j in members] + act_rows,
-                                        hint)
+        vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
         if len(members) >= 2:
             # a branch the selection gives no weight is leaving the kink
             kink = [j for j, w in zip(members, mu) if w > 0.0]
             if len(kink) < 2:
                 kink = None
-    return vel, r_val, any_plus, kink, hint
+    return vel, r_val, any_plus, kink
 
 
 def solve_flow(objective, rows: RowSet, x0,
@@ -682,9 +616,7 @@ def solve_flow(objective, rows: RowSet, x0,
     Every other end (a zero velocity at an infeasible point, 31 failed
     halvings, 100 stalled steps or ``MAX_STEPS``) polishes the point and
     selects once more, and is ``Converged`` only if that selection is
-    stationary.  The selection QP of each step is warm-started from the
-    support the flow's last one ended with.  ``trace``, when given,
-    records every step."""
+    stationary.  ``trace``, when given, records every step."""
     x = np.asarray(x0, dtype=float).copy()
     norms = rows.norm_estimates(x)
     tol = STATIONARITY_TOL * max(
@@ -697,12 +629,11 @@ def solve_flow(objective, rows: RowSet, x0,
     dt = DT
     # arc length, for the trace only
     t = 0.0
-    hint = None
     stalls = 0
     steps = 0
     for steps in range(1, MAX_STEPS + 1):
-        vel, r_val, outside, kink, hint = _selected_velocity(
-            rows, norms, objective, x, vals, hint)
+        vel, r_val, outside, kink = _selected_velocity(rows, norms,
+                                                       objective, x, vals)
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
@@ -745,12 +676,14 @@ def solve_flow(objective, rows: RowSet, x0,
                     xn, vals_n, s_n = _polish_feasibility(rows, norms, xn,
                                                           vals_n, s_n, vals)
                 # monotone r and no escape beyond the boundary band, else the
-                # flow limit-cycles across the boundary (r can decrease there)
+                # flow limit-cycles across the boundary (r can decrease there);
+                # the band is the selection's, max(ZERO_BAND, CERT_BAND * norm)
                 r_n = objective.value(xn)
                 ok = r_n <= r_val - margin + 1e-15 * max(1.0, abs(r_val))
                 if ok:
-                    ok = not any(v > CERT_BAND * norm for v, norm in
-                                 zip(vals_n.tolist(), norms.tolist()))
+                    ok = not any(v > ZERO_BAND and v > CERT_BAND * norm
+                                 for v, norm in zip(vals_n.tolist(),
+                                                    norms.tolist()))
             if ok:
                 accepted = True
                 break
@@ -780,8 +713,7 @@ def solve_flow(objective, rows: RowSet, x0,
                               steps, vnorm)
 
     x, vals, s_cur = _polish_feasibility(rows, norms, x, vals, s_cur)
-    vel, r_final, _, _, _ = _selected_velocity(rows, norms, objective, x,
-                                               vals, hint)
+    vel, r_final, _, _ = _selected_velocity(rows, norms, objective, x, vals)
     vnorm = _norm(vel)
     if vnorm <= tol and s_cur <= FEASIBILITY_TOL:
         status = FlowStatus.CONVERGED
