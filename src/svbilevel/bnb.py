@@ -5,10 +5,12 @@ nondominated outcome set, a list of vertices in the order they were made.
 Each iteration evaluates the monotone value function phi at the vertices
 not yet evaluated, takes the least value as the lower bound beta,
 projects the argmin vertex v onto the frontier along the ray from v
-toward the box's lower corner m, tries to lift the projected point to a
-feasible upper-level pair for the incumbent, and cuts the vertex with the
-projection.  The loop stops when alpha - beta <= epsilon * (1 + |beta|),
-when the vertex list empties, or at the iteration cap.
+toward the box's lower corner m, and cuts the vertex with the
+projection.  When the ray flow converged, its end point is weakly
+efficient, and a lift of it to a feasible upper-level pair is the
+incumbent candidate that can lower alpha.  The loop stops when
+alpha - beta <= epsilon * (1 + |beta|), when the vertex list empties, or
+at the iteration cap.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ from . import neurodynamic as nd
 from .copolyblock import COORD_TOL, Vertex, cut, prune, select_min_phi
 from .outcome import OutcomeBox, PhiCache, compute_box, solve_ray
 from .problem import BilevelProblem, stacked_mp_constraints, validate
-
-# A ray point w within W_MATCH_TOL of its f(x) is an outcome.
-W_MATCH_TOL = 1e-4
 
 
 class SolverStatus(Enum):
@@ -203,23 +202,18 @@ def iterate(state: SolverState, problem: BilevelProblem,
     # prune dropped every infeasible vertex, so the selected one has an MP
     # minimizer to start its ray from
     ray = solve_ray(problem, v, d_hat, vertex.mp.x, config.trace)
-    z_k = np.array([f.value(ray.x) for f in problem.lower])
     w = np.clip(ray.w, state.box.m, v)
 
-    # the incumbent candidate is only valid when the ray point is itself an
-    # outcome; a stale candidate from a failed match must not be re-applied
-    update = False
-    y_k = None
-    if (np.max(np.abs(ray.w - z_k)) <= W_MATCH_TOL
-            and np.all(ray.w > state.box.m + COORD_TOL)):
-        y_k = find_feasible_y(problem, ray.x)
-        update = y_k is not None
-    if update:
-        u = np.concatenate([ray.x, y_k])
-        h_k = problem.upper.value(u)
+    # a converged ray flow ends at a weakly efficient x, which a feasible y
+    # makes an incumbent candidate
+    x_k = ray.flow.x_final
+    y_k = (find_feasible_y(problem, x_k)
+           if ray.flow.status is nd.FlowStatus.CONVERGED else None)
+    if y_k is not None:
+        h_k = problem.upper.value(np.concatenate([x_k, y_k]))
         if h_k < state.alpha:
             state.alpha = h_k
-            state.incumbent = Incumbent(x=ray.x.copy(), y=y_k, h=h_k)
+            state.incumbent = Incumbent(x=x_k.copy(), y=y_k, h=h_k)
             state.beta = min(state.beta, state.alpha)
 
     if state.alpha - state.beta <= config.epsilon * (1.0 + abs(state.beta)):

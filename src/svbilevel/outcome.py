@@ -46,10 +46,12 @@ class OutcomeBox:
 
 @dataclass
 class RaySolution:
-    """The end x of a ray flow from v along d_hat, and w = v + t d_hat, its
-    projection onto the frontier at the flow's objective value t, which is
-    ``RayObjective(problem, v, d_hat).value(x)``."""
-    x: np.ndarray
+    """The ray flow from v along d_hat, and w = v + t d_hat, its projection
+    onto the frontier at the flow's objective value t, which is
+    ``RayObjective(problem, v, d_hat).value(flow.x_final)``.  A converged
+    flow minimizes max_j (f_j - v_j) / d_j over X, so its end point is
+    weakly efficient (Pascoletti and Serafini, 1984)."""
+    flow: nd.FlowResult
     w: np.ndarray
 
 
@@ -191,7 +193,7 @@ def solve_ray(problem: BilevelProblem, v, d_hat, x0,
     obj = RayObjective(problem, v, d_hat)
     res = _reject_diverged(nd.solve_flow(obj, region, x0, trace),
                            "ray problem")
-    return RaySolution(x=res.x_final, w=v + res.objective_value * d_hat)
+    return RaySolution(flow=res, w=v + res.objective_value * d_hat)
 
 
 def solve_mp(problem: BilevelProblem, z, u0,

@@ -4,9 +4,12 @@ Each ``neurodynamic.solve_flow`` call prints its status, its step count and
 the hex of the bytes of its final point and objective value; each
 ``neurodynamic.find_feasible`` call prints the hex of the point it returns,
 or ``none``.  After each solve, one line per iteration prints k and the hex
-of the selected vertex, alpha and beta, and a last line the hex of the
-incumbent's x, y and h, or ``none``.  Two checkouts whose dumps are equal
-ran the same flows and the same outer loop to the same bits.  The solves
+of the selected vertex, alpha and beta, one line the hex of the
+incumbent's x, y and h, or ``none``, and a last ``summary`` line the
+status, the iterations, and alpha, beta and h as ``repr`` floats (h is
+``none`` with no incumbent), so that a moved answer reads from the diff
+without decoding hex.  Two checkouts whose dumps are equal ran the same
+flows and the same outer loop to the same bits.  The solves
 are examples 1 to 6 at the epsilons of ``test_acceptance.py`` (example 1
 at 1e-5), example 2 at 1e-4, ``ball3``, example 5 in 3 variables,
 ``ball2``, example 5 in 2 variables, whose f1 face probe stalls and ends
@@ -102,6 +105,9 @@ def main() -> None:
             inc = report.incumbent
             print(name, "incumbent", "none" if inc is None else
                   " ".join(_hex(a) for a in (inc.x, inc.y, inc.h)))
+            print(name, "summary", report.status.value, report.iterations,
+                  repr(float(report.alpha)), repr(float(report.beta)),
+                  "none" if inc is None else repr(float(inc.h)))
     finally:
         nd.solve_flow, nd.find_feasible = solve_flow, find_feasible
 

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from svbilevel import bnb, catalog
+from svbilevel import neurodynamic as nd
 from svbilevel.bnb import SolverConfig, SolverStatus
-from svbilevel.outcome import MpSolution, OutcomeError
+from svbilevel.outcome import MpSolution, OutcomeError, RayObjective
 from svbilevel.problem import load_problem
+
+from flow_dump import TRI3
 
 INFEASIBLE_TEXT = """\
 vars x 2
@@ -217,6 +220,40 @@ class TestSolveExamples:
         report = bnb.solve(catalog.load_example(1), cfg)
         assert report.status is SolverStatus.MAX_ITERATIONS
         assert report.iterations == 2
+
+
+class TestRayIncumbents:
+    """A ray point is an incumbent candidate exactly when its ray flow
+    converged: such a flow minimizes max_j (f_j - v_j) / d_j over X, so
+    its end point is weakly efficient."""
+
+    def test_no_incumbent_from_unconverged_ray_flows(self, monkeypatch):
+        # example 4's face probes set no incumbent, and with every ray
+        # flow converged it ends optimal at iteration 2
+        flow = nd.solve_flow
+
+        def unconverged_rays(objective, *args, **kwargs):
+            res = flow(objective, *args, **kwargs)
+            if isinstance(objective, RayObjective):
+                res = dataclasses.replace(res,
+                                          status=nd.FlowStatus.UNCONVERGED)
+            return res
+
+        monkeypatch.setattr(nd, "solve_flow", unconverged_rays)
+        report = bnb.solve(catalog.load_example(4),
+                           SolverConfig(max_iterations=3))
+        assert report.status is SolverStatus.MAX_ITERATIONS
+        assert report.incumbent is None
+        assert report.alpha == math.inf
+
+    def test_tri3_alpha_within_epsilon_of_h_star(self):
+        # tri3's weakly efficient set is the triangle of its three anchors,
+        # and h* = 1.375 at (0.25, 0.25, 0); every converged ray point is
+        # lifted, so alpha is within epsilon long before beta is
+        epsilon, h_star = 1e-2, 1.375
+        report = bnb.solve(load_problem(TRI3),
+                           SolverConfig(epsilon=epsilon, max_iterations=10))
+        assert h_star <= report.alpha <= h_star + epsilon * (1.0 + h_star)
 
 
 class TestRejectsInvalid:

@@ -122,9 +122,10 @@ class TestSolveRay:
         # w = v + t d_hat at t, the ray objective at x; rounding is
         # monotone, so t is the max over the objectives of
         # (f_j(x) - v_j) / d_j exactly
-        t = RayObjective(ex1, v, d_hat).value(sol.x)
+        x = sol.flow.x_final
+        t = RayObjective(ex1, v, d_hat).value(x)
         assert sol.w.tobytes() == (v + t * d_hat).tobytes()
-        assert t == max((f.value(sol.x) - v[j]) / d_hat[j]
+        assert t == max((f.value(x) - v[j]) / d_hat[j]
                         for j, f in enumerate(ex1.lower))
 
     @pytest.mark.parametrize("number", range(1, 7))
