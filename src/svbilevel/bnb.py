@@ -6,11 +6,11 @@ Each iteration evaluates the monotone value function phi at the vertices
 not yet evaluated, takes the least value as the lower bound beta,
 projects the argmin vertex v onto the frontier along the ray from v
 toward the box's lower corner m, and cuts the vertex with the
-projection.  When the ray flow converged, its end point is weakly
-efficient, and a lift of it to a feasible upper-level pair is the
-incumbent candidate that can lower alpha.  The loop stops when
-alpha - beta <= epsilon * (1 + |beta|), when the vertex list empties, or
-at the iteration cap.
+projection.  Only a converged flow gives an incumbent, the candidate
+that can lower alpha: a face probe's MP flow, or a ray flow whose weakly
+efficient end point lifts to a feasible upper-level pair.  The loop
+stops when alpha - beta <= epsilon * (1 + |beta|), when the vertex list
+empties, or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import neurodynamic as nd
 from .copolyblock import COORD_TOL, Vertex, cut, prune, select_min_phi
 from .outcome import OutcomeBox, PhiCache, compute_box, solve_ray
-from .problem import BilevelProblem, stacked_mp_constraints, validate
+from .problem import BilevelProblem, validate
 
 
 class SolverStatus(Enum):
@@ -111,28 +111,21 @@ def _evaluate_pending(state: SolverState, problem: BilevelProblem) -> None:
     of the box (those outcomes are covered by the initialization
     subproblems)."""
     for v in [v for v in state.V if v.mp is None]:
-        sol = state.cache.get(v.z)
-        v.mp = sol
-        if not sol.feasible:
+        v.mp = state.cache.get(v.z)
+        if not v.mp.feasible:
             continue
+        x = v.mp.flow.x_final[:problem.n]
         for i, f in enumerate(problem.lower):
-            if abs(f.value(sol.x) - state.box.m[i]) <= COORD_TOL:
+            if abs(f.value(x) - state.box.m[i]) <= COORD_TOL:
                 state.V.remove(v)
                 break
     prune(state.V)
 
 
-def _in_stack(problem: BilevelProblem, sol) -> bool:
-    """Whether an MP solution lies in its own region {u in G | f(x) <= z},
-    row by row within the flows' ``FEASIBILITY_TOL``."""
-    u = np.concatenate([sol.x, sol.y])
-    rows = stacked_mp_constraints(problem, sol.z)
-    return bool((rows.values(u) <= nd.FEASIBILITY_TOL).all())
-
-
 def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
     """Box, the one-vertex list [M], the p lower-face upper-bound probes,
-    then phi at M and the initial bounds."""
+    then phi at M and the initial bounds.  A probe whose MP flow converged,
+    and so ends feasible, is the incumbent when its phi is below alpha."""
     box = compute_box(problem, config.trace)
     cache = PhiCache(problem, box, config.trace)
     top = Vertex(box.M)
@@ -149,9 +142,10 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
         # hugs that point, far too thin to find from a generic start
         u0 = np.concatenate([box.m_argmin[i], np.ones(problem.m)])
         sol = cache.get(z, u0)
-        if sol.feasible and sol.phi < alpha and _in_stack(problem, sol):
+        if sol.phi < alpha and sol.flow.status is nd.FlowStatus.CONVERGED:
             alpha = sol.phi
-            incumbent = Incumbent(x=sol.x, y=sol.y, h=sol.phi)
+            x, y = np.split(sol.flow.x_final, [problem.n])
+            incumbent = Incumbent(x=x, y=y, h=alpha)
 
     state = SolverState(box=box, V=V, cache=cache, alpha=alpha,
                         beta=math.inf, incumbent=incumbent)
@@ -166,11 +160,11 @@ def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
 
 def find_feasible_y(problem: BilevelProblem, x) -> Optional[np.ndarray]:
     """Lift x to (x, y) in G at fixed x: a feasibility flow over y on the
-    rows of G that involve y, both checked within ``FEASIBILITY_TOL``.
-    With no y variables the flow returns the empty point or None."""
+    rows of G that involve y, checked within ``FEASIBILITY_TOL``.  x must
+    be the end point of a converged flow over X, which meets X's rows
+    within that tolerance.  With no y variables the flow returns the empty
+    point or None."""
     x = np.asarray(x, dtype=float)
-    if (problem.x_region().values(x) > nd.FEASIBILITY_TOL).any():
-        return None
     return nd.find_feasible(problem.lift_rows(x), np.ones(problem.m))
 
 
@@ -201,7 +195,8 @@ def iterate(state: SolverState, problem: BilevelProblem,
     d_hat = _ray_direction(state.box, v)
     # prune dropped every infeasible vertex, so the selected one has an MP
     # minimizer to start its ray from
-    ray = solve_ray(problem, v, d_hat, vertex.mp.x, config.trace)
+    ray = solve_ray(problem, v, d_hat, vertex.mp.flow.x_final[:problem.n],
+                    config.trace)
     w = np.clip(ray.w, state.box.m, v)
 
     # a converged ray flow ends at a weakly efficient x, which a feasible y

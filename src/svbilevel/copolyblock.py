@@ -8,8 +8,8 @@ approximation by a cutting-cone update: a vertex v is replaced by the p
 points obtained by sliding one coordinate of v down to the frontier point w
 found on the ray through v.  A vertex below another vertex, or equal to an
 earlier one, adds nothing to the union and is pruned.  A vertex's one
-record is its MP solution, set when phi is evaluated there: its bound, and
-the start of its ray.
+record is its MP solve, set when phi is evaluated there: its flow gives
+the vertex's bound, and its end point the start of its ray.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ subproblem families drive the main algorithm: the ray problem
 min_x max_j (f_j(x) - v_j) / d_j whose optimum projects v onto the weakly
 nondominated frontier, and MP(z): phi(z) = min {h(x, y) | (x, y) in G,
 f(x) <= z}, a decreasing function of z, solved once per query by
-``PhiCache``.  Every subproblem flow starts where its caller says: the
-driver passes a warm start or takes ``PhiCache``'s, the box's feasible
-point of X with y = 1.
+``PhiCache``.  A ray or MP solve's record holds its flow's ``FlowResult``
+and copies none of its fields.  Every subproblem flow starts where its
+caller says: the driver passes a warm start or takes ``PhiCache``'s, the
+box's feasible point of X with y = 1.
 """
 
 from __future__ import annotations
@@ -57,11 +58,18 @@ class RaySolution:
 
 @dataclass
 class MpSolution:
-    z: np.ndarray
-    phi: float
-    x: Optional[np.ndarray]
-    y: Optional[np.ndarray]
-    feasible: bool
+    """The MP(z) value flow over {(x, y) in G | f(x) <= z}, or None where
+    no feasible point was found.  A converged flow ends with those rows
+    met within ``FEASIBILITY_TOL``, so its end point (x, y) is feasible."""
+    flow: Optional[nd.FlowResult]
+
+    @property
+    def feasible(self) -> bool:
+        return self.flow is not None
+
+    @property
+    def phi(self) -> float:
+        return math.inf if self.flow is None else self.flow.objective_value
 
 
 def _reject_diverged(res: nd.FlowResult, what: str) -> nd.FlowResult:
@@ -204,18 +212,14 @@ def solve_mp(problem: BilevelProblem, z, u0,
     stack = stacked_mp_constraints(problem, z)
     u_feas = nd.find_feasible(stack, u0)
     if u_feas is None:
-        return MpSolution(z=z, phi=math.inf, x=None, y=None, feasible=False)
-    res = _reject_diverged(nd.solve_flow(problem.upper, stack, u_feas, trace),
-                           "MP value flow")
-    u = res.x_final
-    return MpSolution(z=z, phi=float(res.objective_value),
-                      x=u[: problem.n].copy(), y=u[problem.n:].copy(),
-                      feasible=True)
+        return MpSolution(flow=None)
+    return MpSolution(flow=_reject_diverged(
+        nd.solve_flow(problem.upper, stack, u_feas, trace), "MP value flow"))
 
 
 class PhiCache:
     """Solves MP(z) for the driver, one flow per call: the branch-and-bound
-    evaluates phi once at each vertex and keeps the value on the vertex, so
+    evaluates phi once at each vertex and keeps the solve on the vertex, so
     nothing is memoized here.  A query without a warm start begins at
     ``start``, the box's feasible point of X with y = 1; ``misses`` counts
     the solves."""

@@ -1,7 +1,10 @@
 """Print one line for every flow a set of solves runs, to diff two versions.
 
-Each ``neurodynamic.solve_flow`` call prints its status, its step count and
-the hex of the bytes of its final point and objective value; each
+Each ``neurodynamic.solve_flow`` call prints its role (``ray`` for a
+``RayObjective``, ``mp`` when the objective is the problem's upper level
+``h``, ``box`` otherwise), its status, its step count and the hex of the
+bytes of its final point, its objective value and its penalty S, the
+value a ``Converged`` status vouches is at most ``FEASIBILITY_TOL``; each
 ``neurodynamic.find_feasible`` call prints the hex of the point it returns,
 or ``none``.  After each solve, one line per iteration prints k and the hex
 of the selected vertex, alpha and beta, one line the hex of the
@@ -14,9 +17,9 @@ are examples 1 to 6 at the epsilons of ``test_acceptance.py`` (example 1
 at 1e-5), example 2 at 1e-4, ``ball3``, example 5 in 3 variables,
 ``ball2``, example 5 in 2 variables, whose f1 face probe stalls and ends
 ``Unconverged``, so its flow leaves the step loop for the final polish and
-certification, and ``tri3``, three lower objectives in 3 variables, at
-1e-2 for 60 iterations: the one case whose cuts make children that
-``prune`` drops before phi is evaluated at them.
+certification and sets no incumbent, and ``tri3``, three lower objectives
+in 3 variables, at 1e-2 for 60 iterations: the one case whose cuts make
+children that ``prune`` drops before phi is evaluated at them.
 
     python tests/flow_dump.py > dump.txt
 
@@ -34,6 +37,7 @@ import numpy as np
 
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
+from svbilevel.outcome import RayObjective
 from svbilevel.problem import load_problem
 
 BALL2 = """\
@@ -81,12 +85,15 @@ def _hex(values) -> str:
 
 def main() -> None:
     solve_flow, find_feasible = nd.solve_flow, nd.find_feasible
-    name = ""
+    name, problem = "", None
 
-    def dumped_flow(*args, **kwargs):
-        res = solve_flow(*args, **kwargs)
-        print(name, "flow", res.status.value, res.steps, _hex(res.x_final),
-              _hex(res.objective_value))
+    def dumped_flow(objective, *args, **kwargs):
+        res = solve_flow(objective, *args, **kwargs)
+        role = ("ray" if isinstance(objective, RayObjective) else
+                "mp" if objective is problem.upper else "box")
+        print(name, "flow", role, res.status.value, res.steps,
+              _hex(res.x_final), _hex(res.objective_value),
+              _hex(res.penalty_residual))
         return res
 
     def dumped_feasible(*args, **kwargs):
@@ -97,7 +104,8 @@ def main() -> None:
     nd.solve_flow, nd.find_feasible = dumped_flow, dumped_feasible
     try:
         for name, text, epsilon, cap in CASES:
-            report = bnb.solve(load_problem(text), bnb.SolverConfig(
+            problem = load_problem(text)
+            report = bnb.solve(problem, bnb.SolverConfig(
                 epsilon=epsilon, max_iterations=cap))
             for row in report.log:
                 print(name, "iteration", row.k, _hex(row.v), _hex(row.alpha),

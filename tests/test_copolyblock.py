@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svbilevel import neurodynamic as nd
 from svbilevel.copolyblock import (
     COORD_TOL, Vertex, cut, prune, select_min_phi,
 )
 from svbilevel.outcome import MpSolution
 
 
+def mp_solution(phi):
+    """A feasible MP solution: a converged flow that ends with value phi."""
+    return MpSolution(flow=nd.FlowResult(np.zeros(2), phi, 0.0,
+                                         nd.FlowStatus.CONVERGED))
+
+
 def evaluated(v, phi):
     """Record a feasible MP solution with value ``phi`` at vertex v."""
-    v.mp = MpSolution(z=v.z, phi=phi, x=None, y=None, feasible=True)
+    v.mp = mp_solution(phi)
 
 
 def vertices(*points):
@@ -98,8 +105,7 @@ class TestPrune:
 
     def test_infeasible_mp_removed(self):
         V = vertices([1.0, 0.2], [0.2, 1.0])
-        V[0].mp = MpSolution(z=V[0].z, phi=float("inf"), x=None, y=None,
-                             feasible=False)
+        V[0].mp = MpSolution(flow=None)
         prune(V)
         assert zs(V) == [(0.2, 1.0)]
 
@@ -172,8 +178,7 @@ class TestPruneMatchesPairwise:
             v = Vertex(z=np.array(z))
             feasible = data.draw(st.sampled_from([None, True, False]))
             if feasible is not None:
-                v.mp = MpSolution(z=v.z, phi=0.0, x=None, y=None,
-                                  feasible=feasible)
+                v.mp = mp_solution(0.0) if feasible else MpSolution(flow=None)
             verts.append(v)
         expected = _pairwise_prune(verts)
         V = list(verts)

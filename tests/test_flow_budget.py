@@ -81,6 +81,9 @@ def test_flow_work_within_budget(number, epsilon, steps, unconverged,
                           for res in results)
     assert got_steps <= STEP_SLACK * steps, (got_steps, steps)
     assert got_unconverged <= unconverged
+    # the contract incumbents rest on: a converged flow ends feasible
+    assert all(res.penalty_residual <= nd.FEASIBILITY_TOL for res in results
+               if res.status is nd.FlowStatus.CONVERGED)
 
 
 def test_ball3_and_example5_are_members():

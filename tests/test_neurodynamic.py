@@ -898,6 +898,9 @@ class TestCarriedPenalty:
         with mock.patch.object(nd, "MAX_STEPS", 200):
             res = solve_flow(objective, rows, x0)
         assert res.penalty_residual == rows.evaluate(res.x_final)[1]
+        # a converged flow ends feasible: incumbents rest on this
+        assert (res.status is not nd.FlowStatus.CONVERGED
+                or res.penalty_residual <= nd.FEASIBILITY_TOL)
 
 
 def _assert_rows_match_oracles(rows: RowSet, u: np.ndarray):

@@ -289,7 +289,8 @@ class TestSolveMp:
         sol = solve_mp(ex1, ex1_box.M, start(ex1, ex1_box))
         assert sol.feasible
         assert sol.phi == pytest.approx(1.25, abs=1e-3)
-        np.testing.assert_allclose(sol.x, [1.0, 0.5], atol=5e-3)
+        np.testing.assert_allclose(sol.flow.x_final[:ex1.n], [1.0, 0.5],
+                                   atol=5e-3)
 
     def test_example3_phi_at_M(self):
         prob = catalog.load_example(3)
@@ -317,9 +318,10 @@ class TestSolveMp:
 
     def test_solution_satisfies_constraints(self, ex1, ex1_box):
         sol = solve_mp(ex1, ex1_box.M, start(ex1, ex1_box))
+        x = sol.flow.x_final[:ex1.n]
         for j, f in enumerate(ex1.lower):
-            assert f.value(sol.x) <= ex1_box.M[j] + 1e-6
-        assert np.all(ex1.x_region().values(sol.x) <= 1e-6)
+            assert f.value(x) <= ex1_box.M[j] + 1e-6
+        assert np.all(ex1.x_region().values(x) <= 1e-6)
 
 
 class TestFalseInfeasibleVertices:

@@ -54,7 +54,8 @@ def assert_within(report, number, epsilon):
 
 # (example, f, x) of the copies that end within epsilon of h*
 WITHIN = [(4, 0.01, 1.0), (4, 100.0, 1.0), (4, 1.0, 10.0), (4, 1.0, 0.1),
-          (2, 1.0, 10.0), (2, 1.0, 0.1), (2, 0.01, 1.0)]
+          (2, 1.0, 10.0), (2, 1.0, 0.1), (2, 0.01, 1.0),
+          (5, 100.0, 1.0), (5, 0.01, 1.0), (5, 1.0, 0.1)]
 
 
 def _case_id(case):
