@@ -1,29 +1,32 @@
 """Differential-inclusion flow for nonsmooth pseudoconvex programs.
 
-Integrates  dx/dt in -c(x) dr(x) - dS(x)  with explicit Euler and per-step
-backtracking (halve dt while the step increases S outside the feasible set or
-increases r inside it).  The right-hand side is a selection from the Clarke
-sets: objective-generator and near-active constraint weights are chosen by
-an exact minimum-norm rule (a closed form or a finite active-set QP) so the
-discrete flow slides along boundaries and nonsmooth valleys instead of
-chattering.  A selection is a function of the point, its row values and
-the flow's gradient-norm estimates alone: it carries nothing from one step
-to the next.  The QPs, the polish and the kink step take
-their products as ``ndarray.dot``, the BLAS calls of ``@`` on the same
-operands with less dispatch, and their least squares from ``_lstsq``: the
-LAPACK gufunc that ``np.linalg.lstsq`` wraps, called with the wrapper's
-cutoff, so its bits are the wrapper's.  On these systems of 2 to 15
-entries the wrapper's checks and its ``errstate`` context cost more than
-the solve.  A result that is not finite raises ``LinAlgError``, as the
-wrapper does when the SVD fails; outside that context an invalid value is
-first numpy's default RuntimeWarning.  While ``np.linalg.lstsq`` is
-replaced, as the benchmark's tracer and a test replace it to count solves,
-``_lstsq`` calls the replacement.
+Integrates  dx/dt in -c(x) dr(x)  over the feasible set with explicit
+Euler and per-step backtracking (halve dt until the step lowers r by the
+Armijo margin and leaves no row above its band).  Callers start a flow at
+``find_feasible``'s point, the one penalty descent, and a start with a row
+above its band is polished once.  The right-hand side is a selection from
+the Clarke sets: objective-generator and near-active constraint weights
+are chosen by an exact minimum-norm rule (a closed form or a finite
+active-set QP) so the discrete flow slides along boundaries and nonsmooth
+valleys instead of chattering.  A selection is a function of the point,
+its row values and the flow's gradient-norm estimates alone: it carries
+nothing from one step to the next.  A step that sets no new least r
+stalls, so a cycle whose r differs by rounding ends.  The QPs, the polish
+and the kink step take their products as ``ndarray.dot``, the BLAS calls
+of ``@`` on the same operands with less dispatch, and their least squares
+from ``_lstsq``: the LAPACK gufunc that ``np.linalg.lstsq`` wraps, called
+with the wrapper's cutoff, so its bits are the wrapper's.  On these
+systems of 2 to 15 entries the wrapper's checks and its ``errstate``
+context cost more than the solve.  A result that is not finite raises
+``LinAlgError``, as the wrapper does when the SVD fails; outside that
+context an invalid value is first numpy's default RuntimeWarning.  While
+``np.linalg.lstsq`` is replaced, as the benchmark's tracer and a test
+replace it to count solves, ``_lstsq`` calls the replacement.
 A sliding trial point whose S exceeds ZERO_BAND is pulled back
 by a Gauss-Newton polish that lands at S <= ZERO_BAND.  A single violated
 row, the usual case, is pulled back in closed form, and a curved row is
-pulled back to its level at the trial's origin (capped at ZERO_BAND / 2),
-so the pull after a tangent step along it is second order in the step and
+pulled back to its level at the trial's origin (capped at ZERO_BAND), so
+the pull after a tangent step along it is second order in the step and
 Armijo accepts full steps along curved rows; affine rows, which a tangent
 step moves only at first order, and several violated rows are pulled to 0.
 The S of each point is computed once, with its row values by
@@ -195,7 +198,7 @@ class RowSet:
     ``expr.value(w) - shift`` with w = (head, u), u behind a fixed head
     (empty unless ``fix_head`` set one); expr is a max-free expression
     over the first ``expr.n_vars`` columns of w.  ``labels`` name the rows
-    in the order ``values`` returns them.
+    in the order ``evaluate`` returns their values.
     The nonlinear rows and their gradients are evaluated on w as one list
     of Python floats, each row by its expression's generated functions,
     made on first use, so that a RowSet built and not evaluated generates
@@ -258,9 +261,6 @@ class RowSet:
             self.row_grad(i, u, norms)
         return norms
 
-    def values(self, u) -> np.ndarray:
-        return self.evaluate(u)[0]
-
     def evaluate(self, u):
         """(values, S) at u: the row values and S = sum_i max{0, r_i}
         (``_positive_sum``), both from the one list of floats the values
@@ -305,48 +305,45 @@ class RowSet:
 LAM_CAP = 1e8
 
 
-def _min_norm_combo(obj_gens: list, c_gain: float, g_plus: np.ndarray,
-                    act_gens: list):
-    """(velocity, mu): the velocity of least norm, -(g_plus + c*sum
-    mu_j G_j + sum lam_i A_i), over mu in the unit simplex and lam in
-    [0, LAM_CAP]^k, and the generator weights mu that give it.  Closed
-    forms for one generator and at most one row; for two generators and no
-    row: with a = g_plus + c*G_1 and b = g_plus + c*G_2 the least-norm
+def _min_norm_combo(obj_gens: list, c_gain: float, act_gens: list):
+    """(velocity, mu): the velocity of least norm, -(c*sum mu_j G_j +
+    sum lam_i A_i), over mu in the unit simplex and lam in [0, LAM_CAP]^k,
+    and the generator weights mu that give it.  ``obj_gens`` holds at least
+    one generator.  Closed forms for one generator and at most one row; for
+    two generators and no row: with a = c*G_1 and b = c*G_2 the least-norm
     point of the segment [b, a] is b + mu*(a - b), mu = clip(-b.(a - b) /
     |a - b|^2, 0, 1), the flow's velocity at a two-branch kink of a max
-    objective; and for at most one generator and two rows, a flow sliding
-    into a corner of two constraints (``_two_row_velocity``).  Anything
-    else, and a two-row selection that needs a weight above LAM_CAP, goes
-    to ``_active_set_weights``.  The row weights form a cone rather than
-    a box: a curved constraint with a tiny gradient needs a large
-    multiplier to certify stationarity."""
+    objective; and for one generator and two rows, a flow sliding into a
+    corner of two constraints (``_two_row_velocity``).  Anything else, and
+    a two-row selection that needs a weight above LAM_CAP, goes to
+    ``_active_set_weights``.  The row weights form a cone rather than a
+    box: a curved constraint with a tiny gradient needs a large multiplier
+    to certify stationarity."""
     nobj = len(obj_gens)
     k = len(act_gens)
-    if nobj <= 1 and k == 0:
-        g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
-        return -g, (1.0,) * nobj
-    if nobj <= 1 and k == 1:
-        g = g_plus + (c_gain * obj_gens[0] if nobj else 0.0)
-        a = act_gens[0]
-        den = float(a.dot(a))
-        lam = (min(LAM_CAP, max(0.0, -float(g.dot(a)) / den)) if den > 0.0
-               else 0.0)
-        return -(g + lam * a), (1.0,) * nobj
+    if nobj == 1 and k <= 1:
+        g = c_gain * obj_gens[0]
+        if k:
+            a = act_gens[0]
+            den = float(a.dot(a))
+            lam = (min(LAM_CAP, max(0.0, -float(g.dot(a)) / den))
+                   if den > 0.0 else 0.0)
+            g = g + lam * a
+        return -g, (1.0,)
     if nobj == 2 and k == 0:
-        a = g_plus + c_gain * obj_gens[0]
-        b = g_plus + c_gain * obj_gens[1]
+        a = c_gain * obj_gens[0]
+        b = c_gain * obj_gens[1]
         d = a - b
         den = float(d.dot(d))
         mu = min(1.0, max(0.0, -float(b.dot(d)) / den)) if den > 0.0 else 0.0
         return -(b + mu * d), (mu, 1.0 - mu)
-    if nobj <= 1 and k == 2:
-        vel = _two_row_velocity(
-            g_plus + (c_gain * obj_gens[0] if nobj else 0.0), *act_gens)
+    if nobj == 1 and k == 2:
+        vel = _two_row_velocity(c_gain * obj_gens[0], *act_gens)
         if vel is not None:
-            return vel, (1.0,) * nobj
+            return vel, (1.0,)
     M = np.array([c_gain * g for g in obj_gens] + list(act_gens))
-    z = _active_set_weights(M, g_plus, nobj)
-    return -(g_plus + M.T.dot(z)), z[:nobj]
+    z = _active_set_weights(M, nobj)
+    return -M.T.dot(z), z[:nobj]
 
 
 def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
@@ -384,25 +381,25 @@ def _two_row_velocity(g: np.ndarray, a1: np.ndarray, a2: np.ndarray):
     return None if lam > LAM_CAP else -(g + lam * a)
 
 
-def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
-                        nobj: int) -> np.ndarray:
-    """argmin ||g_plus + M^T z|| over z = (mu, lam): mu, the weights of the
-    first ``nobj`` rows, in the unit simplex, and 0 <= lam <= LAM_CAP.
-    Lawson-Hanson NNLS with the simplex equality kept exactly: start at the
-    best simplex vertex, free the coordinate whose reduced gradient is most
-    negative, re-solve the least squares on the free set, and step back to
-    the boundary (fixing the coordinate that reaches it) while a free weight
-    leaves its bounds.  Finite; a weight that reaches LAM_CAP stays there.
-    The result is the start, or the least squares on the final free set."""
+def _active_set_weights(M: np.ndarray, nobj: int) -> np.ndarray:
+    """argmin ||M^T z|| over z = (mu, lam): mu, the weights of the first
+    ``nobj`` rows (at least one), in the unit simplex, and 0 <= lam <=
+    LAM_CAP.  Lawson-Hanson NNLS with the simplex equality kept exactly:
+    start at the best simplex vertex, free the coordinate whose reduced
+    gradient is most negative, re-solve the least squares on the free set,
+    and step back to the boundary (fixing the coordinate that reaches it)
+    while a free weight leaves its bounds.  Finite; a weight that reaches
+    LAM_CAP stays there.  The result is the start, or the least squares on
+    the final free set."""
     d = len(M)
     start = np.zeros(d, dtype=bool)
     if nobj == 1:
         start[0] = True
-    elif nobj:
-        G = g_plus + M[:nobj]
+    else:
+        G = M[:nobj]
         start[int(np.argmin(np.sqrt((G * G).sum(axis=1))))] = True
     # the largest row norm is the root of the largest squared norm
-    scale = max(_norm(g_plus), math.sqrt(float((M * M).sum(axis=1).max())))
+    scale = math.sqrt(float((M * M).sum(axis=1).max()))
     tol = 1e-12 * scale * scale
     z = start.astype(float)
     free = start
@@ -411,12 +408,12 @@ def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
     # column lies in the span of the free ones
     refused = np.zeros(d, dtype=bool)
     for _ in range(3 * d):
-        t, grad_t = _least_reduced_gradient(M, g_plus, nobj, z, free,
+        t, grad_t = _least_reduced_gradient(M, nobj, z, free,
                                             free | capped | refused)
         if grad_t >= -tol:
             break
         free[t] = True
-        w = _free_least_squares(M, g_plus, nobj, free, capped)
+        w = _free_least_squares(M, nobj, free, capped)
         if w[t] <= 0.0:
             free[t], refused[t] = False, True
             continue
@@ -435,20 +432,19 @@ def _active_set_weights(M: np.ndarray, g_plus: np.ndarray,
             out[i] = True
             free[out], z[out] = False, 0.0
             z[capped] = LAM_CAP
-            w = _free_least_squares(M, g_plus, nobj, free, capped)
+            w = _free_least_squares(M, nobj, free, capped)
         z = w
     return z
 
 
-def _least_reduced_gradient(M: np.ndarray, g_plus: np.ndarray, nobj: int,
-                            z: np.ndarray, free: np.ndarray,
-                            skip: np.ndarray):
+def _least_reduced_gradient(M: np.ndarray, nobj: int, z: np.ndarray,
+                            free: np.ndarray, skip: np.ndarray):
     """(t, gradient): the coordinate outside ``skip`` whose reduced gradient
     at z is least, and that gradient, inf when every coordinate is skipped.
     The simplex weights' gradient is taken less the simplex multiplier, the
     mean over the free ones; with one simplex weight that entry is free and
     skipped, and the subtraction is left out."""
-    grad = M.dot(g_plus + M.T.dot(z))
+    grad = M.dot(M.T.dot(z))
     if nobj > 1:
         used = grad[:nobj][free[:nobj]]
         # ndarray.mean's own arithmetic: the sum over the count
@@ -458,10 +454,11 @@ def _least_reduced_gradient(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     return t, grad[t]
 
 
-def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
-                        free: np.ndarray, capped: np.ndarray) -> np.ndarray:
+def _free_least_squares(M: np.ndarray, nobj: int, free: np.ndarray,
+                        capped: np.ndarray) -> np.ndarray:
     """Least squares over the free weights, the rest held at 0 or LAM_CAP.
-    One free simplex weight is held at 1 by the KKT system of the normal
+    The simplex weights sum to one, so at least one of them is free.  One
+    free simplex weight is held at 1 by the KKT system of the normal
     equations, whose simplex row pins it.  Two or more, nf of them, sum to
     one by construction: they are 1/nf each plus Q y, Q an orthonormal
     basis of the directions whose entries sum to 0 (``_zero_sum_basis``,
@@ -475,7 +472,7 @@ def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
     a one-ulp change of it, and the catalog's exact optima (example 6's
     among them) are reached with it."""
     w = np.where(capped, LAM_CAP, 0.0)
-    r0 = g_plus + M.T.dot(w)
+    r0 = M.T.dot(w)
     idx = np.flatnonzero(free)
     nf = np.count_nonzero(free[:nobj])
     if nf == 1:
@@ -488,7 +485,7 @@ def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
         rhs[:f] = -2.0 * Mf.dot(r0)
         rhs[f] = 1.0
         w[idx] = _lstsq(kkt, rhs)[:-1]
-    elif nf:
+    else:
         gens = idx[:nf]
         w[gens] = 1.0 / nf
         q = _zero_sum_basis(nf)
@@ -496,8 +493,6 @@ def _free_least_squares(M: np.ndarray, g_plus: np.ndarray, nobj: int,
         y = _lstsq(cols.T, -(r0 + M[gens].T.dot(w[gens])))
         w[gens] += q.dot(y[:nf - 1])
         w[idx[nf:]] = y[nf - 1:]
-    elif len(idx):
-        w[idx] = _lstsq(M[idx].T, -r0)
     return w
 
 
@@ -555,48 +550,48 @@ def _kink_step(objective, kink: list, x: np.ndarray) -> np.ndarray:
 # Flows
 # ---------------------------------------------------------------------------
 
+def _band(norm: float) -> float:
+    """The band of a row with gradient-norm estimate ``norm``, max(ZERO_BAND,
+    CERT_BAND * norm) as np.maximum takes it: a NaN band stays NaN."""
+    band = CERT_BAND * norm
+    return ZERO_BAND if band < ZERO_BAND else band
+
+
+def _escaped(vals: np.ndarray, norms: np.ndarray) -> bool:
+    """Whether some row value in ``vals`` lies above its band, the band the
+    selection takes a row in, at the flow's gradient-norm estimates."""
+    return any(v > _band(norm)
+               for v, norm in zip(vals.tolist(), norms.tolist()))
+
+
 def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
                        vals: np.ndarray):
-    """Returns (velocity, r_value, outside, kink) at x, whose row values
-    are ``vals``, with the flow's gradient-norm estimates ``norms`` and the
-    band CERT_BAND.
+    """Returns (velocity, r_value, kink) at x, whose row values are
+    ``vals``, with the flow's gradient-norm estimates ``norms`` and the band
+    CERT_BAND.  Each row not below its band is active, and scales the
+    objective's part by its smoothed gain, 0 from the top of the band up.
     kink lists the objective branches that carry weight in the selection
-    when two or more do, else it is None (always outside the feasible
-    set, where the objective takes no part)."""
-    g_plus = np.zeros(stack.n)
+    when two or more do, else it is None."""
     act_gens = []
-    any_plus = False
-    prod_gain = 1.0
+    c_gain = 1.0
     for i, (v, norm) in enumerate(zip(vals.tolist(), norms.tolist())):
-        band = CERT_BAND * norm
-        # max(ZERO_BAND, band) as np.maximum takes it: a NaN band stays NaN
-        if band < ZERO_BAND:
-            band = ZERO_BAND
         # rows below their band contribute nothing
-        if not v >= -band:
+        if not v >= -_band(norm):
             continue
-        if v > band:
-            g_plus += stack.row_grad(i, x, norms)
-            any_plus = True
-        else:
-            g = stack.row_grad(i, x, norms)
-            band = max(ZERO_BAND, CERT_BAND * norms[i])
-            act_gens.append(g)
-            # smoothed Psi on the band: 0.5 at the boundary itself
-            prod_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
-    kink = None
-    c_gain = 0.0 if any_plus else prod_gain
+        act_gens.append(stack.row_grad(i, x, norms))
+        # the gain's band is at the gradient norm row_grad just recorded
+        band = _band(norms[i])
+        # smoothed Psi on the band: 0.5 at the boundary itself
+        c_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
     r_val, obj_gens, members = _objective_generators(objective, x, CERT_BAND)
-    if c_gain == 0.0:
-        vel = _min_norm_combo([], 0.0, g_plus, act_gens)[0]
-    else:
-        vel, mu = _min_norm_combo(obj_gens, c_gain, g_plus, act_gens)
-        if len(members) >= 2:
-            # a branch the selection gives no weight is leaving the kink
-            kink = [j for j, w in zip(members, mu) if w > 0.0]
-            if len(kink) < 2:
-                kink = None
-    return vel, r_val, any_plus, kink
+    vel, mu = _min_norm_combo(obj_gens, c_gain, act_gens)
+    kink = None
+    if len(members) >= 2:
+        # a branch the selection gives no weight is leaving the kink
+        kink = [j for j, w in zip(members, mu) if w > 0.0]
+        if len(kink) < 2:
+            kink = None
+    return vel, r_val, kink
 
 
 def solve_flow(objective, rows: RowSet, x0,
@@ -606,17 +601,23 @@ def solve_flow(objective, rows: RowSet, x0,
     the objective's scale: a velocity of at most ``STATIONARITY_TOL`` times
     max(1, max_j |grad r_j(x0)|) over its branches at the start point,
     fixed for the flow, at a point whose S is at most ``FEASIBILITY_TOL``.
-    Each step's first trial is twice the last accepted length, ``DT`` at
-    the first step.  The gradient-norm estimates of the nonlinear rows
-    start at their norms at ``x0``.  Each point is evaluated once:
-    the row values of the current x and their S come from the start check,
-    then from the accepted trial or the polish.  Every selection is made at
-    the band CERT_BAND, and the flow is certified once, at that band: a
-    step whose selection is stationary ends the flow ``Converged`` there.
-    Every other end (a zero velocity at an infeasible point, 31 failed
-    halvings, 100 stalled steps or ``MAX_STEPS``) polishes the point and
-    selects once more, and is ``Converged`` only if that selection is
-    stationary.  ``trace``, when given, records every step."""
+    The gradient-norm estimates of the nonlinear rows start at their norms
+    at ``x0``.  A start with a row above its band (``_escaped``) is
+    polished once, and ends the flow ``Unconverged`` after 0 steps if a
+    row is still above its band.  Each step's first trial is twice the
+    last accepted length, ``DT`` at the first step; a trial is accepted
+    when it lowers r by the Armijo margin and has no row above its band.
+    Each point is evaluated once: the row values of the current x and
+    their S come from the start, then from the accepted trial or the
+    polish.  Every selection is made at the band CERT_BAND, and the flow
+    is certified once, at that band: a step whose selection is stationary
+    ends the flow ``Converged`` there.  Every other end (a zero velocity
+    at an infeasible point, 31 failed halvings, 100 stalled steps in a row
+    or ``MAX_STEPS``) polishes the point and selects once more, and is
+    ``Converged`` only if that selection is stationary and no row is above
+    its band.  An accepted step stalls when it is shorter than 1e-12
+    max(1, |x|) or sets no new least r.  ``trace``, when given, records
+    every step."""
     x = np.asarray(x0, dtype=float).copy()
     norms = rows.norm_estimates(x)
     tol = STATIONARITY_TOL * max(
@@ -624,16 +625,21 @@ def solve_flow(objective, rows: RowSet, x0,
     flow_id = trace.next_flow() if trace else 0
 
     vals, s_cur = rows.evaluate(x)
+    if _escaped(vals, norms):
+        x, vals, s_cur = _polish_feasibility(rows, norms, x, vals, s_cur)
+        if _escaped(vals, norms):
+            return FlowResult(x, float(objective.value(x)), s_cur,
+                              FlowStatus.UNCONVERGED)
     xnorm = _norm(x)
 
     dt = DT
     # arc length, for the trace only
     t = 0.0
+    r_least = math.inf
     stalls = 0
     steps = 0
     for steps in range(1, MAX_STEPS + 1):
-        vel, r_val, outside, kink = _selected_velocity(rows, norms,
-                                                       objective, x, vals)
+        vel, r_val, kink = _selected_velocity(rows, norms, objective, x, vals)
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
@@ -661,30 +667,20 @@ def solve_flow(objective, rows: RowSet, x0,
                 # polish and the descent test (see the module docstring)
                 xn = _kink_step(objective, kink, xn)
             vals_n, s_n = rows.evaluate(xn)
+            # project the candidate back onto the boundary first: judging
+            # descent on a point that will be pulled back afterwards admits
+            # a limit cycle where the pullback undoes the decrease
+            if s_n > ZERO_BAND:
+                xn, vals_n, s_n = _polish_feasibility(rows, norms, xn,
+                                                      vals_n, s_n, vals)
             # Armijo margin: plain non-increase admits exact two-point cycles
-            # across kinks where the objective is symmetric
-            margin = 1e-4 * trial * vnorm
-            # penalty descent governs only when some row exceeds its activity
-            # band; within the band the flow slides and r-descent governs
-            if outside:
-                ok = s_n <= s_cur - margin + 1e-15
-            else:
-                # project the candidate back onto the boundary first: judging
-                # descent on a point that will be pulled back afterwards
-                # admits a limit cycle where the pullback undoes the decrease
-                if s_n > ZERO_BAND:
-                    xn, vals_n, s_n = _polish_feasibility(rows, norms, xn,
-                                                          vals_n, s_n, vals)
-                # monotone r and no escape beyond the boundary band, else the
-                # flow limit-cycles across the boundary (r can decrease there);
-                # the band is the selection's, max(ZERO_BAND, CERT_BAND * norm)
-                r_n = objective.value(xn)
-                ok = r_n <= r_val - margin + 1e-15 * max(1.0, abs(r_val))
-                if ok:
-                    ok = not any(v > ZERO_BAND and v > CERT_BAND * norm
-                                 for v, norm in zip(vals_n.tolist(),
-                                                    norms.tolist()))
-            if ok:
+            # across kinks where the objective is symmetric; and no escape
+            # beyond the band, else the flow limit-cycles across the
+            # boundary (r can decrease there)
+            r_n = objective.value(xn)
+            if (r_n <= r_val - 1e-4 * trial * vnorm
+                    + 1e-15 * max(1.0, abs(r_val))
+                    and not _escaped(vals_n, norms)):
                 accepted = True
                 break
             trial *= 0.5
@@ -693,13 +689,15 @@ def solve_flow(objective, rows: RowSet, x0,
             # below decides whether this point is stationary
             break
         # displacement equals trial (unit direction); a run of vanishing
-        # accepted steps means numeric stagnation the margins cannot see
-        if trial < 1e-12 * max(1.0, xnorm):
+        # steps, or of steps that set no new least r (a cycle the margin's
+        # slack admits), is numeric stagnation
+        if trial < 1e-12 * max(1.0, xnorm) or not r_n < r_least:
             stalls += 1
             if stalls >= 100:
                 break
         else:
             stalls = 0
+        r_least = min(r_least, r_n)
         x, vals, s_cur = xn, vals_n, s_n
         xnorm = _norm(x)
         t += trial
@@ -713,9 +711,10 @@ def solve_flow(objective, rows: RowSet, x0,
                               steps, vnorm)
 
     x, vals, s_cur = _polish_feasibility(rows, norms, x, vals, s_cur)
-    vel, r_final, _, _ = _selected_velocity(rows, norms, objective, x, vals)
+    vel, r_final, _ = _selected_velocity(rows, norms, objective, x, vals)
     vnorm = _norm(vel)
-    if vnorm <= tol and s_cur <= FEASIBILITY_TOL:
+    if (vnorm <= tol and s_cur <= FEASIBILITY_TOL
+            and not _escaped(vals, norms)):
         status = FlowStatus.CONVERGED
     else:
         status = FlowStatus.UNCONVERGED
@@ -734,7 +733,7 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
     rows, or one row the step pushed others through, are solved by least
     squares onto level 0.  l is 0, except for a nonlinear row when the row
     values ``origin`` of the trial's origin are given: then l is that row's
-    level there, max(0, min(origin_i, ZERO_BAND / 2)).  A tangent step moves
+    level there, max(0, min(origin_i, ZERO_BAND)).  A tangent step moves
     a curved row by a second-order amount, and pulling it back to its own
     level costs r only that much, where a pull to 0 from the top of the
     band costs r the band at every step; an affine row, moved only at first
@@ -758,7 +757,7 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
                     return x, vals, s
                 level = 0.0
                 if origin is not None and i >= stack.na:
-                    level = max(0.0, min(origin[i], 0.5 * ZERO_BAND))
+                    level = max(0.0, min(origin[i], ZERO_BAND))
                 full = ((vals[i] - level) * g) / gg
             else:
                 G = np.array([stack.row_grad(i, x, norms) for i in rows])

@@ -15,11 +15,12 @@ without decoding hex.  Two checkouts whose dumps are equal ran the same
 flows and the same outer loop to the same bits.  The solves
 are examples 1 to 6 at the epsilons of ``test_acceptance.py`` (example 1
 at 1e-5), example 2 at 1e-4, ``ball3``, example 5 in 3 variables,
-``ball2``, example 5 in 2 variables, whose f1 face probe stalls and ends
-``Unconverged``, so its flow leaves the step loop for the final polish and
-certification and sets no incumbent, and ``tri3``, three lower objectives
+``ball2``, example 5 in 2 variables, ``tri3``, three lower objectives
 in 3 variables, at 1e-2 for 60 iterations: the one case whose cuts make
-children that ``prune`` drops before phi is evaluated at them.
+children that ``prune`` drops before phi is evaluated at them, and example
+5 with its lower objectives times 0.01 (``scaled_text``), the one case
+with a flow that starts with a row above its band, so that the dump covers
+the polish of such a start.
 
     python tests/flow_dump.py > dump.txt
 
@@ -28,6 +29,7 @@ directory, so a copy of it placed in another checkout dumps that checkout.
 pytest does not collect it.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -70,13 +72,36 @@ bound x2 -1 2
 bound x3 -1 2
 """
 
+_EXPRESSION_LINE = re.compile(r"^(upper|lower|constraint_x|constraint_xy) ")
+
+
+def scaled_text(number, f=1.0, x=1.0):
+    """Example ``number`` with every lower objective multiplied by f and
+    every x_k replaced by x_k / x, its bounds multiplied by x."""
+    lines = []
+    for line in catalog.example_text(number).replace("\\\n", "").splitlines():
+        if _EXPRESSION_LINE.match(line):
+            key, body = line.split(" ", 1)
+            if x != 1.0:
+                body = re.sub(r"\b(x\d+)\b", rf"(\1/{x!r})", body)
+            if key == "lower" and f != 1.0:
+                body = f"{f!r}*({body})"
+            line = f"{key} {body}"
+        elif line.startswith("bound "):
+            _, name, lo, hi = line.split()
+            line = f"bound {name} {float(lo) * x!r} {float(hi) * x!r}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 # (name, problem text, epsilon, iteration cap)
 CASES = [(f"ex{k}", catalog.example_text(k), 1e-5 if k == 1 else 1e-2, 500)
          for k in range(1, 7)]
 CASES += [("ex2-deep", catalog.example_text(2), 1e-4, 500),
           ("ball3", BALL3, 1e-2, 500),
           ("ball2", BALL2, 1e-2, 500),
-          ("tri3", TRI3, 1e-2, 60)]
+          ("tri3", TRI3, 1e-2, 60),
+          ("ex5-f*0.01", scaled_text(5, f=0.01), 1e-2, 500)]
 
 
 def _hex(values) -> str:

@@ -200,7 +200,7 @@ class TestProperties:
         for a in axes[0]:
             for c in axes[1]:
                 x = np.array([a, c])
-                if (region.values(x) > 1e-9).any():
+                if (region.evaluate(x)[0] > 1e-9).any():
                     continue
                 z = np.array([f.value(x) for f in problem.lower])
                 assert not np.all(z <= w - 0.02), (x, z, w)

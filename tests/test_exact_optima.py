@@ -77,7 +77,7 @@ def test_the_exact_point_is_feasible_and_attains_h_star(number, value):
     problem = catalog.load_example(number)
     x, h_star = EXACT[number]
     x = np.array(x)
-    assert max(problem.x_region().values(x)) <= 1e-12
+    assert max(problem.x_region().evaluate(x)[0]) <= 1e-12
     assert all(g.value(x) <= 1e-12 for g in problem.coupling)
     assert problem.upper.value(x) == pytest.approx(h_star, abs=1e-12)
     assert h_star == pytest.approx(value, abs=5e-8)

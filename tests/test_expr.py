@@ -623,7 +623,7 @@ class TestLazyGeneration:
                           for src in ("x1^2 + x2^2 - 1", "x1*x2 - 4")], 2)
         assert made == []
         for x in ([0.5, 0.5], [3.0, 2.0]):
-            rows.values(np.array(x))
+            rows.evaluate(np.array(x))
         assert made == [False, False]
         for _ in range(2):
             rows.row_grad(1, np.array([3.0, 2.0]))

@@ -13,7 +13,9 @@ ball(n) is example 5 in n variables: lower objectives |x|^2 and
 efficient set is the segment [0, e_1/2], so h* = 0.5 at every n.  ball3 is
 the ``crawl`` workload's member and example 5 is ball(14); at n = 2, 5 and
 8 a ray flow whose objective is steep (a direction component floored at
-1e-6 of the box) once ran to ``MAX_STEPS``, 10-14 s a solve.
+1e-6 of the box) once ran to ``MAX_STEPS``, 10-14 s a solve, and at n = 2
+an MP flow once crawled 9,360 steps along its curved row, held just under
+``ZERO_BAND`` by a polish that pulled the row below its own level.
 """
 
 import pytest
@@ -27,7 +29,7 @@ from flow_dump import BALL3
 STEP_SLACK = 1.25
 
 # ball(n) at n = 2, 5 and 8: no flow may take more steps than this
-BALL_FLOW_STEPS = 20_000
+BALL_FLOW_STEPS = 2_000
 
 
 def ball_text(n: int) -> str:
@@ -63,7 +65,7 @@ BUDGETS = [
     (2, 1e-2, 284, 0),
     (3, 1e-2, 73, 0),
     (4, 1e-2, 112, 0),
-    (5, 1e-2, 3367, 0),
+    (5, 1e-2, 350, 0),
     (6, 1e-2, 125, 0),
     (2, 1e-4, 765, 0),
     ("ball3", 1e-2, 201, 0),
@@ -103,3 +105,4 @@ def test_ball_family_solves_without_a_crawl(n, monkeypatch):
     # far below MAX_STEPS, which the crawling flows reached
     steps = [res.steps for res in results]
     assert max(steps) <= BALL_FLOW_STEPS, steps
+    assert all(res.status is nd.FlowStatus.CONVERGED for res in results)

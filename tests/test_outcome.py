@@ -86,7 +86,7 @@ class TestComputeBox:
         count = 0
         while count < 1000:
             x = rng.uniform(0.0, 2.6, 2)
-            if max(region.values(x)) > 0:
+            if max(region.evaluate(x)[0]) > 0:
                 continue
             z = np.array([f.value(x) for f in ex1.lower])
             assert np.all(z >= ex1_box.m - 0.02)
@@ -160,7 +160,7 @@ class TestSolveRay:
         for a in axes:
             for b in axes:
                 x = np.array([a, b])
-                if max(region.values(x)) > 0:
+                if max(region.evaluate(x)[0]) > 0:
                     continue
                 z = np.array([f.value(x) for f in ex1.lower])
                 assert not np.all(z < sol.w - r)
@@ -321,7 +321,7 @@ class TestSolveMp:
         x = sol.flow.x_final[:ex1.n]
         for j, f in enumerate(ex1.lower):
             assert f.value(x) <= ex1_box.M[j] + 1e-6
-        assert np.all(ex1.x_region().values(x) <= 1e-6)
+        assert np.all(ex1.x_region().evaluate(x)[0] <= 1e-6)
 
 
 class TestFalseInfeasibleVertices:
@@ -343,7 +343,7 @@ class TestFalseInfeasibleVertices:
     @pytest.mark.parametrize("z,x,margin", VERTICES)
     def test_the_vertex_is_feasible(self, ex1, z, x, margin):
         rows = stacked_mp_constraints(ex1, z)
-        assert rows.values(np.array(x)).max() <= -margin
+        assert rows.evaluate(np.array(x))[0].max() <= -margin
 
     def test_the_first_vertex_lies_below_the_certified_beta(self, ex1):
         # the run certifies beta = 1.79250 with phi of this vertex at inf
@@ -364,7 +364,7 @@ class TestFalseInfeasibleVertices:
         rows = stacked_mp_constraints(ex1, z)
         u = find_feasible(rows, np.array([1.0, 1.0]))
         assert u is not None
-        assert rows.values(u).max() <= 1e-7
+        assert rows.evaluate(u)[0].max() <= 1e-7
 
 
 class TestInteriorStart:

@@ -147,7 +147,7 @@ class TestInteriorStart:
             "bound x4 -inf inf\n")
         x0 = find_interior_start(problem)
         assert x0.tolist() == [-6.0, 4.0, 1.5, 1.0]
-        assert (problem.x_region().values(x0) < 0.0).all()
+        assert (problem.x_region().evaluate(x0)[0] < 0.0).all()
 
 
 def expression_rows(exprs, fmt, point, shifts=None):
@@ -205,7 +205,8 @@ class TestRowSet:
             expected = affine_first(direct_rows(prob, x, y, z))
             rows = stacked_mp_constraints(prob, z)
             assert list(rows.labels) == [r[0] for r in expected]
-            np.testing.assert_allclose(rows.values(np.concatenate([x, y])),
+            u = np.concatenate([x, y])
+            np.testing.assert_allclose(rows.evaluate(u)[0],
                                        [r[1] for r in expected],
                                        rtol=1e-12, atol=1e-12)
             # the lift: the rows that involve y, over y at the fixed x
@@ -213,7 +214,8 @@ class TestRowSet:
                       if r[0].startswith(("y", "g_"))]
             lift = prob.lift_rows(x)
             assert list(lift.labels) == [r[0] for r in lifted]
-            np.testing.assert_allclose(lift.values(y), [r[1] for r in lifted],
+            np.testing.assert_allclose(lift.evaluate(y)[0],
+                                       [r[1] for r in lifted],
                                        rtol=1e-12, atol=1e-12)
 
     def test_x_region_is_the_head_of_the_mp_rows(self):
@@ -223,8 +225,8 @@ class TestRowSet:
         rows = stacked_mp_constraints(prob, np.zeros(prob.p))
         assert list(region.labels) == list(rows.labels[:region.size])
         np.testing.assert_array_equal(
-            region.values(x),
-            rows.values(np.concatenate([x, [0.4, 0.5]]))[:region.size])
+            region.evaluate(x)[0],
+            rows.evaluate(np.concatenate([x, [0.4, 0.5]]))[0][:region.size])
 
 
 class TestStack:
@@ -240,7 +242,7 @@ class TestStack:
         # affine rows first: 5 s-rows, 2 bound rows and the branch rows of
         # f_2, then s_6 and f_1
         assert rows.labels[7:9] == ("f_2 - z_2 [1]", "f_2 - z_2 [2]")
-        assert rows.values(x)[10] == pytest.approx(f1 - 3.29)
+        assert rows.evaluate(x)[0][10] == pytest.approx(f1 - 3.29)
 
     def test_example6_stack_order(self):
         prob = catalog.load_example(6)
@@ -249,7 +251,7 @@ class TestStack:
         # 4 s-rows, 3 bound rows, 2 -y rows, 4 f-z rows, 2 g-rows
         assert rows.size == 15
         u = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        vals = rows.values(u)
+        vals = rows.evaluate(u)[0]
         # -y rows come after the x-block
         assert vals[7] == pytest.approx(-0.4)
         assert vals[8] == pytest.approx(-0.5)
@@ -267,7 +269,7 @@ class TestStack:
         x = np.array([1.0, 1.0])
         z = np.array([f.value(x) + 0.5 for f in prob.lower])
         rows = stacked_mp_constraints(prob, z)
-        f_vals = [v for label, v in zip(rows.labels, rows.values(x))
+        f_vals = [v for label, v in zip(rows.labels, rows.evaluate(x)[0])
                   if label.startswith("f_")]
         assert len(f_vals) == 3 and max(f_vals) < 0
 
@@ -304,7 +306,7 @@ class TestSplitRows:
         u = np.concatenate([x, y])
         rows = stacked_mp_constraints(prob, z)
         split = defaultdict(list)
-        for label, v in zip(rows.labels, rows.values(u)):
+        for label, v in zip(rows.labels, rows.evaluate(u)[0]):
             split[label.split(" [")[0]].append(v)
         unsplit = {"s_1": prob.lower_constraints[0].value(x),
                    "f_1 - z_1": prob.lower[0].value(x) - z[0],
@@ -314,7 +316,7 @@ class TestSplitRows:
             assert (max(split[label]) <= 0.0) == (value <= 0.0), label
         feasible = (all(v <= 0.0 for v in unsplit.values())
                     and abs(x[0]) <= 2.0 and y[0] >= 0.0)
-        assert (rows.values(u) <= 0.0).all() == feasible
+        assert (rows.evaluate(u)[0] <= 0.0).all() == feasible
 
 
 class TestRegionG:
@@ -324,8 +326,8 @@ class TestRegionG:
     @staticmethod
     def member(prob, u, tol=1e-9):
         x, y = u[:prob.n], u[prob.n:]
-        vals = np.concatenate([prob.x_region().values(x),
-                               prob.lift_rows(x).values(y)])
+        vals = np.concatenate([prob.x_region().evaluate(x)[0],
+                               prob.lift_rows(x).evaluate(y)[0]])
         return bool(np.max(vals) <= tol)
 
     def test_membership_matches_rows_on_grid(self):
