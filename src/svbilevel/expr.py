@@ -242,10 +242,22 @@ class _Parser:
 
 
 def parse_expression(src: str, variables: Sequence[str]) -> Expr:
-    """Parse ``src`` over the ordered variable list. Raises ParseError."""
+    """Parse ``src`` over the ordered variable list. Raises ParseError,
+    also for nesting deeper than Python's recursion limit."""
     if not src or not src.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(src, variables).parse()
+    parser = _Parser(src, variables)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError(f"expression nested too deeply to parse: "
+                         f"{_shortened(src.strip())}",
+                         parser.peek()[2]) from None
+
+
+def _shortened(text: str) -> str:
+    """``text`` cut to 60 characters, to name an expression in an error."""
+    return text if len(text) <= 60 else text[:60].rstrip() + " ..."
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +272,27 @@ def _prec(e: Expr) -> int:
     return 4
 
 
-def to_source(e: Expr) -> str:
+def to_source(e: Expr, depth: float = math.inf) -> str:
+    """Source text that parses back to ``e``.  With a ``depth``, each
+    compound subexpression below that many levels prints as ``...``, so
+    that an expression too deep for the recursive walks is named by its
+    top levels in their errors."""
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
+    if depth < 1:
+        return "..."
     if isinstance(e, Neg):
-        inner = to_source(e.child)
+        inner = to_source(e.child, depth - 1)
         if _prec(e.child) < 3:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(e, BinOp):
         lp, rp = _prec(e.left), _prec(e.right)
         mine = _prec(e)
-        left = to_source(e.left)
-        right = to_source(e.right)
+        left = to_source(e.left, depth - 1)
+        right = to_source(e.right, depth - 1)
         if lp < mine:
             left = f"({left})"
         # right side needs parens at equal precedence for - and /
@@ -285,7 +303,7 @@ def to_source(e: Expr) -> str:
             right = f"({right})"
         return f"{left} {e.op} {right}"
     if isinstance(e, Pow):
-        base = to_source(e.base)
+        base = to_source(e.base, depth - 1)
         # a negative constant too: -2.0^2 reads back as -(2.0^2); and a
         # power, since x^2^3 does not parse
         if (_prec(e.base) < 4 or isinstance(e.base, Pow)
@@ -293,7 +311,8 @@ def to_source(e: Expr) -> str:
             base = f"({base})"
         return f"{base}^{e.exponent}"
     if isinstance(e, Max):
-        return "max(" + ", ".join(to_source(c) for c in e.children) + ")"
+        return "max(" + ", ".join(to_source(c, depth - 1)
+                                  for c in e.children) + ")"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -439,7 +458,11 @@ def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
     """Compile ``e`` to a function of a sequence of floats: its value, or
     (value, gradient array) in gradient mode."""
     em = _Emitter(gradient)
-    v, g = em.emit(e)
+    try:
+        v, g = em.emit(e)
+    except RecursionError:
+        raise EvaluationError(f"expression nested too deeply to compile: "
+                              f"{_shortened(to_source(e, 20))}") from None
     head = [f"{name} = x[{i}]" for i, name in sorted(em.var_names.items())]
     if gradient:
         comps = ", ".join(g.get(j, "0.0") for j in range(n_vars))
@@ -531,12 +554,17 @@ class CompiledExpr:
 def affine_parts(e: Expr, n_vars: int):
     """(coefficients, constant) if the expression is affine, else None.
     Raises ParseError, at its position in the source, for a max anywhere
-    but at the root."""
-    kinds = [_affine_kind(c)
-             for c in (e.children if isinstance(e, Max) else (e,))]
-    if isinstance(e, Max) or kinds[0] is None:
-        return None
-    value, grad = _linear_form(e, n_vars)
+    but at the root, and at position 0 for nesting deeper than Python's
+    recursion limit."""
+    try:
+        kinds = [_affine_kind(c)
+                 for c in (e.children if isinstance(e, Max) else (e,))]
+        if isinstance(e, Max) or kinds[0] is None:
+            return None
+        value, grad = _linear_form(e, n_vars)
+    except RecursionError:
+        raise ParseError(f"expression nested too deeply to read: "
+                         f"{_shortened(to_source(e, 20))}", 0) from None
     return grad, value
 
 

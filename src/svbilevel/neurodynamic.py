@@ -98,8 +98,9 @@ FEASIBILITY_TOL = 1e-7
 # A flow whose point leaves this ball ends DIVERGED.
 DIVERGENCE_RADIUS = 1e7
 
-# solve_flow stops stepping after this many Euler steps and certifies where
-# it stands; find_feasible gives up after this many descent steps.
+# solve_flow takes at most this many Euler steps, then selects once more at
+# the point the last one reached; find_feasible gives up after this many
+# descent steps.
 MAX_STEPS = 200_000
 
 # solve_flow's first Euler step (each later step first tries twice the last
@@ -123,8 +124,8 @@ class FlowResult:
     objective_value: float
     penalty_residual: float
     status: FlowStatus
-    steps: int = 0
-    final_velocity_norm: float = math.inf
+    steps: int
+    final_velocity_norm: float
 
 
 class TraceRecorder:
@@ -603,21 +604,22 @@ def solve_flow(objective, rows: RowSet, x0,
     fixed for the flow, at a point whose S is at most ``FEASIBILITY_TOL``.
     The gradient-norm estimates of the nonlinear rows start at their norms
     at ``x0``.  A start with a row above its band (``_escaped``) is
-    polished once, and ends the flow ``Unconverged`` after 0 steps if a
-    row is still above its band.  Each step's first trial is twice the
-    last accepted length, ``DT`` at the first step; a trial is accepted
-    when it lowers r by the Armijo margin and has no row above its band.
-    Each point is evaluated once: the row values of the current x and
-    their S come from the start, then from the accepted trial or the
-    polish.  Every selection is made at the band CERT_BAND, and the flow
-    is certified once, at that band: a step whose selection is stationary
-    ends the flow ``Converged`` there.  Every other end (a zero velocity
-    at an infeasible point, 31 failed halvings, 100 stalled steps in a row
-    or ``MAX_STEPS``) polishes the point and selects once more, and is
-    ``Converged`` only if that selection is stationary and no row is above
-    its band.  An accepted step stalls when it is shorter than 1e-12
-    max(1, |x|) or sets no new least r.  ``trace``, when given, records
-    every step."""
+    polished once; one the polish cannot mend fails the certification
+    at its first selection.  Each step's first trial is twice the last
+    accepted length, ``DT`` at the first step; a trial is accepted when
+    it lowers r by the Armijo margin and has no row above its band.  Each
+    point is evaluated once: the row values of the current x and their S
+    come from the start, then from the accepted trial or the polish.
+    Every selection is made at the band CERT_BAND, and the flow is
+    certified right after it and nowhere else: a stationary velocity at
+    a point with no row above its band ends the flow ``Converged`` there.
+    Every other end leaves the flow ``Unconverged`` at the point last
+    selected, with that selection's r and velocity: a zero velocity, 100
+    stalled steps in a row or the selection after the ``MAX_STEPS``-th
+    Euler step, each tested right after the selection, or 31 failed
+    halvings.  ``steps`` counts the selections.  An accepted step stalls
+    when it is shorter than 1e-12 max(1, |x|) or sets no new least r.
+    ``trace``, when given, records every selection."""
     x = np.asarray(x0, dtype=float).copy()
     norms = rows.norm_estimates(x)
     tol = STATIONARITY_TOL * max(
@@ -627,9 +629,6 @@ def solve_flow(objective, rows: RowSet, x0,
     vals, s_cur = rows.evaluate(x)
     if _escaped(vals, norms):
         x, vals, s_cur = _polish_feasibility(rows, norms, x, vals, s_cur)
-        if _escaped(vals, norms):
-            return FlowResult(x, float(objective.value(x)), s_cur,
-                              FlowStatus.UNCONVERGED)
     xnorm = _norm(x)
 
     dt = DT
@@ -637,18 +636,19 @@ def solve_flow(objective, rows: RowSet, x0,
     t = 0.0
     r_least = math.inf
     stalls = 0
-    steps = 0
-    for steps in range(1, MAX_STEPS + 1):
+    for steps in range(1, MAX_STEPS + 2):
         vel, r_val, kink = _selected_velocity(rows, norms, objective, x, vals)
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
-        # a small velocity at an infeasible point is the band's gain and
-        # the row cone cancelling, not stationarity
-        if vnorm <= tol and s_cur <= FEASIBILITY_TOL:
+        # a small velocity at an infeasible point, or with a row above its
+        # band, is the band's gain and the row cone cancelling, not
+        # stationarity
+        if (vnorm <= tol and s_cur <= FEASIBILITY_TOL
+                and not _escaped(vals, norms)):
             return FlowResult(x, float(r_val), s_cur, FlowStatus.CONVERGED,
                               steps, vnorm)
-        if vnorm == 0.0:
+        if vnorm == 0.0 or stalls >= 100 or steps > MAX_STEPS:
             break
         # explicit Euler on the unit-speed reparameterization: the gain
         # product shrinks the velocity near active constraints without
@@ -685,16 +685,13 @@ def solve_flow(objective, rows: RowSet, x0,
                 break
             trial *= 0.5
         if not accepted:
-            # no step descends: the flow ends here, and the certification
-            # below decides whether this point is stationary
+            # no step descends: the flow ends at the point just selected
             break
         # displacement equals trial (unit direction); a run of vanishing
         # steps, or of steps that set no new least r (a cycle the margin's
         # slack admits), is numeric stagnation
         if trial < 1e-12 * max(1.0, xnorm) or not r_n < r_least:
             stalls += 1
-            if stalls >= 100:
-                break
         else:
             stalls = 0
         r_least = min(r_least, r_n)
@@ -710,15 +707,8 @@ def solve_flow(objective, rows: RowSet, x0,
             return FlowResult(x, math.nan, s_cur, FlowStatus.DIVERGED,
                               steps, vnorm)
 
-    x, vals, s_cur = _polish_feasibility(rows, norms, x, vals, s_cur)
-    vel, r_final, _ = _selected_velocity(rows, norms, objective, x, vals)
-    vnorm = _norm(vel)
-    if (vnorm <= tol and s_cur <= FEASIBILITY_TOL
-            and not _escaped(vals, norms)):
-        status = FlowStatus.CONVERGED
-    else:
-        status = FlowStatus.UNCONVERGED
-    return FlowResult(x, float(r_final), s_cur, status, steps, vnorm)
+    return FlowResult(x, float(r_val), s_cur, FlowStatus.UNCONVERGED, steps,
+                      vnorm)
 
 
 def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,

@@ -160,6 +160,19 @@ class TestInputErrors:
         assert out == ""
         assert err == "error: division by zero at node 1.0 / x1\n"
 
+    @pytest.mark.parametrize("upper, walk", [
+        ("(" * 200 + "x1" + ")" * 200, "parse"),
+        (" + ".join(["x1"] * 600), "compile"),
+        (" + ".join(["x1"] * 1000), "read")], ids=["parens", "600", "1000"])
+    def test_deep_expression(self, capsys, tmp_path, upper, walk):
+        path = tmp_path / "deep.txt"
+        path.write_text(f"vars x 1\nupper {upper}\nlower x1^2\n"
+                        f"lower (x1 - 1)^2\nbound x1 -1 2\n")
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert f"expression nested too deeply to {walk}: " in err
+
     # this ended "optimal" with h -791.49 when a box flow that had not
     # converged was accepted
     def test_unbounded_x(self, capsys, tmp_path):

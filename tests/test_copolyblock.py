@@ -12,7 +12,7 @@ from svbilevel.outcome import MpSolution
 def mp_solution(phi):
     """A feasible MP solution: a converged flow that ends with value phi."""
     return MpSolution(flow=nd.FlowResult(np.zeros(2), phi, 0.0,
-                                         nd.FlowStatus.CONVERGED))
+                                         nd.FlowStatus.CONVERGED, 1, 0.0))
 
 
 def evaluated(v, phi):

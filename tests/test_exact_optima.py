@@ -116,9 +116,10 @@ def test_example2_within_epsilon_of_h_star_at_1e_4():
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="MP and ray flows that end Unconverged still feed the bounds: "
-           "with the box flows run in full and MAX_STEPS 10 after them, 14 "
-           "of example 1's 33 flows end Unconverged, and the solve reports "
-           "optimal with h = beta = 1.8417363, 0.0497 above h*")
+           "with the box flows run in full and MAX_STEPS 10 after them, 15 "
+           "of example 1's 31 flows after the box end Unconverged, and the "
+           "solve reports optimal with h = beta = 1.8919018, 0.0999 above "
+           "h*")
 def test_a_step_cap_short_of_convergence_does_not_certify_example1(
         monkeypatch):
     # the box flows must converge, else compute_box raises before the

@@ -585,6 +585,40 @@ class TestRootMaxOnly:
         assert comp.value([1.0, 3.0]) == 1.0
 
 
+class TestDeepNesting:
+    """An expression nested deeper than Python's recursion limit is refused
+    with the error of the walk it is too deep for, naming the expression,
+    not a RecursionError."""
+
+    def test_deep_parentheses_fail_to_parse(self):
+        with pytest.raises(ParseError, match=r"^expression nested too deeply "
+                           r"to parse: \(\(\(\(.* \.\.\. "
+                           r"\(at position \d+\)$"):
+            parse_expression("(" * 200 + "x1" + ")" * 200, V2)
+
+    def test_a_long_sum_loads_but_fails_to_compile(self):
+        # the affine walk at load takes one frame per term, the code
+        # generator two
+        comp = CompiledExpr(parse_expression(" + ".join(["x1"] * 600), V2), 2)
+        assert comp.affine is not None
+        with pytest.raises(ex.EvaluationError, match=r"^expression nested too "
+                           r"deeply to compile: \.\.\. \+ x1 \+ .* \.\.\.$"):
+            comp.value([1.0, 0.0])
+
+    def test_a_longer_sum_fails_to_load(self):
+        ast = parse_expression(" + ".join(["x1"] * 1000), V2)
+        with pytest.raises(ParseError, match=r"^expression nested too deeply "
+                           r"to read: \.\.\. \+ x1 \+ .* \.\.\. "
+                           r"\(at position 0\)$"):
+            CompiledExpr(ast, 2)
+
+    def test_errors_name_the_top_levels(self):
+        ast = parse_expression("x1 + x2 * (x1 - 3) / -max(x1, 2)", V2)
+        assert to_source(ast, 2) == "x1 + ... / ..."
+        assert to_source(ast, 3) == "x1 + x2 * (...) / -..."
+        assert to_source(ast, 4) == to_source(ast)
+
+
 class TestLazyGeneration:
     """Code is generated on first evaluation, never on load: a problem
     loads and validates with no generated function, and a solve makes

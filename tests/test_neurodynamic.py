@@ -660,11 +660,12 @@ class TestSolveFlow:
 
     def test_a_start_the_polish_cannot_mend_ends_unconverged(self):
         # x1 <= -1 and x1 >= 1 read 1 each at x1 = 0, and no step lowers
-        # their sum: the flow ends where it starts, after 0 steps
+        # their sum: the rows cancel the velocity at the first selection,
+        # and the flow ends where it starts, after 1 step
         rows = rows_of(oracle("x1 + 1", ["x1"]), oracle("-x1 + 1", ["x1"]),
                        width=1)
         res = solve_flow(oracle("x1", ["x1"]), rows, np.array([0.0]))
-        assert res.status is FlowStatus.UNCONVERGED and res.steps == 0
+        assert res.status is FlowStatus.UNCONVERGED and res.steps == 1
         np.testing.assert_array_equal(res.x_final, [0.0])
         assert res.penalty_residual == 2.0
 
@@ -681,27 +682,34 @@ class TestSolveFlow:
         assert sol.flow.steps < 1000
 
     def test_certification_refuses_a_row_above_its_band(self, monkeypatch):
-        # every trial fails (value() reads 1 above branch_pairs()), and the
-        # terminal polish, replaced here, leaves the flat row 1e-6 x2 <= 0
-        # at 5e-8: above its band ZERO_BAND, though S is within
-        # FEASIBILITY_TOL, and the row's gain of 0 makes the velocity 0
-        class Overstated:
-            def branch_pairs(self, x):
-                return [(float(x[0]), np.array([1.0, 0.0]))]
+        # the start polish, replaced here by the identity, leaves the flat
+        # row 1e-6 x2 <= 0 at 5e-8: above its band ZERO_BAND, though S is
+        # within FEASIBILITY_TOL, and the row's gain of 0 makes the
+        # velocity 0 at the first selection
+        def kept(rows, norms, x, vals, s, origin=None):
+            return x, vals, s
 
-            def value(self, x):
-                return float(x[0]) + 1.0
-
-        def pushed(rows, norms, x, vals, s, origin=None):
-            x = np.array([x[0], 0.05])
-            return (x, *rows.evaluate(x))
-
-        monkeypatch.setattr(nd, "_polish_feasibility", pushed)
-        res = solve_flow(Overstated(), rows_of(oracle("1e-6*x2")),
-                         np.array([0.0, -1.0]))
+        monkeypatch.setattr(nd, "_polish_feasibility", kept)
+        res = solve_flow(oracle("x1"), rows_of(oracle("1e-6*x2")),
+                         np.array([0.0, 0.05]))
         assert res.final_velocity_norm == 0.0
         assert res.penalty_residual <= nd.FEASIBILITY_TOL
-        assert res.status is FlowStatus.UNCONVERGED
+        assert res.status is FlowStatus.UNCONVERGED and res.steps == 1
+
+    def test_a_cap_on_the_stationary_point_still_certifies_it(self):
+        # this flow converges at its 9th selection; a cap of 8 Euler steps
+        # still selects at the point the 8th step reached, and certifies it
+        obj = oracle("(x1 - 3)^2 + (x2 - 1)^2")
+        rows = rows_of(oracle("x1^2 + x2^2 - 4"))
+        ref = solve_flow(obj, rows, np.array([0.0, 0.0]))
+        assert ref.status is FlowStatus.CONVERGED and ref.steps == 9
+        with mock.patch.object(nd, "MAX_STEPS", 8):
+            res = solve_flow(obj, rows, np.array([0.0, 0.0]))
+        assert res.status is FlowStatus.CONVERGED and res.steps == 9
+        assert res.x_final.tobytes() == ref.x_final.tobytes()
+        with mock.patch.object(nd, "MAX_STEPS", 7):
+            res = solve_flow(obj, rows, np.array([0.0, 0.0]))
+        assert res.status is FlowStatus.UNCONVERGED and res.steps == 8
 
     def test_shared_rows_carry_no_state_between_flows(self):
         # the row's gradient norm is 2e-6 at the start, far below the
