@@ -343,38 +343,46 @@ def _ipow(base: float, k: int, node: Expr) -> float:
 
 
 class _Emitter:
-    """Python source for one max-free expression: a statement per node, in
-    the order a recursive evaluation visits them, with divisions checked
-    for a zero denominator and powers multiplied out as ``_ipow`` does.  In
-    gradient mode it also differentiates in forward mode, carrying the
-    gradient per component and leaving out components that are structurally
-    zero, and checks each quotient and power for a finite value.  That
-    repeats the arithmetic of a forward-mode walk on dense gradients up to
-    the sign of zero, except where an intermediate overflows: a left-out
-    component stays 0 where the walk gets 0 * inf = nan.  Value mode is the
-    same code without the gradient statements and the finiteness checks,
-    so both modes give the same value bit for bit.
+    """Python source for one max-free expression, in two blocks.  The value
+    block has a statement per node, in the order a recursive evaluation
+    visits them, with divisions checked for a zero denominator and powers
+    multiplied out as ``_ipow`` does.  The gradient block differentiates in
+    forward mode, carrying the gradient per component and leaving out
+    components that are structurally zero, and checks each quotient and
+    power for a finite value, in the same visiting order.  That repeats the
+    arithmetic of a forward-mode walk on dense gradients up to the sign of
+    zero, except where an intermediate overflows: a left-out component
+    stays 0 where the walk gets 0 * inf = nan.  The gradient block reads
+    only names the value block set, so a function may return the value
+    before it: value and gradient come from one arithmetic, bit for bit,
+    and every zero denominator is reported before any non-finite value.
     """
 
     ONE = "1.0"
 
-    def __init__(self, gradient: bool):
-        self.gradient = gradient
+    def __init__(self):
         self.lines = []
+        self.grad_lines = []
         self.consts = []
         self.nodes = []
         self.var_names = {}
         self.count = 0
 
-    def temp(self, rhs: str) -> str:
+    def temp(self, rhs: str, lines=None) -> str:
+        """A new temporary set to ``rhs``, by default in the value block."""
         name = f"t{self.count}"
         self.count += 1
-        self.lines.append(f"{name} = {rhs}")
+        (self.lines if lines is None else lines).append(f"{name} = {rhs}")
         return name
 
+    def grad_temp(self, rhs: str) -> str:
+        return self.temp(rhs, self.grad_lines)
+
     def name(self, rhs: str) -> str:
-        """A name or literal as it is, anything else through a temporary."""
-        return rhs if rhs == self.ONE or rhs.isidentifier() else self.temp(rhs)
+        """A name or literal as it is, anything else through a gradient
+        temporary."""
+        return (rhs if rhs == self.ONE or rhs.isidentifier()
+                else self.grad_temp(rhs))
 
     def product(self, a: str, b: str) -> str:
         # 1.0 * s == s exactly
@@ -393,18 +401,18 @@ class _Emitter:
         return f"_ipow({base}, {k}, {self.node_ref(node)})"
 
     def emit(self, e: Expr):
-        """Returns (value name, {component: name}); the gradient map is
-        empty in value mode."""
+        """Returns (value name, {component: name})."""
         if isinstance(e, Const):
             self.consts.append(e.value)
             return f"k{len(self.consts) - 1}", {}
         if isinstance(e, Var):
             if e.index not in self.var_names:
                 self.var_names[e.index] = f"x{e.index}"
-            return self.var_names[e.index], ({e.index: self.ONE} if self.gradient else {})
+            return self.var_names[e.index], {e.index: self.ONE}
         if isinstance(e, Neg):
             v, g = self.emit(e.child)
-            return self.temp(f"-{v}"), {j: self.temp(f"-{c}") for j, c in g.items()}
+            return self.temp(f"-{v}"), {j: self.grad_temp(f"-{c}")
+                                        for j, c in g.items()}
         if isinstance(e, BinOp):
             return self.emit_binop(e)
         if isinstance(e, Pow):
@@ -419,8 +427,8 @@ class _Emitter:
         v = self.temp(f"{a} {e.op} {b}")
         g = {j: self.name(self.derivative(e.op, v, a, b, ga.get(j), gb.get(j)))
              for j in sorted(ga.keys() | gb.keys())}
-        if e.op == "/" and self.gradient:
-            self.lines.append(
+        if e.op == "/":
+            self.grad_lines.append(
                 f"if not _isfinite({v}): _raise_nonfinite({self.node_ref(e)})")
         return v, g
 
@@ -443,39 +451,42 @@ class _Emitter:
         b, gb = self.emit(e.base)
         k = e.exponent
         v = self.temp(self.power(b, k, e))
-        if k == 0 or not self.gradient:
+        if k == 0:
             return v, {}
-        dv = self.temp(f"{k} * ({self.power(b, k - 1, e)})") if k != 1 else self.ONE
+        dv = (self.grad_temp(f"{k} * ({self.power(b, k - 1, e)})")
+              if k != 1 else self.ONE)
         g = {j: self.name(self.product(dv, d)) for j, d in gb.items()}
         ref = self.node_ref(e)
-        self.lines.append(f"if not _isfinite({v}): _raise_nonfinite({ref})")
+        self.grad_lines.append(
+            f"if not _isfinite({v}): _raise_nonfinite({ref})")
         if k != 1:
-            self.lines.append(f"if not _isfinite({dv}): _raise_nonfinite({ref})")
+            self.grad_lines.append(
+                f"if not _isfinite({dv}): _raise_nonfinite({ref})")
         return v, g
 
 
-def _generate(e: Expr, n_vars: int, gradient: bool) -> Callable:
-    """Compile ``e`` to a function of a sequence of floats: its value, or
-    (value, gradient array) in gradient mode."""
-    em = _Emitter(gradient)
+def _generate(e: Expr, n_vars: int) -> Callable:
+    """Compile ``e`` to a function ``generated(x, gradient=False)`` of a
+    sequence of floats: its value, or with ``gradient`` true (value,
+    gradient array).  The value path returns before the gradient
+    statements and the finiteness checks (see ``_Emitter``)."""
+    em = _Emitter()
     try:
         v, g = em.emit(e)
     except RecursionError:
         raise EvaluationError(f"expression nested too deeply to compile: "
                               f"{_shortened(to_source(e, 20))}") from None
     head = [f"{name} = x[{i}]" for i, name in sorted(em.var_names.items())]
-    if gradient:
-        comps = ", ".join(g.get(j, "0.0") for j in range(n_vars))
-        tail = f"return {v}, _array([{comps}])"
-    else:
-        tail = f"return {v}"
-    body = "\n    ".join(head + em.lines + [tail])
-    src = f"def generated(x):\n    {body}\n"
+    comps = ", ".join(g.get(j, "0.0") for j in range(n_vars))
+    body = "\n    ".join(
+        head + em.lines + ["if not gradient:", f"    return {v}"]
+        + em.grad_lines + [f"return {v}, _array([{comps}])"])
+    src = f"def generated(x, gradient=False):\n    {body}\n"
     namespace = {f"k{i}": c for i, c in enumerate(em.consts)}
     namespace.update(N=tuple(em.nodes), _ipow=_ipow, _isfinite=math.isfinite,
                      _array=np.array, _raise_zero=_raise_zero,
                      _raise_nonfinite=_raise_nonfinite)
-    exec(compile(src, f"<expression {to_source(e)[:60]}>", "exec"), namespace)
+    exec(compile(src, "<expression>", "exec"), namespace)
     return namespace["generated"]
 
 
@@ -491,11 +502,10 @@ def as_floats(x) -> list:
 
 
 class CompiledExpr:
-    """An expression bound to a variable count, with generated value and
-    (value, gradient) functions for each branch, made on first use so that
-    loading a problem stays cheap, and equal in value bit for bit.  A max
-    may stand only at the root, over branches without one (see
-    ``affine_parts``)."""
+    """An expression bound to a variable count, with one generated function
+    for each branch (``_generate``), its value or (value, gradient), made
+    on first use so that loading a problem stays cheap.  A max may stand
+    only at the root, over branches without one (see ``affine_parts``)."""
 
     def __init__(self, ast: Expr, n_vars: int):
         self.ast = ast
@@ -509,13 +519,9 @@ class CompiledExpr:
 
     @cached_property
     def branch_values(self) -> list:
-        """The generated value function of each branch."""
-        return [_generate(b, self.n_vars, gradient=False) for b in self.branches]
-
-    @cached_property
-    def branch_gradients(self) -> list:
-        """The generated (value, gradient) function of each branch."""
-        return [_generate(b, self.n_vars, gradient=True) for b in self.branches]
+        """The generated function of each branch: ``fn(xs)`` is its value,
+        ``fn(xs, True)`` its (value, gradient)."""
+        return [_generate(b, self.n_vars) for b in self.branches]
 
     def value(self, x) -> float:
         xs = as_floats(x)
@@ -528,7 +534,7 @@ class CompiledExpr:
         if isinstance(self.ast, Max):
             raise TypeError("value_grad of a root max: read its branches "
                             "through branch_pairs")
-        return self.branch_gradients[0](as_floats(x))
+        return self.branch_values[0](as_floats(x), True)
 
     def branch_pairs(self, x) -> list:
         """(value, gradient) of each branch (see ``branches``) by its
@@ -537,7 +543,7 @@ class CompiledExpr:
         if not isinstance(self.ast, Max):
             return [self.value_grad(x)]
         xs = as_floats(x)
-        return [fn(xs) for fn in self.branch_gradients]
+        return [fn(xs, True) for fn in self.branch_values]
 
     def value_generators(self, x, active_tol: float):
         """(value, [generator gradients]): for a root max node the gradients

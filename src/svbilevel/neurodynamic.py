@@ -9,9 +9,9 @@ the Clarke sets: objective-generator and near-active constraint weights
 are chosen by an exact minimum-norm rule (a closed form or a finite
 active-set QP) so the discrete flow slides along boundaries and nonsmooth
 valleys instead of chattering.  A selection is a function of the point,
-its row values and the flow's gradient-norm estimates alone: it carries
-nothing from one step to the next.  A step that sets no new least r
-stalls, so a cycle whose r differs by rounding ends.  The QPs, the polish
+its row values and the flow's row bands alone: it carries nothing from
+one step to the next.  A step that sets no new least r stalls, so a
+cycle whose r differs by rounding ends.  The QPs, the polish
 and the kink step take their products as ``ndarray.dot``, the BLAS calls
 of ``@`` on the same operands with less dispatch, and their least squares
 from ``_lstsq``: the LAPACK gufunc that ``np.linalg.lstsq`` wraps, called
@@ -30,11 +30,14 @@ the pull after a tangent step along it is second order in the step and
 Armijo accepts full steps along curved rows; affine rows, which a tangent
 step moves only at first order, and several violated rows are pulled to 0.
 The S of each point is computed once, with its row values by
-``RowSet.evaluate``, and carried with them.  Tests that only choose a
-branch or pick rows (the motion test, the band escape, the row scans of
-the selection, the polish and ``find_feasible``) compare the Python floats
-of those arrays, which pick what numpy's comparisons pick and compute no
-float the flows use.
+``RowSet.evaluate``, and carried with them.  Row values are a list of
+Python floats, made into an array only where numpy computes with them
+(the polish's least squares, and S over 8 or more positive values), so
+the tests that only choose a branch or pick rows (the band escape, the
+row scans of the selection, the polish and ``find_feasible``) compare
+floats and compute no float the flows use.  A flow carries each row's
+band, ``_band`` of its gradient-norm estimate, which changes only where
+``RowSet.row_grad`` takes that row's gradient.
 
 The kink of a max objective gets the same treatment.  When two or more
 branches within the objective band carry weight in the selection, the
@@ -54,10 +57,10 @@ then nonlinear rows, each a max-free expression over the leading columns
 of u, shifted by a constant.  A point's nonlinear rows and their
 gradients are computed from one list of Python floats, each row its
 expression's own generated code, a function of that list; its row values
-and S come from one list of floats too, S adding the positive values in
-the order ``ndarray.sum`` adds them.  The flows amplify a one-ulp
-difference, so this arithmetic is kept bit for bit that of the
-expressions and of ``ndarray.sum``.  Euler steps start at ``DT``, and
+are one list of floats, and S adds their positive values in the order
+``ndarray.sum`` adds them.  The flows amplify a one-ulp difference, so
+this arithmetic is kept bit for bit that of the expressions and of
+``ndarray.sum``.  Euler steps start at ``DT``, and
 each step's first trial is twice the last accepted length.  A flow is
 stationary where its velocity is at most ``STATIONARITY_TOL`` scaled by
 max(1, the largest branch-gradient norm of the objective at the flow's
@@ -75,6 +78,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -178,19 +182,21 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _positive_sum(floats: list, vals: np.ndarray) -> float:
-    """S = sum_i max{0, r_i} of the row values ``vals``, given also as the
-    list ``floats``: the positive values added in index order, which is
-    ``ndarray.sum``'s order below 8 terms; from 8 up, ``ndarray.sum``
-    itself, whose pairwise order differs.  Not the built-in ``sum``, which
-    Python 3.12 made compensated."""
+def _positive_sum(vals: list) -> float:
+    """S = sum_i max{0, r_i} of the row values ``vals``, a list of floats:
+    the positive values added in index order, which is ``ndarray.sum``'s
+    order below 8 terms; from 8 up, ``ndarray.sum`` of them, whose pairwise
+    order differs.  Not the built-in ``sum``, which Python 3.12 made
+    compensated."""
     s = 0.0
     count = 0
-    for v in floats:
+    for v in vals:
         if v > 0.0:
             s += v
             count += 1
-    return float(vals[vals > 0.0].sum()) if count >= 8 else s
+    if count >= 8:
+        return float(np.array([v for v in vals if v > 0.0]).sum())
+    return s
 
 
 class RowSet:
@@ -201,10 +207,11 @@ class RowSet:
     over the first ``expr.n_vars`` columns of w.  ``labels`` name the rows
     in the order ``evaluate`` returns their values.
     The nonlinear rows and their gradients are evaluated on w as one list
-    of Python floats, each row by its expression's generated functions,
+    of Python floats, each row by its expression's generated function,
     made on first use, so that a RowSet built and not evaluated generates
-    no code; u is a float array.  A RowSet holds no flow state, so one set
-    serves any number of flows."""
+    no code; u is a float array, and the row values are a list of Python
+    floats.  A RowSet holds no flow state, so one set serves any number of
+    flows: a flow carries its rows' bands (``norm_estimates``)."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, nonlinear=(), labels=(),
                  head: Optional[np.ndarray] = None):
@@ -252,50 +259,45 @@ class RowSet:
                       self.nonlinear, self.labels,
                       np.concatenate([self.head, x]))
 
-    def norm_estimates(self, u) -> np.ndarray:
-        """A flow's starting per-row gradient norms at u: fixed for affine
-        rows; a nonlinear row's is its gradient's norm at u, which
-        ``row_grad`` updates as the flow moves."""
+    def norm_estimates(self, u) -> list:
+        """A flow's starting row bands at u, ``_band`` of each row's
+        gradient-norm estimate (at least 1e-12): fixed for affine rows; a
+        nonlinear row's is its gradient's norm at u, which ``row_grad``
+        updates as the flow moves."""
         affine = np.maximum(np.sqrt((self.A * self.A).sum(axis=1)), 1e-12)
-        norms = np.concatenate([affine, np.empty(len(self.nonlinear))])
+        bands = list(map(_band, affine.tolist())) + [0.0] * len(self.nonlinear)
         for i in range(self.na, self.size):
-            self.row_grad(i, u, norms)
-        return norms
+            self.row_grad(i, u, bands)
+        return bands
 
     def evaluate(self, u):
-        """(values, S) at u: the row values and S = sum_i max{0, r_i}
-        (``_positive_sum``), both from the one list of floats the values
-        are made from."""
-        if not self.nonlinear:
-            vals = self.A.dot(u) + self.b
-            return vals, _positive_sum(vals.tolist(), vals)
-        rows = self._value_fns
-        if rows is None:
-            rows = self._value_fns = [(c.branch_values[0], shift)
-                                      for c, shift in self.nonlinear]
-        ws = self._head + u.tolist()
-        floats = [fn(ws) - shift for fn, shift in rows]
-        if self.na:
-            # one array from one list: cheaper than joining two arrays
-            floats = (self.A.dot(u) + self.b).tolist() + floats
-        vals = np.array(floats)
-        return vals, _positive_sum(floats, vals)
+        """(values, S) at u: the row values, a list of floats, and S =
+        sum_i max{0, r_i} of them (``_positive_sum``)."""
+        vals = (self.A.dot(u) + self.b).tolist() if self.na else []
+        if self.nonlinear:
+            rows = self._value_fns
+            if rows is None:
+                rows = self._value_fns = [(c.branch_values[0], shift)
+                                          for c, shift in self.nonlinear]
+            ws = self._head + u.tolist()
+            vals += [fn(ws) - shift for fn, shift in rows]
+        return vals, _positive_sum(vals)
 
-    def row_grad(self, i: int, u, norms: Optional[np.ndarray] = None
+    def row_grad(self, i: int, u, bands: Optional[list] = None
                  ) -> np.ndarray:
-        """Gradient of row i at u.  A nonlinear row's norm is recorded in
-        ``norms``, the calling flow's estimates."""
+        """Gradient of row i at u.  A nonlinear row's band, at its
+        gradient's norm, is recorded in ``bands``, the calling flow's."""
         if i < self.na:
             return self.A[i]
         c = self.nonlinear[i - self.na][0]
         ws = self._head + u.tolist()
-        g = c.branch_gradients[0](ws)[1]
+        g = c.branch_values[0](ws, True)[1]
         if c.n_vars < len(ws):
             g = np.concatenate([g, np.zeros(len(ws) - c.n_vars)])
         if self._head:
             g = g[len(self._head):]
-        if norms is not None:
-            norms[i] = max(_norm(g), 1e-12)
+        if bands is not None:
+            bands[i] = _band(max(_norm(g), 1e-12))
         return g
 
 
@@ -558,30 +560,29 @@ def _band(norm: float) -> float:
     return ZERO_BAND if band < ZERO_BAND else band
 
 
-def _escaped(vals: np.ndarray, norms: np.ndarray) -> bool:
-    """Whether some row value in ``vals`` lies above its band, the band the
-    selection takes a row in, at the flow's gradient-norm estimates."""
-    return any(v > _band(norm)
-               for v, norm in zip(vals.tolist(), norms.tolist()))
+def _escaped(vals: list, bands: list) -> bool:
+    """Whether some row value in ``vals`` lies above its band in ``bands``,
+    the flow's bands, in which the selection takes a row."""
+    return any(map(operator.gt, vals, bands))
 
 
-def _selected_velocity(stack: RowSet, norms: np.ndarray, objective, x,
-                       vals: np.ndarray):
+def _selected_velocity(stack: RowSet, bands: list, objective, x,
+                       vals: list):
     """Returns (velocity, r_value, kink) at x, whose row values are
-    ``vals``, with the flow's gradient-norm estimates ``norms`` and the band
+    ``vals``, with the flow's row bands ``bands`` and the objective band
     CERT_BAND.  Each row not below its band is active, and scales the
     objective's part by its smoothed gain, 0 from the top of the band up.
     kink lists the objective branches that carry weight in the selection
     when two or more do, else it is None."""
     act_gens = []
     c_gain = 1.0
-    for i, (v, norm) in enumerate(zip(vals.tolist(), norms.tolist())):
+    for i, (v, band) in enumerate(zip(vals, bands)):
         # rows below their band contribute nothing
-        if not v >= -_band(norm):
+        if not v >= -band:
             continue
-        act_gens.append(stack.row_grad(i, x, norms))
-        # the gain's band is at the gradient norm row_grad just recorded
-        band = _band(norms[i])
+        act_gens.append(stack.row_grad(i, x, bands))
+        # the gain's band is the one row_grad just recorded
+        band = bands[i]
         # smoothed Psi on the band: 0.5 at the boundary itself
         c_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
     r_val, obj_gens, members = _objective_generators(objective, x, CERT_BAND)
@@ -602,8 +603,8 @@ def solve_flow(objective, rows: RowSet, x0,
     the objective's scale: a velocity of at most ``STATIONARITY_TOL`` times
     max(1, max_j |grad r_j(x0)|) over its branches at the start point,
     fixed for the flow, at a point whose S is at most ``FEASIBILITY_TOL``.
-    The gradient-norm estimates of the nonlinear rows start at their norms
-    at ``x0``.  A start with a row above its band (``_escaped``) is
+    The bands of the nonlinear rows start at their gradients' norms at
+    ``x0``.  A start with a row above its band (``_escaped``) is
     polished once; one the polish cannot mend fails the certification
     at its first selection.  Each step's first trial is twice the last
     accepted length, ``DT`` at the first step; a trial is accepted when
@@ -621,14 +622,14 @@ def solve_flow(objective, rows: RowSet, x0,
     when it is shorter than 1e-12 max(1, |x|) or sets no new least r.
     ``trace``, when given, records every selection."""
     x = np.asarray(x0, dtype=float).copy()
-    norms = rows.norm_estimates(x)
+    bands = rows.norm_estimates(x)
     tol = STATIONARITY_TOL * max(
         1.0, max(_norm(g) for _, g in objective.branch_pairs(x)))
     flow_id = trace.next_flow() if trace else 0
 
     vals, s_cur = rows.evaluate(x)
-    if _escaped(vals, norms):
-        x, vals, s_cur = _polish_feasibility(rows, norms, x, vals, s_cur)
+    if _escaped(vals, bands):
+        x, vals, s_cur = _polish_feasibility(rows, bands, x, vals, s_cur)
     xnorm = _norm(x)
 
     dt = DT
@@ -637,7 +638,7 @@ def solve_flow(objective, rows: RowSet, x0,
     r_least = math.inf
     stalls = 0
     for steps in range(1, MAX_STEPS + 2):
-        vel, r_val, kink = _selected_velocity(rows, norms, objective, x, vals)
+        vel, r_val, kink = _selected_velocity(rows, bands, objective, x, vals)
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
@@ -645,7 +646,7 @@ def solve_flow(objective, rows: RowSet, x0,
         # band, is the band's gain and the row cone cancelling, not
         # stationarity
         if (vnorm <= tol and s_cur <= FEASIBILITY_TOL
-                and not _escaped(vals, norms)):
+                and not _escaped(vals, bands)):
             return FlowResult(x, float(r_val), s_cur, FlowStatus.CONVERGED,
                               steps, vnorm)
         if vnorm == 0.0 or stalls >= 100 or steps > MAX_STEPS:
@@ -671,7 +672,7 @@ def solve_flow(objective, rows: RowSet, x0,
             # descent on a point that will be pulled back afterwards admits
             # a limit cycle where the pullback undoes the decrease
             if s_n > ZERO_BAND:
-                xn, vals_n, s_n = _polish_feasibility(rows, norms, xn,
+                xn, vals_n, s_n = _polish_feasibility(rows, bands, xn,
                                                       vals_n, s_n, vals)
             # Armijo margin: plain non-increase admits exact two-point cycles
             # across kinks where the objective is symmetric; and no escape
@@ -680,7 +681,7 @@ def solve_flow(objective, rows: RowSet, x0,
             r_n = objective.value(xn)
             if (r_n <= r_val - 1e-4 * trial * vnorm
                     + 1e-15 * max(1.0, abs(r_val))
-                    and not _escaped(vals_n, norms)):
+                    and not _escaped(vals_n, bands)):
                 accepted = True
                 break
             trial *= 0.5
@@ -711,9 +712,8 @@ def solve_flow(objective, rows: RowSet, x0,
                       vnorm)
 
 
-def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
-                        vals: np.ndarray, s: float,
-                        origin: Optional[np.ndarray] = None):
+def _polish_feasibility(stack: RowSet, bands: list, x: np.ndarray,
+                        vals: list, s: float, origin: Optional[list] = None):
     """Gauss-Newton descent on S until S <= ZERO_BAND, the level at which the
     trial loop of ``solve_flow`` calls it.  A looser target leaves a sliding
     flow parked at that target, where any tangent step that raises S by one
@@ -737,11 +737,11 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
         # Gauss-Newton on the violated rows: a summed-gradient step is
         # defeated when a nearly-tight row's gradient opposes the violated
         # one, so solve the linearized system jointly instead
-        rows = [i for i, v in enumerate(vals.tolist()) if v > 0.0]
+        rows = [i for i, v in enumerate(vals) if v > 0.0]
         while True:
             if len(rows) == 1:
                 i = rows[0]
-                g = stack.row_grad(i, x, norms)
+                g = stack.row_grad(i, x, bands)
                 gg = float(g.dot(g))
                 if gg <= 1e-24:
                     return x, vals, s
@@ -750,10 +750,10 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
                     level = max(0.0, min(origin[i], ZERO_BAND))
                 full = ((vals[i] - level) * g) / gg
             else:
-                G = np.array([stack.row_grad(i, x, norms) for i in rows])
+                G = np.array([stack.row_grad(i, x, bands) for i in rows])
                 if float((G * G).sum()) <= 1e-24:
                     return x, vals, s
-                full = _lstsq(G, vals[rows])
+                full = _lstsq(G, np.array([vals[i] for i in rows]))
             delta = full
             pushed = None
             for _ in range(8):
@@ -767,7 +767,7 @@ def _polish_feasibility(stack: RowSet, norms: np.ndarray, x: np.ndarray,
             else:
                 # the step pushed through rows at their bound: hold those at
                 # the bound as well and solve again
-                grown = [i for i, v in enumerate(pushed.tolist())
+                grown = [i for i, v in enumerate(pushed)
                          if v > 0.0 and i not in rows]
                 if not grown:
                     return x, vals, s
@@ -788,7 +788,7 @@ def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
             return x
         g = np.zeros(rows.n)
         norm_sq = 0.0
-        for i, v in enumerate(vals.tolist()):
+        for i, v in enumerate(vals):
             if v > ZERO_BAND:
                 gi = rows.row_grad(i, x)
                 g += gi

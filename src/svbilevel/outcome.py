@@ -150,7 +150,7 @@ def compute_box(problem: BilevelProblem,
 class RayObjective:
     """max_j (f_j(x) - v_j) / d_j with the max branches of each f_j
     flattened into one branch list.  Each branch runs through its lower
-    objective's generated functions, made once per problem, with v_j and
+    objective's generated function, made once per problem, with v_j and
     d_j applied as floats outside them, so a ray call generates no code.
     The arithmetic is that of the expression ``Max`` of
     ``(branch - Const(v_j)) / Const(d_j)`` compiled as a ``CompiledExpr``,
@@ -164,22 +164,21 @@ class RayObjective:
 
     def __init__(self, problem: BilevelProblem, v, d_hat):
         self.terms = [
-            (branch, value, grad, float(v[j]), float(d_hat[j]))
+            (branch, fn, float(v[j]), float(d_hat[j]))
             for j, f in enumerate(problem.lower)
-            for branch, value, grad in zip(f.branches, f.branch_values,
-                                           f.branch_gradients)]
+            for branch, fn in zip(f.branches, f.branch_values)]
 
     def value(self, x) -> float:
         xs = as_floats(x)
-        return max((value(xs) - vj) / dj for _, value, _, vj, dj in self.terms)
+        return max((fn(xs) - vj) / dj for _, fn, vj, dj in self.terms)
 
     def branch_pairs(self, x) -> list:
         """((f_j(x) - v_j) / d_j, gradient) of each branch, in the order of
         ``terms``."""
         xs = as_floats(x)
         pairs = []
-        for branch, _, grad, vj, dj in self.terms:
-            bv, bg = grad(xs)
+        for branch, fn, vj, dj in self.terms:
+            bv, bg = fn(xs, True)
             r = (bv - vj) / dj
             if not math.isfinite(r):
                 raise EvaluationError(

@@ -20,7 +20,8 @@ in 3 variables, at 1e-2 for 60 iterations: the one case whose cuts make
 children that ``prune`` drops before phi is evaluated at them, and example
 5 with its lower objectives times 0.01 (``scaled_text``), the one case
 with a flow that starts with a row above its band, so that the dump covers
-the polish of such a start.
+the polish of such a start, and example 2 with its upper objective times
+100, the one case whose flows read a rescaled h.
 
     python tests/flow_dump.py > dump.txt
 
@@ -75,9 +76,10 @@ bound x3 -1 2
 _EXPRESSION_LINE = re.compile(r"^(upper|lower|constraint_x|constraint_xy) ")
 
 
-def scaled_text(number, f=1.0, x=1.0):
-    """Example ``number`` with every lower objective multiplied by f and
-    every x_k replaced by x_k / x, its bounds multiplied by x."""
+def scaled_text(number, f=1.0, x=1.0, h=1.0):
+    """Example ``number`` with every lower objective multiplied by f, the
+    upper objective by h, and every x_k replaced by x_k / x, its bounds
+    multiplied by x."""
     lines = []
     for line in catalog.example_text(number).replace("\\\n", "").splitlines():
         if _EXPRESSION_LINE.match(line):
@@ -86,6 +88,8 @@ def scaled_text(number, f=1.0, x=1.0):
                 body = re.sub(r"\b(x\d+)\b", rf"(\1/{x!r})", body)
             if key == "lower" and f != 1.0:
                 body = f"{f!r}*({body})"
+            if key == "upper" and h != 1.0:
+                body = f"{h!r}*({body})"
             line = f"{key} {body}"
         elif line.startswith("bound "):
             _, name, lo, hi = line.split()
@@ -101,7 +105,8 @@ CASES += [("ex2-deep", catalog.example_text(2), 1e-4, 500),
           ("ball3", BALL3, 1e-2, 500),
           ("ball2", BALL2, 1e-2, 500),
           ("tri3", TRI3, 1e-2, 60),
-          ("ex5-f*0.01", scaled_text(5, f=0.01), 1e-2, 500)]
+          ("ex5-f*0.01", scaled_text(5, f=0.01), 1e-2, 500),
+          ("ex2-h*100", scaled_text(2, h=100.0), 1e-2, 500)]
 
 
 def _hex(values) -> str:

@@ -343,7 +343,7 @@ class TestIncumbentFeasibility:
         problem = catalog.load_example(number)
         x, y = report.incumbent.x, report.incumbent.y
         u = np.concatenate([x, y])
-        assert np.all(problem.x_region().evaluate(x)[0] <= 1e-6)
+        assert max(problem.x_region().evaluate(x)[0]) <= 1e-6
         for g in problem.coupling:
             assert g.value(u) <= 1e-6
         assert np.all(y >= -1e-9)

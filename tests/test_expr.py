@@ -62,7 +62,10 @@ def _check_finite(v, node):
 
 def value_and_gradient(e, point):
     """Forward-mode evaluation of a max-free expression: (value,
-    gradient)."""
+    gradient).  Generated code computes the value first, so a zero
+    denominator is reported before any non-finite value: the walk runs
+    ``_reference_value`` first for its errors."""
+    _reference_value(e, point)
     n = len(point)
 
     def rec(node):
@@ -496,20 +499,54 @@ class TestCompiled:
         np.testing.assert_array_equal(gens[0], [0.0, 1.0])
 
     @pytest.mark.parametrize("src", ["x1 + x2^2", "2*x1 - 3*x2 + 1"])
-    def test_one_generated_function_per_mode(self, src, monkeypatch):
-        # a single branch is the expression itself: its branch functions
-        # are the ones value and value_grad use
+    def test_one_generated_function_per_branch(self, src, monkeypatch):
+        # a single branch is the expression itself: its one branch
+        # function is the one value and value_grad use
         made = []
         generate = ex._generate
-        monkeypatch.setattr(ex, "_generate", lambda e, n, gradient: (
-            made.append(gradient) or generate(e, n, gradient)))
+        monkeypatch.setattr(ex, "_generate", lambda e, n: (
+            made.append(e) or generate(e, n)))
         comp = CompiledExpr(parse_expression(src, V2), 2)
         x = np.array([0.5, 2.0])
         comp.value(x)
         comp.value_grad(x)
-        assert comp.branch_values[0](x.tolist()) == comp.value(x)
-        assert comp.branch_gradients[0](x.tolist())[0] == comp.value(x)
-        assert made == [False, True]
+        (fn,) = comp.branch_values
+        assert fn(x.tolist()) == comp.value(x)
+        assert fn(x.tolist(), True)[0] == comp.value(x)
+        assert made == [comp.ast]
+
+    @given(SMOOTH_EXPRESSIONS, st.lists(COORDS, min_size=3, max_size=3))
+    # x1^-2 is not finite there: the value path returns inf
+    @example(Pow(Var(0, "x1"), -2), [1e-200, 0.0, 0.0])
+    # a non-finite power and a zero denominator
+    @example(BinOp("/", Pow(Var(0, "x1"), 9), Var(1, "x2")),
+             [1e40, 0.0, 0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_the_value_path_is_the_gradient_paths_value(self, ast, coords):
+        # the value path returns the gradient path's value bit for bit; it
+        # raises the gradient path's zero denominator, and no non-finite
+        # value
+        fn = ex._generate(ast, 3)
+        try:
+            value, _ = fn(coords, True)
+        except ex.EvaluationError as err:
+            if str(err).startswith("non-finite value"):
+                fn(coords)
+            else:
+                with pytest.raises(ex.EvaluationError) as info:
+                    fn(coords)
+                assert str(info.value) == str(err)
+            return
+        assert fn(coords).hex() == value.hex()
+
+    def test_a_zero_denominator_is_reported_before_a_non_finite_power(self):
+        # the gradient path reports what the value path reports: the
+        # quotient's zero denominator, though the power before it overflows
+        comp = CompiledExpr(parse_expression("x1^400 + 1/x2", V2), 2)
+        for evaluate in (comp.value, comp.value_grad):
+            with pytest.raises(ex.EvaluationError,
+                               match=r"^division by zero at node 1\.0 / x2$"):
+                evaluate([10.0, 0.0])
 
     def test_affine_detection(self):
         assert CompiledExpr(parse_expression("2*x1 - 3*x2 + 1", V2), 2).affine is not None
@@ -625,7 +662,7 @@ class TestLazyGeneration:
     only the functions its flows call."""
 
     @staticmethod
-    def _refuse(e, n, gradient):
+    def _refuse(e, n):
         raise AssertionError(f"generated {to_source(e)} on load")
 
     @pytest.mark.parametrize("number", range(1, 7))
@@ -642,23 +679,26 @@ class TestLazyGeneration:
         problem = catalog.load_example(number)
         made = []
         generate = ex._generate
-        monkeypatch.setattr(ex, "_generate", lambda e, n, gradient: (
-            made.append(gradient) or generate(e, n, gradient)))
+        monkeypatch.setattr(ex, "_generate", lambda e, n: (
+            made.append(e) or generate(e, n)))
         report = bnb.solve(problem, bnb.SolverConfig(epsilon=epsilon))
         assert report.status is bnb.SolverStatus.OPTIMAL
         assert 0 < len(made) <= most
+        # each branch is compiled once, for its value and its gradient
+        assert len({id(e) for e in made}) == len(made)
 
     def test_rows_make_each_function_on_first_use(self, monkeypatch):
         made = []
         generate = ex._generate
-        monkeypatch.setattr(ex, "_generate", lambda e, n, gradient: (
-            made.append(gradient) or generate(e, n, gradient)))
+        monkeypatch.setattr(ex, "_generate", lambda e, n: (
+            made.append(e) or generate(e, n)))
         rows = RowSet.of([CompiledExpr(parse_expression(src, V2), 2)
                           for src in ("x1^2 + x2^2 - 1", "x1*x2 - 4")], 2)
         assert made == []
         for x in ([0.5, 0.5], [3.0, 2.0]):
             rows.evaluate(np.array(x))
-        assert made == [False, False]
+        assert made == [c.ast for c, _ in rows.nonlinear]
+        # a row's gradient comes from the function its value came from
         for _ in range(2):
             rows.row_grad(1, np.array([3.0, 2.0]))
-        assert made == [False, False, True]
+        assert made == [c.ast for c, _ in rows.nonlinear]

@@ -51,6 +51,11 @@ def rows_of(*exprs, width=2):
     return RowSet.of(exprs, width)
 
 
+def _bits(vals: list) -> list:
+    """The hex of each float of a list of row values."""
+    return [v.hex() for v in vals]
+
+
 def penalty(x, constraints):
     """S(x) = sum_i max{0, s_i(x)}, from the row values of x."""
     return RowSet.of(constraints, len(x)).evaluate(x)[1]
@@ -94,7 +99,8 @@ class TestPenalty:
             affine = RowSet(np.zeros((len(v), 1)), v)
             assert affine.evaluate(np.zeros(1))[1].hex() == expected
             vals, s = rows.evaluate(np.zeros(1))
-            assert (vals == v).all()
+            assert vals == v.tolist()
+            assert all(type(f) is float for f in vals)
             assert s.hex() == expected
 
 
@@ -712,10 +718,9 @@ class TestSolveFlow:
         assert res.status is FlowStatus.UNCONVERGED and res.steps == 8
 
     def test_shared_rows_carry_no_state_between_flows(self):
-        # the row's gradient norm is 2e-6 at the start, far below the
-        # estimate of 1.0 a flow starts with, so a flow that inherited the
-        # last flow's estimate would take another first step; a second
-        # flow on the same RowSet repeats the first bit for bit
+        # each flow takes the row's band from its gradient norm at its own
+        # start and keeps its bands to itself, so a second flow on the
+        # same RowSet repeats the first bit for bit
         obj = oracle("(x1 - 3)^2 + (x2 - 1)^2")
         rows = RowSet.of([oracle("1e-6*(x1^2 - 4)")], 2)
         runs = [solve_flow(obj, rows, np.array([1.0, 0.0]))
@@ -848,7 +853,7 @@ class TestRowPolish:
         x, out, s = nd._polish_feasibility(rows, rows.norm_estimates(x0), x0,
                                            *rows.evaluate(x0))
         assert s <= nd.ZERO_BAND
-        assert out.tobytes() == rows.evaluate(x)[0].tobytes()
+        assert _bits(out) == _bits(rows.evaluate(x)[0])
         assert s == rows.evaluate(x)[1]
 
     def test_slides_along_a_curved_row_without_least_squares(self,
@@ -872,8 +877,7 @@ class TestRowPolish:
         rows = RowSet.of([oracle("x1^2 + x2^2 - 1")], 2)
         x0 = np.array([(1.0 + 1e-7) ** 0.5, 0.0])
         x, out, _ = nd._polish_feasibility(
-            rows, rows.norm_estimates(x0), x0, *rows.evaluate(x0),
-            np.array([origin]))
+            rows, rows.norm_estimates(x0), x0, *rows.evaluate(x0), [origin])
         assert abs(out[0] - level) <= 1e-14
         assert x[0] < x0[0]
 
@@ -882,8 +886,7 @@ class TestRowPolish:
         rows = RowSet.of([oracle("x1 + x2 - 1")], 2)
         x0 = np.array([0.5 + 1e-7, 0.5])
         _, out, s = nd._polish_feasibility(
-            rows, rows.norm_estimates(x0), x0, *rows.evaluate(x0),
-            np.array([origin]))
+            rows, rows.norm_estimates(x0), x0, *rows.evaluate(x0), [origin])
         assert rows.na == 1
         assert abs(out[0]) <= 1e-15 and s <= 1e-15
 
@@ -939,7 +942,7 @@ class TestCarriedPenalty:
         rows, x0 = case
         x, out, s = nd._polish_feasibility(rows, rows.norm_estimates(x0), x0,
                                            *rows.evaluate(x0))
-        assert out.tobytes() == rows.evaluate(x)[0].tobytes()
+        assert _bits(out) == _bits(rows.evaluate(x)[0])
         assert s == rows.evaluate(x)[1]
 
     @given(row_sets())
@@ -957,11 +960,16 @@ class TestCarriedPenalty:
 
 
 def _assert_rows_match_oracles(rows: RowSet, u: np.ndarray):
-    """Each nonlinear row's value and gradient at u, hex for hex, are its
-    expression's on w = (head, u): value(w[:n_vars]) - shift, and
-    value_grad's gradient padded with zeros to the width of w, less the
-    head."""
-    vals = rows.evaluate(u)[0]
+    """The row values at u are Python floats: the affine block's are
+    A u + b's, hex for hex.  Each nonlinear row's value and gradient at u,
+    hex for hex, are its expression's on w = (head, u): value(w[:n_vars])
+    - shift, and value_grad's gradient padded with zeros to the width of
+    w, less the head.  S is ``ndarray.sum`` of the positive values."""
+    vals, s = rows.evaluate(u)
+    assert all(type(v) is float for v in vals) and len(vals) == rows.size
+    assert _bits(vals[:rows.na]) == _bits((rows.A.dot(u) + rows.b).tolist())
+    positive = np.array([v for v in vals if v > 0.0])
+    assert s.hex() == float(positive.sum()).hex()
     w = np.concatenate([rows.head, u])
     h = len(rows.head)
     for j, (c, shift) in enumerate(rows.nonlinear):
@@ -989,13 +997,38 @@ class TestRowSetOf:
         np.testing.assert_array_equal(rows.row_grad(2, u), [4.0, 0.0, 0.0])
 
     def test_norm_estimates_start_at_the_point(self):
-        # a nonlinear row starts at its gradient's norm at the point, so a
-        # row that is nearly flat there is not taken for an active one
+        # a nonlinear row's band starts at its gradient's norm at the
+        # point, 2e-8 here, so a row that is nearly flat there has the
+        # band ZERO_BAND and is not taken for an active one; a norm seeded
+        # at 1 would give it CERT_BAND
         rows = RowSet.of([oracle("x1 + x2"),
                           oracle("(x1 - 0.5)^2 + x2^2 - 0.0625")], 2)
         u = np.array([0.5 + 1e-8, 0.0])
-        np.testing.assert_allclose(rows.norm_estimates(u),
-                                   [math.sqrt(2.0), 2e-8], rtol=1e-6)
+        bands = rows.norm_estimates(u)
+        assert bands == [nd.CERT_BAND * math.sqrt(2.0), nd.ZERO_BAND]
+        assert nd._band(1.0) == nd.CERT_BAND
+
+    @given(row_sets(), st.lists(_coord, min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_bands_follow_the_gradient_norms(self, case, coords):
+        # each band is _band of its row's gradient norm at the start, and
+        # row_grad moves a nonlinear row's band to its norm at the new
+        # point, leaving the others as they were
+        rows, x0 = case
+        bands = rows.norm_estimates(x0)
+        assert len(bands) == rows.size
+        for i in range(rows.size):
+            band = nd._band(max(_norm(rows.row_grad(i, x0)), 1e-12))
+            if i < rows.na:
+                assert bands[i] == pytest.approx(band, rel=1e-15)
+            else:
+                assert bands[i] == band
+        x1 = np.array(coords[:rows.n])
+        for i in range(rows.na, rows.size):
+            before = list(bands)
+            g = rows.row_grad(i, x1, bands)
+            assert bands[i] == nd._band(max(_norm(g), 1e-12))
+            assert bands[:i] + bands[i + 1:] == before[:i] + before[i + 1:]
 
     def test_a_root_max_row_is_rejected(self):
         # a max row is one row per branch (``problem._rows``), and a RowSet
@@ -1052,13 +1085,15 @@ class TestRowsFromOneList:
 def _record_values(monkeypatch, rows: RowSet, seen: list):
     """Make each nonlinear row of ``rows`` record in ``seen`` the point, at
     the row's own columns, where a RowSet takes its value: the row's
-    generated value function, wrapped."""
+    generated function, wrapped, counting its value calls and not its
+    gradient calls."""
     for c, _ in rows.nonlinear:
         fn = c.branch_values[0]
 
-        def counted(ws, c=c, fn=fn):
-            seen.append((id(c), np.array(ws[:c.n_vars]).tobytes()))
-            return fn(ws)
+        def counted(ws, gradient=False, c=c, fn=fn):
+            if not gradient:
+                seen.append((id(c), np.array(ws[:c.n_vars]).tobytes()))
+            return fn(ws, gradient)
         monkeypatch.setattr(c, "branch_values", [counted])
 
 

@@ -147,7 +147,7 @@ class TestInteriorStart:
             "bound x4 -inf inf\n")
         x0 = find_interior_start(problem)
         assert x0.tolist() == [-6.0, 4.0, 1.5, 1.0]
-        assert (problem.x_region().evaluate(x0)[0] < 0.0).all()
+        assert max(problem.x_region().evaluate(x0)[0]) < 0.0
 
 
 def expression_rows(exprs, fmt, point, shifts=None):
@@ -316,7 +316,7 @@ class TestSplitRows:
             assert (max(split[label]) <= 0.0) == (value <= 0.0), label
         feasible = (all(v <= 0.0 for v in unsplit.values())
                     and abs(x[0]) <= 2.0 and y[0] >= 0.0)
-        assert (rows.evaluate(u)[0] <= 0.0).all() == feasible
+        assert (max(rows.evaluate(u)[0]) <= 0.0) == feasible
 
 
 class TestRegionG:
