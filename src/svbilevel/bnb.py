@@ -109,17 +109,18 @@ def _evaluate_pending(state: SolverState, problem: BilevelProblem) -> None:
     """Fill phi at the vertices not yet evaluated; drop infeasible vertices
     and vertices whose minimizer sits within ``COORD_TOL`` of a lower face
     of the box (those outcomes are covered by the initialization
-    subproblems)."""
+    subproblems).  V needs no prune here: ``iterate`` prunes it right
+    after each cut, and dropping vertices makes no other one dominated."""
     for v in [v for v in state.V if v.mp is None]:
         v.mp = state.cache.get(v.z)
         if not v.mp.feasible:
+            state.V.remove(v)
             continue
         x = v.mp.flow.x_final[:problem.n]
         for i, f in enumerate(problem.lower):
             if abs(f.value(x) - state.box.m[i]) <= COORD_TOL:
                 state.V.remove(v)
                 break
-    prune(state.V)
 
 
 def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
@@ -193,8 +194,8 @@ def iterate(state: SolverState, problem: BilevelProblem,
     v = vertex.z
 
     d_hat = _ray_direction(state.box, v)
-    # prune dropped every infeasible vertex, so the selected one has an MP
-    # minimizer to start its ray from
+    # _evaluate_pending dropped every infeasible vertex, so the selected one
+    # has an MP minimizer to start its ray from
     ray = solve_ray(problem, v, d_hat, vertex.mp.flow.x_final[:problem.n],
                     config.trace)
     w = np.clip(ray.w, state.box.m, v)

@@ -211,7 +211,10 @@ class RowSet:
     made on first use, so that a RowSet built and not evaluated generates
     no code; u is a float array, and the row values are a list of Python
     floats.  A RowSet holds no flow state, so one set serves any number of
-    flows: a flow carries its rows' bands (``norm_estimates``)."""
+    flows: a flow carries its rows' bands (``norm_estimates``), a new list
+    per call.  The affine rows' bands depend on A alone: they are computed
+    once per set, on first use, and a set that ``with_constants`` makes
+    from this one shares them."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, nonlinear=(), labels=(),
                  head: Optional[np.ndarray] = None):
@@ -226,6 +229,8 @@ class RowSet:
         self._head = self.head.tolist()
         # (value function, shift) of each nonlinear row, made on first use
         self._value_fns = None
+        # _band of each affine row's norm, made on first use; read only
+        self._affine_bands = None
 
     @classmethod
     def of(cls, rows: Sequence, width: int) -> "RowSet":
@@ -259,13 +264,27 @@ class RowSet:
                       self.nonlinear, self.labels,
                       np.concatenate([self.head, x]))
 
+    def with_constants(self, b: np.ndarray, shifts) -> "RowSet":
+        """The same rows with the affine constants ``b`` and the nonlinear
+        rows' shifts ``shifts``, in row order: a set that shares A, the
+        labels, the expressions and the affine rows' bands with this one."""
+        rows = RowSet(self.A, b, zip((c for c, _ in self.nonlinear), shifts),
+                      self.labels, self.head)
+        rows._affine_bands = self._bands_of_affine_rows()
+        return rows
+
+    def _bands_of_affine_rows(self) -> list:
+        if self._affine_bands is None:
+            norms = np.maximum(np.sqrt((self.A * self.A).sum(axis=1)), 1e-12)
+            self._affine_bands = list(map(_band, norms.tolist()))
+        return self._affine_bands
+
     def norm_estimates(self, u) -> list:
-        """A flow's starting row bands at u, ``_band`` of each row's
-        gradient-norm estimate (at least 1e-12): fixed for affine rows; a
-        nonlinear row's is its gradient's norm at u, which ``row_grad``
-        updates as the flow moves."""
-        affine = np.maximum(np.sqrt((self.A * self.A).sum(axis=1)), 1e-12)
-        bands = list(map(_band, affine.tolist())) + [0.0] * len(self.nonlinear)
+        """A flow's starting row bands at u, a new list: ``_band`` of each
+        row's gradient-norm estimate (at least 1e-12), fixed for affine
+        rows; a nonlinear row's is its gradient's norm at u, which
+        ``row_grad`` updates as the flow moves."""
+        bands = self._bands_of_affine_rows() + [0.0] * len(self.nonlinear)
         for i in range(self.na, self.size):
             self.row_grad(i, u, bands)
         return bands
@@ -324,8 +343,11 @@ def _min_norm_combo(obj_gens: list, c_gain: float, act_gens: list):
     to certify stationarity."""
     nobj = len(obj_gens)
     k = len(act_gens)
+    # 1.0 * g is g bit for bit, for every float: a gain of 1 takes no product
+    if c_gain != 1.0:
+        obj_gens = [c_gain * g for g in obj_gens]
     if nobj == 1 and k <= 1:
-        g = c_gain * obj_gens[0]
+        g = obj_gens[0]
         if k:
             a = act_gens[0]
             den = float(a.dot(a))
@@ -334,17 +356,16 @@ def _min_norm_combo(obj_gens: list, c_gain: float, act_gens: list):
             g = g + lam * a
         return -g, (1.0,)
     if nobj == 2 and k == 0:
-        a = c_gain * obj_gens[0]
-        b = c_gain * obj_gens[1]
+        a, b = obj_gens
         d = a - b
         den = float(d.dot(d))
         mu = min(1.0, max(0.0, -float(b.dot(d)) / den)) if den > 0.0 else 0.0
         return -(b + mu * d), (mu, 1.0 - mu)
     if nobj == 1 and k == 2:
-        vel = _two_row_velocity(c_gain * obj_gens[0], *act_gens)
+        vel = _two_row_velocity(obj_gens[0], *act_gens)
         if vel is not None:
             return vel, (1.0,)
-    M = np.array([c_gain * g for g in obj_gens] + list(act_gens))
+    M = np.array(list(obj_gens) + list(act_gens))
     z = _active_set_weights(M, nobj)
     return -M.T.dot(z), z[:nobj]
 
@@ -513,17 +534,21 @@ def band_members(pairs, band: float):
     """(top, [j, ...]) of (value, gradient) branch pairs: branch j is in the
     band when ``top - f_j <= band * max(1, |grad f_j|)``.  The band is a
     distance in x, as for the constraint rows, so a steep branch joins the
-    balance as close to its kink as a flat one."""
+    balance as close to its kink as a flat one.  For a band > 0, as every
+    caller passes, band * max(1, |g|) >= band for every g (max(1, nan) is
+    1), so a branch within the band itself is a member without its norm."""
     top = max(v for v, _ in pairs)
     return top, [j for j, (v, g) in enumerate(pairs)
-                 if top - v <= band * max(1.0, _norm(g))]
+                 if top - v <= band or top - v <= band * max(1.0, _norm(g))]
 
 
-def _objective_generators(objective, x, band: float):
+def _objective_generators(objective, x, band: float, pairs=None):
     """(value, [generator, ...], [branch, ...]) at x: the gradients of the
     objective's branches within ``band_members``'s band, listed by their
-    indices."""
-    pairs = objective.branch_pairs(x)
+    indices.  ``pairs`` are the objective's branch pairs at x when the
+    caller has them."""
+    if pairs is None:
+        pairs = objective.branch_pairs(x)
     if len(pairs) == 1:
         v, g = pairs[0]
         return v, [g], [0]
@@ -567,10 +592,11 @@ def _escaped(vals: list, bands: list) -> bool:
 
 
 def _selected_velocity(stack: RowSet, bands: list, objective, x,
-                       vals: list):
+                       vals: list, pairs=None):
     """Returns (velocity, r_value, kink) at x, whose row values are
     ``vals``, with the flow's row bands ``bands`` and the objective band
-    CERT_BAND.  Each row not below its band is active, and scales the
+    CERT_BAND; ``pairs``, when given, are the objective's branch pairs at
+    x.  Each row not below its band is active, and scales the
     objective's part by its smoothed gain, 0 from the top of the band up.
     kink lists the objective branches that carry weight in the selection
     when two or more do, else it is None."""
@@ -585,7 +611,8 @@ def _selected_velocity(stack: RowSet, bands: list, objective, x,
         band = bands[i]
         # smoothed Psi on the band: 0.5 at the boundary itself
         c_gain *= 1.0 - min(1.0, max(0.0, 0.5 + v / (2.0 * band)))
-    r_val, obj_gens, members = _objective_generators(objective, x, CERT_BAND)
+    r_val, obj_gens, members = _objective_generators(objective, x, CERT_BAND,
+                                                     pairs)
     vel, mu = _min_norm_combo(obj_gens, c_gain, act_gens)
     kink = None
     if len(members) >= 2:
@@ -623,13 +650,15 @@ def solve_flow(objective, rows: RowSet, x0,
     ``trace``, when given, records every selection."""
     x = np.asarray(x0, dtype=float).copy()
     bands = rows.norm_estimates(x)
-    tol = STATIONARITY_TOL * max(
-        1.0, max(_norm(g) for _, g in objective.branch_pairs(x)))
+    # the first selection reads these pairs, unless the start is polished
+    pairs = objective.branch_pairs(x)
+    tol = STATIONARITY_TOL * max(1.0, max(_norm(g) for _, g in pairs))
     flow_id = trace.next_flow() if trace else 0
 
     vals, s_cur = rows.evaluate(x)
     if _escaped(vals, bands):
         x, vals, s_cur = _polish_feasibility(rows, bands, x, vals, s_cur)
+        pairs = None
     xnorm = _norm(x)
 
     dt = DT
@@ -638,7 +667,9 @@ def solve_flow(objective, rows: RowSet, x0,
     r_least = math.inf
     stalls = 0
     for steps in range(1, MAX_STEPS + 2):
-        vel, r_val, kink = _selected_velocity(rows, bands, objective, x, vals)
+        vel, r_val, kink = _selected_velocity(rows, bands, objective, x, vals,
+                                              pairs)
+        pairs = None
         vnorm = _norm(vel)
         if trace:
             trace.record(flow_id, t, x, r_val, s_cur, vnorm)
@@ -779,8 +810,12 @@ def _polish_feasibility(stack: RowSet, bands: list, x: np.ndarray,
 
 
 def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
-    """Penalty-descent flow over ``rows``; returns a feasible point, or None
-    when the descent stalls at positive penalty (infeasible system)."""
+    """Penalty-descent flow over ``rows``; returns a point whose S is at
+    most ``FEASIBILITY_TOL``, or None when the descent stalls at positive
+    penalty.  None does not prove the rows empty: the summed-gradient step
+    can stall at a point that is not stationary for S, and on example 1 at
+    epsilon 1e-5 it does at three feasible MP(z) (ROADMAP item 11,
+    ``tests/test_outcome.py::TestFalseInfeasibleVertices``)."""
     x = np.asarray(x0, dtype=float).copy()
     vals, s = rows.evaluate(x)
     for _ in range(MAX_STEPS):

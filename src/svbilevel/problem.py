@@ -8,8 +8,9 @@ region is G = {(x, y) | x in X, y >= 0, g(x, y) <= 0}.
 Every subproblem constrains one of three regions, and each is a
 ``neurodynamic.RowSet`` built from one list of rows: X over x
 (``x_region``), {u in G | f(x) <= z} over u = (x, y) with the f-rows
-shifted by z (``stacked_mp_constraints``), and the rows of G that involve
-y, over y at a fixed x (``lift_rows``).
+shifted by z (``stacked_mp_constraints``, from one set per problem with
+every shift 0), and the rows of G that involve y, over y at a fixed x
+(``lift_rows``).
 
 Problem file format (line oriented):
 
@@ -150,6 +151,29 @@ class BilevelProblem:
         return nd.RowSet.of(self._rows[0], self.n)
 
     @cached_property
+    def _mp_template(self) -> tuple:
+        """(rows, affine f-rows, nonlinear f-rows): ``RowSet.of`` over the
+        rows of {u in G | f(x) <= z} with every f-row shifted by 0.0, and
+        the (row index, i) of each f-row of its affine block and of its
+        nonlinear rows, i the index of the z_i that shifts it.  Built at
+        the first MP(z), not at load."""
+        x_rows, y_rows, g_rows, f_rows = self._rows
+        rows = nd.RowSet.of(
+            x_rows + y_rows + [(f, label, 0.0) for f, label, _ in f_rows]
+            + g_rows, self.n + self.m)
+        # RowSet.of keeps each block in the given order: in each, the f-rows
+        # follow the x- and y-rows of that block
+        head = x_rows + y_rows
+        na = sum(r.affine is not None for r, _, _ in head)
+        affine, nonlinear = [], []
+        for f, _, i in f_rows:
+            if f.affine is not None:
+                affine.append((na + len(affine), i))
+            else:
+                nonlinear.append((len(head) - na + len(nonlinear), i))
+        return rows, affine, nonlinear
+
+    @cached_property
     def _y_set(self) -> nd.RowSet:
         _, y_rows, g_rows, _ = self._rows
         return nd.RowSet.of(y_rows + g_rows, self.n + self.m)
@@ -170,14 +194,23 @@ def stacked_mp_constraints(problem: BilevelProblem, z) -> nd.RowSet:
     """The rows of {u in G | f(x) <= z} over u = (x, y): affine rows, then
     nonlinear rows, each in the order s-rows (declared then bound-derived),
     -y rows, y-bound rows, f_i(x) - z_i rows, g-rows; a max row is its
-    branch rows."""
+    branch rows.  The set shares A, the labels, the expressions and the
+    affine bands of the problem's one template, whose f-rows are shifted
+    by 0.0: z_i is subtracted from an affine f-row's constant and is a
+    nonlinear f-row's shift.  (c - 0.0) - z_i is c - z_i and c - 0.0 is c
+    for every float, so each row is bit for bit the one ``RowSet.of``
+    builds with the shifts z."""
     z = np.asarray(z, dtype=float)
     if len(z) != problem.p:
         raise ValueError(f"z has length {len(z)}, expected p = {problem.p}")
-    x_rows, y_rows, g_rows, f_rows = problem._rows
-    f_rows = [(f, label, float(z[i])) for f, label, i in f_rows]
-    return nd.RowSet.of(x_rows + y_rows + f_rows + g_rows,
-                        problem.n + problem.m)
+    rows, affine, nonlinear = problem._mp_template
+    b = rows.b.copy()
+    for k, i in affine:
+        b[k] -= z[i]
+    shifts = [shift for _, shift in rows.nonlinear]
+    for k, i in nonlinear:
+        shifts[k] = float(z[i])
+    return rows.with_constants(b, shifts)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ incumbent's x, y and h, or ``none``, and a last ``summary`` line the
 status, the iterations, and alpha, beta and h as ``repr`` floats (h is
 ``none`` with no incumbent), so that a moved answer reads from the diff
 without decoding hex.  Two checkouts whose dumps are equal ran the same
-flows and the same outer loop to the same bits.  The solves
+flows and the same outer loop to the same bits.  Stderr gets one ``work``
+line per solve, which counts what the dump does not pin: its flows, their
+steps summed and its ``RowSet.evaluate`` calls, so a change that keeps
+the bits shows the work it saved.  The solves
 are examples 1 to 6 at the epsilons of ``test_acceptance.py`` (example 1
 at 1e-5), example 2 at 1e-4, ``ball3``, example 5 in 3 variables,
 ``ball2``, example 5 in 2 variables, ``tri3``, three lower objectives
@@ -23,7 +26,7 @@ with a flow that starts with a row above its band, so that the dump covers
 the polish of such a start, and example 2 with its upper objective times
 100, the one case whose flows read a rescaled h.
 
-    python tests/flow_dump.py > dump.txt
+    python tests/flow_dump.py > dump.txt 2> work.txt
 
 The script imports ``svbilevel`` from the ``src`` next to its own
 directory, so a copy of it placed in another checkout dumps that checkout.
@@ -115,10 +118,18 @@ def _hex(values) -> str:
 
 def main() -> None:
     solve_flow, find_feasible = nd.solve_flow, nd.find_feasible
+    evaluate = nd.RowSet.evaluate
     name, problem = "", None
+    work = dict.fromkeys(("flows", "steps", "evaluations"), 0)
+
+    def counted_evaluate(rows, u):
+        work["evaluations"] += 1
+        return evaluate(rows, u)
 
     def dumped_flow(objective, *args, **kwargs):
         res = solve_flow(objective, *args, **kwargs)
+        work["flows"] += 1
+        work["steps"] += res.steps
         role = ("ray" if isinstance(objective, RayObjective) else
                 "mp" if objective is problem.upper else "box")
         print(name, "flow", role, res.status.value, res.steps,
@@ -132,8 +143,10 @@ def main() -> None:
         return u
 
     nd.solve_flow, nd.find_feasible = dumped_flow, dumped_feasible
+    nd.RowSet.evaluate = counted_evaluate
     try:
         for name, text, epsilon, cap in CASES:
+            work.update(dict.fromkeys(work, 0))
             problem = load_problem(text)
             report = bnb.solve(problem, bnb.SolverConfig(
                 epsilon=epsilon, max_iterations=cap))
@@ -146,8 +159,11 @@ def main() -> None:
             print(name, "summary", report.status.value, report.iterations,
                   repr(float(report.alpha)), repr(float(report.beta)),
                   "none" if inc is None else repr(float(inc.h)))
+            print(name, "work", *(f"{k} {v}" for k, v in work.items()),
+                  file=sys.stderr)
     finally:
         nd.solve_flow, nd.find_feasible = solve_flow, find_feasible
+        nd.RowSet.evaluate = evaluate
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import pytest
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
 from svbilevel.bnb import SolverConfig, SolverStatus
+from svbilevel.copolyblock import prune
 from svbilevel.outcome import OutcomeError, RayObjective
 from svbilevel.problem import load_problem
 
@@ -329,6 +330,31 @@ class TestInvariants:
         ks = [row.k for row in report.log]
         assert ks == list(range(1, len(ks) + 1))
         assert len(ks) == report.iterations
+
+
+class TestOnePrunePerCut:
+    @pytest.mark.parametrize("number, epsilon", [
+        (1, 1e-5), (2, 1e-2), (3, 1e-2), (4, 1e-2), (5, 1e-2), (6, 1e-2),
+        (2, 1e-4)], ids=["ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex2-deep"])
+    def test_evaluated_vertices_need_no_prune(self, number, epsilon,
+                                              monkeypatch):
+        # V is pruned right after each cut; evaluating phi drops only
+        # infeasible and lower-face vertices, and dropping vertices makes no
+        # other one dominated, so a prune after it drops nothing
+        evaluate = bnb._evaluate_pending
+        checked = []
+
+        def checked_evaluate(state, problem):
+            evaluate(state, problem)
+            V = list(state.V)
+            prune(V)
+            assert V == state.V
+            checked.append(len(V))
+
+        monkeypatch.setattr(bnb, "_evaluate_pending", checked_evaluate)
+        report = bnb.solve(catalog.load_example(number),
+                           SolverConfig(epsilon=epsilon))
+        assert len(checked) == report.iterations + 1
 
 
 class TestIncumbentFeasibility:

@@ -277,6 +277,69 @@ class TestMinNormSelection:
         np.testing.assert_allclose(z, [1.0, 1.0, 1.0, 1.0, 0.0], atol=1e-15)
 
 
+class _UnequalOne(float):
+    """1.0 that compares unequal to every value: as a gain it takes the
+    products 1.0 * g that ``_min_norm_combo`` skips at a gain of 1."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    __hash__ = float.__hash__
+
+
+def _selection_outcome(obj_gens, c_gain, act_gens):
+    """The bits of ``_min_norm_combo``'s velocity and weights, or the
+    error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            vel, mu = _min_norm_combo(obj_gens, c_gain, act_gens)
+    except np.linalg.LinAlgError as err:
+        return type(err).__name__
+    return vel.tobytes(), np.asarray(mu, dtype=float).tobytes()
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 3.0, 1e-300, 1e200,
+                            np.inf, -np.inf])
+
+
+class TestFixedOutcomeTrims:
+    """Arithmetic the selection skips because its outcome is fixed: the
+    same bits as doing it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(selection_qps(), st.data())
+    def test_gain_one_takes_the_product_bits(self, qp, data):
+        # 1.0 * g is g for every entry, -0.0 and inf included, so the
+        # selection at gain 1 is the one the explicit products give
+        obj_gens, _, act_gens = qp
+        n = len(obj_gens[0])
+        vec = st.lists(_SPECIAL, min_size=n, max_size=n).map(np.array)
+        obj_gens = [data.draw(vec) if data.draw(st.booleans()) else g
+                    for g in obj_gens]
+        assert _selection_outcome(obj_gens, 1.0, act_gens) \
+            == _selection_outcome(obj_gens, _UnequalOne(1.0), act_gens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        _SPECIAL | st.floats(),
+        st.lists(_SPECIAL | st.floats(), min_size=2, max_size=2)),
+        min_size=1, max_size=5),
+        st.sampled_from([1e-9, 1e-4, 0.5, 2.0, np.inf]))
+    def test_band_members_keep_the_norm_formula(self, raw, band):
+        # a branch within the band itself skips its norm; with NaN and inf
+        # values and gradient norms the members are the formula's
+        pairs = [(v, np.array(g)) for v, g in raw]
+        with np.errstate(all="ignore"):
+            top, members = nd.band_members(pairs, band)
+            expect = [j for j, (v, g) in enumerate(pairs)
+                      if top - v <= band * max(1.0, _norm(g))]
+        assert top.hex() == max(v for v, _ in pairs).hex()
+        assert members == expect
+
+
 class TestTwoGeneratorSelection:
     """The closed form for two objective generators and no row against the
     active-set solve of the same stacked QP."""
@@ -1007,6 +1070,26 @@ class TestRowSetOf:
         bands = rows.norm_estimates(u)
         assert bands == [nd.CERT_BAND * math.sqrt(2.0), nd.ZERO_BAND]
         assert nd._band(1.0) == nd.CERT_BAND
+
+    def test_each_flow_gets_bands_of_its_own(self):
+        # a flow moves a curved row's band with row_grad and may write its
+        # list; the next flow's bands are a new list, taken at its own
+        # start, with the affine bands the set computed once
+        rows = RowSet.of([oracle("x1 + x2"), oracle("x1^2 + x2^2 - 1")], 2)
+        u1, u2 = np.array([1.0, 0.0]), np.array([0.25, 0.5])
+        first = rows.norm_estimates(u1)
+        rows.row_grad(1, np.array([3.0, 4.0]), first)
+        assert first[1] == nd._band(10.0)
+        first[0] = -1.0
+        second = rows.norm_estimates(u2)
+        assert second is not first
+        assert second == [nd._band(math.sqrt(2.0)),
+                          nd._band(_norm(rows.row_grad(1, u2)))]
+        # a set made by with_constants shares the rows, not the lists
+        shifted = rows.with_constants(rows.b - 1.0, [0.5])
+        third = shifted.norm_estimates(u2)
+        assert third == second and third is not second
+        assert shifted.norm_estimates(u2) is not third
 
     @given(row_sets(), st.lists(_coord, min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
 from svbilevel.expr import Max
-from svbilevel.outcome import OutcomeError
+from svbilevel.outcome import OutcomeError, compute_box
 from svbilevel.problem import (
     ProblemFormatError, find_interior_start, load_problem,
     stacked_mp_constraints, validate,
 )
 
+from flow_dump import BALL3, TRI3
 from test_expr import is_affine, value_and_gradient
 
 MINI = """\
@@ -272,6 +273,55 @@ class TestStack:
         f_vals = [v for label, v in zip(rows.labels, rows.evaluate(x)[0])
                   if label.startswith("f_")]
         assert len(f_vals) == 3 and max(f_vals) < 0
+
+
+def _rows_of(prob, z) -> nd.RowSet:
+    """The rows of MP(z) built by ``RowSet.of`` with the f-rows shifted by
+    z: the reference for ``stacked_mp_constraints``."""
+    x_rows, y_rows, g_rows, f_rows = prob._rows
+    f_rows = [(f, label, float(z[i])) for f, label, i in f_rows]
+    return nd.RowSet.of(x_rows + y_rows + f_rows + g_rows, prob.n + prob.m)
+
+
+def _row_bits(rows, u) -> tuple:
+    """The bytes of A and b, the labels, the expressions, the bits of the
+    shifts, and of the row values, S and bands at u."""
+    vals, s = rows.evaluate(u)
+    return (rows.A.tobytes(), rows.b.tobytes(), rows.labels,
+            [id(c) for c, _ in rows.nonlinear],
+            [shift.hex() for _, shift in rows.nonlinear],
+            [v.hex() for v in vals], s.hex(),
+            [band.hex() for band in rows.norm_estimates(u)])
+
+
+class TestMpTemplate:
+    """MP(z)'s rows come from one set per problem with every f-row shifted
+    by 0.0; each is the row ``RowSet.of`` builds with the shifts z, bit for
+    bit."""
+
+    @pytest.mark.parametrize("text", [catalog.example_text(k)
+                                      for k in range(1, 7)] + [BALL3, TRI3],
+                             ids=[f"ex{k}" for k in range(1, 7)]
+                             + ["ball3", "tri3"])
+    def test_rows_are_those_of_rows_of(self, text):
+        prob = load_problem(text)
+        box = compute_box(prob)
+        zs = [box.M]
+        # each face probe's z, as bnb.initialize sets it
+        for i in range(prob.p):
+            z = box.M.copy()
+            z[i] = box.m[i] + 1e-6 * max(1.0, abs(box.m[i]))
+            zs.append(z)
+        rng = np.random.default_rng(35)
+        zs += [rng.uniform(box.m, box.M) for _ in range(5)]
+        u = np.concatenate([box.x_feasible, np.ones(prob.m)])
+        for z in zs:
+            rows = stacked_mp_constraints(prob, z)
+            assert _row_bits(rows, u) == _row_bits(_rows_of(prob, z), u)
+            assert rows.A is prob._mp_template[0].A
+        # the template itself is left as it was
+        zero = _row_bits(prob._mp_template[0], u)
+        assert zero == _row_bits(_rows_of(prob, np.zeros(prob.p)), u)
 
 
 # every s-, f- and g-row kind as a max, with dyadic coefficients, so that
