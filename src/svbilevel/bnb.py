@@ -40,8 +40,6 @@ class SolverStatus(Enum):
 class SolverConfig:
     epsilon: float = 1e-2
     max_iterations: int = 500
-    # records every step of every flow when set
-    trace: Optional[nd.TraceRecorder] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -123,12 +121,12 @@ def _evaluate_pending(state: SolverState, problem: BilevelProblem) -> None:
                 break
 
 
-def initialize(problem: BilevelProblem, config: SolverConfig) -> SolverState:
+def initialize(problem: BilevelProblem) -> SolverState:
     """Box, the one-vertex list [M], the p lower-face upper-bound probes,
     then phi at M and the initial bounds.  A probe whose MP flow converged,
     and so ends feasible, is the incumbent when its phi is below alpha."""
-    box = compute_box(problem, config.trace)
-    cache = PhiCache(problem, box, config.trace)
+    box = compute_box(problem)
+    cache = PhiCache(problem, box)
     top = Vertex(box.M)
     V = [top]
 
@@ -196,8 +194,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
     d_hat = _ray_direction(state.box, v)
     # _evaluate_pending dropped every infeasible vertex, so the selected one
     # has an MP minimizer to start its ray from
-    ray = solve_ray(problem, v, d_hat, vertex.mp.flow.x_final[:problem.n],
-                    config.trace)
+    ray = solve_ray(problem, v, d_hat, vertex.mp.flow.x_final[:problem.n])
     w = np.clip(ray.w, state.box.m, v)
 
     # a converged ray flow ends at a weakly efficient x, which a feasible y
@@ -233,7 +230,7 @@ def solve(problem: BilevelProblem,
     if errors:
         raise ValueError("; ".join(errors))
     t0 = time.perf_counter()
-    state = initialize(problem, config)
+    state = initialize(problem)
     while state.status is None and state.k < config.max_iterations:
         iterate(state, problem, config)
     if state.status is None:

@@ -3,7 +3,8 @@
 Loads a built-in example or a problem file, runs the branch-and-bound
 solver and prints the iteration log as a table or as CSV, followed by a
 summary (x*, y*, h*, iteration count, wall time, status).  An optional
-trace file collects every integration step of every flow.
+trace file collects every integration step of every flow, from a
+``neurodynamic.recording`` opened around the solve.
 
 Exit codes: 0 optimal, 2 infeasible, 3 iteration cap reached, 1 input
 error (a command-line usage error included; ``--help`` exits 0).
@@ -12,8 +13,8 @@ error (a command-line usage error included; ``--help`` exits 0).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Optional
 
 from . import bnb, catalog
 from . import neurodynamic as nd
@@ -57,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", metavar="PATH", help="problem file to solve")
     parser.add_argument("--epsilon", type=float, default=1e-2, metavar="E",
                         help="relative optimality tolerance (default 0.01)")
-    parser.add_argument("--max-iters", type=int, default=None,
+    parser.add_argument("--max-iters", type=int,
+                        default=bnb.SolverConfig.max_iterations,
                         help="branch-and-bound iteration cap")
     parser.add_argument("--format", choices=("table", "csv"), default="table",
                         help="iteration log format (default table)")
@@ -81,14 +83,6 @@ def _load(args) -> "bnb.BilevelProblem":
         return load_problem(text)
     except ProblemFormatError as exc:
         raise InputError(f"{args.file}: {exc}")
-
-
-def _make_config(args, trace: Optional[nd.TraceRecorder]) -> bnb.SolverConfig:
-    kwargs = {"epsilon": args.epsilon, "trace": trace}
-    if args.max_iters is not None:
-        kwargs["max_iterations"] = args.max_iters
-    # a bad setting raises ValueError, which main reports as an input error
-    return bnb.SolverConfig(**kwargs)
 
 
 def _fmt(value: float) -> str:
@@ -146,12 +140,12 @@ def _print_csv(report: bnb.SolverReport, out) -> None:
     print("# " + ",".join(summary), file=out)
 
 
-def _write_trace(trace: nd.TraceRecorder, path: str) -> None:
-    width = max((len(r[2]) for r in trace.rows), default=0)
+def _write_trace(rows: list, path: str) -> None:
+    width = max((len(r[2]) for r in rows), default=0)
     with open(path, "w") as fh:
         head = ["flow", "t"] + [f"x_{i + 1}" for i in range(width)]
         fh.write(",".join(head + ["r", "S", "speed"]) + "\n")
-        for flow_id, t, x, r, s, speed in trace.rows:
+        for flow_id, t, x, r, s, speed in rows:
             cells = [str(flow_id), repr(float(t))]
             cells += [repr(float(c)) for c in x]
             cells += [""] * (width - len(x))
@@ -162,11 +156,13 @@ def _write_trace(trace: nd.TraceRecorder, path: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    trace = nd.TraceRecorder() if args.trace is not None else None
     try:
         problem = _load(args)
-        config = _make_config(args, trace)
-        report = bnb.solve(problem, config)
+        # a bad setting raises ValueError, reported as an input error
+        config = bnb.SolverConfig(args.epsilon, args.max_iters)
+        with (nd.recording() if args.trace is not None
+              else contextlib.nullcontext()) as rows:
+            report = bnb.solve(problem, config)
     except (InputError, OutcomeError, nd.FlowError, ExprError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -179,9 +175,9 @@ def main(argv=None) -> int:
         _print_table(report, out)
         print("", file=out)
         _print_summary(report, out)
-    if trace is not None:
+    if args.trace is not None:
         try:
-            _write_trace(trace, args.trace)
+            _write_trace(rows, args.trace)
         except OSError as exc:
             print(f"error: cannot write {args.trace}: {exc.strerror}",
                   file=sys.stderr)

@@ -51,11 +51,11 @@ def cut(V: list[Vertex], vertex: Vertex, w, m) -> None:
 
 def prune(V: list[Vertex]) -> None:
     """Drop from V, in place, the vertices that add nothing to the union:
-    a vertex below another vertex (v <= v', v != v'), a vertex equal to an
-    earlier one (each coordinate within ``COORD_TOL``), and a vertex whose
-    MP turned out infeasible.  The box [m, v] of a dropped vertex lies
-    inside [m, v'], so the cover is kept.  One test over all pairs:
-    diff[i, k] = z_k - z_i."""
+    a vertex below another vertex (v <= v', v != v') and a vertex equal to
+    an earlier one (each coordinate within ``COORD_TOL``).  The box [m, v]
+    of a dropped vertex lies inside [m, v'], so the cover is kept.  An
+    infeasible MP never reaches here: ``bnb`` drops its vertex at once.
+    One test over all pairs: diff[i, k] = z_k - z_i."""
     if not V:
         return
     Z = np.array([v.z for v in V])
@@ -65,8 +65,7 @@ def prune(V: list[Vertex]) -> None:
     # of two equal vertices only the later one drops, and none for itself
     later = np.triu(np.ones((len(V), len(V)), dtype=bool))
     dropped = (above & ~(within & later)).any(axis=1)
-    V[:] = [v for v, drop in zip(V, dropped)
-            if not drop and (v.mp is None or v.mp.feasible)]
+    V[:] = [v for v, drop in zip(V, dropped) if not drop]
 
 
 def select_min_phi(V: list[Vertex]):

@@ -561,7 +561,11 @@ def affine_parts(e: Expr, n_vars: int):
     """(coefficients, constant) if the expression is affine, else None.
     Raises ParseError, at its position in the source, for a max anywhere
     but at the root, and at position 0 for nesting deeper than Python's
-    recursion limit."""
+    recursion limit.  Raises EvaluationError, naming the node, for a
+    subexpression without variables whose value is not finite or has a
+    zero denominator, and for an affine expression with a constant or a
+    coefficient that is not finite: each would evaluate to the same
+    inf or nan, or the same error, at every point."""
     try:
         kinds = [_affine_kind(c)
                  for c in (e.children if isinstance(e, Max) else (e,))]
@@ -571,71 +575,100 @@ def affine_parts(e: Expr, n_vars: int):
     except RecursionError:
         raise ParseError(f"expression nested too deeply to read: "
                          f"{_shortened(to_source(e, 20))}", 0) from None
-    return grad, value
+    if not (math.isfinite(value) and all(map(math.isfinite, grad))):
+        raise EvaluationError(f"non-finite constant or coefficient at node "
+                              f"{_shortened(to_source(e))}")
+    return np.array(grad), value
 
 
 def _affine_kind(e: Expr):
-    """None if e is not affine, else whether a variable occurs in it.  A
-    node is affine when its children are, a product has a factor without
-    variables, a quotient a divisor without them, and a power the exponent
-    0 or 1 or a base without them."""
+    """None if e is not affine, True if it is and a variable occurs in it,
+    else its value, a finite float, computed as ``_linear_form`` computes
+    it.  A node is affine when its children are, a product has a factor
+    without variables, a quotient a divisor without them, and a power the
+    exponent 0 or 1 or a base without them.  A node without variables
+    whose value is not finite, or whose denominator is zero, raises
+    EvaluationError naming it."""
     kind = type(e)
-    if kind is Const or kind is Var:
-        return kind is Var
+    if kind is Var:
+        return True
     if kind is Max:
         raise ParseError(
             "max below the root of an expression; write it as one max of "
             "max-free branches, e.g. max(a, b) + c as max(a + c, b + c)",
             e.pos)
-    kids = ((e.child,) if kind is Neg else
-            (e.base,) if kind is Pow else (e.left, e.right))
-    found = list(map(_affine_kind, kids))
-    if None in found:
-        return None
-    # whether a variable occurs in the first and in the last child
-    first, last = found[0], found[-1]
-    if (kind is BinOp and last and (e.op == "/" or e.op == "*" and first)
-            or kind is Pow and first and e.exponent not in (0, 1)):
-        return None
-    return first or last
+    if kind is Const:
+        v = e.value
+    else:
+        kids = ((e.child,) if kind is Neg else
+                (e.base,) if kind is Pow else (e.left, e.right))
+        found = list(map(_affine_kind, kids))
+        if None in found:
+            return None
+        # whether a variable occurs in the first and in the last child
+        first, last = found[0] is True, found[-1] is True
+        if (kind is BinOp and last and (e.op == "/" or e.op == "*" and first)
+                or kind is Pow and first and e.exponent not in (0, 1)):
+            return None
+        if first or last:
+            return True
+        a, b = found[0], found[-1]
+        if kind is Neg:
+            v = -a
+        elif kind is Pow:
+            v = _ipow(a, e.exponent, e)
+        elif e.op == "+":
+            v = a + b
+        elif e.op == "-":
+            v = a - b
+        elif e.op == "*":
+            v = a * b
+        elif b == 0.0:
+            _raise_zero(e)
+        else:
+            v = a / b
+    if not math.isfinite(v):
+        _raise_nonfinite(e)
+    return v
 
 
 def _linear_form(e: Expr, n: int):
     """(value, gradient) at x = 0 in R^n of an affine expression: forward
-    mode on dense gradients."""
+    mode on dense gradients, lists of Python floats, which overflow to inf
+    without numpy's RuntimeWarning."""
     kind = type(e)
     if kind is Const:
-        return e.value, np.zeros(n)
+        return e.value, [0.0] * n
     if kind is Var:
-        g = np.zeros(n)
+        g = [0.0] * n
         g[e.index] = 1.0
         return 0.0, g
     av, ag = _linear_form(e.base if kind is Pow else
                           e.child if kind is Neg else e.left, n)
     if kind is Neg:
-        return -av, -ag
+        return -av, [-a for a in ag]
     if kind is Pow:
         k = e.exponent
         v = _ipow(av, k, e)
         if k == 0:
-            return 1.0, np.zeros(n)
+            return 1.0, [0.0] * n
         if not math.isfinite(v):
             _raise_nonfinite(e)
         dv = k * _ipow(av, k - 1, e)
         # x^-2 is finite at x = 4e-105, its derivative is not
         if not math.isfinite(dv):
             _raise_nonfinite(e)
-        return v, dv * ag
+        return v, [dv * a for a in ag]
     bv, bg = _linear_form(e.right, n)
     if e.op == "+":
-        return av + bv, ag + bg
+        return av + bv, [a + b for a, b in zip(ag, bg)]
     if e.op == "-":
-        return av - bv, ag - bg
+        return av - bv, [a - b for a, b in zip(ag, bg)]
     if e.op == "*":
-        return av * bv, ag * bv + bg * av
+        return av * bv, [a * bv + b * av for a, b in zip(ag, bg)]
     if bv == 0.0:
         _raise_zero(e)
     v = av / bv
     if not math.isfinite(v):
         _raise_nonfinite(e)
-    return v, (ag - v * bg) / bv
+    return v, [(a - v * b) / bv for a, b in zip(ag, bg)]

@@ -2,16 +2,18 @@
 
 Integrates  dx/dt in -c(x) dr(x)  over the feasible set with explicit
 Euler and per-step backtracking (halve dt until the step lowers r by the
-Armijo margin and leaves no row above its band).  Callers start a flow at
-``find_feasible``'s point, the one penalty descent, and a start with a row
-above its band is polished once.  The right-hand side is a selection from
-the Clarke sets: objective-generator and near-active constraint weights
-are chosen by an exact minimum-norm rule (a closed form or a finite
-active-set QP) so the discrete flow slides along boundaries and nonsmooth
-valleys instead of chattering.  A selection is a function of the point,
-its row values and the flow's row bands alone: it carries nothing from
-one step to the next.  A step that sets no new least r stalls, so a
-cycle whose r differs by rounding ends.  The QPs, the polish
+Armijo margin and leaves no row above its band).  A flow starts where its
+caller says, at ``find_feasible``'s point (the one penalty descent) or
+where an earlier flow ended, and a start with a row above its band is
+polished once.  Inside a ``recording`` each flow appends a row per
+selection, the trace ``cli --trace`` writes.  The right-hand side is a
+selection from the Clarke sets: objective-generator and near-active
+constraint weights are chosen by an exact minimum-norm rule (a closed form
+or a finite active-set QP) so the discrete flow slides along boundaries
+and nonsmooth valleys instead of chattering.  A selection is a function of
+the point, its row values and the flow's row bands alone: it carries
+nothing from one step to the next.  A step that sets no new least r
+stalls, so a cycle whose r differs by rounding ends.  The QPs, the polish
 and the kink step take their products as ``ndarray.dot``, the BLAS calls
 of ``@`` on the same operands with less dispatch, and their least squares
 from ``_lstsq``: the LAPACK gufunc that ``np.linalg.lstsq`` wraps, called
@@ -75,6 +77,7 @@ the band itself (``band_members``).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -132,19 +135,24 @@ class FlowResult:
     final_velocity_norm: float
 
 
-class TraceRecorder:
-    """Collects per-step flow rows: (flow_id, t, x..., r, S, speed)."""
+# The rows of the open ``recording``; None outside one.
+_recording: Optional[list] = None
 
-    def __init__(self):
-        self.rows = []
-        self._flow_id = 0
 
-    def next_flow(self) -> int:
-        self._flow_id += 1
-        return self._flow_id
-
-    def record(self, flow_id, t, x, r, s, speed):
-        self.rows.append((flow_id, t, tuple(float(v) for v in x), r, s, speed))
+@contextlib.contextmanager
+def recording():
+    """Yields a fresh list, to which every ``solve_flow`` run inside the
+    block appends a row per selection: (flow, t, x, r, S, speed), with x a
+    tuple of floats and t the arc length.  Flows never interleave, so a
+    flow's number is the last row's plus 1, or 1.  On exit the recording
+    open before, or none, is current again."""
+    global _recording
+    outer = _recording
+    _recording = rows = []
+    try:
+        yield rows
+    finally:
+        _recording = outer
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +631,7 @@ def _selected_velocity(stack: RowSet, bands: list, objective, x,
     return vel, r_val, kink
 
 
-def solve_flow(objective, rows: RowSet, x0,
-               trace: Optional[TraceRecorder] = None) -> FlowResult:
+def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
     the step budget ``MAX_STEPS`` runs out.  Stationarity is relative to
     the objective's scale: a velocity of at most ``STATIONARITY_TOL`` times
@@ -647,13 +654,14 @@ def solve_flow(objective, rows: RowSet, x0,
     Euler step, each tested right after the selection, or 31 failed
     halvings.  ``steps`` counts the selections.  An accepted step stalls
     when it is shorter than 1e-12 max(1, |x|) or sets no new least r.
-    ``trace``, when given, records every selection."""
+    Inside a ``recording`` every selection appends a row to it."""
     x = np.asarray(x0, dtype=float).copy()
     bands = rows.norm_estimates(x)
     # the first selection reads these pairs, unless the start is polished
     pairs = objective.branch_pairs(x)
     tol = STATIONARITY_TOL * max(1.0, max(_norm(g) for _, g in pairs))
-    flow_id = trace.next_flow() if trace else 0
+    record = _recording
+    flow_id = record[-1][0] + 1 if record else 1
 
     vals, s_cur = rows.evaluate(x)
     if _escaped(vals, bands):
@@ -662,7 +670,7 @@ def solve_flow(objective, rows: RowSet, x0,
     xnorm = _norm(x)
 
     dt = DT
-    # arc length, for the trace only
+    # arc length, for the recording only
     t = 0.0
     r_least = math.inf
     stalls = 0
@@ -671,8 +679,9 @@ def solve_flow(objective, rows: RowSet, x0,
                                               pairs)
         pairs = None
         vnorm = _norm(vel)
-        if trace:
-            trace.record(flow_id, t, x, r_val, s_cur, vnorm)
+        if record is not None:
+            record.append((flow_id, t, tuple(x.tolist()), r_val, s_cur,
+                           vnorm))
         # a small velocity at an infeasible point, or with a row above its
         # band, is the band's gain and the row cone cancelling, not
         # stationarity

@@ -78,18 +78,17 @@ def _reject_diverged(res: nd.FlowResult, what: str) -> nd.FlowResult:
     return res
 
 
-def _box_flow(objective, region, x0, trace, what: str) -> nd.FlowResult:
+def _box_flow(objective, region, x0, what: str) -> nd.FlowResult:
     """A box flow over X; it must converge, or [m, M] may not contain
     f(X)."""
-    res = nd.solve_flow(objective, region, x0, trace)
+    res = nd.solve_flow(objective, region, x0)
     if res.status is not nd.FlowStatus.CONVERGED:
         raise OutcomeError(f"{what}: flow ended {res.status.value} after "
                            f"{res.steps} steps; X may be unbounded")
     return res
 
 
-def compute_box(problem: BilevelProblem,
-                trace: Optional[nd.TraceRecorder] = None) -> OutcomeBox:
+def compute_box(problem: BilevelProblem) -> OutcomeBox:
     """Box [m, M] containing the outcome set: m from p minimizing flows,
     M from evaluating each objective on the vertices of a simplex
     enclosing X.  This is where X is checked numerically: every one of the
@@ -107,7 +106,7 @@ def compute_box(problem: BilevelProblem,
     m_argmin = []
     start = x0
     for i, f in enumerate(problem.lower):
-        res = _box_flow(f, region, start, trace, f"min f_{i + 1} over X")
+        res = _box_flow(f, region, start, f"min f_{i + 1} over X")
         m[i] = res.objective_value
         m_argmin.append(res.x_final.copy())
         start = res.x_final
@@ -117,10 +116,10 @@ def compute_box(problem: BilevelProblem,
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
-        res = _box_flow(AffineRow(e, 0.0), region, x0, trace,
+        res = _box_flow(AffineRow(e, 0.0), region, x0,
                         f"min x_{k + 1} over X")
         delta0[k] = res.objective_value
-    res = _box_flow(AffineRow(-np.ones(n), 0.0), region, x0, trace,
+    res = _box_flow(AffineRow(-np.ones(n), 0.0), region, x0,
                     "max <e, x> over X")
     U = -res.objective_value
 
@@ -187,8 +186,7 @@ class RayObjective:
         return pairs
 
 
-def solve_ray(problem: BilevelProblem, v, d_hat, x0,
-              trace: Optional[nd.TraceRecorder] = None) -> RaySolution:
+def solve_ray(problem: BilevelProblem, v, d_hat, x0) -> RaySolution:
     """Project v along direction d_hat onto the weakly nondominated frontier
     by the scalarized pseudoconvex flow on ``RayObjective``, started at the
     point x0 of X."""
@@ -198,13 +196,11 @@ def solve_ray(problem: BilevelProblem, v, d_hat, x0,
         raise ValueError("ray direction must be finite and strictly positive")
     region = problem.x_region()
     obj = RayObjective(problem, v, d_hat)
-    res = _reject_diverged(nd.solve_flow(obj, region, x0, trace),
-                           "ray problem")
+    res = _reject_diverged(nd.solve_flow(obj, region, x0), "ray problem")
     return RaySolution(flow=res, w=v + res.objective_value * d_hat)
 
 
-def solve_mp(problem: BilevelProblem, z, u0,
-             trace: Optional[nd.TraceRecorder] = None) -> MpSolution:
+def solve_mp(problem: BilevelProblem, z, u0) -> MpSolution:
     """phi(z) = min {h(x, y) | (x, y) in G, f(x) <= z}, searched from u0.
     Infeasible z is detected by a stalled feasibility phase."""
     z = np.asarray(z, dtype=float)
@@ -213,7 +209,7 @@ def solve_mp(problem: BilevelProblem, z, u0,
     if u_feas is None:
         return MpSolution(flow=None)
     return MpSolution(flow=_reject_diverged(
-        nd.solve_flow(problem.upper, stack, u_feas, trace), "MP value flow"))
+        nd.solve_flow(problem.upper, stack, u_feas), "MP value flow"))
 
 
 class PhiCache:
@@ -223,14 +219,11 @@ class PhiCache:
     ``start``, the box's feasible point of X with y = 1; ``misses`` counts
     the solves."""
 
-    def __init__(self, problem: BilevelProblem, box: OutcomeBox,
-                 trace: Optional[nd.TraceRecorder] = None):
+    def __init__(self, problem: BilevelProblem, box: OutcomeBox):
         self.problem = problem
-        self.trace = trace
         self.start = np.concatenate([box.x_feasible, np.ones(problem.m)])
         self.misses = 0
 
     def get(self, z, u0: Optional[np.ndarray] = None) -> MpSolution:
         self.misses += 1
-        return solve_mp(self.problem, z, self.start if u0 is None else u0,
-                        self.trace)
+        return solve_mp(self.problem, z, self.start if u0 is None else u0)

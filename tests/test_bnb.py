@@ -8,8 +8,9 @@ import pytest
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
 from svbilevel.bnb import SolverConfig, SolverStatus
-from svbilevel.copolyblock import prune
-from svbilevel.outcome import OutcomeError, RayObjective
+from svbilevel.copolyblock import Vertex, prune
+from svbilevel.outcome import MpSolution, OutcomeBox, OutcomeError, \
+    RayObjective
 from svbilevel.problem import load_problem
 
 from flow_dump import TRI3
@@ -123,7 +124,7 @@ class TestConfig:
     def test_fields(self):
         # the flows have no settings of their own
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "epsilon", "max_iterations", "trace"]
+            "epsilon", "max_iterations"]
 
     def test_bad_iteration_cap_rejected(self):
         with pytest.raises(ValueError):
@@ -143,24 +144,24 @@ class TestConfig:
 
 class TestInitialize:
     def test_example1_initial_lower_bound(self):
-        state = bnb.initialize(catalog.load_example(1), SolverConfig())
+        state = bnb.initialize(catalog.load_example(1))
         assert state.beta == pytest.approx(1.25, abs=1e-3)
 
     def test_example4_initial_lower_bound(self):
-        state = bnb.initialize(catalog.load_example(4), SolverConfig())
+        state = bnb.initialize(catalog.load_example(4))
         assert state.beta == pytest.approx(-1.8, abs=1e-3)
 
     def test_starts_with_top_vertex_only(self):
-        state = bnb.initialize(catalog.load_example(1), SolverConfig())
+        state = bnb.initialize(catalog.load_example(1))
         assert len(state.V) == 1
         assert np.allclose(state.V[0].z, state.box.M)
 
     def test_bounds_ordered(self):
-        state = bnb.initialize(catalog.load_example(1), SolverConfig())
+        state = bnb.initialize(catalog.load_example(1))
         assert state.beta <= state.alpha + 1e-9
 
     def test_empty_region_detected(self):
-        state = bnb.initialize(load_problem(INFEASIBLE_TEXT), SolverConfig())
+        state = bnb.initialize(load_problem(INFEASIBLE_TEXT))
         assert state.status is not None
         assert state.status is SolverStatus.INFEASIBLE
 
@@ -227,7 +228,7 @@ class TestRayIncumbents:
             return res
 
         monkeypatch.setattr(nd, "solve_flow", unconverged_mp)
-        state = bnb.initialize(problem, SolverConfig(epsilon=1e-4))
+        state = bnb.initialize(problem)
         assert state.incumbent is None
         assert state.alpha == math.inf
 
@@ -355,6 +356,35 @@ class TestOnePrunePerCut:
         report = bnb.solve(catalog.load_example(number),
                            SolverConfig(epsilon=epsilon))
         assert len(checked) == report.iterations + 1
+
+
+class TestEvaluatePending:
+    def test_an_infeasible_vertex_is_dropped_and_the_rest_keep_order(self):
+        # MP(z) is infeasible where z_1 > 0.5; every feasible MP ends at
+        # (0.5, 0.5), off the box's lower faces
+        problem = load_problem("vars x 2\nupper x1 + x2\nlower x1\n"
+                               "lower x2\nbound x1 0 1\nbound x2 0 1\n")
+        box = OutcomeBox(m=np.full(2, -1.0), M=np.ones(2),
+                         simplex_vertices=[], m_argmin=[],
+                         x_feasible=np.zeros(2))
+        feasible = MpSolution(flow=nd.FlowResult(
+            np.full(2, 0.5), 1.0, 0.0, nd.FlowStatus.CONVERGED, 1, 0.0))
+        solved = []
+
+        class Cache:
+            def get(self, z):
+                solved.append(tuple(z))
+                return MpSolution(flow=None) if z[0] > 0.5 else feasible
+
+        V = [Vertex(np.array(z)) for z in
+             [(0.2, 0.9), (0.7, 0.4), (0.4, 0.6), (0.9, 0.1), (0.1, 1.0)]]
+        # an evaluated vertex is not solved again, whatever its z
+        V[4].mp = feasible
+        state = bnb.SolverState(box=box, V=list(V), cache=Cache(),
+                                alpha=math.inf, beta=math.inf, incumbent=None)
+        bnb._evaluate_pending(state, problem)
+        assert solved == [(0.2, 0.9), (0.7, 0.4), (0.4, 0.6), (0.9, 0.1)]
+        assert state.V == [V[0], V[2], V[4]]
 
 
 class TestIncumbentFeasibility:

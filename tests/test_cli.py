@@ -160,6 +160,19 @@ class TestInputErrors:
         assert out == ""
         assert err == "error: division by zero at node 1.0 / x1\n"
 
+    def test_a_constant_that_overflows(self, capsys, tmp_path):
+        # the row's constant was nan, which S ignored, and the solve
+        # reported optimal
+        path = tmp_path / "overflow.txt"
+        path.write_text("vars x 2\nupper x1 + x2\nlower x1\nlower x2\n"
+                        "bound x1 0 1\nbound x2 0 1\n"
+                        "constraint_x x1 + (1e308*10 - 1e308*10)\n")
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {path}: line 7: non-finite value at node "
+                       "1e+308 * 10.0\n")
+
     @pytest.mark.parametrize("upper, walk", [
         ("(" * 200 + "x1" + ")" * 200, "parse"),
         (" + ".join(["x1"] * 600), "compile"),

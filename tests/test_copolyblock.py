@@ -103,12 +103,6 @@ class TestPrune:
         prune(V)
         assert zs(V) == [(1.0, 2.0), (2.0, 1.0)]
 
-    def test_infeasible_mp_removed(self):
-        V = vertices([1.0, 0.2], [0.2, 1.0])
-        V[0].mp = MpSolution(flow=None)
-        prune(V)
-        assert zs(V) == [(0.2, 1.0)]
-
     def test_prune_drops_a_vertex_equal_to_an_earlier_one(self):
         # equal within COORD_TOL in every coordinate: the earlier vertex,
         # the one that may already carry phi, is kept
@@ -138,11 +132,9 @@ class TestPrune:
 
 def _pairwise_prune(verts):
     """Survivors of ``prune`` by a loop over pairs: a vertex goes if it is
-    infeasible, below another vertex, or equal to an earlier one."""
+    below another vertex or equal to an earlier one, whatever its MP."""
     keep = []
     for i, v in enumerate(verts):
-        if v.mp is not None and not v.mp.feasible:
-            continue
         dropped = False
         for k, u in enumerate(verts):
             if u is v:

@@ -121,6 +121,29 @@ def _is_constant(e):
     return not _free_variables(e)
 
 
+def _subexpressions(e):
+    yield e
+    kids = ((e.child,) if isinstance(e, Neg) else (e.left, e.right)
+            if isinstance(e, BinOp) else (e.base,) if isinstance(e, Pow)
+            else e.children if isinstance(e, Max) else ())
+    for c in kids:
+        yield from _subexpressions(c)
+
+
+def _constant_fault(e):
+    """Whether a subexpression of e without variables has a zero
+    denominator or a value that is not finite, by the tree walk on Python
+    floats."""
+    for node in _subexpressions(e):
+        if _is_constant(node):
+            try:
+                if not math.isfinite(_reference_value(node, [])):
+                    return True
+            except ex.EvaluationError:
+                return True
+    return False
+
+
 def is_affine(e):
     if isinstance(e, (Const, Var)):
         return True
@@ -139,10 +162,16 @@ def is_affine(e):
 
 
 def reference_affine_parts(e, n_vars):
-    """(coefficients, constant) of an affine expression, else None."""
+    """(coefficients, constant) of an affine expression, else None.  Raises
+    EvaluationError for an expression with a ``_constant_fault``, and for
+    an affine one whose constant or a coefficient is not finite."""
+    if _constant_fault(e):
+        raise ex.EvaluationError("a constant subexpression has no value")
     if not is_affine(e):
         return None
     const, coeffs = value_and_gradient(e, np.zeros(n_vars))
+    if not (math.isfinite(const) and np.isfinite(coeffs).all()):
+        raise ex.EvaluationError("a non-finite constant or coefficient")
     return coeffs, const
 
 
@@ -467,7 +496,10 @@ class TestCompiled:
         x = np.array(data.draw(st.lists(COORDS, min_size=3, max_size=3)))
         tols = data.draw(st.lists(st.sampled_from([1e-9, 1e-4, 0.5, 2.0]),
                                   min_size=2, max_size=2))
-        comp = CompiledExpr(ast, 3)
+        try:
+            comp = CompiledExpr(ast, 3)
+        except ex.EvaluationError:
+            assume(False)
         with np.errstate(all="ignore"):
             # the branch pairs the flow reads are the tree walk's
             assert _pairs_outcome(comp.branch_pairs, x) == _pairs_outcome(
@@ -597,8 +629,9 @@ class TestAffineParts:
     @example(BinOp("*", BinOp("-", Var(0, "x1"), Var(0, "x1")), Var(1, "x2")))
     @settings(max_examples=500, deadline=None)
     def test_linear_form_repeats_the_reference(self, ast):
-        # classification, and (coefficients, constant) bit for bit; an
-        # evaluation that fails raises only in an affine expression
+        # classification, and (coefficients, constant) bit for bit; a
+        # constant subexpression without a finite value raises in any
+        # expression, any other failed evaluation only in an affine one
         with np.errstate(all="ignore"):
             assert _affine_outcome(lambda: ex.affine_parts(ast, 3)) == \
                 _affine_outcome(lambda: reference_affine_parts(ast, 3))

@@ -12,7 +12,7 @@ from svbilevel import neurodynamic as nd
 from svbilevel.expr import BinOp, CompiledExpr, Const, Pow, Var, \
     parse_expression
 from svbilevel.neurodynamic import (
-    LAM_CAP, FlowStatus, RowSet, TraceRecorder,
+    LAM_CAP, FlowStatus, RowSet,
     _active_set_weights, _min_norm_combo, _norm,
     find_feasible, solve_flow,
 )
@@ -557,20 +557,19 @@ class TestSolveFlow:
         assert res.status is FlowStatus.DIVERGED and res.steps == 30
 
     def test_trace_recording(self):
-        trace = TraceRecorder()
         obj = oracle("x1^2 + x2^2")
-        solve_flow(obj, rows_of(oracle("-x1 - x2 + 1")), np.array([1.0, 0.0]),
-                   trace)
-        assert trace.rows
-        flow_id, t, x, r, s, speed = trace.rows[0]
+        with nd.recording() as trace:
+            solve_flow(obj, rows_of(oracle("-x1 - x2 + 1")),
+                       np.array([1.0, 0.0]))
+        assert trace
+        flow_id, t, x, r, s, speed = trace[0]
         assert flow_id == 1 and t == 0.0 and len(x) == 2
 
     def test_objective_descent_inside_feasible_region(self):
-        trace = TraceRecorder()
         obj = oracle("x1^2 + x2^2 + 0.4*x1 - 4*x2")
-        solve_flow(obj, rows_of(*example1_region()), np.array([1.0, 1.0]),
-                   trace)
-        inside = [row for row in trace.rows if row[4] <= 1e-7]
+        with nd.recording() as trace:
+            solve_flow(obj, rows_of(*example1_region()), np.array([1.0, 1.0]))
+        inside = [row for row in trace if row[4] <= 1e-7]
         rs = [row[3] for row in inside]
         for a, b in zip(rs, rs[1:]):
             assert b <= a + 1e-9
@@ -1189,12 +1188,12 @@ class TestEvaluateOnce:
     def _repeats(seen):
         return len(seen) - len(set(seen))
 
-    def _check(self, objective, rows, u_start, seen, trace=None):
+    def _check(self, objective, rows, u_start, seen):
         u = find_feasible(rows, u_start)
         assert u is not None and seen
         assert self._repeats(seen) == 0
         seen.clear()
-        res = solve_flow(objective, rows, u, trace)
+        res = solve_flow(objective, rows, u)
         assert res.steps > 1 and seen
         return res
 
@@ -1204,8 +1203,8 @@ class TestEvaluateOnce:
         rows = rows_of(oracle("x1^2 + x2^2 + x3^2 - 0.0625", v3), width=3)
         seen = []
         _record_values(monkeypatch, rows, seen)
-        trace = TraceRecorder()
-        res = self._check(obj, rows, np.full(3, 0.5), seen, trace)
+        with nd.recording() as trace:
+            res = self._check(obj, rows, np.full(3, 0.5), seen)
         # one known repeat: the polish pulls a curved row back to its level
         # at the trial's origin, and from step 25's point a halved trial,
         # pulled back, lands on step 24's point bit for bit, where Armijo
@@ -1213,7 +1212,7 @@ class TestEvaluateOnce:
         assert res.steps == 26
         assert self._repeats(seen) == 1
         (point,) = {p for p in seen if seen.count(p) > 1}
-        assert point[1] == np.array(trace.rows[23][2]).tobytes()
+        assert point[1] == np.array(trace[23][2]).tobytes()
 
     def test_example4_mp_stack(self, monkeypatch):
         problem = catalog.load_example(4)
@@ -1224,6 +1223,70 @@ class TestEvaluateOnce:
         _record_values(monkeypatch, rows, seen)
         self._check(problem.upper, rows, u0, seen)
         assert self._repeats(seen) == 0
+
+
+class TestRecording:
+    """``neurodynamic.recording`` collects the rows that ``cli --trace``
+    writes: one per selection of every flow run inside it."""
+
+    @staticmethod
+    def _flow(start):
+        obj = oracle("x1^2 + x2^2 + 0.4*x1 - 4*x2")
+        return solve_flow(obj, rows_of(*example1_region()), np.array(start))
+
+    def test_every_flow_of_a_solve_is_numbered_and_ends_at_its_result(
+            self, monkeypatch):
+        results = []
+        flow = nd.solve_flow
+
+        def collected(*args):
+            results.append(flow(*args))
+            return results[-1]
+
+        monkeypatch.setattr(nd, "solve_flow", collected)
+        with nd.recording() as rows:
+            bnb.solve(catalog.load_example(4))
+        assert results
+        by_flow = {}
+        for row in rows:
+            by_flow.setdefault(row[0], []).append(row)
+        # numbered 1..N in the order they ran, one number per call
+        assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+        assert list(by_flow) == list(range(1, len(results) + 1))
+        for res, flow_rows in zip(results, by_flow.values()):
+            # every flow of example 4 converges, at its last selection
+            assert res.status is FlowStatus.CONVERGED
+            assert len(flow_rows) == res.steps
+            _, _, x, r, s, speed = flow_rows[-1]
+            assert x == tuple(res.x_final.tolist())
+            assert (r, s, speed) == (res.objective_value,
+                                     res.penalty_residual,
+                                     res.final_velocity_norm)
+
+    def test_a_flow_outside_a_recording_appends_nothing(self):
+        with nd.recording() as rows:
+            pass
+        self._flow([1.0, 1.0])
+        assert rows == []
+
+    def test_an_inner_recording_leaves_the_outer_one_untouched(self):
+        with nd.recording() as outer:
+            self._flow([1.0, 1.0])
+            before = list(outer)
+            with nd.recording() as inner:
+                self._flow([1.0, 1.0])
+            assert outer == before
+            assert [row[1:] for row in inner] == [row[1:] for row in before]
+            assert {row[0] for row in inner} == {1}
+            with pytest.raises(RuntimeError):
+                with nd.recording() as failed:
+                    self._flow([1.0, 1.0])
+                    raise RuntimeError
+            assert failed and outer == before
+            # the outer recording is current again, and numbers on
+            self._flow([1.0, 1.0])
+        assert outer[:len(before)] == before
+        assert {row[0] for row in outer[len(before):]} == {2}
 
 
 class TestNorm:

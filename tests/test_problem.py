@@ -105,6 +105,41 @@ class TestLoad:
                                  r"\(at position 0\)$"):
             load_problem(MINI + "lower min(x1, x2)\n")
 
+    # a constant that overflows used to load: its inf or nan row was
+    # ignored by S, or made X look empty, and the solve went on
+    @pytest.mark.parametrize("old, new, line, node", [
+        (None, "constraint_x x1 + (1e308*10 - 1e308*10)", 7,
+         r"non-finite value at node 1e\+308 \* 10\.0"),
+        (None, "constraint_x x1^2 + (1e308*10 - 1e308*10)", 7,
+         r"non-finite value at node 1e\+308 \* 10\.0"),
+        ("lower x1", "lower x1 + 1e308*10", 3,
+         r"non-finite value at node 1e\+308 \* 10\.0"),
+        ("lower x1", "lower x1^2 + 1e308*10", 3,
+         r"non-finite value at node 1e\+308 \* 10\.0"),
+        ("upper x1 + x2", "upper x1 + x2 + 1e308*10", 2,
+         r"non-finite value at node 1e\+308 \* 10\.0"),
+        ("upper x1 + x2", "upper x1^2 + 1e308*10", 2,
+         r"non-finite value at node 1e\+308 \* 10\.0"),
+        (None, "constraint_x x1*1e308*10 - 1", 7,
+         r"non-finite constant or coefficient at node "
+         r"x1 \* 1e\+308 \* 10\.0 - 1\.0"),
+        (None, "constraint_x x1 + 1e308 + 1e308", 7,
+         r"non-finite constant or coefficient at node "
+         r"x1 \+ 1e\+308 \+ 1e\+308")],
+        ids=["nan-affine-row", "nan-curved-row", "inf-affine-lower",
+             "inf-curved-lower", "inf-affine-upper", "inf-curved-upper",
+             "inf-coefficient", "inf-constant"])
+    def test_a_constant_that_overflows_fails_at_load(self, old, new, line,
+                                                     node):
+        lines = ["vars x 2", "upper x1 + x2", "lower x1", "lower x2",
+                 "bound x1 0 1", "bound x2 0 1"]
+        if old is None:
+            lines.append(new)
+        else:
+            lines[lines.index(old)] = new
+        with pytest.raises(ProblemFormatError, match=rf"^line {line}: {node}$"):
+            load_problem("\n".join(lines) + "\n")
+
     @pytest.mark.parametrize("k", sorted(catalog.EXAMPLES))
     def test_all_examples_load(self, k):
         prob = catalog.load_example(k)
