@@ -105,20 +105,18 @@ def _ray_direction(box: OutcomeBox, v: np.ndarray) -> np.ndarray:
 
 def _evaluate_pending(state: SolverState, problem: BilevelProblem) -> None:
     """Fill phi at the vertices not yet evaluated; drop infeasible vertices
-    and vertices whose minimizer sits within ``COORD_TOL`` of a lower face
-    of the box (those outcomes are covered by the initialization
-    subproblems).  V needs no prune here: ``iterate`` prunes it right
-    after each cut, and dropping vertices makes no other one dominated."""
+    and vertices whose MP minimizer has an f_i within ``COORD_TOL`` of m_i:
+    outcomes on a lower face are the face probes' of ``initialize``.  This
+    is the one lower-face rule; ``cut`` keeps every child.  V needs no
+    prune here: ``iterate`` prunes it right after each cut, and dropping
+    vertices makes no other one dominated."""
+    n = problem.n
     for v in [v for v in state.V if v.mp is None]:
         v.mp = state.cache.get(v.z)
-        if not v.mp.feasible:
+        if not v.mp.feasible or any(
+                abs(f.value(v.mp.flow.x_final[:n]) - m_i) <= COORD_TOL
+                for f, m_i in zip(problem.lower, state.box.m)):
             state.V.remove(v)
-            continue
-        x = v.mp.flow.x_final[:problem.n]
-        for i, f in enumerate(problem.lower):
-            if abs(f.value(x) - state.box.m[i]) <= COORD_TOL:
-                state.V.remove(v)
-                break
 
 
 def initialize(problem: BilevelProblem) -> SolverState:
@@ -212,7 +210,7 @@ def iterate(state: SolverState, problem: BilevelProblem,
     if state.alpha - state.beta <= config.epsilon * (1.0 + abs(state.beta)):
         state.status = SolverStatus.OPTIMAL
     else:
-        cut(state.V, vertex, w, state.box.m)
+        cut(state.V, vertex, w)
         prune(state.V)
 
     state.log.append(IterationRow(k=state.k, v=v.copy(), alpha=state.alpha,

@@ -21,8 +21,7 @@ import numpy as np
 
 from .outcome import MpSolution
 
-# Coordinates within COORD_TOL are equal; an outcome within it of a lower
-# face z_i = m_i is the face probes' to cover.
+# Coordinates within COORD_TOL are equal.
 COORD_TOL = 1e-9
 
 
@@ -32,18 +31,16 @@ class Vertex:
     mp: Optional[MpSolution] = None
 
 
-def cut(V: list[Vertex], vertex: Vertex, w, m) -> None:
-    """Replace ``vertex`` in V by its cutting-cone children z^i, where z^i
-    equals v except coordinate i is lowered to w_i, appended in order of i.
-    Children landing on the lower face z^i_i = m_i are skipped: outcomes
-    there are already covered by the initialization subproblems."""
+def cut(V: list[Vertex], vertex: Vertex, w) -> None:
+    """Replace ``vertex`` in V by its p cutting-cone children z^i, where
+    z^i equals v except coordinate i is lowered to w_i, appended in order
+    of i.  Every child is kept: which vertices the box's lower faces make
+    redundant is the driver's one rule (``bnb._evaluate_pending``)."""
     w = np.asarray(w, dtype=float)
     if np.any(w > vertex.z + COORD_TOL):
         raise ValueError("cut point must satisfy w <= v componentwise")
     V.remove(vertex)
     for i in range(len(w)):
-        if abs(w[i] - m[i]) <= COORD_TOL:
-            continue
         z = vertex.z.copy()
         z[i] = w[i]
         V.append(Vertex(z))

@@ -18,7 +18,7 @@ pseudoconvex functions is outside that class.  Every branch is smooth, so
 generated straight-line code, one arithmetic for value and gradient, is the
 one way an expression is evaluated; ``affine_parts`` reads the linear form
 of an affine one.  The branches of a root max are read one by one through
-``branch_pairs``; the flow picks among them (``band_members``).
+``branch_pairs``; the flow picks among them (``value_generators``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .neurodynamic import band_members
+from . import neurodynamic as nd
 
 MAX_UNROLLED_POW = 8
 
@@ -546,15 +546,9 @@ class CompiledExpr:
         return [fn(xs, True) for fn in self.branch_values]
 
     def value_generators(self, x, active_tol: float):
-        """(value, [generator gradients]): for a root max node the gradients
-        of the branches within ``neurodynamic.band_members``'s band of the
-        top, a single generator for any other expression."""
-        if not isinstance(self.ast, Max):
-            v, g = self.value_grad(x)
-            return v, [g]
-        pairs = self.branch_pairs(x)
-        top, members = band_members(pairs, active_tol)
-        return top, [pairs[j][1] for j in members]
+        """(value, [generator gradients]) at x: the flows' own pick,
+        ``neurodynamic._objective_generators`` at the band ``active_tol``."""
+        return nd._objective_generators(self, x, active_tol)[:2]
 
 
 def affine_parts(e: Expr, n_vars: int):

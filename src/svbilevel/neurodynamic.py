@@ -654,12 +654,18 @@ def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
     Euler step, each tested right after the selection, or 31 failed
     halvings.  ``steps`` counts the selections.  An accepted step stalls
     when it is shorter than 1e-12 max(1, |x|) or sets no new least r.
-    Inside a ``recording`` every selection appends a row to it."""
+    Inside a ``recording`` every selection appends a row to it.  A branch
+    value or gradient norm at ``x0`` that is not finite raises FlowError."""
     x = np.asarray(x0, dtype=float).copy()
     bands = rows.norm_estimates(x)
     # the first selection reads these pairs, unless the start is polished
     pairs = objective.branch_pairs(x)
-    tol = STATIONARITY_TOL * max(1.0, max(_norm(g) for _, g in pairs))
+    norms = [_norm(g) for _, g in pairs]
+    # max(1.0, nan) is 1.0, so tol alone would hide a NaN
+    if not all(map(math.isfinite, [v for v, _ in pairs] + norms)):
+        raise FlowError(f"the objective is not finite at the start "
+                        f"{tuple(x.tolist())}")
+    tol = STATIONARITY_TOL * max(1.0, max(norms))
     record = _recording
     flow_id = record[-1][0] + 1 if record else 1
 
@@ -824,9 +830,18 @@ def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
     penalty.  None does not prove the rows empty: the summed-gradient step
     can stall at a point that is not stationary for S, and on example 1 at
     epsilon 1e-5 it does at three feasible MP(z) (ROADMAP item 11,
-    ``tests/test_outcome.py::TestFalseInfeasibleVertices``)."""
+    ``tests/test_outcome.py::TestFalseInfeasibleVertices``).  A start
+    with a row, or S, not finite raises FlowError naming the first such
+    row (the largest if S overflows), with its label if it has one."""
     x = np.asarray(x0, dtype=float).copy()
     vals, s = rows.evaluate(x)
+    if not (math.isfinite(s) and all(map(math.isfinite, vals))):
+        bad = [i for i, v in enumerate(vals) if not math.isfinite(v)]
+        i = bad[0] if bad else vals.index(max(vals))
+        label = rows.labels[i] if rows.labels else ""
+        name = f"row {i} {label!r}" if label else f"row {i}"
+        raise FlowError(f"{name} is {vals[i]} at the start "
+                        f"{tuple(x.tolist())}")
     for _ in range(MAX_STEPS):
         if s <= FEASIBILITY_TOL:
             return x

@@ -80,8 +80,11 @@ def _reject_diverged(res: nd.FlowResult, what: str) -> nd.FlowResult:
 
 def _box_flow(objective, region, x0, what: str) -> nd.FlowResult:
     """A box flow over X; it must converge, or [m, M] may not contain
-    f(X)."""
-    res = nd.solve_flow(objective, region, x0)
+    f(X).  A FlowError is raised again as OutcomeError, ``what`` first."""
+    try:
+        res = nd.solve_flow(objective, region, x0)
+    except nd.FlowError as exc:
+        raise OutcomeError(f"{what}: {exc}") from None
     if res.status is not nd.FlowStatus.CONVERGED:
         raise OutcomeError(f"{what}: flow ended {res.status.value} after "
                            f"{res.steps} steps; X may be unbounded")

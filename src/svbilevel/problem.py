@@ -52,10 +52,13 @@ class ProblemFormatError(Exception):
 
 @dataclass(frozen=True)
 class VariableBound:
-    """Box bound on a single named variable; one-sided when lo/hi infinite."""
+    """Bound lo <= u_index <= hi on the variable ``name``, one-sided where
+    lo or hi is infinite; ``load_problem`` sets index, its place in u = (x,
+    y), and is the one place that maps a name to a coordinate."""
     name: str
     lo: float
     hi: float
+    index: int
 
 
 class AffineRow:
@@ -89,14 +92,6 @@ class BilevelProblem:
     def p(self) -> int:
         return len(self.lower)
 
-    @property
-    def x_names(self):
-        return [f"x{i + 1}" for i in range(self.n)]
-
-    @property
-    def y_names(self):
-        return [f"y{j + 1}" for j in range(self.m)]
-
     @cached_property
     def _rows(self) -> tuple:
         """The rows of G as ``RowSet.of`` tuples (row, label, shift) over
@@ -109,7 +104,6 @@ class BilevelProblem:
         branch j: max(a, b) <= z is exactly a <= z and b <= z, and each
         branch is smooth.  Built on first use."""
         n, total = self.n, self.n + self.m
-        names = self.x_names + self.y_names
 
         def unit(i, sign, width):
             e = np.zeros(width)
@@ -132,13 +126,12 @@ class BilevelProblem:
         y_rows = [(AffineRow(unit(n + j, -1.0, total), 0.0), f"y{j + 1} >= 0",
                    0.0) for j in range(self.m)]
         for b in self.bounds:
-            i = names.index(b.name)
-            rows, width = (x_rows, n) if i < n else (y_rows, total)
+            rows, width = (x_rows, n) if b.index < n else (y_rows, total)
             if np.isfinite(b.lo):
-                rows.append((AffineRow(unit(i, -1.0, width), b.lo),
+                rows.append((AffineRow(unit(b.index, -1.0, width), b.lo),
                              f"{b.name} >= {b.lo}", 0.0))
             if np.isfinite(b.hi):
-                rows.append((AffineRow(unit(i, 1.0, width), -b.hi),
+                rows.append((AffineRow(unit(b.index, 1.0, width), -b.hi),
                              f"{b.name} <= {b.hi}", 0.0))
         g_rows = [(g, label, 0.0)
                   for _, g, label in split(self.coupling, "g_{}")]
@@ -296,15 +289,14 @@ def load_problem(text: str) -> BilevelProblem:
     s_rows = compile_exprs(raw["constraint_x"], x_names)
     g_rows = compile_exprs(raw["constraint_xy"], xy_names)
 
-    valid_names = set(xy_names)
     checked_bounds = []
     for line_no, var, lo, hi in bounds:
-        if var not in valid_names:
+        if var not in xy_names:
             raise ProblemFormatError(f"unknown variable {var!r} in bound", line_no)
         # [inf, inf] and [-inf, -inf] build no row, yet hold no number
         if lo > hi or lo == math.inf or hi == -math.inf:
             raise ProblemFormatError(f"empty bound [{lo}, {hi}]", line_no)
-        checked_bounds.append(VariableBound(var, lo, hi))
+        checked_bounds.append(VariableBound(var, lo, hi, xy_names.index(var)))
 
     return BilevelProblem(
         n=n, m=m, upper=upper, lower=tuple(lower),
@@ -337,12 +329,11 @@ def find_interior_start(problem: BilevelProblem) -> Optional[np.ndarray]:
     lower one, and [0, 2] for a bound with neither."""
     x0 = np.zeros(problem.n)
     for b in problem.bounds:
-        if b.name.startswith("x"):
-            i = int(b.name[1:]) - 1
+        if b.index < problem.n:
             lo, hi = b.lo, b.hi
             if not np.isfinite(lo):
                 lo = hi - 2.0 if np.isfinite(hi) else 0.0
             if not np.isfinite(hi):
                 hi = lo + 2.0
-            x0[i] = 0.5 * (lo + hi)
+            x0[b.index] = 0.5 * (lo + hi)
     return nd.find_feasible(problem.x_region(), x0)

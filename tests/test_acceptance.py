@@ -173,8 +173,8 @@ class TestProperties:
             V = [parent]
             z = parent.z.copy()
             w = rng.uniform(m, z)
-            cut(V, parent, w, m)
-            assert len(V) <= p
+            cut(V, parent, w)
+            assert len(V) == p
             for child in V:
                 assert np.all(child.z <= z + 1e-12)
                 assert np.sum(~np.isclose(child.z, z)) == 1

@@ -387,6 +387,29 @@ class TestEvaluatePending:
         assert state.V == [V[0], V[2], V[4]]
 
 
+    @pytest.mark.parametrize("number", [1, 2, 4])
+    def test_a_vertex_on_a_lower_face_is_dropped(self, number):
+        # cut keeps a child on a lower face z_i = m_i; its MP(z) is
+        # infeasible or ends with f_i at m_i, and either way it goes here
+        problem = catalog.load_example(number)
+        state = bnb.initialize(problem)
+        bnb.iterate(state, problem, SolverConfig())
+        bnb._evaluate_pending(state, problem)
+        kept = list(state.V)
+        assert kept and all(v.mp is not None for v in kept)
+        faces = []
+        for i in range(problem.p):
+            z = state.box.M.copy()
+            z[i] = state.box.m[i]
+            faces.append(Vertex(z))
+        # each face vertex after the kept vertex of its place, if any
+        state.V = [v for j in range(max(len(kept), len(faces)))
+                   for v in kept[j:j + 1] + faces[j:j + 1]]
+        bnb._evaluate_pending(state, problem)
+        assert all(v.mp is not None for v in faces)
+        assert state.V == kept
+
+
 class TestIncumbentFeasibility:
     @pytest.fixture(params=[("report1", 1), ("report3", 3), ("report6", 6)],
                     ids=["ex1", "ex3", "ex6"])

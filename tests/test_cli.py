@@ -152,6 +152,25 @@ class TestInputErrors:
         assert code == 1
         assert err == "error: X is empty: no feasible point found\n"
 
+    @pytest.mark.parametrize("old, new, message", [
+        # s_1 follows the four bound rows, which are affine
+        ("", "constraint_x x1^2*1e308*10 - 1\n",
+         "row 4 's_1' is inf at the start (0.5, 0.5)"),
+        ("lower x1\n", "lower x1^2*1e308*10\n",
+         "min f_1 over X: the objective is not finite at the start "
+         "(0.5, 0.5)")], ids=["row", "objective"])
+    def test_not_finite_at_a_flow_start(self, capsys, tmp_path, old, new,
+                                        message):
+        # these ended "X is empty" after an invalid-value warning, and
+        # "SVD did not converge" after four warnings
+        text = ("vars x 2\nupper x1 + x2\nlower x1\nlower x2\n"
+                "bound x1 0 1\nbound x2 0 1\n")
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(text.replace(old, new, 1) if old else text + new)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_evaluation_error_during_a_solve(self, capsys, tmp_path):
         path = tmp_path / "divides.txt"
         path.write_text(DIVIDES_BY_ZERO_TEXT)

@@ -29,23 +29,22 @@ def zs(V):
     return sorted(tuple(v.z) for v in V)
 
 
-M0 = np.zeros(2)
-
-
 class TestCut:
     def test_two_children(self):
         V = vertices([1.0, 1.0])
-        cut(V, V[0], [0.3, 0.4], M0)
+        cut(V, V[0], [0.3, 0.4])
         assert zs(V) == [(0.3, 1.0), (1.0, 0.4)]
 
-    def test_lower_face_child_filtered(self):
+    def test_lower_face_child_kept(self):
+        # w_1 = 0 is the lower face of a box with m = 0: the child there
+        # stays, for the driver to drop by its MP minimizer
         V = vertices([1.0, 1.0])
-        cut(V, V[0], [0.0, 0.4], M0)
-        assert zs(V) == [(1.0, 0.4)]
+        cut(V, V[0], [0.0, 0.4])
+        assert [tuple(v.z) for v in V] == [(0.0, 1.0), (1.0, 0.4)]
 
     def test_three_dimensional_children(self):
         V = vertices([1.0, 1.0, 1.0])
-        cut(V, V[0], [0.5, 0.5, 0.5], np.zeros(3))
+        cut(V, V[0], [0.5, 0.5, 0.5])
         assert len(V) == 3
         for child in V:
             diffs = np.isclose(child.z, [1, 1, 1])
@@ -54,7 +53,7 @@ class TestCut:
     def test_children_nest_below_parent(self):
         V = vertices([1.5, 1.8])
         parent = V[0].z.copy()
-        cut(V, V[0], [0.6, 0.9], M0)
+        cut(V, V[0], [0.6, 0.9])
         for child in V:
             assert np.all(child.z <= parent + 1e-12)
             assert np.sum(~np.isclose(child.z, parent)) == 1
@@ -63,7 +62,7 @@ class TestCut:
         # the children go after every older vertex, child i in place i
         V = vertices([1.0, 1.0], [0.9, 0.2])
         older = V[1]
-        cut(V, V[0], [0.3, 0.4], M0)
+        cut(V, V[0], [0.3, 0.4])
         assert V[0] is older
         assert [tuple(v.z) for v in V[1:]] == [(0.3, 1.0), (1.0, 0.4)]
         assert all(v.mp is None for v in V[1:])
@@ -71,19 +70,19 @@ class TestCut:
     def test_cardinality_bound(self):
         V = vertices([1.0, 1.0], [0.9, 0.2])
         before = len(V)
-        cut(V, V[0], [0.3, 0.4], M0)
+        cut(V, V[0], [0.3, 0.4])
         assert len(V) <= before - 1 + 2
 
     def test_vertex_not_in_set(self):
         V = vertices([1.0, 1.0])
         other = vertices([1.0, 1.0])
         with pytest.raises(ValueError):
-            cut(V, other[0], [0.3, 0.4], M0)
+            cut(V, other[0], [0.3, 0.4])
 
     def test_w_above_v_rejected(self):
         V = vertices([0.5, 0.5])
         with pytest.raises(ValueError):
-            cut(V, V[0], [0.6, 0.4], M0)
+            cut(V, V[0], [0.6, 0.4])
 
 
 class TestPrune:
@@ -117,7 +116,7 @@ class TestPrune:
         V = vertices([1.0, 1.0], [0.3, 1.0])
         older = V[1]
         evaluated(older, 0.5)
-        cut(V, V[0], [0.3, 0.4], M0)
+        cut(V, V[0], [0.3, 0.4])
         prune(V)
         assert V[0] is older
         assert [tuple(v.z) for v in V if v.mp is None] == [(1.0, 0.4)]
@@ -235,7 +234,7 @@ class TestCoverInvariant:
             # the driver's adaptive direction: from the vertex toward m
             d = np.maximum(vertex.z - m, 1e-6 * (M - m))
             w = np.clip(ray_exit(knots, values, vertex.z, d), m, vertex.z)
-            cut(V, vertex, w, m)
+            cut(V, vertex, w)
             prune(V)
             Z = np.array([v.z for v in V]).reshape(-1, 2)
             covered = (points[:, None, :] <= Z[None, :, :] + 1e-9).all(

@@ -549,6 +549,24 @@ class TestSolveFlow:
         tol = nd.STATIONARITY_TOL * math.sqrt(5.0)
         assert res.final_velocity_norm <= tol
 
+    @pytest.mark.parametrize("pairs", [
+        [(math.nan, [1.0, 0.0])], [(math.inf, [1.0, 0.0])],
+        [(1.0, [math.nan, 0.0])], [(1.0, [-math.inf, 0.0])],
+        [(1.0, [1.0, 0.0]), (0.5, [0.0, math.nan])]],
+        ids=["nan-value", "inf-value", "nan-gradient", "inf-gradient",
+             "second-branch"])
+    def test_an_objective_that_is_not_finite_at_the_start_raises(self, pairs):
+        # the tolerance is max(1, the largest gradient norm), and
+        # max(1.0, nan) is 1.0: only a direct test sees the NaN
+        class Fixed:
+            def branch_pairs(self, x):
+                return [(v, np.array(g)) for v, g in pairs]
+
+        with pytest.raises(nd.FlowError, match=r"^the objective is not "
+                           r"finite at the start \(1\.0, 1\.0\)$"):
+            solve_flow(Fixed(), rows_of(*example1_region()),
+                       np.array([1.0, 1.0]))
+
     def test_divergence_detected(self):
         obj = oracle("x1 + x2", V2)  # unbounded below, no constraints
         res = solve_flow(obj, rows_of(), np.array([0.0, 0.0]))
@@ -1317,6 +1335,22 @@ class TestFindFeasible:
         cons = rows_of(oracle("x1 + 1", ["x1"]), oracle("-x1 + 1", ["x1"]),
                        width=1)
         assert find_feasible(cons, np.array([0.0])) is None
+
+    @pytest.mark.parametrize("rows, message", [
+        # affine rows come first, so the curved row is row 1
+        ([(oracle("x1^2*1e308*10 - 1"), "curved", 0.0),
+          (oracle("x1 - 1"), "flat", 0.0)], "row 1 'curved' is inf"),
+        ([oracle("x1 - 1"), oracle("x1^2*1e308*10 - x1^2*1e308*10")],
+         "row 1 is nan"),
+        # each row is finite, their S is not: the largest is named
+        ([oracle("x1^2*1e308*6"), oracle("x1^2*1e308*7")],
+         "row 1 is 1.75e+308")], ids=["inf", "nan", "S-overflows"])
+    def test_a_start_that_is_not_finite_raises(self, rows, message):
+        # S ignores a NaN row, and an infinite S cannot descend: the
+        # descent ended "X is empty", or stopped at an invalid value
+        with pytest.raises(nd.FlowError) as err:
+            find_feasible(RowSet.of(rows, 2), np.array([0.5, 0.5]))
+        assert str(err.value) == f"{message} at the start (0.5, 0.5)"
 
     def test_penalty_monotone_along_descent(self):
         region = example1_region()

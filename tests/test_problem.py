@@ -186,6 +186,37 @@ class TestInteriorStart:
         assert max(problem.x_region().evaluate(x0)[0]) < 0.0
 
 
+class TestBoundIndex:
+    def test_x_and_y_bounds(self):
+        problem = load_problem(MINI + "vars y 2\nbound y2 0 1\n"
+                                      "bound x2 -1 1\nbound y1 -inf 3\n")
+        assert [(b.name, b.index) for b in problem.bounds] == [
+            ("x1", 0), ("y2", 3), ("x2", 1), ("y1", 2)]
+
+    def test_relabelled_text(self, monkeypatch):
+        # bound x_k is [k, k + 1], listed from x12 down to x1 as the
+        # relabelling x_k -> x_{13 - k} writes the lines of x1..x12, and
+        # a y-bound after them
+        n = 12
+        text = (f"vars x {n}\nvars y 1\nupper x1 + y1\nlower x1\n"
+                f"lower x{n}\n"
+                + "".join(f"bound x{k} {k} {k + 1}\n"
+                          for k in range(n, 0, -1))
+                + "bound y1 50 60\n")
+        problem = load_problem(text)
+        assert [b.index for b in problem.bounds] == \
+            list(range(n - 1, -1, -1)) + [n]
+        # the descent patched out: x0 is the middle of each x-bound, and
+        # the y-bound moves none of its coordinates
+        monkeypatch.setattr(nd, "find_feasible", lambda rows, x0: x0)
+        assert find_interior_start(problem).tolist() == \
+            [k + 0.5 for k in range(1, n + 1)]
+        labels = problem.x_region().labels
+        assert labels[0] == f"x{n} >= {float(n)}"
+        assert problem.x_region().evaluate(
+            find_interior_start(problem))[0] == [-0.5] * (2 * n)
+
+
 def expression_rows(exprs, fmt, point, shifts=None):
     """(label, value, affine) of the row expression - shift of each of
     ``exprs``, labelled fmt.format(k + 1); a max is one row per branch,
@@ -208,7 +239,9 @@ def direct_rows(problem, x, y, z):
     u = (x, y), evaluated term by term in the order s, x-bounds, -y,
     y-bounds, f - z, g."""
     u = np.concatenate([x, y])
-    point = dict(zip(problem.x_names + problem.y_names, u))
+    names = ([f"x{i + 1}" for i in range(problem.n)]
+             + [f"y{j + 1}" for j in range(problem.m)])
+    point = dict(zip(names, u))
     bound_rows = {"x": [], "y": []}
     for b in problem.bounds:
         rows = bound_rows[b.name[0]]
