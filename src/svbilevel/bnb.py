@@ -10,7 +10,9 @@ projection.  Only a converged flow gives an incumbent, the candidate
 that can lower alpha: a face probe's MP flow, or a ray flow whose weakly
 efficient end point lifts to a feasible upper-level pair.  The loop
 stops when alpha - beta <= epsilon * (1 + |beta|), when the vertex list
-empties, or at the iteration cap.
+empties, or at the iteration cap.  A solve keeps one record, a
+``SolverReport``: ``initialize`` builds it, ``iterate`` advances it, and
+``solve`` returns it.
 """
 
 from __future__ import annotations
@@ -69,29 +71,20 @@ class IterationRow:
 
 
 @dataclass
-class SolverState:
+class SolverReport:
+    """The one record of a solve.  V holds the vertices in the order they
+    were made; status is None while the loop runs, and wall_time NaN
+    until ``solve`` sets it."""
     box: OutcomeBox
     V: list[Vertex]
     cache: PhiCache
     alpha: float
     beta: float
     incumbent: Optional[Incumbent]
-    k: int = 0
+    iterations: int = 0
     log: list = field(default_factory=list)
-    # None while the loop runs
     status: Optional[SolverStatus] = None
-
-
-@dataclass
-class SolverReport:
-    status: SolverStatus
-    incumbent: Optional[Incumbent]
-    alpha: float
-    beta: float
-    log: list
-    iterations: int
-    wall_time: float
-    box: OutcomeBox
+    wall_time: float = math.nan
 
 
 def _ray_direction(box: OutcomeBox, v: np.ndarray) -> np.ndarray:
@@ -103,7 +96,7 @@ def _ray_direction(box: OutcomeBox, v: np.ndarray) -> np.ndarray:
     return np.maximum(v - box.m, 1e-6 * span)
 
 
-def _evaluate_pending(state: SolverState, problem: BilevelProblem) -> None:
+def _evaluate_pending(state: SolverReport, problem: BilevelProblem) -> None:
     """Fill phi at the vertices not yet evaluated; drop infeasible vertices
     and vertices whose MP minimizer has an f_i within ``COORD_TOL`` of m_i:
     outcomes on a lower face are the face probes' of ``initialize``.  This
@@ -119,7 +112,7 @@ def _evaluate_pending(state: SolverState, problem: BilevelProblem) -> None:
             state.V.remove(v)
 
 
-def initialize(problem: BilevelProblem) -> SolverState:
+def initialize(problem: BilevelProblem) -> SolverReport:
     """Box, the one-vertex list [M], the p lower-face upper-bound probes,
     then phi at M and the initial bounds.  A probe whose MP flow converged,
     and so ends feasible, is the incumbent when its phi is below alpha."""
@@ -144,8 +137,8 @@ def initialize(problem: BilevelProblem) -> SolverState:
             x, y = np.split(sol.flow.x_final, [problem.n])
             incumbent = Incumbent(x=x, y=y, h=alpha)
 
-    state = SolverState(box=box, V=V, cache=cache, alpha=alpha,
-                        beta=math.inf, incumbent=incumbent)
+    state = SolverReport(box=box, V=V, cache=cache, alpha=alpha,
+                         beta=math.inf, incumbent=incumbent)
     # M is a vertex like any other: one solve, and its lower-face check
     _evaluate_pending(state, problem)
     if top.mp.feasible:
@@ -165,12 +158,12 @@ def find_feasible_y(problem: BilevelProblem, x) -> Optional[np.ndarray]:
     return nd.find_feasible(problem.lift_rows(x), np.ones(problem.m))
 
 
-def iterate(state: SolverState, problem: BilevelProblem,
-            config: SolverConfig) -> SolverState:
+def iterate(state: SolverReport, problem: BilevelProblem,
+            config: SolverConfig) -> SolverReport:
     """One bound-update / projection / cut round."""
     if state.status is not None:
         return state
-    state.k += 1
+    state.iterations += 1
     _evaluate_pending(state, problem)
     if not state.V:
         if state.incumbent is not None:
@@ -179,7 +172,8 @@ def iterate(state: SolverState, problem: BilevelProblem,
         else:
             state.status = SolverStatus.INFEASIBLE
         # no vertex was selected
-        state.log.append(IterationRow(k=state.k, v=np.full(problem.p, math.nan),
+        state.log.append(IterationRow(k=state.iterations,
+                                      v=np.full(problem.p, math.nan),
                                       alpha=state.alpha, beta=state.beta))
         return state
 
@@ -213,8 +207,8 @@ def iterate(state: SolverState, problem: BilevelProblem,
         cut(state.V, vertex, w)
         prune(state.V)
 
-    state.log.append(IterationRow(k=state.k, v=v.copy(), alpha=state.alpha,
-                                  beta=state.beta))
+    state.log.append(IterationRow(k=state.iterations, v=v.copy(),
+                                  alpha=state.alpha, beta=state.beta))
     return state
 
 
@@ -229,11 +223,9 @@ def solve(problem: BilevelProblem,
         raise ValueError("; ".join(errors))
     t0 = time.perf_counter()
     state = initialize(problem)
-    while state.status is None and state.k < config.max_iterations:
+    while state.status is None and state.iterations < config.max_iterations:
         iterate(state, problem, config)
     if state.status is None:
         state.status = SolverStatus.MAX_ITERATIONS
-    return SolverReport(status=state.status, incumbent=state.incumbent,
-                        alpha=state.alpha, beta=state.beta, log=state.log,
-                        iterations=state.k,
-                        wall_time=time.perf_counter() - t0, box=state.box)
+    state.wall_time = time.perf_counter() - t0
+    return state

@@ -195,13 +195,15 @@ def _positive_sum(vals: list) -> float:
     the positive values added in index order, which is ``ndarray.sum``'s
     order below 8 terms; from 8 up, ``ndarray.sum`` of them, whose pairwise
     order differs.  Not the built-in ``sum``, which Python 3.12 made
-    compensated."""
+    compensated.  A NaN value counts as violated: S is inf."""
     s = 0.0
     count = 0
     for v in vals:
-        if v > 0.0:
+        if not v <= 0.0:
             s += v
             count += 1
+    if s != s:  # a NaN value
+        return math.inf
     if count >= 8:
         return float(np.array([v for v in vals if v > 0.0]).sum())
     return s
@@ -221,11 +223,11 @@ class RowSet:
     floats.  A RowSet holds no flow state, so one set serves any number of
     flows: a flow carries its rows' bands (``norm_estimates``), a new list
     per call.  The affine rows' bands depend on A alone: they are computed
-    once per set, on first use, and a set that ``with_constants`` makes
-    from this one shares them."""
+    once per set, on first use, and a set that ``shifted`` makes from this
+    one shares them."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, nonlinear=(), labels=(),
-                 head: Optional[np.ndarray] = None):
+                 head: Optional[np.ndarray] = None, order=None):
         self.A = A
         self.b = b
         self.nonlinear = tuple(nonlinear)
@@ -235,6 +237,7 @@ class RowSet:
         self.size = self.na + len(self.nonlinear)
         self.head = np.zeros(0) if head is None else head
         self._head = self.head.tolist()
+        self.order = order
         # (value function, shift) of each nonlinear row, made on first use
         self._value_fns = None
         # _band of each affine row's norm, made on first use; read only
@@ -243,7 +246,8 @@ class RowSet:
     @classmethod
     def of(cls, rows: Sequence, width: int) -> "RowSet":
         """Split ``rows`` into the affine block and the nonlinear rows, each
-        in the given order.  A row is a tuple (row, label, shift), the row
+        in the given order; ``order`` holds the index in ``rows`` of each
+        row, in row order.  A row is a tuple (row, label, shift), the row
         row(u) - shift <= 0, or a bare row, with label "" and shift 0.  A
         row is an ``AffineRow`` or a ``CompiledExpr`` over the first
         ``n_vars`` of the ``width`` columns; one whose ``affine``, a pair
@@ -251,8 +255,11 @@ class RowSet:
         constant const - shift.  A root max is not a row: it is one row per
         branch (see ``problem``), so it raises TypeError."""
         rows = [r if isinstance(r, tuple) else (r, "", 0.0) for r in rows]
-        aff = [r for r in rows if r[0].affine is not None]
-        nonlinear = [r for r in rows if r[0].affine is None]
+        # a stable sort: the affine rows, then the nonlinear ones
+        order = sorted(range(len(rows)),
+                       key=lambda j: rows[j][0].affine is None)
+        aff = [rows[j] for j in order if rows[j][0].affine is not None]
+        nonlinear = [rows[j] for j in order[len(aff):]]
         for c, label, _ in nonlinear:
             if len(c.branches) != 1:
                 raise TypeError(f"row {label!r} is a root max: pass one row "
@@ -262,7 +269,7 @@ class RowSet:
             A[i, :len(c.affine[0])] = c.affine[0]
         b = np.array([float(c.affine[1]) - shift for c, _, shift in aff])
         return cls(A, b, [(c, shift) for c, _, shift in nonlinear],
-                   [r[1] for r in aff + nonlinear])
+                   [r[1] for r in aff + nonlinear], order=order)
 
     def fix_head(self, x) -> "RowSet":
         """The rows as functions of the columns after x, with the leading
@@ -272,11 +279,19 @@ class RowSet:
                       self.nonlinear, self.labels,
                       np.concatenate([self.head, x]))
 
-    def with_constants(self, b: np.ndarray, shifts) -> "RowSet":
-        """The same rows with the affine constants ``b`` and the nonlinear
-        rows' shifts ``shifts``, in row order: a set that shares A, the
-        labels, the expressions and the affine rows' bands with this one."""
-        rows = RowSet(self.A, b, zip((c for c, _ in self.nonlinear), shifts),
+    def shifted(self, shifts: list) -> "RowSet":
+        """The rows of a set ``of`` built, each shifted further by its entry
+        of ``shifts``, a Python float per row of the list given to ``of``:
+        an affine row's constant less it, a nonlinear row's shift plus it.
+        From shifts of 0.0 each row is the one ``of`` builds with the
+        shifts ``shifts``, bit for bit: (c - 0.0) - s is c - s and 0.0 + s
+        is s (0.0 for -0.0).  Shares A, the labels, the expressions and the
+        affine rows' bands with this set."""
+        na, order = self.na, self.order
+        b = self.b - np.array([shifts[j] for j in order[:na]], dtype=float)
+        rows = RowSet(self.A, b,
+                      [(c, shift + shifts[j]) for (c, shift), j
+                       in zip(self.nonlinear, order[na:])],
                       self.labels, self.head)
         rows._affine_bands = self._bands_of_affine_rows()
         return rows
@@ -595,8 +610,9 @@ def _band(norm: float) -> float:
 
 def _escaped(vals: list, bands: list) -> bool:
     """Whether some row value in ``vals`` lies above its band in ``bands``,
-    the flow's bands, in which the selection takes a row."""
-    return any(map(operator.gt, vals, bands))
+    the flow's bands, in which the selection takes a row.  A NaN value
+    counts as above its band."""
+    return not all(map(operator.le, vals, bands))
 
 
 def _selected_velocity(stack: RowSet, bands: list, objective, x,

@@ -145,26 +145,17 @@ class BilevelProblem:
 
     @cached_property
     def _mp_template(self) -> tuple:
-        """(rows, affine f-rows, nonlinear f-rows): ``RowSet.of`` over the
-        rows of {u in G | f(x) <= z} with every f-row shifted by 0.0, and
-        the (row index, i) of each f-row of its affine block and of its
-        nonlinear rows, i the index of the z_i that shifts it.  Built at
-        the first MP(z), not at load."""
+        """(rows, f-rows): ``RowSet.of`` over the rows of {u in G | f(x) <=
+        z} with every f-row shifted by 0.0, and the (list index, i) of each
+        f-row in the list given to ``of``, i the index of the z_i that
+        shifts it.  Built at the first MP(z), not at load."""
         x_rows, y_rows, g_rows, f_rows = self._rows
-        rows = nd.RowSet.of(
-            x_rows + y_rows + [(f, label, 0.0) for f, label, _ in f_rows]
-            + g_rows, self.n + self.m)
-        # RowSet.of keeps each block in the given order: in each, the f-rows
-        # follow the x- and y-rows of that block
         head = x_rows + y_rows
-        na = sum(r.affine is not None for r, _, _ in head)
-        affine, nonlinear = [], []
-        for f, _, i in f_rows:
-            if f.affine is not None:
-                affine.append((na + len(affine), i))
-            else:
-                nonlinear.append((len(head) - na + len(nonlinear), i))
-        return rows, affine, nonlinear
+        rows = nd.RowSet.of(
+            head + [(f, label, 0.0) for f, label, _ in f_rows] + g_rows,
+            self.n + self.m)
+        return rows, [(len(head) + k, i)
+                      for k, (_, _, i) in enumerate(f_rows)]
 
     @cached_property
     def _y_set(self) -> nd.RowSet:
@@ -187,23 +178,19 @@ def stacked_mp_constraints(problem: BilevelProblem, z) -> nd.RowSet:
     """The rows of {u in G | f(x) <= z} over u = (x, y): affine rows, then
     nonlinear rows, each in the order s-rows (declared then bound-derived),
     -y rows, y-bound rows, f_i(x) - z_i rows, g-rows; a max row is its
-    branch rows.  The set shares A, the labels, the expressions and the
-    affine bands of the problem's one template, whose f-rows are shifted
-    by 0.0: z_i is subtracted from an affine f-row's constant and is a
-    nonlinear f-row's shift.  (c - 0.0) - z_i is c - z_i and c - 0.0 is c
-    for every float, so each row is bit for bit the one ``RowSet.of``
-    builds with the shifts z."""
-    z = np.asarray(z, dtype=float)
+    branch rows.  The problem's one template, whose f-rows are shifted by
+    0.0, ``shifted`` by z_i at each f-row and by 0.0 elsewhere: each row is
+    bit for bit the one ``RowSet.of`` builds with the shifts z, and the set
+    shares A, the labels, the expressions and the affine bands of the
+    template."""
+    z = np.asarray(z, dtype=float).tolist()
     if len(z) != problem.p:
         raise ValueError(f"z has length {len(z)}, expected p = {problem.p}")
-    rows, affine, nonlinear = problem._mp_template
-    b = rows.b.copy()
-    for k, i in affine:
-        b[k] -= z[i]
-    shifts = [shift for _, shift in rows.nonlinear]
-    for k, i in nonlinear:
-        shifts[k] = float(z[i])
-    return rows.with_constants(b, shifts)
+    rows, f_rows = problem._mp_template
+    shifts = [0.0] * rows.size
+    for j, i in f_rows:
+        shifts[j] = z[i]
+    return rows.shifted(shifts)
 
 
 # ---------------------------------------------------------------------------

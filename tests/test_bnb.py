@@ -182,6 +182,36 @@ class TestInitialize:
         assert queries[tuple(report.box.M.tolist())] == 1
 
 
+class TestOneRecord:
+    @pytest.mark.parametrize("number,cap", [(3, 500), (1, 2)])
+    def test_solve_returns_the_record_initialize_built(self, number, cap,
+                                                       monkeypatch):
+        built = []
+        initialize = bnb.initialize
+
+        def recorded(problem):
+            state = initialize(problem)
+            # wall_time is NaN and status None until the loop ends
+            assert math.isnan(state.wall_time) and state.status is None
+            assert state.iterations == 0 and state.log == []
+            built.append(state)
+            return state
+
+        monkeypatch.setattr(bnb, "initialize", recorded)
+        report = bnb.solve(catalog.load_example(number),
+                           SolverConfig(max_iterations=cap))
+        assert len(built) == 1 and report is built[0]
+        assert report.iterations == len(report.log) >= 1
+        assert report.status is not None
+        assert math.isfinite(report.wall_time) and report.wall_time > 0.0
+
+    def test_iterate_advances_the_record_it_is_given(self):
+        problem = catalog.load_example(1)
+        state = bnb.initialize(problem)
+        assert bnb.iterate(state, problem, SolverConfig()) is state
+        assert state.iterations == len(state.log) == 1
+
+
 class TestSolveExamples:
     def test_example1_optimal(self, report1):
         assert report1.status is SolverStatus.OPTIMAL
@@ -380,8 +410,9 @@ class TestEvaluatePending:
              [(0.2, 0.9), (0.7, 0.4), (0.4, 0.6), (0.9, 0.1), (0.1, 1.0)]]
         # an evaluated vertex is not solved again, whatever its z
         V[4].mp = feasible
-        state = bnb.SolverState(box=box, V=list(V), cache=Cache(),
-                                alpha=math.inf, beta=math.inf, incumbent=None)
+        state = bnb.SolverReport(box=box, V=list(V), cache=Cache(),
+                                 alpha=math.inf, beta=math.inf,
+                                 incumbent=None)
         bnb._evaluate_pending(state, problem)
         assert solved == [(0.2, 0.9), (0.7, 0.4), (0.4, 0.6), (0.9, 0.1)]
         assert state.V == [V[0], V[2], V[4]]

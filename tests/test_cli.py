@@ -4,6 +4,8 @@ import pytest
 from svbilevel import bnb, catalog, cli
 from svbilevel.problem import validate
 
+from test_neurodynamic import NAN_ROW_TEXT
+
 INFEASIBLE_TEXT = """\
 vars x 2
 vars y 1
@@ -214,6 +216,17 @@ class TestInputErrors:
         assert (code, out) == (1, "")
         assert err == ("error: min f_1 over X: flow ended Diverged after 30 "
                        "steps; X may be unbounded\n")
+
+    # a row that is NaN where |x1 - 0.5| is above about 0.42: the box flow
+    # for f_1 stops at that boundary, where it converged when a NaN row
+    # counted as met, and the next flow took the blame
+    def test_a_row_that_is_nan_over_part_of_x(self, capsys, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text(NAN_ROW_TEXT)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: min f_1 over X: flow ended "
+                              "Unconverged after ")
 
     def test_minimum_above_the_vertex_bound(self, capsys, tmp_path):
         path = tmp_path / "pole.txt"

@@ -18,7 +18,7 @@ from svbilevel.neurodynamic import (
 )
 from svbilevel.outcome import compute_box, solve_mp
 from svbilevel.problem import (
-    find_interior_start, load_problem, stacked_mp_constraints,
+    AffineRow, find_interior_start, load_problem, stacked_mp_constraints,
 )
 
 from test_flow_budget import ball_text
@@ -28,6 +28,19 @@ V2 = ["x1", "x2"]
 
 def oracle(src, variables=V2):
     return CompiledExpr(parse_expression(src, variables), len(variables))
+
+
+# the unit box and one row that is NaN wherever |x1 - 0.5| is above about
+# 0.42: (x1 - 0.5)^2 * 1e308 * 10 overflows there, and inf - inf is NaN
+NAN_ROW_TEXT = """\
+vars x 2
+upper x1 + x2
+lower x1
+lower x2
+constraint_x (x1 - 0.5)^2*1e308*10 - (x1 - 0.5)^2*1e308*10 + x2 - 0.6
+bound x1 0 1
+bound x2 0 1
+"""
 
 
 def example1_region():
@@ -72,6 +85,21 @@ class TestPenalty:
 
     def test_empty_list(self):
         assert penalty(np.array([3.0]), []) == 0.0
+
+    @pytest.mark.parametrize("positive", [0, 3, 7, 8, 12])
+    def test_a_nan_value_counts_as_violated(self, positive):
+        # a NaN row is not met: S is inf among fewer and among 8 or more
+        # positive values, wherever the NaN sits
+        vals = [0.5] * positive + [-1.0, 0.0]
+        for k in range(len(vals) + 1):
+            assert nd._positive_sum(vals[:k] + [math.nan] + vals[k:]) \
+                == math.inf
+
+    def test_a_nan_value_is_above_its_band(self):
+        assert nd._escaped([math.nan], [1.0])
+        assert nd._escaped([0.0, math.nan], [1.0, 1.0])
+        assert not nd._escaped([1.0, -5.0], [1.0, 1.0])
+        assert nd._escaped([1.0, 1.5], [1.0, 1.0])
 
     # ``ndarray.sum`` adds below 8 terms in index order and pairwise from 8
     # up; the built-in sum() is compensated from Python 3.12 on
@@ -494,6 +522,16 @@ class TestOneGeneratorTwoRowSelection:
 
 
 class TestSolveFlow:
+    def test_no_convergence_at_a_nan_row(self):
+        # the curved row is 0 * inf, NaN, wherever |x1 - 0.5| is above about
+        # 0.42, and x2 - 0.6 elsewhere; min x1 from the middle reaches that
+        # boundary, where a flow that counted a NaN row as met converged
+        rows = load_problem(NAN_ROW_TEXT).x_region()
+        res = solve_flow(oracle("x1"), rows, np.array([0.5, 0.5]))
+        vals = rows.evaluate(res.x_final)[0]
+        assert res.status is FlowStatus.UNCONVERGED
+        assert all(map(math.isfinite, vals))
+
     def test_qp_known_optimum(self):
         obj = oracle("x1^2 + x2^2")
         cons = rows_of(oracle("-x1 - x2 + 1"))
@@ -1102,8 +1140,8 @@ class TestRowSetOf:
         assert second is not first
         assert second == [nd._band(math.sqrt(2.0)),
                           nd._band(_norm(rows.row_grad(1, u2)))]
-        # a set made by with_constants shares the rows, not the lists
-        shifted = rows.with_constants(rows.b - 1.0, [0.5])
+        # a set made by shifted shares the rows, not the lists
+        shifted = rows.shifted([1.0, 0.5])
         third = shifted.norm_estimates(u2)
         assert third == second and third is not second
         assert shifted.norm_estimates(u2) is not third
@@ -1129,6 +1167,42 @@ class TestRowSetOf:
             g = rows.row_grad(i, x1, bands)
             assert bands[i] == nd._band(max(_norm(g), 1e-12))
             assert bands[:i] + bands[i + 1:] == before[:i] + before[i + 1:]
+
+    @pytest.mark.parametrize("shifts", [
+        [0.0] * 6, [0.25, -1.5, 3.0, 1e-17, -0.0, 2.0 / 3.0],
+        [1e300, 5e-324, -7.0, 0.1, 0.2, -1e-300]])
+    def test_shifted_is_of_with_the_shifts(self, shifts):
+        # affine and nonlinear rows interleave; each row of the list is
+        # shifted by its own entry, wherever of put it
+        exprs = [(oracle("x1 - 2*x2 + 0.3"), "a1"),
+                 (oracle("x1^2 + x2^2 - 1"), "n1"),
+                 (oracle("-x1"), "a2"),
+                 (oracle("(x1 - 0.5)^2 - x2"), "n2"),
+                 (AffineRow([0.5, -1.0, 2.0], 0.7), "a3"),
+                 (oracle("x1*x2 - y1", ["x1", "x2", "y1"]), "n3")]
+        template = RowSet.of([(c, label, 0.0) for c, label in exprs], 3)
+        assert template.order == [0, 2, 4, 1, 3, 5]
+        rows = template.shifted(shifts)
+        ref = RowSet.of([(c, label, s) for (c, label), s
+                         in zip(exprs, shifts)], 3)
+        assert rows.A is template.A
+        assert rows.labels == ref.labels == ("a1", "a2", "a3",
+                                             "n1", "n2", "n3")
+        assert rows.A.tobytes() == ref.A.tobytes()
+        assert rows.b.tobytes() == ref.b.tobytes()
+        assert [c for c, _ in rows.nonlinear] == [c for c, _ in ref.nonlinear]
+        assert [shift.hex() for _, shift in rows.nonlinear] == \
+            [shift.hex() for _, shift in ref.nonlinear]
+        assert all(type(shift) is float for _, shift in rows.nonlinear)
+        assert rows._bands_of_affine_rows() is \
+            template._bands_of_affine_rows()
+        rng = np.random.default_rng(39)
+        for u in rng.uniform(-2.0, 2.0, (10, 3)):
+            vals, s = rows.evaluate(u)
+            vals_ref, s_ref = ref.evaluate(u)
+            assert _bits(vals) == _bits(vals_ref) and s.hex() == s_ref.hex()
+            assert _bits(rows.norm_estimates(u)) == \
+                _bits(ref.norm_estimates(u))
 
     def test_a_root_max_row_is_rejected(self):
         # a max row is one row per branch (``problem._rows``), and a RowSet
