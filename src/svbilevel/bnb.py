@@ -74,17 +74,24 @@ class IterationRow:
 class SolverReport:
     """The one record of a solve.  V holds the vertices in the order they
     were made; status is None while the loop runs, and wall_time NaN
-    until ``solve`` sets it."""
+    until ``solve`` sets it.  alpha, the upper bound, is the incumbent's
+    h, inf with none; iterations is the log's length."""
     box: OutcomeBox
     V: list[Vertex]
     cache: PhiCache
-    alpha: float
     beta: float
     incumbent: Optional[Incumbent]
-    iterations: int = 0
     log: list = field(default_factory=list)
     status: Optional[SolverStatus] = None
     wall_time: float = math.nan
+
+    @property
+    def alpha(self) -> float:
+        return math.inf if self.incumbent is None else self.incumbent.h
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log)
 
 
 def _ray_direction(box: OutcomeBox, v: np.ndarray) -> np.ndarray:
@@ -137,8 +144,8 @@ def initialize(problem: BilevelProblem) -> SolverReport:
             x, y = np.split(sol.flow.x_final, [problem.n])
             incumbent = Incumbent(x=x, y=y, h=alpha)
 
-    state = SolverReport(box=box, V=V, cache=cache, alpha=alpha,
-                         beta=math.inf, incumbent=incumbent)
+    state = SolverReport(box=box, V=V, cache=cache, beta=math.inf,
+                         incumbent=incumbent)
     # M is a vertex like any other: one solve, and its lower-face check
     _evaluate_pending(state, problem)
     if top.mp.feasible:
@@ -163,7 +170,6 @@ def iterate(state: SolverReport, problem: BilevelProblem,
     """One bound-update / projection / cut round."""
     if state.status is not None:
         return state
-    state.iterations += 1
     _evaluate_pending(state, problem)
     if not state.V:
         if state.incumbent is not None:
@@ -172,7 +178,7 @@ def iterate(state: SolverReport, problem: BilevelProblem,
         else:
             state.status = SolverStatus.INFEASIBLE
         # no vertex was selected
-        state.log.append(IterationRow(k=state.iterations,
+        state.log.append(IterationRow(k=state.iterations + 1,
                                       v=np.full(problem.p, math.nan),
                                       alpha=state.alpha, beta=state.beta))
         return state
@@ -197,7 +203,6 @@ def iterate(state: SolverReport, problem: BilevelProblem,
     if y_k is not None:
         h_k = problem.upper.value(np.concatenate([x_k, y_k]))
         if h_k < state.alpha:
-            state.alpha = h_k
             state.incumbent = Incumbent(x=x_k.copy(), y=y_k, h=h_k)
             state.beta = min(state.beta, state.alpha)
 
@@ -207,7 +212,7 @@ def iterate(state: SolverReport, problem: BilevelProblem,
         cut(state.V, vertex, w)
         prune(state.V)
 
-    state.log.append(IterationRow(k=state.iterations, v=v.copy(),
+    state.log.append(IterationRow(k=state.iterations + 1, v=v.copy(),
                                   alpha=state.alpha, beta=state.beta))
     return state
 

@@ -34,12 +34,11 @@ step moves only at first order, and several violated rows are pulled to 0.
 The S of each point is computed once, with its row values by
 ``RowSet.evaluate``, and carried with them.  Row values are a list of
 Python floats, made into an array only where numpy computes with them
-(the polish's least squares, and S over 8 or more positive values), so
-the tests that only choose a branch or pick rows (the band escape, the
-row scans of the selection, the polish and ``find_feasible``) compare
-floats and compute no float the flows use.  A flow carries each row's
-band, ``_band`` of its gradient-norm estimate, which changes only where
-``RowSet.row_grad`` takes that row's gradient.
+(the polish's least squares), so the tests that only choose a branch or
+pick rows (the band escape, the row scans of the selection, the polish
+and ``find_feasible``) compare floats and compute no float the flows use.
+A flow carries each row's band, ``_band`` of its gradient-norm estimate,
+which changes only where ``RowSet.row_grad`` takes that row's gradient.
 
 The kink of a max objective gets the same treatment.  When two or more
 branches within the objective band carry weight in the selection, the
@@ -59,11 +58,10 @@ then nonlinear rows, each a max-free expression over the leading columns
 of u, shifted by a constant.  A point's nonlinear rows and their
 gradients are computed from one list of Python floats, each row its
 expression's own generated code, a function of that list; its row values
-are one list of floats, and S adds their positive values in the order
-``ndarray.sum`` adds them.  The flows amplify a one-ulp difference, so
-this arithmetic is kept bit for bit that of the expressions and of
-``ndarray.sum``.  Euler steps start at ``DT``, and
-each step's first trial is twice the last accepted length.  A flow is
+are one list of floats, and S adds their positive values in index
+order.  The flows amplify a one-ulp difference, so this arithmetic is
+kept bit for bit that of the expressions.  Euler steps start at ``DT``,
+and each step's first trial is twice the last accepted length.  A flow is
 stationary where its velocity is at most ``STATIONARITY_TOL`` scaled by
 max(1, the largest branch-gradient norm of the objective at the flow's
 start): steep objectives, such as a ray objective divided by a small
@@ -192,30 +190,24 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _positive_sum(vals: list) -> float:
     """S = sum_i max{0, r_i} of the row values ``vals``, a list of floats:
-    the positive values added in index order, which is ``ndarray.sum``'s
-    order below 8 terms; from 8 up, ``ndarray.sum`` of them, whose pairwise
-    order differs.  Not the built-in ``sum``, which Python 3.12 made
-    compensated.  A NaN value counts as violated: S is inf."""
+    the positive values added in index order.  Not the built-in ``sum``,
+    which Python 3.12 made compensated.  A NaN value counts as violated:
+    S is inf."""
     s = 0.0
-    count = 0
     for v in vals:
         if not v <= 0.0:
             s += v
-            count += 1
-    if s != s:  # a NaN value
-        return math.inf
-    if count >= 8:
-        return float(np.array([v for v in vals if v > 0.0]).sum())
-    return s
+    return math.inf if s != s else s
 
 
 class RowSet:
     """Constraint rows r_i(u) <= 0, evaluated together: an affine block
     A u + b, then the nonlinear rows.  A nonlinear row (expr, shift) is
-    ``expr.value(w) - shift`` with w = (head, u), u behind a fixed head
-    (empty unless ``fix_head`` set one); expr is a max-free expression
-    over the first ``expr.n_vars`` columns of w.  ``labels`` name the rows
-    in the order ``evaluate`` returns their values.
+    ``expr.value(w) - shift`` with w = (head, u), u behind ``head``, the
+    one list of floats of the fixed columns (empty unless ``fix_head`` set
+    them); expr is a max-free expression over the first ``expr.n_vars``
+    columns of w.  ``labels`` name the rows in the order ``evaluate``
+    returns their values.
     The nonlinear rows and their gradients are evaluated on w as one list
     of Python floats, each row by its expression's generated function,
     made on first use, so that a RowSet built and not evaluated generates
@@ -227,7 +219,7 @@ class RowSet:
     one shares them."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, nonlinear=(), labels=(),
-                 head: Optional[np.ndarray] = None, order=None):
+                 head=(), order=None):
         self.A = A
         self.b = b
         self.nonlinear = tuple(nonlinear)
@@ -235,8 +227,7 @@ class RowSet:
         self.n = A.shape[1]
         self.na = len(b)
         self.size = self.na + len(self.nonlinear)
-        self.head = np.zeros(0) if head is None else head
-        self._head = self.head.tolist()
+        self.head = list(head)
         self.order = order
         # (value function, shift) of each nonlinear row, made on first use
         self._value_fns = None
@@ -277,7 +268,7 @@ class RowSet:
         h = len(x)
         return RowSet(self.A[:, h:], self.b + self.A[:, :h].dot(x),
                       self.nonlinear, self.labels,
-                      np.concatenate([self.head, x]))
+                      self.head + np.asarray(x, dtype=float).tolist())
 
     def shifted(self, shifts: list) -> "RowSet":
         """The rows of a set ``of`` built, each shifted further by its entry
@@ -321,7 +312,7 @@ class RowSet:
             if rows is None:
                 rows = self._value_fns = [(c.branch_values[0], shift)
                                           for c, shift in self.nonlinear]
-            ws = self._head + u.tolist()
+            ws = self.head + u.tolist()
             vals += [fn(ws) - shift for fn, shift in rows]
         return vals, _positive_sum(vals)
 
@@ -332,12 +323,12 @@ class RowSet:
         if i < self.na:
             return self.A[i]
         c = self.nonlinear[i - self.na][0]
-        ws = self._head + u.tolist()
+        ws = self.head + u.tolist()
         g = c.branch_values[0](ws, True)[1]
         if c.n_vars < len(ws):
             g = np.concatenate([g, np.zeros(len(ws) - c.n_vars)])
-        if self._head:
-            g = g[len(self._head):]
+        if self.head:
+            g = g[len(self.head):]
         if bands is not None:
             bands[i] = _band(max(_norm(g), 1e-12))
         return g

@@ -98,7 +98,10 @@ def compute_box(problem: BilevelProblem) -> OutcomeBox:
     p + n + 1 flows must end converged, else ``OutcomeError`` names it,
     since an unbounded X leaves a box that need not contain f(X).  An m_i
     above M_i by more than rounding also raises ``OutcomeError``, naming
-    f_i: the vertex bound M_i holds only for a quasiconvex f_i."""
+    f_i: the vertex bound M_i holds only for a quasiconvex f_i.  The
+    simplex's vertices may lie outside X, and f_i is evaluated there: an
+    f_i that fails or is not finite at one raises ``OutcomeError``, naming
+    f_i and the vertex."""
     region = problem.x_region()
     x0 = find_interior_start(problem)
     if x0 is None:
@@ -136,7 +139,19 @@ def compute_box(problem: BilevelProblem) -> OutcomeBox:
     M = np.full(p, -math.inf)
     for i, f in enumerate(problem.lower):
         for v in vertices:
-            M[i] = max(M[i], f.value(v))
+            # a vertex may lie outside X, where f_i need not be defined
+            try:
+                value = f.value(v)
+                fault = None if math.isfinite(value) else f"is {value}"
+            except EvaluationError as exc:
+                fault = f"is undefined ({exc})"
+            if fault is not None:
+                raise OutcomeError(
+                    f"f_{i + 1} at {tuple(v.tolist())}, a vertex of a "
+                    f"simplex enclosing X, {fault}; the vertex bound "
+                    f"M_{i + 1} needs f_{i + 1} defined and quasiconvex on "
+                    "that simplex")
+            M[i] = max(M[i], value)
         # the vertex bound holds for a quasiconvex f_i; a minimum above it,
         # by more than rounding, shows f_i is not one
         if m[i] - M[i] > 1e-9 * max(1.0, abs(M[i])):

@@ -62,18 +62,18 @@ class VariableBound:
 
 
 class AffineRow:
-    """Constraint oracle for an affine row  a @ u + b <= 0."""
+    """Constraint oracle for an affine row  a @ u + b <= 0, held once as
+    ``affine`` = (a, b), the pair ``RowSet.of`` reads."""
 
     def __init__(self, coeffs, const: float):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.const = float(const)
-        self.affine = (self.coeffs, self.const)
+        self.affine = (np.asarray(coeffs, dtype=float), float(const))
 
     def value(self, u) -> float:
-        return float(self.coeffs @ u + self.const)
+        a, b = self.affine
+        return float(a @ u + b)
 
     def branch_pairs(self, u) -> list:
-        return [(self.value(u), self.coeffs.copy())]
+        return [(self.value(u), self.affine[0].copy())]
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,16 @@ class TestOneRecord:
         assert bnb.iterate(state, problem, SolverConfig()) is state
         assert state.iterations == len(state.log) == 1
 
+    @pytest.mark.parametrize("name", ["report1", "report3"])
+    def test_alpha_is_the_incumbents_h(self, name, request):
+        report = request.getfixturevalue(name)
+        assert report.incumbent is not None
+        assert report.alpha == report.incumbent.h
+
+    def test_alpha_and_iterations_are_not_stored(self):
+        names = {f.name for f in dataclasses.fields(bnb.SolverReport)}
+        assert "alpha" not in names and "iterations" not in names
+
 
 class TestSolveExamples:
     def test_example1_optimal(self, report1):
@@ -411,8 +421,7 @@ class TestEvaluatePending:
         # an evaluated vertex is not solved again, whatever its z
         V[4].mp = feasible
         state = bnb.SolverReport(box=box, V=list(V), cache=Cache(),
-                                 alpha=math.inf, beta=math.inf,
-                                 incumbent=None)
+                                 beta=math.inf, incumbent=None)
         bnb._evaluate_pending(state, problem)
         assert solved == [(0.2, 0.9), (0.7, 0.4), (0.4, 0.6), (0.9, 0.1)]
         assert state.V == [V[0], V[2], V[4]]

@@ -5,6 +5,7 @@ from svbilevel import bnb, catalog, cli
 from svbilevel.problem import validate
 
 from test_neurodynamic import NAN_ROW_TEXT
+from test_outcome import VERTEX_POLE_TEXT
 
 INFEASIBLE_TEXT = """\
 vars x 2
@@ -237,6 +238,15 @@ class TestInputErrors:
                        "M_1 = 0.212766, its largest value on the vertices of "
                        "a simplex enclosing X; that bound needs f_1 "
                        "quasiconvex\n")
+
+    # this failed naming only the division, not f_1, the box or the point
+    def test_f_i_undefined_at_an_enclosure_vertex(self, capsys, tmp_path):
+        path = tmp_path / "vertex_pole.txt"
+        path.write_text(VERTEX_POLE_TEXT)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: f_1 at (0.5, 0.5), a vertex of a "
+                              "simplex enclosing X, is undefined")
 
     def test_problem_validate_rejects(self, capsys, tmp_path):
         path = tmp_path / "invalid.txt"

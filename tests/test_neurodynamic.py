@@ -88,8 +88,8 @@ class TestPenalty:
 
     @pytest.mark.parametrize("positive", [0, 3, 7, 8, 12])
     def test_a_nan_value_counts_as_violated(self, positive):
-        # a NaN row is not met: S is inf among fewer and among 8 or more
-        # positive values, wherever the NaN sits
+        # a NaN row is not met: S is inf however many values are positive,
+        # wherever the NaN sits
         vals = [0.5] * positive + [-1.0, 0.0]
         for k in range(len(vals) + 1):
             assert nd._positive_sum(vals[:k] + [math.nan] + vals[k:]) \
@@ -101,8 +101,8 @@ class TestPenalty:
         assert not nd._escaped([1.0, -5.0], [1.0, 1.0])
         assert nd._escaped([1.0, 1.5], [1.0, 1.0])
 
-    # ``ndarray.sum`` adds below 8 terms in index order and pairwise from 8
-    # up; the built-in sum() is compensated from Python 3.12 on
+    # the positive values added one by one in index order: not numpy's
+    # pairwise order, nor the built-in sum(), compensated from Python 3.12
     @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 2.5e-320, 1e-310,
                                      1e-300, 1e300, 1.7e300, 8e307, 1e16,
                                      1.0, -1.0, -1e300, np.inf])
@@ -112,7 +112,7 @@ class TestPenalty:
     @example([1e16, 1.0, 1.0])
     @example([1e16] + [1.0] * 9)
     @settings(max_examples=400, deadline=None)
-    def test_equals_numpy_sum_bit_for_bit(self, entries):
+    def test_equals_the_index_order_sum_bit_for_bit(self, entries):
         v = np.array(entries, dtype=float)
         # ``evaluate`` takes S from the list its values are made from: the
         # first half of v as affine rows 0*u + v_i, the rest as nonlinear
@@ -122,7 +122,7 @@ class TestPenalty:
         rows = RowSet(np.zeros((k, 1)), v[:k],
                       [(square, -e) for e in v[k:].tolist()])
         with np.errstate(all="ignore"):
-            expected = float(v[v > 0.0].sum()).hex()
+            expected = _index_order_sum(v.tolist()).hex()
             # every v_i as an affine row 0*u + v_i
             affine = RowSet(np.zeros((len(v), 1)), v)
             assert affine.evaluate(np.zeros(1))[1].hex() == expected
@@ -130,6 +130,15 @@ class TestPenalty:
             assert vals == v.tolist()
             assert all(type(f) is float for f in vals)
             assert s.hex() == expected
+
+
+def _index_order_sum(vals: list) -> float:
+    """The positive values of ``vals`` added one by one in index order."""
+    s = 0.0
+    for v in vals:
+        if v > 0.0:
+            s += v
+    return s
 
 
 def brute_force_min_norm(M, nobj):
@@ -1082,12 +1091,11 @@ def _assert_rows_match_oracles(rows: RowSet, u: np.ndarray):
     A u + b's, hex for hex.  Each nonlinear row's value and gradient at u,
     hex for hex, are its expression's on w = (head, u): value(w[:n_vars])
     - shift, and value_grad's gradient padded with zeros to the width of
-    w, less the head.  S is ``ndarray.sum`` of the positive values."""
+    w, less the head.  S is the positive values added in index order."""
     vals, s = rows.evaluate(u)
     assert all(type(v) is float for v in vals) and len(vals) == rows.size
     assert _bits(vals[:rows.na]) == _bits((rows.A.dot(u) + rows.b).tolist())
-    positive = np.array([v for v in vals if v > 0.0])
-    assert s.hex() == float(positive.sum()).hex()
+    assert s.hex() == _index_order_sum(vals).hex()
     w = np.concatenate([rows.head, u])
     h = len(rows.head)
     for j, (c, shift) in enumerate(rows.nonlinear):
@@ -1243,6 +1251,24 @@ class TestRowsFromOneList:
             assert bool(rows.nonlinear) == (number == 4)
             for y in self._points(problem.m, 5):
                 _assert_rows_match_oracles(rows, y)
+
+    def test_a_head_fixed_in_two_parts(self):
+        # the g-row is curved in x1, x2 and y1; its head fixed as x1, then
+        # x2, gives the rows the head (x1, x2) fixed at once gives
+        problem = load_problem("vars x 2\nvars y 2\nupper x1 + y1\n"
+                               "lower x1\nlower x2\n"
+                               "constraint_xy x1^2 + x2*y1 + y2^2 - 4\n")
+        for x in self._points(problem.n, 5):
+            once = problem.lift_rows(x)
+            twice = problem.lift_rows(x[:1]).fix_head(x[1:])
+            assert twice.nonlinear and twice.head == once.head
+            for y in self._points(problem.m, 5):
+                assert _bits(twice.evaluate(y)[0]) == \
+                    _bits(once.evaluate(y)[0])
+                for i in range(once.size):
+                    assert twice.row_grad(i, y).tobytes() == \
+                        once.row_grad(i, y).tobytes()
+                _assert_rows_match_oracles(twice, y)
 
     @given(row_sets(), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)

@@ -22,6 +22,19 @@ from svbilevel.problem import (
 
 from test_expr import COORDS, SMOOTH_EXPRESSIONS, _band_generators, _bits
 
+# X lies where x1 + x2 >= 1.2, so f_1's denominator is at least 0.2 on
+# X; the enclosing simplex's vertex (0.5, 0.5) lies on its pole
+VERTEX_POLE_TEXT = """\
+vars x 2
+upper x1 + x2
+lower (x1 + 1) / (x1 + x2 - 1)
+lower x2
+constraint_x 1.2 - x1 - x2
+constraint_x x1 + x2 - 2
+bound x1 0.5 inf
+bound x2 0.5 inf
+"""
+
 SIMPLEX = """\
 vars x 2
 upper x1
@@ -106,6 +119,26 @@ class TestComputeBox:
                            match=rf"^{re.escape(flow)}: flow ended Diverged "
                                  r"after \d+ steps; X may be unbounded$"):
             compute_box(load_problem(text))
+
+
+    # f_1 is finite on X; at the vertex (0.5, 0.5) it divides by zero, or
+    # its base 4*x1*x2 - 1 + 1e-300 is 1e-300 and the power overflows to
+    # inf, or inf - inf is nan, which max(M_1, nan) used to drop
+    @pytest.mark.parametrize("f1, fault", [
+        ("(x1 + 1) / (x1 + x2 - 1)", "is undefined (division by zero at "
+         "node (x1 + 1.0) / (x1 + x2 - 1.0))"),
+        ("(4*x1*x2 - 1 + 1e-300)^-2", "is inf"),
+        ("(4*x1*x2 - 1 + 1e-300)^-2 - (4*x1*x2 - 1 + 1e-300)^-2 + x1",
+         "is nan"),
+    ], ids=["pole", "inf", "nan"])
+    def test_f_i_must_be_finite_at_the_enclosure_vertices(self, f1, fault):
+        text = VERTEX_POLE_TEXT.replace("(x1 + 1) / (x1 + x2 - 1)", f1)
+        with pytest.raises(outcome.OutcomeError) as info:
+            compute_box(load_problem(text))
+        assert str(info.value) == (
+            f"f_1 at (0.5, 0.5), a vertex of a simplex enclosing X, {fault}; "
+            "the vertex bound M_1 needs f_1 defined and quasiconvex on that "
+            "simplex")
 
 
 class TestSolveRay:
