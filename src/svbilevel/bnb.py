@@ -6,8 +6,12 @@ Each iteration evaluates the monotone value function phi at the vertices
 not yet evaluated, takes the least value as the lower bound beta,
 projects the argmin vertex v onto the frontier along the ray from v
 toward the box's lower corner m, and cuts the vertex with the
-projection.  Only a converged flow gives an incumbent, the candidate
-that can lower alpha: a face probe's MP flow, or a ray flow whose weakly
+projection.  The ray flow starts at v's MP minimizer, or at the end
+point of the converged ray flow of v's parent when that point's ray
+objective value is strictly lower: a child differs from its parent in
+one coordinate, so its ray meets the frontier near that weakly efficient
+point.  Only a converged flow gives an incumbent, the candidate that can
+lower alpha: a face probe's MP flow, or a ray flow whose weakly
 efficient end point lifts to a feasible upper-level pair.  The loop
 stops when alpha - beta <= epsilon * (1 + |beta|), when the vertex list
 empties, or at the iteration cap.  A solve keeps one record, a
@@ -191,15 +195,17 @@ def iterate(state: SolverReport, problem: BilevelProblem,
 
     d_hat = _ray_direction(state.box, v)
     # _evaluate_pending dropped every infeasible vertex, so the selected one
-    # has an MP minimizer to start its ray from
-    ray = solve_ray(problem, v, d_hat, vertex.mp.flow.x_final[:problem.n])
+    # has an MP minimizer to start its ray from; the parent's ray end point
+    # starts it instead when that lies nearer the frontier
+    ray = solve_ray(problem, v, d_hat, vertex.mp.flow.x_final[:problem.n],
+                    vertex.x_parent)
     w = np.clip(ray.w, state.box.m, v)
 
     # a converged ray flow ends at a weakly efficient x, which a feasible y
-    # makes an incumbent candidate
+    # makes an incumbent candidate, and which starts the children's rays
+    converged = ray.flow.status is nd.FlowStatus.CONVERGED
     x_k = ray.flow.x_final
-    y_k = (find_feasible_y(problem, x_k)
-           if ray.flow.status is nd.FlowStatus.CONVERGED else None)
+    y_k = find_feasible_y(problem, x_k) if converged else None
     if y_k is not None:
         h_k = problem.upper.value(np.concatenate([x_k, y_k]))
         if h_k < state.alpha:
@@ -209,7 +215,7 @@ def iterate(state: SolverReport, problem: BilevelProblem,
     if state.alpha - state.beta <= config.epsilon * (1.0 + abs(state.beta)):
         state.status = SolverStatus.OPTIMAL
     else:
-        cut(state.V, vertex, w)
+        cut(state.V, vertex, w, x_k if converged else None)
         prune(state.V)
 
     state.log.append(IterationRow(k=state.iterations + 1, v=v.copy(),

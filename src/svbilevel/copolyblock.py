@@ -7,9 +7,13 @@ of vertices in the order they were made.  The solver shrinks the
 approximation by a cutting-cone update: a vertex v is replaced by the p
 points obtained by sliding one coordinate of v down to the frontier point w
 found on the ray through v.  A vertex below another vertex, or equal to an
-earlier one, adds nothing to the union and is pruned.  A vertex's one
-record is its MP solve, set when phi is evaluated there: its flow gives
-the vertex's bound, and its end point the start of its ray.
+earlier one, adds nothing to the union and is pruned.  A vertex's record
+is its MP solve, set when phi is evaluated there, whose flow gives the
+vertex's bound, and ``x_parent``, the end point of its parent's ray flow
+when that flow converged.  Both points lie in X, and the vertex's own ray
+starts at whichever of them is nearer the frontier (``outcome.solve_ray``):
+a child differs from its parent in one coordinate only, so its ray meets
+the frontier near the weakly efficient point its parent's ray reached.
 """
 
 from __future__ import annotations
@@ -29,13 +33,16 @@ COORD_TOL = 1e-9
 class Vertex:
     z: np.ndarray
     mp: Optional[MpSolution] = None
+    x_parent: Optional[np.ndarray] = None
 
 
-def cut(V: list[Vertex], vertex: Vertex, w) -> None:
+def cut(V: list[Vertex], vertex: Vertex, w, x_ray=None) -> None:
     """Replace ``vertex`` in V by its p cutting-cone children z^i, where
     z^i equals v except coordinate i is lowered to w_i, appended in order
-    of i.  Every child is kept: which vertices the box's lower faces make
-    redundant is the driver's one rule (``bnb._evaluate_pending``)."""
+    of i; each child's ``x_parent`` is ``x_ray``, the end point of the
+    vertex's converged ray flow, or None.  Every child is kept: which
+    vertices the box's lower faces make redundant is the driver's one rule
+    (``bnb._evaluate_pending``)."""
     w = np.asarray(w, dtype=float)
     if np.any(w > vertex.z + COORD_TOL):
         raise ValueError("cut point must satisfy w <= v componentwise")
@@ -43,7 +50,7 @@ def cut(V: list[Vertex], vertex: Vertex, w) -> None:
     for i in range(len(w)):
         z = vertex.z.copy()
         z[i] = w[i]
-        V.append(Vertex(z))
+        V.append(Vertex(z, x_parent=x_ray))
 
 
 def prune(V: list[Vertex]) -> None:

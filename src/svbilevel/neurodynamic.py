@@ -13,7 +13,10 @@ or a finite active-set QP) so the discrete flow slides along boundaries
 and nonsmooth valleys instead of chattering.  A selection is a function of
 the point, its row values and the flow's row bands alone: it carries
 nothing from one step to the next.  A step that sets no new least r
-stalls, so a cycle whose r differs by rounding ends.  The QPs, the polish
+stalls.  A cycle whose r differs by rounding stalls at every step; the
+stationary point of a two-point cycle lies between its points, so at the
+100th stall the flow moves once to the midpoint of its last two points,
+and a second run of 100 ends it.  The QPs, the polish
 and the kink step take their products as ``ndarray.dot``, the BLAS calls
 of ``@`` on the same operands with less dispatch, and their least squares
 from ``_lstsq``: the LAPACK gufunc that ``np.linalg.lstsq`` wraps, called
@@ -640,7 +643,10 @@ def _selected_velocity(stack: RowSet, bands: list, objective, x,
 
 def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
     """Integrate the inclusion from ``x0`` until stationarity, divergence or
-    the step budget ``MAX_STEPS`` runs out.  Stationarity is relative to
+    the step budget ``MAX_STEPS`` runs out.  ``x0`` is the caller's: a ray
+    flow starts at its vertex's MP minimizer, or at the end point of the
+    parent vertex's converged ray flow when that point's ray objective is
+    strictly lower (``outcome.solve_ray``).  Stationarity is relative to
     the objective's scale: a velocity of at most ``STATIONARITY_TOL`` times
     max(1, max_j |grad r_j(x0)|) over its branches at the start point,
     fixed for the flow, at a point whose S is at most ``FEASIBILITY_TOL``.
@@ -655,19 +661,26 @@ def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
     Every selection is made at the band CERT_BAND, and the flow is
     certified right after it and nowhere else: a stationary velocity at
     a point with no row above its band ends the flow ``Converged`` there.
-    Every other end leaves the flow ``Unconverged`` at the point last
-    selected, with that selection's r and velocity: a zero velocity, 100
-    stalled steps in a row or the selection after the ``MAX_STEPS``-th
-    Euler step, each tested right after the selection, or 31 failed
-    halvings.  ``steps`` counts the selections.  An accepted step stalls
-    when it is shorter than 1e-12 max(1, |x|) or sets no new least r.
+    The first time 100 accepted steps in a row have stalled, the flow
+    moves to the midpoint of its last two accepted points, polishes there
+    when S > ZERO_BAND (so also when a row is above its band), and selects
+    again.  Every other end leaves the flow ``Unconverged`` at the point
+    last selected, with that selection's r and velocity: a zero velocity,
+    a second run of 100 stalled steps or the selection after the
+    ``MAX_STEPS``-th Euler step, each tested right after the selection, or
+    31 failed halvings.  ``steps`` counts the selections.  An accepted step
+    stalls when it is shorter than 1e-12 max(1, |x|) or sets no new least
+    r.
     Inside a ``recording`` every selection appends a row to it.  A branch
     value or gradient norm at ``x0`` that is not finite raises FlowError."""
     x = np.asarray(x0, dtype=float).copy()
-    bands = rows.norm_estimates(x)
     # the first selection reads these pairs, unless the start is polished
     pairs = objective.branch_pairs(x)
-    norms = [_norm(g) for _, g in pairs]
+    # a gradient above about 1e154 has an inf norm, which the test below
+    # reports, without an overflow warning first
+    with np.errstate(over="ignore"):
+        bands = rows.norm_estimates(x)
+        norms = [_norm(g) for _, g in pairs]
     # max(1.0, nan) is 1.0, so tol alone would hide a NaN
     if not all(map(math.isfinite, [v for v, _ in pairs] + norms)):
         raise FlowError(f"the objective is not finite at the start "
@@ -687,6 +700,10 @@ def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
     t = 0.0
     r_least = math.inf
     stalls = 0
+    # the point accepted before x, and whether the flow has moved to the
+    # midpoint of a cycle
+    x_prev = x
+    cycled = False
     for steps in range(1, MAX_STEPS + 2):
         vel, r_val, kink = _selected_velocity(rows, bands, objective, x, vals,
                                               pairs)
@@ -702,8 +719,19 @@ def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
                 and not _escaped(vals, bands)):
             return FlowResult(x, float(r_val), s_cur, FlowStatus.CONVERGED,
                               steps, vnorm)
-        if vnorm == 0.0 or stalls >= 100 or steps > MAX_STEPS:
+        if (vnorm == 0.0 or (stalls >= 100 and cycled)
+                or steps > MAX_STEPS):
             break
+        if stalls >= 100:
+            # the stationary point of a two-point cycle lies between its
+            # points: select once more at their midpoint, polished
+            cycled = True
+            stalls = 0
+            x = 0.5 * (x_prev + x)
+            x, vals, s_cur = _polish_feasibility(rows, bands, x,
+                                                 *rows.evaluate(x))
+            xnorm = _norm(x)
+            continue
         # explicit Euler on the unit-speed reparameterization: the gain
         # product shrinks the velocity near active constraints without
         # changing the path, so each step moves x by its trial length
@@ -749,6 +777,7 @@ def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
         else:
             stalls = 0
         r_least = min(r_least, r_n)
+        x_prev = x
         x, vals, s_cur = xn, vals_n, s_n
         xnorm = _norm(x)
         t += trial

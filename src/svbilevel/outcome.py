@@ -204,16 +204,20 @@ class RayObjective:
         return pairs
 
 
-def solve_ray(problem: BilevelProblem, v, d_hat, x0) -> RaySolution:
+def solve_ray(problem: BilevelProblem, v, d_hat, x0,
+              x_parent=None) -> RaySolution:
     """Project v along direction d_hat onto the weakly nondominated frontier
     by the scalarized pseudoconvex flow on ``RayObjective``, started at the
-    point x0 of X."""
+    point x0 of X, or at the point x_parent of X when one is given and its
+    ray objective value is strictly lower."""
     v = np.asarray(v, dtype=float)
     d_hat = np.asarray(d_hat, dtype=float)
     if not (np.isfinite(d_hat).all() and (d_hat > 0.0).all()):
         raise ValueError("ray direction must be finite and strictly positive")
     region = problem.x_region()
     obj = RayObjective(problem, v, d_hat)
+    if x_parent is not None and obj.value(x_parent) < obj.value(x0):
+        x0 = x_parent
     res = _reject_diverged(nd.solve_flow(obj, region, x0), "ray problem")
     return RaySolution(flow=res, w=v + res.objective_value * d_hat)
 

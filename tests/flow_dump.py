@@ -24,7 +24,13 @@ children that ``prune`` drops before phi is evaluated at them, and example
 5 with its lower objectives times 0.01 (``scaled_text``), the one case
 with a flow that starts with a row above its band, so that the dump covers
 the polish of such a start, and example 2 with its upper objective times
-100, the one case whose flows read a rescaled h.
+100, the one case whose flows read a rescaled h.  After the solves, one
+MP(z) alone: ``ball2-cycle``, ball2's MP(z) at z = (26,
+5.132481794127312e-06) from (0.5, 0.5), whose flow alternates across x2
+= 0 until its 100th stall moves it to the midpoint of its last two
+points, the one dumped flow that reaches that branch of ``solve_flow``;
+its lines are its feasibility line, its flow line and a ``summary`` line
+with phi as a ``repr`` float.
 
     python tests/flow_dump.py > dump.txt 2> work.txt
 
@@ -43,7 +49,7 @@ import numpy as np
 
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
-from svbilevel.outcome import RayObjective
+from svbilevel.outcome import RayObjective, solve_mp
 from svbilevel.problem import load_problem
 
 BALL2 = """\
@@ -111,6 +117,9 @@ CASES += [("ex2-deep", catalog.example_text(2), 1e-4, 500),
           ("ex5-f*0.01", scaled_text(5, f=0.01), 1e-2, 500),
           ("ex2-h*100", scaled_text(2, h=100.0), 1e-2, 500)]
 
+# (name, z, start) of ball2's MP(z) solved alone, whose flow cycles
+CYCLE = ("ball2-cycle", (26.0, 5.132481794127312e-06), (0.5, 0.5))
+
 
 def _hex(values) -> str:
     return np.asarray(values, dtype=float).tobytes().hex()
@@ -161,6 +170,13 @@ def main() -> None:
                   "none" if inc is None else repr(float(inc.h)))
             print(name, "work", *(f"{k} {v}" for k, v in work.items()),
                   file=sys.stderr)
+        name, z, start = CYCLE
+        work.update(dict.fromkeys(work, 0))
+        problem = load_problem(BALL2)
+        sol = solve_mp(problem, np.array(z), np.array(start))
+        print(name, "summary", repr(float(sol.phi)))
+        print(name, "work", *(f"{k} {v}" for k, v in work.items()),
+              file=sys.stderr)
     finally:
         nd.solve_flow, nd.find_feasible = solve_flow, find_feasible
         nd.RowSet.evaluate = evaluate

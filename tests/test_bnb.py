@@ -373,6 +373,82 @@ class TestInvariants:
         assert len(ks) == report.iterations
 
 
+class TestRayStart:
+    """A child's ray starts at the end point of its parent's converged ray
+    flow when that point's ray objective value is strictly lower than at
+    the child's MP minimizer, else at the minimizer; a child of a ray flow
+    that did not converge carries no parent point."""
+
+    def test_each_ray_starts_at_the_lower_of_its_two_points(self,
+                                                            monkeypatch):
+        # example 2 at epsilon 1e-4: 20 rays, 19 of them from children
+        problem = catalog.load_example(2)
+        flow, solve_ray = nd.solve_flow, bnb.solve_ray
+        calls = []
+
+        def spied_flow(objective, rows, x0):
+            if isinstance(objective, RayObjective):
+                calls[-1].append(np.array(x0, dtype=float))
+            return flow(objective, rows, x0)
+
+        def spied_ray(problem, v, d_hat, x0, x_parent=None):
+            calls.append([RayObjective(problem, v, d_hat), x0, x_parent])
+            return solve_ray(problem, v, d_hat, x0, x_parent)
+
+        monkeypatch.setattr(nd, "solve_flow", spied_flow)
+        monkeypatch.setattr(bnb, "solve_ray", spied_ray)
+        report = bnb.solve(problem, SolverConfig(epsilon=1e-4))
+        assert len(calls) == report.iterations == 20
+        assert calls[0][2] is None
+        warm = cold = 0
+        for objective, x0, x_parent, start in calls[1:]:
+            assert x_parent is not None
+            lower = objective.value(x_parent) < objective.value(x0)
+            expect = x_parent if lower else x0
+            assert start.tobytes() == np.asarray(expect).tobytes()
+            warm, cold = warm + lower, cold + (not lower)
+        # both starts occur
+        assert warm and cold
+
+    @pytest.mark.parametrize("number", [1, 2, 5])
+    def test_children_carry_their_parents_ray_end_point(self, number,
+                                                        monkeypatch):
+        problem = catalog.load_example(number)
+        solve_ray = bnb.solve_ray
+        rays = []
+
+        def spied_ray(*args):
+            rays.append(solve_ray(*args))
+            return rays[-1]
+
+        monkeypatch.setattr(bnb, "solve_ray", spied_ray)
+        state = bnb.initialize(problem)
+        bnb.iterate(state, problem, SolverConfig(epsilon=1e-5))
+        (ray,) = rays
+        assert ray.flow.status is nd.FlowStatus.CONVERGED
+        assert state.V
+        for vertex in state.V:
+            assert vertex.x_parent.tobytes() == ray.flow.x_final.tobytes()
+
+    def test_a_child_of_an_unconverged_ray_gets_no_parent_point(
+            self, monkeypatch):
+        flow = nd.solve_flow
+
+        def unconverged_rays(objective, *args, **kwargs):
+            res = flow(objective, *args, **kwargs)
+            if isinstance(objective, RayObjective):
+                res = dataclasses.replace(res,
+                                          status=nd.FlowStatus.UNCONVERGED)
+            return res
+
+        monkeypatch.setattr(nd, "solve_flow", unconverged_rays)
+        problem = catalog.load_example(2)
+        state = bnb.initialize(problem)
+        bnb.iterate(state, problem, SolverConfig(epsilon=1e-4))
+        assert state.V
+        assert all(vertex.x_parent is None for vertex in state.V)
+
+
 class TestOnePrunePerCut:
     @pytest.mark.parametrize("number, epsilon", [
         (1, 1e-5), (2, 1e-2), (3, 1e-2), (4, 1e-2), (5, 1e-2), (6, 1e-2),

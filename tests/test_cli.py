@@ -174,6 +174,21 @@ class TestInputErrors:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_gradient_whose_norm_overflows(self, capsys, tmp_path):
+        # f_1's gradient is about -1e307 e at the start (1, 1): its norm
+        # overflows to inf, which the start check reports; under this
+        # filter the overflow warning of the norm's dot product ended the
+        # run in a traceback
+        path = tmp_path / "steep.txt"
+        path.write_text(VERTEX_POLE_TEXT.replace(
+            "lower (x1 + 1) / (x1 + x2 - 1)",
+            "lower 1e307 / (x1 + x2 - 1 + 1e-300)"))
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: min f_1 over X: the objective is not finite "
+                       "at the start (1.0, 1.0)\n")
+
     def test_evaluation_error_during_a_solve(self, capsys, tmp_path):
         path = tmp_path / "divides.txt"
         path.write_text(DIVIDES_BY_ZERO_TEXT)

@@ -3,8 +3,10 @@ acceptance tests use, of example 2 at the ``deep`` workload's 1e-4, and of
 the ball(n) family.
 
 Each budget case pins the total Euler steps of its ``solve_flow`` calls,
-allowing 25 % above the count measured when the budget was set, and the
-number of flows that did not end ``Converged``, allowing none above it.  No
+allowing 20 % above the count measured when the budget was set, and the
+number of flows that did not end ``Converged``, allowing none above it.
+At 20 % example 2 at 1e-4 fails with the 765 steps it took before its
+child rays started at their parents' ray end points (616 since).  No
 benchmark workload holds example 5, so without this its flow steps went
 396 -> 3,454 in one change unnoticed.
 
@@ -26,7 +28,7 @@ from svbilevel.problem import load_problem
 
 from flow_dump import BALL3
 
-STEP_SLACK = 1.25
+STEP_SLACK = 1.2
 
 # ball(n) at n = 2, 5 and 8: no flow may take more steps than this
 BALL_FLOW_STEPS = 2_000
@@ -59,16 +61,18 @@ def solve_counted(problem, epsilon, monkeypatch):
 
 
 # (example, epsilon, Euler steps, unconverged flows), as measured when
-# the budget was set; "ball3" is ball(3)
+# the budget was set; "ball3" is ball(3).  Examples 1, 2 and 5, example 2
+# at 1e-4 and ball3 were set again when each child's ray began to start at
+# its parent's ray end point (deep 765 -> 616 steps)
 BUDGETS = [
-    (1, 1e-5, 301, 0),
-    (2, 1e-2, 284, 0),
+    (1, 1e-5, 291, 0),
+    (2, 1e-2, 261, 0),
     (3, 1e-2, 73, 0),
     (4, 1e-2, 112, 0),
-    (5, 1e-2, 350, 0),
+    (5, 1e-2, 339, 0),
     (6, 1e-2, 125, 0),
-    (2, 1e-4, 765, 0),
-    ("ball3", 1e-2, 201, 0),
+    (2, 1e-4, 616, 0),
+    ("ball3", 1e-2, 192, 0),
 ]
 
 

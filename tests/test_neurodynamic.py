@@ -807,12 +807,37 @@ class TestSolveFlow:
         # +-4.8e-9) and then alternates across x2 = 0, each accepted step
         # 9.5e-9 long, r moving between two floats one ulp apart, within
         # the Armijo test's rounding slack.  Those steps set no new least
-        # r, so they count as stalls, and the flow ends instead of running
-        # to MAX_STEPS
+        # r, so they count as stalls.  At the 100th the flow moves to the
+        # midpoint of its last two points, near x2 = 0, the cycle's
+        # stationary point, and converges there at its 127th selection;
+        # without the midpoint it ended Unconverged after 126
         sol = solve_mp(load_problem(ball_text(2)),
                        np.array([26.0, 5.132481794127312e-06]),
                        np.array([0.5, 0.5]))
-        assert sol.flow.steps < 1000
+        assert sol.flow.status is FlowStatus.CONVERGED
+        assert sol.flow.steps == 127
+        assert abs(sol.flow.x_final[1]) <= 1e-10
+
+    def test_a_second_run_of_stalls_ends_the_flow(self):
+        # r is 0 everywhere, and its gradient e1 never 0: Armijo accepts
+        # only a trial of 9.3e-12, which sets no new least r, so every step
+        # after the first stalls.  The 100th stall moves the flow to the
+        # midpoint of its last two points, once; the next 100 end it
+        class Flat:
+            def branch_pairs(self, x):
+                return [(0.0, np.array([1.0, 0.0]))]
+
+            def value(self, x):
+                return 0.0
+
+        with nd.recording() as rows:
+            res = solve_flow(Flat(), rows_of(), np.array([1.0, 2.0]))
+        assert res.status is FlowStatus.UNCONVERGED and res.steps == 203
+        xs = [np.array(row[2]) for row in rows]
+        assert len(xs) == 203
+        # selection 103 is at the midpoint of the points 101 and 102
+        assert xs[102].tobytes() == (0.5 * (xs[100] + xs[101])).tobytes()
+        assert xs[102][0] > xs[101][0]
 
     def test_certification_refuses_a_row_above_its_band(self, monkeypatch):
         # the start polish, replaced here by the identity, leaves the flat
