@@ -61,19 +61,29 @@ def solve_counted(problem, epsilon, monkeypatch):
 
 
 # (example, epsilon, Euler steps, unconverged flows), as measured when
-# the budget was set; "ball3" is ball(3).  Examples 1, 2 and 5, example 2
-# at 1e-4 and ball3 were set again when each child's ray began to start at
-# its parent's ray end point (deep 765 -> 616 steps)
+# the budget was first set; "ball3" is ball(3).  The steps also name each
+# case, so a case keeps its name when its count is pinned again below
 BUDGETS = [
-    (1, 1e-5, 291, 0),
-    (2, 1e-2, 261, 0),
+    (1, 1e-5, 301, 0),
+    (2, 1e-2, 284, 0),
     (3, 1e-2, 73, 0),
     (4, 1e-2, 112, 0),
-    (5, 1e-2, 339, 0),
+    (5, 1e-2, 350, 0),
     (6, 1e-2, 125, 0),
-    (2, 1e-4, 616, 0),
-    ("ball3", 1e-2, 192, 0),
+    (2, 1e-4, 765, 0),
+    ("ball3", 1e-2, 201, 0),
 ]
+
+# (example, epsilon) -> Euler steps measured again when each child's ray
+# began to start at its parent's ray end point (deep 765 -> 616 steps);
+# these replace the first count of BUDGETS
+REPINNED_STEPS = {
+    (1, 1e-5): 291,
+    (2, 1e-2): 261,
+    (5, 1e-2): 339,
+    (2, 1e-4): 616,
+    ("ball3", 1e-2): 192,
+}
 
 
 @pytest.mark.parametrize("number,epsilon,steps,unconverged", BUDGETS)
@@ -82,6 +92,7 @@ def test_flow_work_within_budget(number, epsilon, steps, unconverged,
     problem = (load_problem(ball_text(3)) if number == "ball3"
                else catalog.load_example(number))
     _, results = solve_counted(problem, epsilon, monkeypatch)
+    steps = REPINNED_STEPS.get((number, epsilon), steps)
     got_steps = sum(res.steps for res in results)
     got_unconverged = sum(res.status is not nd.FlowStatus.CONVERGED
                           for res in results)
