@@ -123,17 +123,22 @@ def _evaluate_pending(state: SolverReport, problem: BilevelProblem) -> None:
             state.V.remove(v)
 
 
-def initialize(problem: BilevelProblem) -> SolverReport:
-    """Box, the one-vertex list [M], the p lower-face upper-bound probes,
-    then phi at M and the initial bounds.  A probe whose MP flow converged,
-    and so ends feasible, is the incumbent when its phi is below alpha."""
-    box = compute_box(problem)
-    cache = PhiCache(problem, box)
-    top = Vertex(box.M)
-    V = [top]
+def _offer(state: SolverReport, problem: BilevelProblem, u: np.ndarray,
+           h: float) -> None:
+    """The one incumbent rule: a converged flow's feasible end point
+    u = (x, y), of upper value h, replaces the incumbent if h < alpha."""
+    if h < state.alpha:
+        state.incumbent = Incumbent(*np.split(u, [problem.n]), h)
 
-    alpha = math.inf
-    incumbent = None
+
+def initialize(problem: BilevelProblem) -> SolverReport:
+    """Box, the report with the one-vertex list [M], the p lower-face
+    upper-bound probes, then phi at M and the initial bounds.  Each probe
+    whose MP flow converged, and so ends feasible, goes to ``_offer``."""
+    box = compute_box(problem)
+    top = Vertex(box.M)
+    state = SolverReport(box=box, V=[top], cache=PhiCache(problem, box),
+                         beta=math.inf, incumbent=None)
     for i in range(problem.p):
         z = box.M.copy()
         # tiny slack above the face: {f_i <= m_i} is exactly the argmin
@@ -142,19 +147,15 @@ def initialize(problem: BilevelProblem) -> SolverReport:
         # warm start at the recorded argmin of f_i: the probe's feasible set
         # hugs that point, far too thin to find from a generic start
         u0 = np.concatenate([box.m_argmin[i], np.ones(problem.m)])
-        sol = cache.get(z, u0)
-        if sol.phi < alpha and sol.flow.status is nd.FlowStatus.CONVERGED:
-            alpha = sol.phi
-            x, y = np.split(sol.flow.x_final, [problem.n])
-            incumbent = Incumbent(x=x, y=y, h=alpha)
+        sol = state.cache.get(z, u0)
+        if sol.feasible and sol.flow.status is nd.FlowStatus.CONVERGED:
+            _offer(state, problem, sol.flow.x_final, sol.phi)
 
-    state = SolverReport(box=box, V=V, cache=cache, beta=math.inf,
-                         incumbent=incumbent)
     # M is a vertex like any other: one solve, and its lower-face check
     _evaluate_pending(state, problem)
     if top.mp.feasible:
         state.beta = top.mp.phi
-    elif incumbent is None:
+    elif state.incumbent is None:
         state.status = SolverStatus.INFEASIBLE
     return state
 
@@ -188,9 +189,6 @@ def iterate(state: SolverReport, problem: BilevelProblem,
         return state
 
     vertex, beta_raw = select_min_phi(state.V)
-    # phi decreases while vertices shrink, so the running minimum cannot
-    # honestly drop; clamp out flow noise and keep the gap nonnegative
-    state.beta = min(max(state.beta, beta_raw), state.alpha)
     v = vertex.z
 
     d_hat = _ray_direction(state.box, v)
@@ -207,10 +205,11 @@ def iterate(state: SolverReport, problem: BilevelProblem,
     x_k = ray.flow.x_final
     y_k = find_feasible_y(problem, x_k) if converged else None
     if y_k is not None:
-        h_k = problem.upper.value(np.concatenate([x_k, y_k]))
-        if h_k < state.alpha:
-            state.incumbent = Incumbent(x=x_k.copy(), y=y_k, h=h_k)
-            state.beta = min(state.beta, state.alpha)
+        u_k = np.concatenate([x_k, y_k])
+        _offer(state, problem, u_k, problem.upper.value(u_k))
+    # phi decreases while vertices shrink, so the running minimum cannot
+    # honestly drop; clamp out flow noise and keep the gap nonnegative
+    state.beta = min(max(state.beta, beta_raw), state.alpha)
 
     if state.alpha - state.beta <= config.epsilon * (1.0 + abs(state.beta)):
         state.status = SolverStatus.OPTIMAL

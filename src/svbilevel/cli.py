@@ -56,8 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--example", type=int, metavar="N",
                         help="built-in example number (1-6)")
     source.add_argument("--file", metavar="PATH", help="problem file to solve")
-    parser.add_argument("--epsilon", type=float, default=1e-2, metavar="E",
-                        help="relative optimality tolerance (default 0.01)")
+    parser.add_argument("--epsilon", type=float, metavar="E",
+                        default=bnb.SolverConfig.epsilon, help="relative "
+                        "optimality tolerance (default %(default)s)")
     parser.add_argument("--max-iters", type=int,
                         default=bnb.SolverConfig.max_iterations,
                         help="branch-and-bound iteration cap")

@@ -103,7 +103,7 @@ CERT_BAND = 1e-4
 STATIONARITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
 
-# A flow whose point leaves this ball ends DIVERGED.
+# A flow whose point leaves this ball raises FlowError.
 DIVERGENCE_RADIUS = 1e7
 
 # solve_flow takes at most this many Euler steps, then selects once more at
@@ -119,7 +119,6 @@ DT = 1e-2
 class FlowStatus(enum.Enum):
     CONVERGED = "Converged"
     UNCONVERGED = "Unconverged"
-    DIVERGED = "Diverged"
 
 
 class FlowError(Exception):
@@ -642,8 +641,8 @@ def _selected_velocity(stack: RowSet, bands: list, objective, x,
 
 
 def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
-    """Integrate the inclusion from ``x0`` until stationarity, divergence or
-    the step budget ``MAX_STEPS`` runs out.  ``x0`` is the caller's: a ray
+    """Integrate the inclusion from ``x0`` until stationarity or until the
+    step budget ``MAX_STEPS`` runs out.  ``x0`` is the caller's: a ray
     flow starts at its vertex's MP minimizer, or at the end point of the
     parent vertex's converged ray flow when that point's ray objective is
     strictly lower (``outcome.solve_ray``).  Stationarity is relative to
@@ -672,7 +671,8 @@ def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
     stalls when it is shorter than 1e-12 max(1, |x|) or sets no new least
     r.
     Inside a ``recording`` every selection appends a row to it.  A branch
-    value or gradient norm at ``x0`` that is not finite raises FlowError."""
+    value or gradient norm at ``x0`` that is not finite raises FlowError,
+    and so does a step past ``DIVERGENCE_RADIUS``, naming its count."""
     x = np.asarray(x0, dtype=float).copy()
     # the first selection reads these pairs, unless the start is polished
     pairs = objective.branch_pairs(x)
@@ -787,8 +787,7 @@ def solve_flow(objective, rows: RowSet, x0) -> FlowResult:
         # one halving, not the same two again
         dt = 2.0 * trial
         if xnorm > DIVERGENCE_RADIUS:
-            return FlowResult(x, math.nan, s_cur, FlowStatus.DIVERGED,
-                              steps, vnorm)
+            raise FlowError(f"flow diverged after {steps} steps")
 
     return FlowResult(x, float(r_val), s_cur, FlowStatus.UNCONVERGED, steps,
                       vnorm)
@@ -868,7 +867,8 @@ def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
     epsilon 1e-5 it does at three feasible MP(z) (ROADMAP item 11,
     ``tests/test_outcome.py::TestFalseInfeasibleVertices``).  A start
     with a row, or S, not finite raises FlowError naming the first such
-    row (the largest if S overflows), with its label if it has one."""
+    row (the largest if S overflows), with its label if it has one; a
+    step past ``DIVERGENCE_RADIUS`` raises it naming its count."""
     x = np.asarray(x0, dtype=float).copy()
     vals, s = rows.evaluate(x)
     if not (math.isfinite(s) and all(map(math.isfinite, vals))):
@@ -878,7 +878,7 @@ def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
         name = f"row {i} {label!r}" if label else f"row {i}"
         raise FlowError(f"{name} is {vals[i]} at the start "
                         f"{tuple(x.tolist())}")
-    for _ in range(MAX_STEPS):
+    for steps in range(1, MAX_STEPS + 1):
         if s <= FEASIBILITY_TOL:
             return x
         g = np.zeros(rows.n)
@@ -903,5 +903,5 @@ def find_feasible(rows: RowSet, x0) -> Optional[np.ndarray]:
             return None
         x, vals, s = xn, vals_n, s_n
         if _norm(x) > DIVERGENCE_RADIUS:
-            raise FlowError("feasibility flow diverged")
+            raise FlowError(f"feasibility flow diverged after {steps} steps")
     return x if s <= FEASIBILITY_TOL else None

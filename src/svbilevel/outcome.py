@@ -9,9 +9,10 @@ min_x max_j (f_j(x) - v_j) / d_j whose optimum projects v onto the weakly
 nondominated frontier, and MP(z): phi(z) = min {h(x, y) | (x, y) in G,
 f(x) <= z}, a decreasing function of z, solved once per query by
 ``PhiCache``.  A ray or MP solve's record holds its flow's ``FlowResult``
-and copies none of its fields.  Every subproblem flow starts where its
-caller says: the driver passes a warm start or takes ``PhiCache``'s, the
-box's feasible point of X with y = 1.
+and copies none of its fields.  A flow's ``FlowError`` is raised again as
+``OutcomeError`` naming its subproblem.  Every subproblem flow starts
+where its caller says: the driver passes a warm start or takes
+``PhiCache``'s, the box's feasible point of X with y = 1.
 """
 
 from __future__ import annotations
@@ -72,19 +73,18 @@ class MpSolution:
         return math.inf if self.flow is None else self.flow.objective_value
 
 
-def _reject_diverged(res: nd.FlowResult, what: str) -> nd.FlowResult:
-    if res.status is nd.FlowStatus.DIVERGED:
-        raise OutcomeError(f"{what}: flow diverged (unbounded problem?)")
-    return res
+def _flow(objective, rows, x0, what: str) -> nd.FlowResult:
+    """``nd.solve_flow`` for the box, ray or MP subproblem ``what``; its
+    FlowError is raised again as OutcomeError, ``what`` first."""
+    try:
+        return nd.solve_flow(objective, rows, x0)
+    except nd.FlowError as exc:
+        raise OutcomeError(f"{what}: {exc}") from None
 
 
 def _box_flow(objective, region, x0, what: str) -> nd.FlowResult:
-    """A box flow over X; it must converge, or [m, M] may not contain
-    f(X).  A FlowError is raised again as OutcomeError, ``what`` first."""
-    try:
-        res = nd.solve_flow(objective, region, x0)
-    except nd.FlowError as exc:
-        raise OutcomeError(f"{what}: {exc}") from None
+    """A box flow over X; it must converge, or [m, M] may not contain f(X)."""
+    res = _flow(objective, region, x0, what)
     if res.status is not nd.FlowStatus.CONVERGED:
         raise OutcomeError(f"{what}: flow ended {res.status.value} after "
                            f"{res.steps} steps; X may be unbounded")
@@ -218,7 +218,7 @@ def solve_ray(problem: BilevelProblem, v, d_hat, x0,
     obj = RayObjective(problem, v, d_hat)
     if x_parent is not None and obj.value(x_parent) < obj.value(x0):
         x0 = x_parent
-    res = _reject_diverged(nd.solve_flow(obj, region, x0), "ray problem")
+    res = _flow(obj, region, x0, "ray problem")
     return RaySolution(flow=res, w=v + res.objective_value * d_hat)
 
 
@@ -230,8 +230,7 @@ def solve_mp(problem: BilevelProblem, z, u0) -> MpSolution:
     u_feas = nd.find_feasible(stack, u0)
     if u_feas is None:
         return MpSolution(flow=None)
-    return MpSolution(flow=_reject_diverged(
-        nd.solve_flow(problem.upper, stack, u_feas), "MP value flow"))
+    return MpSolution(_flow(problem.upper, stack, u_feas, "MP value flow"))
 
 
 class PhiCache:

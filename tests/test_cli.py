@@ -48,6 +48,18 @@ lower x1 + 1
 constraint_x x1 - 0
 """
 
+# X = [0, 1] is bounded, G is not: y1 >= x1 has no upper bound, and the
+# upper objective x1 - y1 falls as y1 grows
+UNBOUNDED_Y_TEXT = """\
+vars x 1
+vars y 1
+upper x1 - y1
+lower x1
+lower (x1 - 1)^2
+constraint_xy x1 - y1
+bound x1 0 1
+"""
+
 # f_1 = 1/(x1 - 0.3) has m_1 = 0.588 above M_1 = 0.213: not quasiconvex
 POLE_BOX_TEXT = """\
 vars x 2
@@ -230,8 +242,15 @@ class TestInputErrors:
         path.write_text(UNBOUNDED_X_TEXT)
         code, out, err = run(capsys, ["--file", str(path)])
         assert (code, out) == (1, "")
-        assert err == ("error: min f_1 over X: flow ended Diverged after 30 "
-                       "steps; X may be unbounded\n")
+        assert err == "error: min f_1 over X: flow diverged after 30 steps\n"
+
+    # an MP flow's divergence is named like a box flow's
+    def test_unbounded_y(self, capsys, tmp_path):
+        path = tmp_path / "unbounded.txt"
+        path.write_text(UNBOUNDED_Y_TEXT)
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: MP value flow: flow diverged after 30 steps\n"
 
     # a row that is NaN where |x1 - 0.5| is above about 0.42: the box flow
     # for f_1 stops at that boundary, where it converged when a NaN row
@@ -332,6 +351,15 @@ class TestInputErrors:
             cli.main(["--help"])
         assert exc.value.code == 0
         assert "usage: svbilevel" in capsys.readouterr().out
+
+    def test_defaults_are_the_solver_config(self, capsys):
+        args = cli.build_parser().parse_args(["--example", "1"])
+        assert args.epsilon == bnb.SolverConfig.epsilon
+        assert args.max_iters == bnb.SolverConfig.max_iterations
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert (f"(default {bnb.SolverConfig.epsilon})"
+                in " ".join(capsys.readouterr().out.split()))
 
 
 class TestExitCodes:

@@ -60,30 +60,20 @@ def solve_counted(problem, epsilon, monkeypatch):
     return report, results
 
 
-# (example, epsilon, Euler steps, unconverged flows), as measured when
-# the budget was first set; "ball3" is ball(3).  The steps also name each
-# case, so a case keeps its name when its count is pinned again below
+# (example, epsilon, Euler steps, unconverged flows); "ball3" is ball(3).
+# Each id keeps the case's name from when its budget was first set; the
+# steps of 1, 2, 5, ball3 and 2 at 1e-4 were pinned again when each
+# child's ray began to start at its parent's ray end point (deep 765 -> 616)
 BUDGETS = [
-    (1, 1e-5, 301, 0),
-    (2, 1e-2, 284, 0),
-    (3, 1e-2, 73, 0),
-    (4, 1e-2, 112, 0),
-    (5, 1e-2, 350, 0),
-    (6, 1e-2, 125, 0),
-    (2, 1e-4, 765, 0),
-    ("ball3", 1e-2, 201, 0),
+    pytest.param(1, 1e-5, 291, 0, id="1-1e-05-301-0"),
+    pytest.param(2, 1e-2, 261, 0, id="2-0.01-284-0"),
+    pytest.param(3, 1e-2, 73, 0, id="3-0.01-73-0"),
+    pytest.param(4, 1e-2, 112, 0, id="4-0.01-112-0"),
+    pytest.param(5, 1e-2, 339, 0, id="5-0.01-350-0"),
+    pytest.param(6, 1e-2, 125, 0, id="6-0.01-125-0"),
+    pytest.param(2, 1e-4, 616, 0, id="2-0.0001-765-0"),
+    pytest.param("ball3", 1e-2, 192, 0, id="ball3-0.01-201-0"),
 ]
-
-# (example, epsilon) -> Euler steps measured again when each child's ray
-# began to start at its parent's ray end point (deep 765 -> 616 steps);
-# these replace the first count of BUDGETS
-REPINNED_STEPS = {
-    (1, 1e-5): 291,
-    (2, 1e-2): 261,
-    (5, 1e-2): 339,
-    (2, 1e-4): 616,
-    ("ball3", 1e-2): 192,
-}
 
 
 @pytest.mark.parametrize("number,epsilon,steps,unconverged", BUDGETS)
@@ -92,7 +82,6 @@ def test_flow_work_within_budget(number, epsilon, steps, unconverged,
     problem = (load_problem(ball_text(3)) if number == "ball3"
                else catalog.load_example(number))
     _, results = solve_counted(problem, epsilon, monkeypatch)
-    steps = REPINNED_STEPS.get((number, epsilon), steps)
     got_steps = sum(res.steps for res in results)
     got_unconverged = sum(res.status is not nd.FlowStatus.CONVERGED
                           for res in results)

@@ -616,10 +616,11 @@ class TestSolveFlow:
 
     def test_divergence_detected(self):
         obj = oracle("x1 + x2", V2)  # unbounded below, no constraints
-        res = solve_flow(obj, rows_of(), np.array([0.0, 0.0]))
         # each clean step is twice the last: after 30 the arc length
         # DT (2^30 - 1) is past DIVERGENCE_RADIUS
-        assert res.status is FlowStatus.DIVERGED and res.steps == 30
+        with pytest.raises(nd.FlowError,
+                           match=r"^flow diverged after 30 steps$"):
+            solve_flow(obj, rows_of(), np.array([0.0, 0.0]))
 
     def test_trace_recording(self):
         obj = oracle("x1^2 + x2^2")
@@ -1476,6 +1477,13 @@ class TestFindFeasible:
         with pytest.raises(nd.FlowError) as err:
             find_feasible(RowSet.of(rows, 2), np.array([0.5, 0.5]))
         assert str(err.value) == f"{message} at the start (0.5, 0.5)"
+
+    def test_divergence_names_the_step_count(self):
+        # the row is met only past DIVERGENCE_RADIUS; each step is the
+        # capped secant length 1e6, so the 11th passes the radius
+        with pytest.raises(nd.FlowError, match=r"^feasibility flow diverged "
+                                               r"after 11 steps$"):
+            find_feasible(rows_of(oracle("1e8 - x1")), np.zeros(2))
 
     def test_penalty_monotone_along_descent(self):
         region = example1_region()

@@ -116,8 +116,8 @@ class TestComputeBox:
     ], ids=["min-x", "max-sum"])
     def test_enclosure_flows_must_converge(self, text, flow):
         with pytest.raises(outcome.OutcomeError,
-                           match=rf"^{re.escape(flow)}: flow ended Diverged "
-                                 r"after \d+ steps; X may be unbounded$"):
+                           match=rf"^{re.escape(flow)}: flow diverged "
+                                 r"after \d+ steps$"):
             compute_box(load_problem(text))
 
 
@@ -177,8 +177,6 @@ class TestSolveRay:
         monkeypatch.setattr(nd, "solve_flow", recorded)
         bnb.solve(catalog.load_example(number),
                   bnb.SolverConfig(epsilon=1e-5 if number == 1 else 1e-2))
-        ends = [(obj, res) for obj, res in ends
-                if res.status is not FlowStatus.DIVERGED]
         assert ends
         for obj, res in ends:
             assert (float(res.objective_value).hex()

@@ -158,8 +158,8 @@ class TestValidate:
         # X = {x1 <= 0}: the box flow of min f_1 runs off past
         # DIVERGENCE_RADIUS
         prob = load_problem("vars x 1\nupper x1\nlower x1\nlower x1 + 1\nconstraint_x x1 - 0\n")
-        with pytest.raises(OutcomeError, match=r"^min f_1 over X: flow ended "
-                                               r"Diverged .*unbounded$"):
+        with pytest.raises(OutcomeError, match=r"^min f_1 over X: flow "
+                                               r"diverged after \d+ steps$"):
             bnb.solve(prob)
 
     def test_starts_no_flow(self, monkeypatch):

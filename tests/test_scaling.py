@@ -65,8 +65,8 @@ def test_the_scaled_optimum_is_feasible_and_attains_h_star(case):
 
 
 # the Euler steps of each example's solve at epsilon 1e-2
-UNSCALED_STEPS = {number: steps for number, epsilon, steps, _ in BUDGETS
-                  if epsilon == 1e-2}
+UNSCALED_STEPS = {number: steps for number, epsilon, steps, _ in
+                  (case.values for case in BUDGETS) if epsilon == 1e-2}
 
 
 @pytest.mark.parametrize("case", WITHIN, ids=_case_id)
