@@ -16,7 +16,7 @@ efficient end point lifts to a feasible upper-level pair.  The loop
 stops when alpha - beta <= epsilon * (1 + |beta|), when the vertex list
 empties, or at the iteration cap.  A solve keeps one record, a
 ``SolverReport``: ``initialize`` builds it, ``iterate`` advances it, and
-``solve`` returns it.
+``solve`` returns it.  The driver runs no flow itself: ``outcome`` does.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 
 from . import neurodynamic as nd
 from .copolyblock import COORD_TOL, Vertex, cut, prune, select_min_phi
-from .outcome import OutcomeBox, PhiCache, compute_box, solve_ray
+from .outcome import OutcomeBox, PhiCache, compute_box, find_feasible_y, \
+    solve_ray
 from .problem import BilevelProblem, validate
 
 
@@ -146,8 +147,7 @@ def initialize(problem: BilevelProblem) -> SolverReport:
         z[i] = box.m[i] + 1e-6 * max(1.0, abs(box.m[i]))
         # warm start at the recorded argmin of f_i: the probe's feasible set
         # hugs that point, far too thin to find from a generic start
-        u0 = np.concatenate([box.m_argmin[i], np.ones(problem.m)])
-        sol = state.cache.get(z, u0)
+        sol = state.cache.get(z, box.m_argmin[i])
         if sol.feasible and sol.flow.status is nd.FlowStatus.CONVERGED:
             _offer(state, problem, sol.flow.x_final, sol.phi)
 
@@ -158,16 +158,6 @@ def initialize(problem: BilevelProblem) -> SolverReport:
     elif state.incumbent is None:
         state.status = SolverStatus.INFEASIBLE
     return state
-
-
-def find_feasible_y(problem: BilevelProblem, x) -> Optional[np.ndarray]:
-    """Lift x to (x, y) in G at fixed x: a feasibility flow over y on the
-    rows of G that involve y, checked within ``FEASIBILITY_TOL``.  x must
-    be the end point of a converged flow over X, which meets X's rows
-    within that tolerance.  With no y variables the flow returns the empty
-    point or None."""
-    x = np.asarray(x, dtype=float)
-    return nd.find_feasible(problem.lift_rows(x), np.ones(problem.m))
 
 
 def iterate(state: SolverReport, problem: BilevelProblem,

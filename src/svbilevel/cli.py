@@ -164,8 +164,7 @@ def main(argv=None) -> int:
         with (nd.recording() if args.trace is not None
               else contextlib.nullcontext()) as rows:
             report = bnb.solve(problem, config)
-    except (InputError, OutcomeError, nd.FlowError, ExprError,
-            ValueError) as exc:
+    except (InputError, OutcomeError, ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

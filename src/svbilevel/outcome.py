@@ -9,10 +9,12 @@ min_x max_j (f_j(x) - v_j) / d_j whose optimum projects v onto the weakly
 nondominated frontier, and MP(z): phi(z) = min {h(x, y) | (x, y) in G,
 f(x) <= z}, a decreasing function of z, solved once per query by
 ``PhiCache``.  A ray or MP solve's record holds its flow's ``FlowResult``
-and copies none of its fields.  A flow's ``FlowError`` is raised again as
-``OutcomeError`` naming its subproblem.  Every subproblem flow starts
-where its caller says: the driver passes a warm start or takes
-``PhiCache``'s, the box's feasible point of X with y = 1.
+and copies none of its fields.  Only this module runs flows, for five
+subproblems: a feasible point of X, the box, the ray, MP(z) and the lift
+of x to y; a ``FlowError`` is raised again as ``OutcomeError`` naming
+its subproblem.  Every subproblem flow starts where its caller says: the
+driver passes a warm start or takes ``PhiCache``'s, the box's feasible
+point of X with y = 1.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import numpy as np
 
 from . import neurodynamic as nd
 from .expr import EvaluationError, as_floats, to_source
-from .problem import AffineRow, BilevelProblem, find_interior_start, \
-    stacked_mp_constraints
+from .problem import AffineRow, BilevelProblem, stacked_mp_constraints
 
 
 class OutcomeError(Exception):
@@ -73,18 +74,36 @@ class MpSolution:
         return math.inf if self.flow is None else self.flow.objective_value
 
 
-def _flow(objective, rows, x0, what: str) -> nd.FlowResult:
-    """``nd.solve_flow`` for the box, ray or MP subproblem ``what``; its
-    FlowError is raised again as OutcomeError, ``what`` first."""
+def _flow(what: str, run, *args):
+    """``run(*args)``, ``nd.solve_flow`` or ``nd.find_feasible``, for the
+    subproblem ``what``; a FlowError is raised as OutcomeError, what first."""
     try:
-        return nd.solve_flow(objective, rows, x0)
+        return run(*args)
     except nd.FlowError as exc:
         raise OutcomeError(f"{what}: {exc}") from None
 
 
+def find_interior_start(problem: BilevelProblem) -> Optional[np.ndarray]:
+    """A feasible point of X by penalty descent, or None where it stalls,
+    which does not prove X empty.  It starts at 0 in each free coordinate
+    and inside each bounded one: at the midpoint of [lo, hi], taking lo + 2
+    for a missing hi, hi - 2 for a missing lo, and [0, 2] for neither."""
+    x0 = np.zeros(problem.n)
+    for b in problem.bounds:
+        if b.index < problem.n:
+            lo, hi = b.lo, b.hi
+            if not np.isfinite(lo):
+                lo = hi - 2.0 if np.isfinite(hi) else 0.0
+            if not np.isfinite(hi):
+                hi = lo + 2.0
+            x0[b.index] = 0.5 * (lo + hi)
+    return _flow("a feasible point of X", nd.find_feasible,
+                 problem.x_region(), x0)
+
+
 def _box_flow(objective, region, x0, what: str) -> nd.FlowResult:
     """A box flow over X; it must converge, or [m, M] may not contain f(X)."""
-    res = _flow(objective, region, x0, what)
+    res = _flow(what, nd.solve_flow, objective, region, x0)
     if res.status is not nd.FlowStatus.CONVERGED:
         raise OutcomeError(f"{what}: flow ended {res.status.value} after "
                            f"{res.steps} steps; X may be unbounded")
@@ -105,7 +124,8 @@ def compute_box(problem: BilevelProblem) -> OutcomeBox:
     region = problem.x_region()
     x0 = find_interior_start(problem)
     if x0 is None:
-        raise OutcomeError("X is empty: no feasible point found")
+        raise OutcomeError("a feasible point of X: the feasibility search "
+                           "stalled; X may be empty")
 
     n, p = problem.n, problem.p
     m = np.zeros(p)
@@ -218,33 +238,46 @@ def solve_ray(problem: BilevelProblem, v, d_hat, x0,
     obj = RayObjective(problem, v, d_hat)
     if x_parent is not None and obj.value(x_parent) < obj.value(x0):
         x0 = x_parent
-    res = _flow(obj, region, x0, "ray problem")
+    res = _flow("ray problem", nd.solve_flow, obj, region, x0)
     return RaySolution(flow=res, w=v + res.objective_value * d_hat)
 
 
 def solve_mp(problem: BilevelProblem, z, u0) -> MpSolution:
     """phi(z) = min {h(x, y) | (x, y) in G, f(x) <= z}, searched from u0.
-    Infeasible z is detected by a stalled feasibility phase."""
+    Infeasible z is detected by a stalled feasibility phase; a fault of
+    either phase is named ``MP value flow``."""
     z = np.asarray(z, dtype=float)
     stack = stacked_mp_constraints(problem, z)
-    u_feas = nd.find_feasible(stack, u0)
-    if u_feas is None:
-        return MpSolution(flow=None)
-    return MpSolution(_flow(problem.upper, stack, u_feas, "MP value flow"))
+    u_feas = _flow("MP value flow", nd.find_feasible, stack, u0)
+    return MpSolution(None if u_feas is None else _flow(
+        "MP value flow", nd.solve_flow, problem.upper, stack, u_feas))
+
+
+def find_feasible_y(problem: BilevelProblem, x) -> Optional[np.ndarray]:
+    """Lift x to (x, y) in G at fixed x: a feasibility flow over y on the
+    rows of G that involve y, started at y = 1 and checked within
+    ``FEASIBILITY_TOL``.  x must be the end point of a converged flow over
+    X, which meets X's rows within that tolerance.  With no y variables the
+    flow returns the empty point or None."""
+    x = np.asarray(x, dtype=float)
+    return _flow("lift of x to y", nd.find_feasible, problem.lift_rows(x),
+                 np.ones(problem.m))
 
 
 class PhiCache:
     """Solves MP(z) for the driver, one flow per call: the branch-and-bound
     evaluates phi once at each vertex and keeps the solve on the vertex, so
-    nothing is memoized here.  A query without a warm start begins at
-    ``start``, the box's feasible point of X with y = 1; ``misses`` counts
-    the solves."""
+    nothing is memoized here.  ``start`` is the box's feasible point of X;
+    ``misses`` counts the solves."""
 
     def __init__(self, problem: BilevelProblem, box: OutcomeBox):
         self.problem = problem
-        self.start = np.concatenate([box.x_feasible, np.ones(problem.m)])
+        self.start = box.x_feasible
         self.misses = 0
 
-    def get(self, z, u0: Optional[np.ndarray] = None) -> MpSolution:
+    def get(self, z, x0: Optional[np.ndarray] = None) -> MpSolution:
+        """MP(z) from (x0, y = 1), x0 ``start`` unless the caller gives one."""
         self.misses += 1
-        return solve_mp(self.problem, z, self.start if u0 is None else u0)
+        x0 = self.start if x0 is None else x0
+        return solve_mp(self.problem, z,
+                        np.concatenate([x0, np.ones(self.problem.m)]))

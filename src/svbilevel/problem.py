@@ -10,7 +10,7 @@ Every subproblem constrains one of three regions, and each is a
 (``x_region``), {u in G | f(x) <= z} over u = (x, y) with the f-rows
 shifted by z (``stacked_mp_constraints``, from one set per problem with
 every shift 0), and the rows of G that involve y, over y at a fixed x
-(``lift_rows``).
+(``lift_rows``).  This module runs no flow: ``outcome`` does.
 
 Problem file format (line oriented):
 
@@ -307,20 +307,3 @@ def validate(problem: BilevelProblem) -> list:
     if problem.x_region().size == 0:
         out.append("X has no constraints; it cannot be bounded")
     return out
-
-
-def find_interior_start(problem: BilevelProblem) -> Optional[np.ndarray]:
-    """A feasible point of X by penalty descent, started at the origin in
-    each free coordinate and inside each bounded one: at the midpoint of
-    [lo, hi], taking lo + 2 for a missing upper end, hi - 2 for a missing
-    lower one, and [0, 2] for a bound with neither."""
-    x0 = np.zeros(problem.n)
-    for b in problem.bounds:
-        if b.index < problem.n:
-            lo, hi = b.lo, b.hi
-            if not np.isfinite(lo):
-                lo = hi - 2.0 if np.isfinite(hi) else 0.0
-            if not np.isfinite(hi):
-                hi = lo + 2.0
-            x0[b.index] = 0.5 * (lo + hi)
-    return nd.find_feasible(problem.x_region(), x0)

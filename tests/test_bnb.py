@@ -583,3 +583,11 @@ class TestFindFeasibleY:
         problem = load_problem(EMPTY_Y_TEXT)
         y = bnb.find_feasible_y(problem, np.array([0.5]))
         assert y is None
+
+    def test_a_fault_names_the_lift(self):
+        # the g-row is inf at the lift's start y = 1
+        problem = load_problem(EMPTY_Y_TEXT.replace(
+            "y1 - x1 + 2", "y1^2*1e308*10 - x1"))
+        with pytest.raises(OutcomeError, match=r"^lift of x to y: row 1 "
+                                               r"'g_1' is inf at the start"):
+            bnb.find_feasible_y(problem, np.array([0.5]))

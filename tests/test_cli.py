@@ -165,12 +165,25 @@ class TestInputErrors:
         path.write_text(EMPTY_X_TEXT)
         code, _, err = run(capsys, ["--file", str(path)])
         assert code == 1
-        assert err == "error: X is empty: no feasible point found\n"
+        assert err == ("error: a feasible point of X: the feasibility "
+                       "search stalled; X may be empty\n")
+
+    # the MP feasibility phase's fault printed without the subproblem's name
+    def test_an_mp_feasibility_fault_is_named(self, capsys, tmp_path):
+        path = tmp_path / "far.txt"
+        path.write_text("vars x 1\nvars y 1\nupper x1 + y1\nlower x1\n"
+                        "lower (x1 - 1)^2\nconstraint_xy 1e8 - y1\n"
+                        "bound x1 0 1\n")
+        code, out, err = run(capsys, ["--file", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: MP value flow: feasibility flow diverged "
+                       "after 10 steps\n")
 
     @pytest.mark.parametrize("old, new, message", [
         # s_1 follows the four bound rows, which are affine
         ("", "constraint_x x1^2*1e308*10 - 1\n",
-         "row 4 's_1' is inf at the start (0.5, 0.5)"),
+         "a feasible point of X: row 4 's_1' is inf at the start "
+         "(0.5, 0.5)"),
         ("lower x1\n", "lower x1^2*1e308*10\n",
          "min f_1 over X: the objective is not finite at the start "
          "(0.5, 0.5)")], ids=["row", "objective"])

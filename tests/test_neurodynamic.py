@@ -16,9 +16,9 @@ from svbilevel.neurodynamic import (
     _active_set_weights, _min_norm_combo, _norm,
     find_feasible, solve_flow,
 )
-from svbilevel.outcome import compute_box, solve_mp
+from svbilevel.outcome import compute_box, find_interior_start, solve_mp
 from svbilevel.problem import (
-    AffineRow, find_interior_start, load_problem, stacked_mp_constraints,
+    AffineRow, load_problem, stacked_mp_constraints,
 )
 
 from test_flow_budget import ball_text

@@ -14,11 +14,10 @@ from svbilevel.neurodynamic import (
     FlowStatus, find_feasible, solve_flow,
 )
 from svbilevel.outcome import (
-    PhiCache, RayObjective, compute_box, solve_mp, solve_ray,
+    PhiCache, RayObjective, compute_box, find_interior_start, solve_mp,
+    solve_ray,
 )
-from svbilevel.problem import (
-    find_interior_start, load_problem, stacked_mp_constraints,
-)
+from svbilevel.problem import load_problem, stacked_mp_constraints
 
 from test_expr import COORDS, SMOOTH_EXPRESSIONS, _band_generators, _bits
 
@@ -67,7 +66,8 @@ def ex1_box(ex1):
 
 
 def start(problem, box):
-    """``PhiCache``'s start: the box's feasible point of X, y = 1."""
+    """Where a ``PhiCache`` query with no x0 starts: the box's feasible
+    point of X, y = 1."""
     return np.concatenate([box.x_feasible, np.ones(problem.m)])
 
 
@@ -408,11 +408,23 @@ class TestInteriorStart:
             raise AssertionError("interior start searched again")
         monkeypatch.setattr(outcome, "find_interior_start", refuse)
         cache = PhiCache(ex1, box)
-        expected = np.concatenate([box.x_feasible, np.ones(ex1.m)])
-        assert cache.start.tobytes() == expected.tobytes()
+        assert cache.start.tobytes() == box.x_feasible.tobytes()
         assert cache.get(box.M).feasible
         ray = solve_ray(ex1, box.M, [1.0, 1.0], box.x_feasible)
         assert np.isfinite(ray.w).all()
+
+    def test_the_start_lies_inside_every_bound(self, monkeypatch):
+        # with the descent patched out the start itself is returned: 1
+        # inside the end of a one-sided bound, at the middle of a
+        # two-sided one, and at 1 for [-inf, inf]
+        monkeypatch.setattr(nd, "find_feasible", lambda rows, x0: x0)
+        problem = load_problem(
+            "vars x 4\nupper x1\nlower x1\nlower x2\n"
+            "bound x1 -inf -5\nbound x2 3 inf\nbound x3 -1 4\n"
+            "bound x4 -inf inf\n")
+        x0 = find_interior_start(problem)
+        assert x0.tolist() == [-6.0, 4.0, 1.5, 1.0]
+        assert max(problem.x_region().evaluate(x0)[0]) < 0.0
 
 
 class TestPhiCache:

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from svbilevel import bnb, catalog
 from svbilevel import neurodynamic as nd
 from svbilevel.expr import Max
-from svbilevel.outcome import OutcomeError, compute_box
+from svbilevel.outcome import OutcomeError, compute_box, find_interior_start
 from svbilevel.problem import (
-    ProblemFormatError, find_interior_start, load_problem,
-    stacked_mp_constraints, validate,
+    ProblemFormatError, load_problem, stacked_mp_constraints, validate,
 )
 
 from flow_dump import BALL3, TRI3
@@ -169,21 +168,6 @@ class TestValidate:
         monkeypatch.setattr(nd, "solve_flow", refuse)
         monkeypatch.setattr(nd, "find_feasible", refuse)
         assert validate(catalog.load_example(5)) == []
-
-
-class TestInteriorStart:
-    def test_the_start_lies_inside_every_bound(self, monkeypatch):
-        # with the descent patched out the start itself is returned: 1
-        # inside the end of a one-sided bound, at the middle of a
-        # two-sided one, and at 1 for [-inf, inf]
-        monkeypatch.setattr(nd, "find_feasible", lambda rows, x0: x0)
-        problem = load_problem(
-            "vars x 4\nupper x1\nlower x1\nlower x2\n"
-            "bound x1 -inf -5\nbound x2 3 inf\nbound x3 -1 4\n"
-            "bound x4 -inf inf\n")
-        x0 = find_interior_start(problem)
-        assert x0.tolist() == [-6.0, 4.0, 1.5, 1.0]
-        assert max(problem.x_region().evaluate(x0)[0]) < 0.0
 
 
 class TestBoundIndex:

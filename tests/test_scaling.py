@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from svbilevel import bnb
+from svbilevel.outcome import OutcomeError
 from svbilevel.problem import load_problem
 
 from flow_dump import scaled_text
@@ -85,3 +86,17 @@ def test_within_epsilon_of_h_star(case, monkeypatch):
            "5.39e-4 above h*, where 2.79e-5 is allowed")
 def test_example1_with_x_times_0_1_at_1e_5():
     assert_within(solve_scaled(1, 1e-5, x=0.1), 1, 1e-5)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=OutcomeError,
+    reason="ROADMAP item 11: the search for a feasible point of X stalls "
+           "against a tight row and the box is never built, yet x = 0 is "
+           "feasible")
+@pytest.mark.parametrize("number, h_star", [(3, EXACT[3][1]),
+                                             (6, 70.0 / 7497.0)],
+                         ids=["ex3", "ex6"])
+def test_examples_3_and_6_with_x_times_0_1(number, h_star):
+    report = solve_scaled(number, 1e-2, x=0.1)
+    assert report.status is bnb.SolverStatus.OPTIMAL
+    assert abs(report.incumbent.h - h_star) <= 1e-2 * (1.0 + abs(h_star))
